@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cylfield import CylinderField, Radial, to_cylinder
+from .cylfield import CylinderField, L_kernel, Radial, to_cylinder
 from .errors import SubcriticalRange
 from .grids import RadialGrid, default_grid
 from .params import ParamSet
@@ -143,7 +143,7 @@ def residual_eq_w_closed_form(ps: ParamSet, s, lam: float = 1.0):
     """
     s = np.asarray(s, dtype=float)
     w, dw, d2w = bubble_cylinder_derivatives(ps, s, lam)
-    return ps.alpha**2 * (d2w + (ps.n - 1.0) * dw / s) + w ** (ps.p_exp - 1.0)
+    return L_kernel(dw, d2w, None, s, ps) + w ** (ps.p_exp - 1.0)
 
 
 def bubble_cylinder(ps: ParamSet, grid: RadialGrid | None = None) -> CylinderField:

@@ -18,7 +18,8 @@ from .bubble import eval_bubble, make_bubble
 from .errors import AdmissibilityError, CknLabError, EmptyScan
 from .params import derive_params
 from .radial_ode import shoot
-from .reporting import csv_text, json_text, ordered_map, write_text
+# ordered_map stays bound here for the perfbench tracer tests, which patch it.
+from .reporting import csv_text, json_text, ordered_map, write_text  # noqa: F401
 from .spectral import build_sector_operator, fs_crossing, lowest_eigenvalue, path_params
 from .verify import (
     DEFAULT_SEED,
@@ -69,19 +70,15 @@ def _coerce(raw: str):
     return raw
 
 
-def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> RunConfig:
+def _merge_config(args: argparse.Namespace) -> RunConfig:
     """Start from the config file (if any); explicit flags win on conflict."""
-    opts = dict(parser_defaults)
+    opts = {}
     cfg_path = getattr(args, "config", None)
     if cfg_path:
         for key, raw in _parse_config_file(cfg_path).items():
             opts[key] = _coerce(raw)
     for key, val in vars(args).items():
-        if key in ("command", "config"):
-            continue
-        if val is not None and val != parser_defaults.get(key):
-            opts[key] = val
-        elif key not in opts:
+        if key not in ("command", "config") and (val is not None or key not in opts):
             opts[key] = val
     return RunConfig(command=args.command, options=opts)
 
@@ -158,10 +155,10 @@ def cmd_params(cfg: RunConfig) -> int:
 def cmd_scan(cfg: RunConfig) -> int:
     d = cfg.get("d")
     a_min, a_max = cfg.get("a_min"), cfg.get("a_max")
-    if d is None or a_min is None or a_max is None:
-        print("scan requires --d --a-min --a-max", file=sys.stderr)
-        return EXIT_INVALID_INPUT
     step = cfg.get("a_step", 0.01)
+    if d is None or a_min is None or a_max is None or step == 0:
+        print("scan requires --d --a-min --a-max and a nonzero --a-step", file=sys.stderr)
+        return EXIT_INVALID_INPUT
     offset = cfg.get("b_offset", 0.0)
     count = int(round((a_max - a_min) / step)) + 1
     if count <= 0:
@@ -179,9 +176,7 @@ def cmd_scan(cfg: RunConfig) -> int:
             return (a, b, float("nan"), float("nan"), float("nan"),
                     float("nan"), "excluded")
 
-    rows = ordered_map(row, range(count))
-    if not rows:
-        raise EmptyScan("scan produced no rows")
+    rows = [row(i) for i in range(count)]
     write_text(csv_text(header, rows), cfg.get("out"))
     return EXIT_PASS
 
@@ -230,8 +225,8 @@ def cmd_shoot(cfg: RunConfig) -> int:
 
 def cmd_spectrum(cfg: RunConfig) -> int:
     d, n = cfg.get("d"), cfg.get("n")
-    if d is None or n is None:
-        print("spectrum requires --d --n", file=sys.stderr)
+    if d is None or n is None or n <= 1:
+        print("spectrum requires --d and --n > 1", file=sys.stderr)
         return EXIT_INVALID_INPUT
     formula = float(np.sqrt((d - 1.0) / (n - 1.0)))
     a_lo = cfg.get("alpha_min", 0.7 * formula)
@@ -327,8 +322,7 @@ COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    defaults = {}
-    cfg = _merge_config(args, defaults)
+    cfg = _merge_config(args)
     try:
         return COMMANDS[args.command](cfg)
     except AdmissibilityError as exc:

@@ -8,8 +8,10 @@ D = (alpha d/dr, grad_theta / r) and the operator
 Three angular representations are supported: Radial (no angular dependence,
 any d), PeriodicGrid (full uniform grid on S^1, d = 2 only; angular calculus
 is spectral) and SingleHarmonic (one sector, Lap_theta acts as -k(k+d-2)).
-Nonlinear pointwise work is done on Radial and PeriodicGrid fields; full
-angular grids for d >= 3 are out of scope.
+Each representation owns its angular calculus on sample arrays and raises
+UnsupportedAngularRep where an operation is undefined for it; L is written
+once, in `L_kernel`.  Nonlinear pointwise work is done on Radial and
+PeriodicGrid fields; full angular grids for d >= 3 are out of scope.
 """
 
 from __future__ import annotations
@@ -25,30 +27,110 @@ from .errors import (
     RegionOutsideGrid,
     UnsupportedAngularRep,
 )
-from .grids import RadialGrid, d_ds, d2_ds2, default_grid, integrate_measure_radial, sphere_area
+from .grids import (RadialGrid, d_ds, default_grid, integrate_measure_radial, radial_derivs,
+                    sphere_area)
 from .params import ParamSet
 
 
+class _AngularCalculus:
+    """Angular calculus on sample arrays (radius on axis 0), Radial by default.
+
+    ``None`` stands for a vanishing angular term, which callers skip.
+    """
+
+    def sample_shape(self, grid: RadialGrid, d: int) -> tuple:
+        return (grid.count,)
+
+    def sample(self, u_sampler, r: np.ndarray) -> np.ndarray:
+        """Samples of ``u_sampler(radius, angle)`` at the Euclidean radii r."""
+        return np.asarray(u_sampler(r, np.zeros_like(r)), dtype=float)
+
+    def grad_theta(self, values: np.ndarray) -> np.ndarray | None:
+        return None
+
+    def lap_theta(self, values: np.ndarray, d: int) -> np.ndarray | None:
+        return None
+
+    def theta_pair(self, values: np.ndarray):
+        """(grad_theta, Lap_theta) for nonlinear work on pointwise samples."""
+        return None, None
+
+    def sphere_mean(self, values: np.ndarray, d: int):
+        """(theta-mean profile, sphere measure) for integrals against dmu."""
+        return values, sphere_area(d)
+
+    def require_periodic(self, who: str) -> None:
+        raise UnsupportedAngularRep(f"{who} needs a PeriodicGrid field")
+
+
 @dataclass(frozen=True)
-class Radial:
+class Radial(_AngularCalculus):
     """No angular dependence; valid in any ambient dimension."""
 
 
 @dataclass(frozen=True)
-class PeriodicGrid:
+class PeriodicGrid(_AngularCalculus):
     """Uniform grid of `size` angles on S^1 (d = 2 only)."""
 
     size: int = 256
 
+    def sample_shape(self, grid, d):
+        if d != 2:
+            raise UnsupportedAngularRep("PeriodicGrid fields require d = 2")
+        return (grid.count, self.size)
+
+    def sample(self, u_sampler, r):
+        th = theta_nodes(self)
+        values = np.asarray(u_sampler(r[:, None], th[None, :]), dtype=float)
+        return np.broadcast_to(values, (r.size, self.size)).copy()
+
+    def grad_theta(self, values):
+        return theta_derivative(values, 1)
+
+    def lap_theta(self, values, d):
+        return theta_derivative(values, 2)
+
+    def theta_pair(self, values):
+        spec, m = np.fft.rfft(values, axis=1), values.shape[1]
+        return _theta_from_spectrum(spec, m, 1), _theta_from_spectrum(spec, m, 2)
+
+    def sphere_mean(self, values, d):
+        return values.mean(axis=1), 2.0 * np.pi
+
+    def require_periodic(self, who):
+        pass
+
 
 @dataclass(frozen=True)
-class SingleHarmonic:
+class SingleHarmonic(_AngularCalculus):
     """One spherical-harmonic sector with eigenvalue k(k+d-2)."""
 
     k: int
 
     def eigenvalue(self, d: int) -> float:
         return float(self.k * (self.k + d - 2))
+
+    def sample(self, u_sampler, r):
+        raise UnsupportedAngularRep("to_cylinder samples pointwise values; "
+                                    "build SingleHarmonic fields directly")
+
+    def grad_theta(self, values):
+        if self.k:
+            raise UnsupportedAngularRep("square-norm of a k >= 1 harmonic sector mixes "
+                                        "sectors; use a PeriodicGrid field")
+        return None
+
+    def lap_theta(self, values, d):
+        return -self.eigenvalue(d) * values if self.k > 0 else None
+
+    def theta_pair(self, values):
+        if self.k:
+            raise UnsupportedAngularRep("pressure is a nonlinear function of w; "
+                                        "use Radial or PeriodicGrid fields")
+        return None, None
+
+    def sphere_mean(self, values, d):
+        raise UnsupportedAngularRep("integrate_mu supports Radial and PeriodicGrid")
 
 
 AngularRep = Radial | PeriodicGrid | SingleHarmonic
@@ -58,15 +140,34 @@ def theta_nodes(angular: PeriodicGrid) -> np.ndarray:
     return np.linspace(0.0, 2.0 * np.pi, angular.size, endpoint=False)
 
 
-def theta_derivative(values: np.ndarray, order: int) -> np.ndarray:
-    """Spectral angular derivative along axis 1 (periodic, d = 2)."""
-    m = values.shape[1]
-    spec = np.fft.rfft(values, axis=1)
+def _theta_from_spectrum(spec: np.ndarray, m: int, order: int) -> np.ndarray:
     k = np.arange(spec.shape[1], dtype=float)
     mult = (1j * k) ** order
     if order % 2 == 1 and m % 2 == 0:
         mult[-1] = 0.0  # odd derivative of the unpaired Nyquist mode
     return np.fft.irfft(spec * mult[None, :], n=m, axis=1)
+
+
+def theta_derivative(values: np.ndarray, order: int) -> np.ndarray:
+    """Spectral angular derivative along axis 1 (periodic, d = 2)."""
+    return _theta_from_spectrum(np.fft.rfft(values, axis=1), values.shape[1], order)
+
+
+def L_kernel(d1: np.ndarray, d2: np.ndarray, lap_theta: np.ndarray | None,
+             s: np.ndarray, ps: ParamSet) -> np.ndarray:
+    """L from (w', w'', Lap_theta w): alpha^2 (w'' + (n-1) w'/r) + Lap_theta w / r^2.
+
+    ``lap_theta`` None skips the angular term.  Given (V_r, V_r', div_theta V_theta)
+    it is the weighted divergence D_i V_i.
+    """
+    out = ps.alpha**2 * (d2 + (ps.n - 1.0) * d1 / s)
+    return out if lap_theta is None else out + lap_theta / s**2
+
+
+def L_of_values(values: np.ndarray, grid: RadialGrid, angular: AngularRep, ps: ParamSet):
+    """L applied to a sample array."""
+    d1, d2 = radial_derivs(values, grid)
+    return L_kernel(d1, d2, angular.lap_theta(values, ps.d), grid.column(values), ps)
 
 
 @dataclass(frozen=True)
@@ -80,12 +181,7 @@ class CylinderField:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if isinstance(self.angular, PeriodicGrid):
-            if self.params.d != 2:
-                raise UnsupportedAngularRep("PeriodicGrid fields require d = 2")
-            expected = (self.grid.count, self.angular.size)
-        else:
-            expected = (self.grid.count,)
+        expected = self.angular.sample_shape(self.grid, self.params.d)
         if v.shape != expected:
             raise ValueError(f"values shape {v.shape} != expected {expected}")
         if not np.all(np.isfinite(v)):
@@ -109,7 +205,7 @@ class CylinderField:
     def to_csv(self, stream) -> None:
         """Snapshot as CSV, radial-major; theta column omitted for Radial."""
         fmt = "{:.17g}"
-        if isinstance(self.angular, PeriodicGrid):
+        if self.values.ndim == 2:
             stream.write("r,theta,value\n")
             th = theta_nodes(self.angular)
             for i, s in enumerate(self.grid.nodes):
@@ -157,17 +253,7 @@ def to_cylinder(
     radial samplers may ignore the angle argument.
     """
     grid = grid or default_grid()
-    r_euclid = grid.nodes ** (1.0 / ps.alpha)
-    if isinstance(angular, Radial):
-        values = np.asarray(u_sampler(r_euclid, np.zeros_like(r_euclid)), dtype=float)
-    elif isinstance(angular, PeriodicGrid):
-        th = theta_nodes(angular)
-        values = np.asarray(u_sampler(r_euclid[:, None], th[None, :]), dtype=float)
-        values = np.broadcast_to(values, (grid.count, angular.size)).copy()
-    else:
-        raise UnsupportedAngularRep(
-            "to_cylinder samples pointwise values; build SingleHarmonic fields directly"
-        )
+    values = angular.sample(u_sampler, grid.nodes ** (1.0 / ps.alpha))
     field = CylinderField(grid, angular, values, ps)
     if require_positive:
         field.require_positive("to_cylinder")
@@ -183,22 +269,10 @@ class CylGradient:
 
 def grad_cyl(w: CylinderField) -> CylGradient:
     """Cylinder gradient D w = (alpha w', grad_theta w / r)."""
-    ps = w.params
-    s = w.grid.column(w.values)
-    wp = d_ds(w.values, w.grid)
-    radial = ps.alpha * wp
-    if isinstance(w.angular, Radial) or (
-        isinstance(w.angular, SingleHarmonic) and w.angular.k == 0
-    ):
-        ang = np.zeros_like(w.values)
-    elif isinstance(w.angular, PeriodicGrid):
-        ang = theta_derivative(w.values, 1) / s
-    else:
-        raise UnsupportedAngularRep(
-            "square-norm of a k >= 1 harmonic sector mixes sectors; "
-            "use a PeriodicGrid field"
-        )
-    sq = radial**2 + ang**2
+    radial = w.params.alpha * d_ds(w.values, w.grid)
+    g = w.angular.grad_theta(w.values)
+    ang = np.zeros_like(w.values) if g is None else g / w.grid.column(w.values)
+    sq = radial**2 if g is None else radial**2 + ang**2
     return CylGradient(
         radial_part=w.with_values(radial),
         angular_part=w.with_values(ang),
@@ -208,17 +282,7 @@ def grad_cyl(w: CylinderField) -> CylGradient:
 
 def apply_L(w: CylinderField) -> CylinderField:
     """L w = alpha^2 w'' + alpha^2 (n-1) w'/r + Lap_theta w / r^2."""
-    ps = w.params
-    s = w.grid.column(w.values)
-    wp = d_ds(w.values, w.grid)
-    wpp = d2_ds2(w.values, w.grid)
-    out = ps.alpha**2 * (wpp + (ps.n - 1.0) * wp / s)
-    if isinstance(w.angular, PeriodicGrid):
-        out = out + theta_derivative(w.values, 2) / s**2
-    elif isinstance(w.angular, SingleHarmonic) and w.angular.k > 0:
-        lam = w.angular.eigenvalue(ps.d)
-        out = out - lam * w.values / s**2
-    return w.with_values(out)
+    return w.with_values(L_of_values(w.values, w.grid, w.angular, w.params))
 
 
 def integrate_mu(f: CylinderField, region: MeasureRegion | None = None) -> float:
@@ -234,14 +298,7 @@ def integrate_mu(f: CylinderField, region: MeasureRegion | None = None) -> float
             f"region ({region.r_lo}, {region.r_hi}) outside grid "
             f"({f.grid.r_min}, {f.grid.r_max})"
         )
-    if isinstance(f.angular, Radial):
-        profile = f.values
-        factor = sphere_area(f.params.d)
-    elif isinstance(f.angular, PeriodicGrid):
-        profile = f.values.mean(axis=1)
-        factor = 2.0 * np.pi
-    else:
-        raise UnsupportedAngularRep("integrate_mu supports Radial and PeriodicGrid")
+    profile, factor = f.angular.sphere_mean(f.values, f.params.d)
     return factor * integrate_measure_radial(
         profile, f.grid, f.params.n, region.r_lo, region.r_hi
     )
@@ -250,8 +307,8 @@ def integrate_mu(f: CylinderField, region: MeasureRegion | None = None) -> float
 def residual_eq_w(w: CylinderField) -> CylinderField:
     """L w + w^(p-1); vanishes at grid scale iff w solves the cylinder equation."""
     w.require_positive("residual_eq_w")
-    lw = apply_L(w)
-    return w.with_values(lw.values + w.values ** (w.params.p_exp - 1.0))
+    lw = L_of_values(w.values, w.grid, w.angular, w.params)
+    return w.with_values(lw + w.values ** (w.params.p_exp - 1.0))
 
 
 def ckn_rayleigh(w: CylinderField) -> float:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cylfield import CylinderField, MeasureRegion, grad_cyl, integrate_mu
+from .cylfield import CylinderField, L_kernel, MeasureRegion, grad_cyl, integrate_mu
 from .errors import (
     BadExponent,
     NotFiniteEnergy,
@@ -29,7 +29,7 @@ from .errors import (
     RegionOutsideGrid,
 )
 from .fitting import fit_loglog
-from .grids import d2_ds2, d_ds
+from .grids import radial_derivs
 from .pressure import PressureField, bochner_k, pressure_of, rigidity_defect
 
 
@@ -75,9 +75,6 @@ class IntIneqSides:
     lhs: float           # int P^(1-n) k[P] eta^s dmu
     rhs_weighted: float  # int P^(1-n) |DP|^2 |eta'|^2 dmu
 
-    def ratio(self) -> float:
-        return self.lhs / self.rhs_weighted
-
 
 def int_ineq_sides(pf: PressureField, cut: Cutoff) -> IntIneqSides:
     """Both sides of the localized defect inequality 0 <= lhs <= C rhs.
@@ -94,13 +91,12 @@ def int_ineq_sides(pf: PressureField, cut: Cutoff) -> IntIneqSides:
     grid = pf.grid
     if 2.0 * cut.R > grid.r_max * (1.0 + 1e-12):
         raise RegionOutsideGrid("cutoff support (0, 2R) exceeds the grid")
-    s = grid.nodes
+    s = grid.column(pf.P.values)
     eta_s = cut.eta(s) ** cut.s_power
     etap2 = cut.eta_prime(s) ** 2
-    col = (lambda a: a) if pf.P.values.ndim == 1 else (lambda a: a[:, None])
-    lhs = integrate_mu(pf.field(_defect_density(pf) * col(eta_s)),
+    lhs = integrate_mu(pf.field(_defect_density(pf) * eta_s),
                        MeasureRegion(grid.r_min, min(2.0 * cut.R, grid.r_max)))
-    rhs = integrate_mu(pf.field(_grad_density(pf) * col(etap2)),
+    rhs = integrate_mu(pf.field(_grad_density(pf) * etap2),
                        MeasureRegion(cut.R, min(2.0 * cut.R, grid.r_max)))
     return IntIneqSides(lhs=lhs, rhs_weighted=rhs)
 
@@ -119,8 +115,8 @@ def superharmonic_lower_bound(w: CylinderField, rho: float,
     A is the inner-boundary sphere minimum rho^(n-2) min_{r=rho} w (the
     comparison-principle choice; the infimum over the whole outer region
     would be 0 for decaying fields and the bound vacuous).  The L w <= 0
-    gate is checked against the derivative magnitude scale so exactly
-    L-harmonic fields pass despite discretization noise.
+    gate is checked on (rho, r_max) against the size of the terms of L there,
+    so exactly L-harmonic fields pass despite discretization noise.
     """
     w.require_positive("superharmonic_lower_bound")
     ps = w.params
@@ -130,11 +126,12 @@ def superharmonic_lower_bound(w: CylinderField, rho: float,
     rho_eff = float(grid.nodes[idx])
 
     s = grid.column(w.values)
-    wp = d_ds(w.values, grid)
-    wpp = d2_ds2(w.values, grid)
-    Lw = ps.alpha**2 * (wpp + (n - 1.0) * wp / s)
-    scale = np.max(ps.alpha**2 * (np.abs(wpp) + (n - 1.0) * np.abs(wp) / s))
-    excess = float(np.max(Lw[idx:])) if w.values.ndim == 1 else float(np.max(Lw[idx:, :]))
+    wp, wpp = radial_derivs(w.values, grid)
+    lap = w.angular.lap_theta(w.values, ps.d)
+    Lw = L_kernel(wp, wpp, lap, s, ps)
+    magnitude = L_kernel(np.abs(wp), np.abs(wpp), None if lap is None else np.abs(lap), s, ps)
+    scale = float(np.max(magnitude[idx:]))
+    excess = float(np.max(Lw[idx:]))
     if excess > gate_rel_tol * scale:
         raise NotSuperharmonic(
             f"max L w = {excess:.3e} exceeds {gate_rel_tol:.1e} x scale {scale:.3e}"
@@ -142,10 +139,7 @@ def superharmonic_lower_bound(w: CylinderField, rho: float,
 
     sphere_min = float(np.min(np.atleast_1d(w.values[idx])))
     A = rho_eff ** (n - 2.0) * sphere_min
-    tail = w.values[idx:]
-    s_tail = grid.nodes[idx:]
-    comparison = A * s_tail ** (2.0 - n)
-    margin = tail - (comparison if tail.ndim == 1 else comparison[:, None])
+    margin = w.values[idx:] - A * s[idx:] ** (2.0 - n)
     return SuperharmonicBound(A=A, min_margin=float(np.min(margin)), rho=rho_eff)
 
 

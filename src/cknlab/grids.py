@@ -158,10 +158,16 @@ def d_ds(values: np.ndarray, grid: RadialGrid) -> np.ndarray:
     return d_dx(values, grid.log_step) / s
 
 
+def radial_derivs(values: np.ndarray, grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
+    """(w', w'') on the log grid from one shared d/dx pass."""
+    s = grid.column(np.asarray(values))
+    dx = d_dx(values, grid.log_step)
+    return dx / s, (d2_dx2(values, grid.log_step) - dx) / s**2
+
+
 def d2_ds2(values: np.ndarray, grid: RadialGrid) -> np.ndarray:
     """Second radial derivative on the log grid."""
-    s = grid.column(np.asarray(values))
-    return (d2_dx2(values, grid.log_step) - d_dx(values, grid.log_step)) / s**2
+    return radial_derivs(values, grid)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ The rigidity defect int P^(1-n) k[P] dmu is nonnegative in the symmetric
 regime and vanishes exactly on the extremal.
 
 Non-solution inputs are always accepted: every routine is a diagnostic, not
-a validator.  The discrete divergence uses the same weighted radial form as
-L (alpha^2 (d/dr + (n-1)/r)) so integration by parts mirrors the continuum.
+a validator.  L, and the divergence in the same weighted radial form
+(alpha^2 (d/dr + (n-1)/r)), come from `cylfield.L_kernel`, so integration by
+parts mirrors the continuum; angular derivatives come from the field's
+angular representation.
 """
 
 from __future__ import annotations
@@ -24,15 +26,13 @@ import numpy as np
 
 from .cylfield import (
     CylinderField,
+    L_kernel,
+    L_of_values,
     MeasureRegion,
-    PeriodicGrid,
-    Radial,
-    SingleHarmonic,
     integrate_mu,
     theta_derivative,
 )
-from .errors import UnsupportedAngularRep
-from .grids import d_ds, d2_ds2
+from .grids import d_ds, radial_derivs
 
 
 @dataclass(frozen=True)
@@ -42,13 +42,13 @@ class PressureField:
     P: CylinderField
     source_w: CylinderField
     n: float
-    dP: np.ndarray          # P'
-    d2P: np.ndarray         # P''
-    thetaP: np.ndarray      # grad_theta P      (zeros for Radial)
-    lap_thetaP: np.ndarray  # Lap_theta P       (zeros for Radial)
-    mixed: np.ndarray       # d/dr grad_theta P (zeros for Radial)
-    LP: np.ndarray          # L P
-    DP2: np.ndarray         # |DP|^2
+    dP: np.ndarray                 # P'
+    d2P: np.ndarray                # P''
+    thetaP: np.ndarray | None      # grad_theta P      (None for Radial)
+    lap_thetaP: np.ndarray | None  # Lap_theta P       (None for Radial)
+    mixed: np.ndarray | None       # d/dr grad_theta P (None for Radial)
+    LP: np.ndarray                 # L P
+    DP2: np.ndarray                # |DP|^2
 
     @property
     def grid(self):
@@ -66,18 +66,6 @@ class PressureField:
         return self.P.with_values(values)
 
 
-def _is_angular(field: CylinderField) -> bool:
-    if isinstance(field.angular, PeriodicGrid):
-        return True
-    if isinstance(field.angular, Radial):
-        return False
-    if isinstance(field.angular, SingleHarmonic) and field.angular.k == 0:
-        return False
-    raise UnsupportedAngularRep(
-        "pressure is a nonlinear function of w; use Radial or PeriodicGrid fields"
-    )
-
-
 def pressure_of(w: CylinderField) -> PressureField:
     w.require_positive("pressure_of")
     ps = w.params
@@ -86,32 +74,17 @@ def pressure_of(w: CylinderField) -> PressureField:
     P = w.with_values(vals)
     grid = w.grid
     s = grid.column(vals)
-    dP = d_ds(vals, grid)
-    d2P = d2_ds2(vals, grid)
-    if _is_angular(w):
-        thetaP = theta_derivative(vals, 1)
-        lap_thetaP = theta_derivative(vals, 2)
-        mixed = d_ds(thetaP, grid)
-    else:
-        thetaP = np.zeros_like(vals)
-        lap_thetaP = np.zeros_like(vals)
-        mixed = np.zeros_like(vals)
-    LP = ps.alpha**2 * (d2P + (n - 1.0) * dP / s) + lap_thetaP / s**2
-    DP2 = ps.alpha**2 * dP**2 + thetaP**2 / s**2
+    dP, d2P = radial_derivs(vals, grid)
+    thetaP, lap_thetaP = w.angular.theta_pair(vals)
+    LP = L_kernel(dP, d2P, lap_thetaP, s, ps)
+    mixed = None if thetaP is None else d_ds(thetaP, grid)
+    DP2 = ps.alpha**2 * dP**2
+    if thetaP is not None:
+        DP2 = DP2 + thetaP**2 / s**2
     return PressureField(
         P=P, source_w=w, n=n, dP=dP, d2P=d2P, thetaP=thetaP,
         lap_thetaP=lap_thetaP, mixed=mixed, LP=LP, DP2=DP2,
     )
-
-
-def _lap_L(values: np.ndarray, pf: PressureField) -> np.ndarray:
-    """L applied to a derived sample array on the pressure's grid."""
-    ps = pf.params
-    s = pf.grid.column(values)
-    out = ps.alpha**2 * (d2_ds2(values, pf.grid) + (pf.n - 1.0) * d_ds(values, pf.grid) / s)
-    if _is_angular(pf.P):
-        out = out + theta_derivative(values, 2) / s**2
-    return out
 
 
 def residual_eq_P(pf: PressureField) -> CylinderField:
@@ -129,12 +102,11 @@ def residual_eq_P(pf: PressureField) -> CylinderField:
 def bochner_k(pf: PressureField) -> CylinderField:
     """k[P] = 1/2 L |DP|^2 - <DP, D L P> - (1/n) (L P)^2."""
     ps = pf.params
-    s = pf.s
-    half_LG = 0.5 * _lap_L(pf.DP2, pf)
-    dLP = d_ds(pf.LP, pf.grid)
-    inner = ps.alpha**2 * pf.dP * dLP
-    if _is_angular(pf.P):
-        inner = inner + pf.thetaP * theta_derivative(pf.LP, 1) / s**2
+    half_LG = 0.5 * L_of_values(pf.DP2, pf.grid, pf.P.angular, ps)
+    inner = ps.alpha**2 * pf.dP * d_ds(pf.LP, pf.grid)
+    grad_LP = pf.P.angular.grad_theta(pf.LP)
+    if grad_LP is not None:
+        inner = inner + pf.thetaP * grad_LP / pf.s**2
     return pf.field(half_LG - inner - pf.LP**2 / pf.n)
 
 
@@ -144,8 +116,7 @@ def sphere_bochner_density(pf: PressureField) -> np.ndarray:
     k_S = 1/2 Lap_theta |grad_theta P|^2 - grad_theta P . grad_theta Lap_theta P
           - (Lap_theta P)^2/(n-1) - (n-2) alpha^2 |grad_theta P|^2.
     """
-    if not isinstance(pf.P.angular, PeriodicGrid):
-        raise UnsupportedAngularRep("sphere Bochner term needs a PeriodicGrid field")
+    pf.P.angular.require_periodic("sphere Bochner term")
     ps = pf.params
     g1 = pf.thetaP
     g2 = pf.lap_thetaP
@@ -177,20 +148,15 @@ def bochner_decomposition(pf: PressureField) -> BochnerDecomposition:
     ps = pf.params
     n = pf.n
     s = pf.s
-    radial_deficit = pf.d2P - pf.dP / s - pf.lap_thetaP / (ps.alpha**2 * (n - 1.0) * s**2)
+    radial_deficit = pf.d2P - pf.dP / s
+    if pf.lap_thetaP is not None:
+        radial_deficit = radial_deficit - pf.lap_thetaP / (ps.alpha**2 * (n - 1.0) * s**2)
     t1 = (n - 1.0) / n * ps.alpha**4 * radial_deficit**2
-    if isinstance(pf.P.angular, PeriodicGrid):
+    if pf.thetaP is None:
+        t2 = t3 = np.zeros_like(t1)
+    else:
         t2 = 2.0 * ps.alpha**2 / s**2 * (pf.mixed - pf.thetaP / s) ** 2
         t3 = sphere_bochner_density(pf) / s**4
-    elif isinstance(pf.P.angular, Radial) or (
-        isinstance(pf.P.angular, SingleHarmonic) and pf.P.angular.k == 0
-    ):
-        t2 = np.zeros_like(t1)
-        t3 = np.zeros_like(t1)
-    else:
-        raise UnsupportedAngularRep(
-            "decomposition supports Radial and PeriodicGrid (d = 2) fields"
-        )
     return BochnerDecomposition(
         term_radial_hessian=pf.field(t1),
         term_mixed=pf.field(t2),
@@ -214,8 +180,7 @@ def sphere_bochner(pf: PressureField, radius_index: int) -> SphereBochnerSides:
         int_S P^(1-n) k_S[P] dtheta
             >= (n-2) ((d-1)/(n-1) - alpha^2) int_S P^(1-n) |grad_theta P|^2 dtheta.
     """
-    if not isinstance(pf.P.angular, PeriodicGrid):
-        raise UnsupportedAngularRep("sphere_bochner needs a PeriodicGrid field")
+    pf.P.angular.require_periodic("sphere_bochner")
     ps = pf.params
     n = pf.n
     weight = pf.P.values[radius_index] ** (1.0 - n)
@@ -234,22 +199,17 @@ def weighted_divergence(pf: PressureField, v_radial: np.ndarray,
 
         alpha^2 (dV_r/dr + (n-1) V_r / r) + div_theta V_theta / r^2.
     """
-    ps = pf.params
-    s = pf.grid.column(v_radial)
-    out = ps.alpha**2 * (d_ds(v_radial, pf.grid) + (pf.n - 1.0) * v_radial / s)
-    if v_theta is not None and _is_angular(pf.P):
-        out = out + theta_derivative(v_theta, 1) / s**2
-    return out
+    div_theta = None if v_theta is None else pf.P.angular.grad_theta(v_theta)
+    return L_kernel(v_radial, d_ds(v_radial, pf.grid), div_theta,
+                    pf.grid.column(v_radial), pf.params)
 
 
 def obata_vector(pf: PressureField) -> tuple[np.ndarray, np.ndarray | None]:
     """Components (V_r, V_theta) of 1/2 P^(1-n) D|DP|^2 - (1/n) P^(1-n) LP DP."""
     weight = pf.P.values ** (1.0 - pf.n)
     v_r = weight * (0.5 * d_ds(pf.DP2, pf.grid) - pf.LP * pf.dP / pf.n)
-    if _is_angular(pf.P):
-        v_t = weight * (0.5 * theta_derivative(pf.DP2, 1) - pf.LP * pf.thetaP / pf.n)
-    else:
-        v_t = None
+    grad_G = pf.P.angular.grad_theta(pf.DP2)
+    v_t = None if grad_G is None else weight * (0.5 * grad_G - pf.LP * pf.thetaP / pf.n)
     return v_r, v_t
 
 

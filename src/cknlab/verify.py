@@ -66,11 +66,6 @@ SPECTRUM_ZERO_MODE_PARAMS = ((-0.5, 0.0, 3), (-0.4, 0.1, 2), (-0.25, 0.15, 3))
 SPECTRUM_CROSSING_PAIRS = ((3, 6.0), (2, 4.0))
 
 
-def interior_slice(count: int, margin: int = 4) -> slice:
-    """Rows excluded from max-residual reports: `margin` nodes each end."""
-    return slice(margin, count - margin)
-
-
 def interior_max(values: np.ndarray, grid: RadialGrid, frac: float = 0.06,
                  margin: int = 4) -> float:
     """Max |values| over a fixed physical window (plus a node margin).
@@ -485,11 +480,3 @@ def run_spectrum_suite(
             "pass": crossing.relative_gap < gap_tol,
         })
     return report.to_dict()
-
-
-SUITES = {
-    "identities": lambda **kw: run_identities_suite(**kw),
-    "estimates": lambda **kw: run_estimates_suite(**kw)[0],
-    "rigidity": lambda **kw: run_rigidity_suite(**kw),
-    "spectrum": lambda **kw: run_spectrum_suite(**kw),
-}

@@ -1,6 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import cknlab
 from cknlab.cli import main
 
 
@@ -162,3 +169,17 @@ class TestVerifyCommand:
             )
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["scan", "--d", "3", "--a-min", "-1", "--a-max", "0", "--a-step", "0"], "--a-step"),
+    (["spectrum", "--d", "3", "--n", "1"], "--n > 1"),
+])
+def test_bad_input_exits_2_with_reason(argv, reason):
+    src = str(Path(cknlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "cknlab.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert reason in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -14,6 +14,7 @@ from cknlab.cylfield import (
     grad_cyl,
     integrate_mu,
     residual_eq_w,
+    theta_derivative,
     to_cylinder,
 )
 from cknlab.errors import (
@@ -88,6 +89,14 @@ class TestGradCyl:
                           np.ones(grid_small.count), ps_n6)
         with pytest.raises(UnsupportedAngularRep):
             grad_cyl(w)
+
+
+@pytest.mark.parametrize("m", [63, 64])
+def test_periodic_theta_pair_is_bitwise_both_orders(m):
+    vals = np.random.default_rng(4).standard_normal((40, m))
+    grad, lap = PeriodicGrid(m).theta_pair(vals)
+    assert np.array_equal(grad, theta_derivative(vals, 1))
+    assert np.array_equal(lap, theta_derivative(vals, 2))
 
 
 class TestApplyL:

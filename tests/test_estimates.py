@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cknlab.bubble import bubble_cylinder
-from cknlab.cylfield import CylinderField, MeasureRegion, Radial, integrate_mu
+from cknlab.cylfield import (
+    CylinderField,
+    MeasureRegion,
+    PeriodicGrid,
+    Radial,
+    apply_L,
+    integrate_mu,
+    theta_nodes,
+)
 from cknlab.errors import (
     BadExponent,
     NotFiniteEnergy,
@@ -128,6 +136,26 @@ class TestSuperharmonicBound:
         w = CylinderField(grid_small, Radial(), grid_small.nodes**2, ps_n6)
         with pytest.raises(NotSuperharmonic):
             superharmonic_lower_bound(w, rho=1.0)
+
+    def test_angular_term_counts_in_the_gate(self, ps_d2):
+        # w = r^(2-n) (1 + cos(theta)/2): radially harmonic, but
+        # L w = -cos(theta) r^(-n) / 2 reaches 1/2 at r = 1
+        g = RadialGrid(1e-2, 1e2, 1025)
+        ang = PeriodicGrid(64)
+        vals = g.nodes[:, None] ** (2.0 - ps_d2.n) * (1.0 + 0.5 * np.cos(theta_nodes(ang)))
+        w = CylinderField(g, ang, vals, ps_d2)
+        assert np.max(apply_L(w).values[g.nodes >= 1.0]) > 0.49
+        with pytest.raises(NotSuperharmonic):
+            superharmonic_lower_bound(w, rho=1.0)
+
+    def test_periodic_bubble_matches_radial(self, ps_d2):
+        g = RadialGrid(1e-2, 1e2, 1025)
+        w = bubble_cylinder(ps_d2, g)
+        vals = np.broadcast_to(w.values[:, None], (g.count, 64))
+        radial = superharmonic_lower_bound(w, rho=1.0)
+        periodic = superharmonic_lower_bound(CylinderField(g, PeriodicGrid(64), vals, ps_d2),
+                                             rho=1.0)
+        assert (periodic.A, periodic.min_margin) == (radial.A, radial.min_margin)
 
 
 class TestWeakEnergy:

@@ -19,6 +19,7 @@ from cknlab.grids import (
     fd_weights,
     integrate_measure_radial,
     integrate_uniform,
+    radial_derivs,
     sphere_area,
 )
 
@@ -86,6 +87,16 @@ class TestDerivatives:
             errs2.append(np.max(np.abs(d2_ds2(w, g) - 2.0) / 2.0))
         for f in halving_factors(errs1) + halving_factors(errs2):
             assert 8.0 <= f <= 32.0
+
+    @pytest.mark.parametrize("shape", [(300,), (300, 7)])
+    def test_radial_derivs_bitwise_equal_to_separate_passes(self, shape):
+        g = RadialGrid(1e-2, 1e2, 300)
+        vals = np.random.default_rng(3).standard_normal(shape)
+        d1, d2 = radial_derivs(vals, g)
+        s = g.column(vals)
+        assert np.array_equal(d1, d_ds(vals, g))
+        assert np.array_equal(d2, d2_ds2(vals, g))
+        assert np.array_equal(d2, (d2_dx2(vals, g.log_step) - d_dx(vals, g.log_step)) / s**2)
 
     def test_2d_arrays_differentiate_along_axis0(self):
         g = RadialGrid(1e-1, 1e1, 64)

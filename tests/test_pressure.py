@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from cknlab.bubble import bubble_cylinder, pressure_amplitude
-from cknlab.cylfield import CylinderField, MeasureRegion, PeriodicGrid, Radial
+from cknlab.cylfield import CylinderField, L_of_values, MeasureRegion, PeriodicGrid, Radial
 from cknlab.errors import NonPositiveSample, UnsupportedAngularRep
 from cknlab.fitting import fitted_order
 from cknlab.grids import RadialGrid, sphere_area
@@ -59,6 +59,19 @@ class TestPressureOf:
         vals[3] = -1.0
         with pytest.raises(NonPositiveSample):
             pressure_of(CylinderField(grid_small, Radial(), vals, ps_n6))
+
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_LP_is_the_L_kernel_bitwise(self, ps_d2, periodic):
+        g = RadialGrid(1e-2, 1e2, 257)
+        if periodic:
+            w = evaluate_log_field(random_log_field_coeffs(np.random.default_rng(6)), g,
+                                   PeriodicGrid(32), ps_d2)
+        else:
+            w = bubble_cylinder(ps_d2, g)
+        pf = pressure_of(w)
+        assert pf.LP.shape == w.values.shape
+        assert np.array_equal(pf.LP, L_of_values(pf.P.values, g, w.angular, ps_d2))
 
 
 class TestResidualEqP:
