@@ -1,19 +1,25 @@
 """Command-line front end.
 
-Commands: params, scan, bubble, shoot, spectrum, verify.  Outputs are CSV or
-JSON plot data (no rendering); identical configurations with the same seed
-produce byte-identical reports.  Exit codes: 0 pass, 1 contract failure,
-2 invalid input.
+Commands: params, scan, bubble, shoot, spectrum, verify.  argparse owns every
+flag: each subcommand declares only the flags its command reads, with their
+types, defaults and required checks, and the command functions read the parsed
+namespace.  ``--config FILE`` supplies ``key=value`` lines as flags placed
+right after the command name, so they are checked like typed flags and
+explicit flags win.  Outputs are CSV or JSON plot data (no rendering);
+identical configurations with the same seed produce byte-identical reports.
+Exit codes: 0 pass, 1 contract failure, 2 invalid input (with the reason on
+stderr).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
+from . import verify
 from .bubble import eval_bubble, make_bubble
 from .errors import AdmissibilityError, CknLabError, EmptyScan
 from .params import derive_params
@@ -21,66 +27,34 @@ from .radial_ode import shoot
 # ordered_map stays bound here for the perfbench tracer tests, which patch it.
 from .reporting import csv_text, json_text, ordered_map, write_text  # noqa: F401
 from .spectral import build_sector_operator, fs_crossing, lowest_eigenvalue, path_params
-from .verify import (
-    DEFAULT_SEED,
-    run_estimates_suite,
-    run_identities_suite,
-    run_rigidity_suite,
-    run_spectrum_suite,
-)
 
 EXIT_PASS = 0
 EXIT_CONTRACT_FAILURE = 1
 EXIT_INVALID_INPUT = 2
 
+#: Largest regime map `scan` builds; the row count is checked before any row.
+SCAN_MAX_ROWS = 100_000
 
-@dataclass
-class RunConfig:
-    command: str
-    options: dict
-
-    def get(self, key, default=None):
-        val = self.options.get(key)
-        return default if val is None else val
-
-
-def _parse_config_file(path: str) -> dict:
-    """key=value lines; blank lines and #-comments ignored."""
-    out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"malformed config line: {line!r}")
-            key, val = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = val.strip()
-    return out
+#: suite -> {verify flag the suite reads: keyword of verify.run_<suite>_suite}.
+#: None marks a flag read here and not passed on; --a --b --d together give
+#: rigidity's one parameter triple.
+SUITE_FLAGS = {
+    "identities": {"fields": "n_fields", "refine": "levels", "angular": "angular_size"},
+    "estimates": {"grid": "grid_count", "format": None},
+    "rigidity": {"a": None, "b": None, "d": None},
+    "spectrum": {"grid": "N"},
+}
+ESTIMATES_HEADER = ["lemma", "params", "R", "lhs", "rhs", "fitted_exponent", "bound", "pass"]
 
 
-def _coerce(raw: str):
-    for caster in (int, float):
-        try:
-            return caster(raw)
-        except ValueError:
-            continue
-    if raw.lower() in ("true", "false"):
-        return raw.lower() == "true"
-    return raw
-
-
-def _merge_config(args: argparse.Namespace) -> RunConfig:
-    """Start from the config file (if any); explicit flags win on conflict."""
-    opts = {}
-    cfg_path = getattr(args, "config", None)
-    if cfg_path:
-        for key, raw in _parse_config_file(cfg_path).items():
-            opts[key] = _coerce(raw)
-    for key, val in vars(args).items():
-        if key not in ("command", "config") and (val is not None or key not in opts):
-            opts[key] = val
-    return RunConfig(command=args.command, options=opts)
+def _count_at_least(low: int):
+    """argparse type for an integer count of at least ``low``."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}: got {value}")
+        return value
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,86 +64,95 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_abd=True):
-        if with_abd:
-            p.add_argument("--a", type=float, default=None)
-            p.add_argument("--b", type=float, default=None)
-            p.add_argument("--d", type=int, default=None)
-        p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--grid", type=int, default=None, help="radial node count")
-        p.add_argument("--angular", type=int, default=None, help="angular node count (d=2)")
-        p.add_argument("--refine", type=int, default=None, help="refinement levels")
-        p.add_argument("--config", type=str, default=None, help="key=value config file")
+    def command(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        p.add_argument("--out", help="output path (default stdout)")
+        p.add_argument("--config", help="key=value config file (explicit flags win)")
+        return p
 
-    p = sub.add_parser("params", help="derive and print a ParamSet")
-    common(p)
+    def weights(p, required=True):
+        p.add_argument("--a", type=float, required=required)
+        p.add_argument("--b", type=float, required=required)
+        p.add_argument("--d", type=int, required=required)
 
-    p = sub.add_parser("scan", help="regime map over a weight range")
-    common(p)
-    p.add_argument("--a-min", dest="a_min", type=float, default=None)
-    p.add_argument("--a-max", dest="a_max", type=float, default=None)
-    p.add_argument("--a-step", dest="a_step", type=float, default=None)
-    p.add_argument("--b-offset", dest="b_offset", type=float, default=None,
-                   help="scan along b = a + offset")
+    weights(command("params", cmd_params, "derive and print a ParamSet"))
 
-    p = sub.add_parser("bubble", help="emit (r, u(r)) of the explicit extremal")
-    common(p)
-    p.add_argument("--lam", type=float, default=None, help="scaling parameter")
-    p.add_argument("--r-min", dest="r_min", type=float, default=None)
-    p.add_argument("--r-max", dest="r_max", type=float, default=None)
+    p = command("scan", cmd_scan, "regime map over a weight range")
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--a-min", type=float, required=True)
+    p.add_argument("--a-max", type=float, required=True)
+    p.add_argument("--a-step", type=float, default=0.01)
+    p.add_argument("--b-offset", type=float, default=0.0, help="scan along b = a + offset")
 
-    p = sub.add_parser("shoot", help="radial shooting from amplitude w0")
-    common(p)
-    p.add_argument("--w0", type=float, default=None)
-    p.add_argument("--s-max", dest="s_max", type=float, default=None)
+    p = command("bubble", cmd_bubble, "emit (r, u(r)) of the explicit extremal")
+    weights(p)
+    p.add_argument("--lam", type=float, default=1.0, help="scaling parameter")
+    p.add_argument("--grid", type=_count_at_least(1), default=2048, help="radius count")
+    p.add_argument("--r-min", type=float, default=1e-3)
+    p.add_argument("--r-max", type=float, default=1e3)
 
-    p = sub.add_parser("spectrum", help="sector eigenvalues and threshold crossing")
-    common(p, with_abd=False)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--n", type=float, default=None, help="intrinsic dimension of the path")
-    p.add_argument("--alpha-min", dest="alpha_min", type=float, default=None)
-    p.add_argument("--alpha-max", dest="alpha_max", type=float, default=None)
-    p.add_argument("--alpha-count", dest="alpha_count", type=int, default=None)
-    p.add_argument("--k-max", dest="k_max", type=int, default=None)
+    p = command("shoot", cmd_shoot, "radial shooting from amplitude w0")
+    weights(p)
+    p.add_argument("--w0", type=float, required=True)
+    p.add_argument("--s-max", type=float, default=1e3)
 
-    p = sub.add_parser("verify", help="run a verification suite")
-    common(p)
-    p.add_argument("--suite", choices=("identities", "estimates", "rigidity", "spectrum"),
-                   required=True)
-    p.add_argument("--fields", type=int, default=None, help="random fields (identities)")
+    p = command("spectrum", cmd_spectrum, "sector eigenvalues and threshold crossing")
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--n", type=float, required=True, help="intrinsic dimension of the path")
+    p.add_argument("--alpha-min", type=float, help="default 0.7 x the closed-form threshold")
+    p.add_argument("--alpha-max", type=float, help="default 1.3 x the closed-form threshold")
+    p.add_argument("--alpha-count", type=_count_at_least(1), default=9)
+    p.add_argument("--k-max", type=_count_at_least(0), default=2)
+    p.add_argument("--grid", type=_count_at_least(1), default=2000, help="eigensolver nodes")
+
+    p = command("verify", cmd_verify, "run a verification suite")
+    p.add_argument("--suite", choices=tuple(SUITE_FLAGS), required=True)
+    p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
+    p.add_argument("--format", choices=("csv", "json"), help="estimates only (default json)")
+    p.add_argument("--fields", type=_count_at_least(1), help="random fields (identities)")
+    p.add_argument("--refine", type=_count_at_least(2), help="refinement levels (identities)")
+    p.add_argument("--angular", type=_count_at_least(1), help="angular node count (identities)")
+    p.add_argument("--grid", type=_count_at_least(1),
+                   help="radial node count (estimates, spectrum)")
+    weights(p, required=False)  # rigidity: one (a, b, d) triple
     return parser
 
 
-def cmd_params(cfg: RunConfig) -> int:
-    a, b, d = cfg.get("a"), cfg.get("b"), cfg.get("d")
-    if a is None or b is None or d is None:
-        print("params requires --a --b --d", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    ps = derive_params(a, b, d)
-    write_text(json_text(ps.to_dict()), cfg.get("out"))
+def _invalid(reason: str) -> int:
+    print(reason, file=sys.stderr)
+    return EXIT_INVALID_INPUT
+
+
+def _write_rows_and_record(header: list[str], rows: list, record: dict, out) -> None:
+    """CSV to --out and the JSON record to stdout; with no --out, the record goes to stderr."""
+    write_text(csv_text(header, rows), out)
+    print(json_text(record), end="", file=sys.stdout if out else sys.stderr)
+
+
+def cmd_params(args) -> int:
+    write_text(json_text(derive_params(args.a, args.b, args.d).to_dict()), args.out)
     return EXIT_PASS
 
 
-def cmd_scan(cfg: RunConfig) -> int:
-    d = cfg.get("d")
-    a_min, a_max = cfg.get("a_min"), cfg.get("a_max")
-    step = cfg.get("a_step", 0.01)
-    if d is None or a_min is None or a_max is None or step == 0:
-        print("scan requires --d --a-min --a-max and a nonzero --a-step", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    offset = cfg.get("b_offset", 0.0)
-    count = int(round((a_max - a_min) / step)) + 1
+def cmd_scan(args) -> int:
+    step = args.a_step
+    if step == 0:
+        return _invalid("scan requires a nonzero --a-step")
+    span = (args.a_max - args.a_min) / step
+    if not math.isfinite(span) or round(span) >= SCAN_MAX_ROWS:
+        return _invalid(f"scan builds at most {SCAN_MAX_ROWS} rows: "
+                        "narrow --a-min/--a-max or widen --a-step")
+    count = int(round(span)) + 1
     if count <= 0:
         raise EmptyScan("empty a range")
     header = ["a", "b", "p", "alpha", "n", "fs_threshold", "regime"]
 
     def row(i):
-        a = a_min + i * step
-        b = a + offset
+        a = args.a_min + i * step
+        b = a + args.b_offset
         try:
-            ps = derive_params(a, b, d)
+            ps = derive_params(a, b, args.d)
             return (a, b, ps.p_exp, ps.alpha, ps.n, ps.fs_threshold,
                     ps.regime.value)
         except AdmissibilityError:
@@ -177,68 +160,45 @@ def cmd_scan(cfg: RunConfig) -> int:
                     float("nan"), "excluded")
 
     rows = [row(i) for i in range(count)]
-    write_text(csv_text(header, rows), cfg.get("out"))
+    write_text(csv_text(header, rows), args.out)
     return EXIT_PASS
 
 
-def cmd_bubble(cfg: RunConfig) -> int:
-    a, b, d = cfg.get("a"), cfg.get("b"), cfg.get("d")
-    if a is None or b is None or d is None:
-        print("bubble requires --a --b --d", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    ps = derive_params(a, b, d)
-    spec = make_bubble(ps, lam=cfg.get("lam", 1.0))
-    count = cfg.get("grid", 2048)
-    radii = np.exp(np.linspace(np.log(cfg.get("r_min", 1e-3)),
-                               np.log(cfg.get("r_max", 1e3)), count))
+def cmd_bubble(args) -> int:
+    spec = make_bubble(derive_params(args.a, args.b, args.d), lam=args.lam)
+    radii = np.exp(np.linspace(np.log(args.r_min), np.log(args.r_max), args.grid))
     values = eval_bubble(spec, radii)
-    write_text(csv_text(["r", "u"], list(zip(radii, values))), cfg.get("out"))
+    write_text(csv_text(["r", "u"], list(zip(radii, values))), args.out)
     return EXIT_PASS
 
 
-def cmd_shoot(cfg: RunConfig) -> int:
-    a, b, d = cfg.get("a"), cfg.get("b"), cfg.get("d")
-    w0 = cfg.get("w0")
-    if a is None or b is None or d is None or w0 is None:
-        print("shoot requires --a --b --d --w0", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    ps = derive_params(a, b, d)
-    profile = shoot(ps, w0, s_max=cfg.get("s_max", 1e3))
+def cmd_shoot(args) -> int:
+    ps = derive_params(args.a, args.b, args.d)
+    profile = shoot(ps, args.w0, s_max=args.s_max)
     rows = list(zip(profile.s, profile.w, profile.w_prime))
     record = {
         "params": ps.to_dict(),
-        "w0": w0,
+        "w0": args.w0,
         "classification": profile.classification.value,
         "samples": len(rows),
         "s_end": float(profile.s[-1]),
         "w_end": float(profile.w[-1]),
     }
-    out = cfg.get("out")
-    if out:
-        write_text(csv_text(["s", "w", "w_prime"], rows), out)
-        print(json_text(record), end="")
-    else:
-        write_text(csv_text(["s", "w", "w_prime"], rows), None)
-        print(json_text(record), end="", file=sys.stderr)
+    _write_rows_and_record(["s", "w", "w_prime"], rows, record, args.out)
     return EXIT_PASS
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
-    d, n = cfg.get("d"), cfg.get("n")
-    if d is None or n is None or n <= 1:
-        print("spectrum requires --d and --n > 1", file=sys.stderr)
-        return EXIT_INVALID_INPUT
+def cmd_spectrum(args) -> int:
+    d, n, N = args.d, args.n, args.grid
+    if not 1 < n < math.inf:
+        return _invalid("spectrum requires a finite --n > 1")
     formula = float(np.sqrt((d - 1.0) / (n - 1.0)))
-    a_lo = cfg.get("alpha_min", 0.7 * formula)
-    a_hi = cfg.get("alpha_max", 1.3 * formula)
-    count = cfg.get("alpha_count", 9)
-    k_max = cfg.get("k_max", 2)
-    N = cfg.get("grid", 2000)
-    alphas = np.linspace(a_lo, a_hi, count)
+    a_lo = 0.7 * formula if args.alpha_min is None else args.alpha_min
+    a_hi = 1.3 * formula if args.alpha_max is None else args.alpha_max
     rows = []
-    for alpha in alphas:
+    for alpha in np.linspace(a_lo, a_hi, args.alpha_count):
         ps = path_params(d, n, float(alpha))
-        for k in range(k_max + 1):
+        for k in range(args.k_max + 1):
             ev = lowest_eigenvalue(build_sector_operator(ps, k, N=N))
             rows.append((float(alpha), k, ev))
     crossing = fs_crossing(d, n, (a_lo, a_hi), N=N)
@@ -250,58 +210,28 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         "relative_gap": crossing.relative_gap,
         "a_at_crossing": crossing.a_at_crossing,
     }
-    out = cfg.get("out")
-    if out:
-        write_text(csv_text(["alpha", "k", "lowest_eigenvalue"], rows), out)
-        print(json_text(summary), end="")
-    else:
-        write_text(csv_text(["alpha", "k", "lowest_eigenvalue"], rows), None)
-        print(json_text(summary), end="", file=sys.stderr)
+    _write_rows_and_record(["alpha", "k", "lowest_eigenvalue"], rows, summary, args.out)
     return EXIT_PASS
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    suite = cfg.get("suite")
-    seed = cfg.get("seed", DEFAULT_SEED)
-    fmt = cfg.get("format", "json")
-    if suite == "identities":
-        kwargs = {"seed": seed}
-        if cfg.get("fields") is not None:
-            kwargs["n_fields"] = cfg.get("fields")
-        if cfg.get("refine") is not None:
-            kwargs["levels"] = cfg.get("refine")
-        if cfg.get("angular") is not None:
-            kwargs["angular_size"] = cfg.get("angular")
-        report = run_identities_suite(**kwargs)
-        text = json_text(report)
-    elif suite == "estimates":
-        kwargs = {"seed": seed}
-        if cfg.get("grid") is not None:
-            kwargs["grid_count"] = cfg.get("grid")
-        report, rows = run_estimates_suite(**kwargs)
-        if fmt == "csv":
-            text = csv_text(
-                ["lemma", "params", "R", "lhs", "rhs", "fitted_exponent", "bound", "pass"],
-                rows,
-            )
-        else:
-            text = json_text(report)
-    elif suite == "rigidity":
-        kwargs = {"seed": seed}
-        if cfg.get("a") is not None and cfg.get("b") is not None and cfg.get("d") is not None:
-            kwargs["param_triples"] = ((cfg.get("a"), cfg.get("b"), cfg.get("d")),)
-        report = run_rigidity_suite(**kwargs)
-        text = json_text(report)
-    elif suite == "spectrum":
-        kwargs = {"seed": seed}
-        if cfg.get("grid") is not None:
-            kwargs["N"] = cfg.get("grid")
-        report = run_spectrum_suite(**kwargs)
-        text = json_text(report)
-    else:
-        print(f"unknown suite {suite!r}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    write_text(text, cfg.get("out"))
+def cmd_verify(args) -> int:
+    reads = SUITE_FLAGS[args.suite]
+    given = [f for f in ("format", "fields", "refine", "angular", "grid", "a", "b", "d")
+             if getattr(args, f) is not None]
+    unread = [f"--{f}" for f in given if f not in reads]
+    if unread:
+        return _invalid(f"--suite {args.suite} does not read {' '.join(unread)}")
+    kwargs = {reads[f]: getattr(args, f) for f in given if reads[f]}
+    if args.suite == "rigidity" and given:
+        if len(given) < 3:
+            return _invalid("--suite rigidity takes --a --b --d together")
+        kwargs["param_triples"] = ((args.a, args.b, args.d),)
+    # Looked up at call time, so a rebinding of the verify module (tracing) applies.
+    report = getattr(verify, f"run_{args.suite}_suite")(seed=args.seed, **kwargs)
+    if args.suite == "estimates":
+        report, rows = report
+    text = csv_text(ESTIMATES_HEADER, rows) if args.format == "csv" else json_text(report)
+    write_text(text, args.out)
     if not report.get("pass", False):
         first = report.get("first_failure")
         print(f"contract failure: {first}", file=sys.stderr)
@@ -309,28 +239,44 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_PASS
 
 
-COMMANDS = {
-    "params": cmd_params,
-    "scan": cmd_scan,
-    "bubble": cmd_bubble,
-    "shoot": cmd_shoot,
-    "spectrum": cmd_spectrum,
-    "verify": cmd_verify,
-}
+def _with_config(argv: list[str]) -> list[str]:
+    """argv with the ``key=value`` lines of ``--config FILE`` as flags after the command.
+
+    Blank lines and #-comments are skipped.  Flags given on the command line
+    come later in argv, so they win.
+    """
+    pre = argparse.ArgumentParser(prog="ckn-lab", add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return argv
+    flags = []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, sep, val = line.partition("=")
+            if not sep:
+                raise ValueError(f"malformed config line: {line!r}")
+            flags.append(f"--{key.strip().replace('_', '-')}={val.strip()}")
+    return argv[:1] + flags + argv[1:]
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = _merge_config(args)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        return COMMANDS[args.command](cfg)
+        args = build_parser().parse_args(_with_config(argv))
+    except SystemExit as exc:  # argparse printed the reason (or --help)
+        return exc.code
+    except (ValueError, OSError) as exc:  # unreadable or malformed --config file
+        return _invalid(f"error: {exc}")
+    try:
+        return args.run(args)
     except AdmissibilityError as exc:
-        print(f"inadmissible parameters: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
+        return _invalid(f"inadmissible parameters: {exc}")
     except (CknLabError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
+        return _invalid(f"error: {exc}")
 
 
 if __name__ == "__main__":

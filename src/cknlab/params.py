@@ -91,6 +91,8 @@ def derive_params(a: float, b: float, d: int, strict_subcritical: bool = False) 
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("a and b must be finite")
+    if not float(d).is_integer():
+        raise ValueError(f"ambient dimension d must be an integer: got {d}")
     d = int(d)
     if d < 2:
         raise ValueError("ambient dimension d must be >= 2")

@@ -117,11 +117,13 @@ def sphere_bochner_density(pf: PressureField) -> np.ndarray:
           - (Lap_theta P)^2/(n-1) - (n-2) alpha^2 |grad_theta P|^2.
     """
     pf.P.angular.require_periodic("sphere Bochner term")
-    ps = pf.params
-    g1 = pf.thetaP
-    g2 = pf.lap_thetaP
+    return _sphere_k(pf.thetaP, pf.lap_thetaP, pf.n, pf.params.alpha)
+
+
+def _sphere_k(g1: np.ndarray, g2: np.ndarray, n: float, alpha: float) -> np.ndarray:
+    """k_S from grad_theta P and Lap_theta P, row by row (rows are sphere slices)."""
     term = 0.5 * theta_derivative(g1**2, 2) - g1 * theta_derivative(g2, 1)
-    return term - g2**2 / (pf.n - 1.0) - (pf.n - 2.0) * ps.alpha**2 * g1**2
+    return term - g2**2 / (n - 1.0) - (n - 2.0) * alpha**2 * g1**2
 
 
 @dataclass(frozen=True)
@@ -184,8 +186,8 @@ def sphere_bochner(pf: PressureField, radius_index: int) -> SphereBochnerSides:
     ps = pf.params
     n = pf.n
     weight = pf.P.values[radius_index] ** (1.0 - n)
-    ks = sphere_bochner_density(pf)[radius_index]
     g1 = pf.thetaP[radius_index]
+    ks = _sphere_k(g1[None], pf.lap_thetaP[radius_index][None], n, ps.alpha)[0]
     dtheta = 2.0 * np.pi
     lhs = float(np.mean(weight * ks)) * dtheta
     coeff = (n - 2.0) * ((ps.d - 1.0) / (n - 1.0) - ps.alpha**2)

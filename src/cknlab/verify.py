@@ -177,7 +177,6 @@ def run_identities_suite(
     angular_size: int = 256,
     order_floor: float = 3.8,
     margin_tol: float = 1e-8,
-    max_workers: int | None = None,
 ) -> dict:
     """Pointwise identity battery on seeded random fields and bubbles.
 
@@ -206,7 +205,7 @@ def run_identities_suite(
             errs.append(interior_max(diff, g, frac=0.1))
         return errs, fitted_order(h_values, errs)
 
-    field_results = ordered_map(decomposition_orders, all_coeffs, max_workers)
+    field_results = ordered_map(decomposition_orders, all_coeffs)
     orders = [o for _, o in field_results]
     report.add({
         "identity": "bochner_decomposition_vs_definition",
@@ -260,7 +259,7 @@ def run_identities_suite(
         pf = pressure_field_from_target(target, sphere_grid, angular, ps2)
         return sphere_bochner(pf, sphere_grid.count // 2).margin
 
-    margins = ordered_map(sphere_margin, profiles, max_workers)
+    margins = ordered_map(sphere_margin, profiles)
     report.add({
         "identity": "sphere_inequality_margin",
         "param_set": ps2.to_dict(),
@@ -424,7 +423,6 @@ def run_rigidity_suite(
     param_triples=SWEEP_PARAMS_3,
     amplitudes: int = 10,
     tol: float = 1e-6,
-    max_workers: int | None = None,
 ) -> dict:
     """Radial rigidity sweeps: every decaying shot matches a scaled extremal."""
     report = SuiteReport(suite="rigidity", seed=seed)
@@ -435,7 +433,9 @@ def run_rigidity_suite(
         w0_grid = c0 * np.logspace(-0.5, 0.5, amplitudes)
         return radial_rigidity_sweep(ps, w0_grid, tol=tol)
 
-    for sweep in ordered_map(one, list(param_triples), max_workers):
+    # Serial: the sweeps are Python-bound ODE right-hand sides, so a thread
+    # pool measured slower than this loop.
+    for sweep in map(one, param_triples):
         d = sweep.to_dict()
         d["name"] = "radial_rigidity_sweep"
         d["pass"] = sweep.all_matched

@@ -160,6 +160,17 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["d"] == 4
 
+    def test_config_file_supplies_required_flags_typed_by_the_flag(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# Sobolev d = 4\na = 0\nb=0\nd=4\n")
+        code, out, _ = run_cli(capsys, "params", "--config", str(cfg))
+        assert code == 0
+        obj = json.loads(out)
+        assert isinstance(obj["a"], float) and obj["d"] == 4   # --a is a float flag
+        cfg.write_text("a=0\nb=0\nd=3.5\n")
+        code, _, err = run_cli(capsys, "params", "--config", str(cfg))
+        assert code == 2 and "argument --d: invalid int value" in err
+
     def test_byte_identical_reports(self, capsys, tmp_path):
         paths = [tmp_path / "r1.json", tmp_path / "r2.json"]
         for p in paths:
@@ -174,8 +185,23 @@ class TestVerifyCommand:
 @pytest.mark.parametrize("argv, reason", [
     (["scan", "--d", "3", "--a-min", "-1", "--a-max", "0", "--a-step", "0"], "--a-step"),
     (["spectrum", "--d", "3", "--n", "1"], "--n > 1"),
+    (["params", "--a", "0", "--b", "0", "--d", "3", "--seed", "5"],
+     "unrecognized arguments: --seed"),
+    (["params", "--a", "0", "--b", "0", "--d", "3.5"], "argument --d: invalid"),
+    (["verify", "--suite", "identities", "--fields", "0"], "argument --fields"),
+    (["verify", "--suite", "identities", "--refine", "1"], "argument --refine"),
+    (["scan", "--d", "3", "--a-min", "-1.2", "--a-max", "0.4", "--a-step", "1e-9"],
+     "at most 100000 rows"),
+    (["verify", "--suite", "spectrum", "--fields", "3"], "does not read --fields"),
+    (["params", "--config", "RUN_CFG"], "unrecognized arguments: --seed=5"),
+    (["spectrum", "--d", "3", "--n", "inf"], "finite --n > 1"),
+    (["bubble", "--a", "-0.5", "--b", "0", "--d", "3", "--grid", "0"], "argument --grid"),
+    (["verify", "--suite", "rigidity", "--a", "-0.5"], "--a --b --d together"),
 ])
-def test_bad_input_exits_2_with_reason(argv, reason):
+def test_bad_input_exits_2_with_reason(argv, reason, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("a=0.0\nb=0.0\nd=3\nseed=5\n")   # seed: a flag params does not read
+    argv = [str(cfg) if arg == "RUN_CFG" else arg for arg in argv]
     src = str(Path(cknlab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-m", "cknlab.cli", *argv], env=env,

@@ -65,6 +65,11 @@ class TestDeriveParams:
         with pytest.raises(ValueError):
             derive_params(-1.0, 0.0, 1)
 
+    def test_non_integral_d_rejected(self):
+        with pytest.raises(ValueError, match="integer"):
+            derive_params(-0.5, 0.0, 3.5)
+        assert derive_params(-0.5, 0.0, 3.0) == derive_params(-0.5, 0.0, 3)
+
     def test_hardy_edge_p2(self):
         ps = derive_params(-1.0, 0.0, 3)  # b = a + 1
         assert ps.p_exp == 2.0

@@ -17,6 +17,7 @@ from cknlab.pressure import (
     rigidity_defect,
     rigidity_defect_breakdown,
     sphere_bochner,
+    sphere_bochner_density,
 )
 from cknlab.verify import (
     evaluate_log_field,
@@ -201,6 +202,21 @@ class TestSphereBochner:
             prof = random_circle_profile(rng, 256)
             pf = self._make(ps_d2, lambda th, p=prof: p)
             assert sphere_bochner(pf, 32).margin >= -1e-8
+
+    def test_row_margin_matches_full_density(self, ps_d2, rng):
+        from cknlab.verify import random_circle_profile
+        g = RadialGrid(1e-1, 1e1, 64)
+        rows = 1.0 + 0.1 * np.sin(np.arange(g.count))[:, None]   # rows differ
+        target = rows * random_circle_profile(rng, 256)[None, :]
+        pf = pressure_field_from_target(target, g, PeriodicGrid(256), ps_d2)
+        n, alpha, d = pf.n, ps_d2.alpha, ps_d2.d
+        full = sphere_bochner_density(pf)
+        for i in (0, 17, 32, 63):
+            weight = pf.P.values[i] ** (1.0 - n)
+            lhs = float(np.mean(weight * full[i])) * 2.0 * np.pi
+            coeff = (n - 2.0) * ((d - 1.0) / (n - 1.0) - alpha**2)
+            rhs = coeff * float(np.mean(weight * pf.thetaP[i] ** 2)) * 2.0 * np.pi
+            assert np.array_equal(sphere_bochner(pf, i).margin, lhs - rhs)
 
     def test_requires_periodic_grid(self, ps_n6, grid_small):
         pf = pressure_of(bubble_cylinder(ps_n6, grid_small))
