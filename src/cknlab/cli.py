@@ -57,6 +57,14 @@ def _count_at_least(low: int):
     return count
 
 
+def _positive_finite(text: str) -> float:
+    """argparse type for a positive finite float."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite: got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ckn-lab",
@@ -89,13 +97,13 @@ def build_parser() -> argparse.ArgumentParser:
     weights(p)
     p.add_argument("--lam", type=float, default=1.0, help="scaling parameter")
     p.add_argument("--grid", type=_count_at_least(1), default=2048, help="radius count")
-    p.add_argument("--r-min", type=float, default=1e-3)
-    p.add_argument("--r-max", type=float, default=1e3)
+    p.add_argument("--r-min", type=_positive_finite, default=1e-3)
+    p.add_argument("--r-max", type=_positive_finite, default=1e3)
 
     p = command("shoot", cmd_shoot, "radial shooting from amplitude w0")
     weights(p)
     p.add_argument("--w0", type=float, required=True)
-    p.add_argument("--s-max", type=float, default=1e3)
+    p.add_argument("--s-max", type=_positive_finite, default=1e3)
 
     p = command("spectrum", cmd_spectrum, "sector eigenvalues and threshold crossing")
     p.add_argument("--d", type=int, required=True)
@@ -112,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), help="estimates only (default json)")
     p.add_argument("--fields", type=_count_at_least(1), help="random fields (identities)")
     p.add_argument("--refine", type=_count_at_least(2), help="refinement levels (identities)")
-    p.add_argument("--angular", type=_count_at_least(1), help="angular node count (identities)")
+    p.add_argument("--angular", type=_count_at_least(verify.MIN_ANGULAR_SIZE),
+                   help="angular node count (identities)")
     p.add_argument("--grid", type=_count_at_least(1),
                    help="radial node count (estimates, spectrum)")
     weights(p, required=False)  # rigidity: one (a, b, d) triple
@@ -165,6 +174,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_bubble(args) -> int:
+    if args.r_min > args.r_max:   # equal bounds sample one radius
+        return _invalid("bubble requires --r-min <= --r-max")
     spec = make_bubble(derive_params(args.a, args.b, args.d), lam=args.lam)
     radii = np.exp(np.linspace(np.log(args.r_min), np.log(args.r_max), args.grid))
     values = eval_bubble(spec, radii)

@@ -16,7 +16,6 @@ PeriodicGrid fields; full angular grids for d >= 3 are out of scope.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,27 +200,6 @@ class CylinderField:
         if self.min_value <= 0.0:
             raise NonPositiveSample(f"{who} requires a positive field "
                                     f"(min sample {self.min_value})")
-
-    def to_csv(self, stream) -> None:
-        """Snapshot as CSV, radial-major; theta column omitted for Radial."""
-        fmt = "{:.17g}"
-        if self.values.ndim == 2:
-            stream.write("r,theta,value\n")
-            th = theta_nodes(self.angular)
-            for i, s in enumerate(self.grid.nodes):
-                for j, t in enumerate(th):
-                    stream.write(
-                        f"{fmt.format(s)},{fmt.format(t)},{fmt.format(self.values[i, j])}\n"
-                    )
-        else:
-            stream.write("r,value\n")
-            for s, v in zip(self.grid.nodes, self.values):
-                stream.write(f"{fmt.format(s)},{fmt.format(v)}\n")
-
-    def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
 
 
 @dataclass(frozen=True)

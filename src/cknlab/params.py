@@ -12,7 +12,6 @@ derived eagerly and stored in an immutable ParamSet.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 
@@ -63,9 +62,6 @@ class ParamSet:
             if isinstance(val, float) and math.isinf(val):
                 out[key] = "inf"
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
     @property
     def is_symmetric(self) -> bool:

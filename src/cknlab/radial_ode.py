@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import minimize_scalar
 
 from .bubble import bubble_cylinder_values, cylinder_amplitude
 from .errors import NotDecaying, StepFailure, SubcriticalRange
@@ -46,11 +44,17 @@ class RadialProfile:
     w_prime: np.ndarray
     classification: Classification
 
-    def to_csv(self, stream) -> None:
-        fmt = "{:.17g}"
-        stream.write("s,w,w_prime\n")
-        for s, w, wp in zip(self.s, self.w, self.w_prime):
-            stream.write(f"{fmt.format(s)},{fmt.format(w)},{fmt.format(wp)}\n")
+
+# scipy is imported on first call, so commands that never shoot do not pay
+# its import time; both forwarders return scipy's result object unchanged.
+def solve_ivp(*args, **kwargs):
+    from scipy.integrate import solve_ivp
+    return solve_ivp(*args, **kwargs)
+
+
+def minimize_scalar(*args, **kwargs):
+    from scipy.optimize import minimize_scalar
+    return minimize_scalar(*args, **kwargs)
 
 
 def series_start(ps: ParamSet, w0: float, s: float) -> tuple[float, float]:

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .bubble import cylinder_amplitude
 from .errors import AdmissibilityError, ConvergenceFailure, NoSignChange, SubcriticalRange
@@ -94,6 +93,12 @@ def build_sector_operator(ps: ParamSet, k: int, T: float | None = None,
                           N: int = 2000, parity: str = "full") -> SectorOperator:
     return SectorOperator(ps=ps, k=int(k), T=float(T if T is not None else default_domain(ps)),
                           N=int(N), parity=parity)
+
+
+def eigvalsh_tridiagonal(*args, **kwargs):
+    """scipy.linalg.eigvalsh_tridiagonal, with scipy imported on first call."""
+    from scipy.linalg import eigvalsh_tridiagonal
+    return eigvalsh_tridiagonal(*args, **kwargs)
 
 
 def lowest_eigenvalue(op: SectorOperator) -> float:

@@ -65,6 +65,12 @@ LOW_DIM_PARAMS = {                              # n in (2, 4) needs d = 2
 SPECTRUM_ZERO_MODE_PARAMS = ((-0.5, 0.0, 3), (-0.4, 0.1, 2), (-0.25, 0.15, 3))
 SPECTRUM_CROSSING_PAIRS = ((3, 6.0), (2, 4.0))
 
+# Highest harmonic of the sphere check's circle profiles, and the fewest angular
+# nodes that represent it: degree K needs 2K + 1 equispaced samples and aliases on
+# fewer (on one node every theta-derivative vanishes and the identities hold vacuously).
+CIRCLE_MAX_HARMONIC = 4
+MIN_ANGULAR_SIZE = 2 * CIRCLE_MAX_HARMONIC + 1
+
 
 def interior_max(values: np.ndarray, grid: RadialGrid, frac: float = 0.06,
                  margin: int = 4) -> float:
@@ -117,7 +123,7 @@ def evaluate_log_field(coeffs: dict, grid: RadialGrid, angular: PeriodicGrid,
 
 
 def random_circle_profile(rng: np.random.Generator, size: int,
-                          max_harmonic: int = 4) -> np.ndarray:
+                          max_harmonic: int = CIRCLE_MAX_HARMONIC) -> np.ndarray:
     """Positive trigonometric polynomial on S^1 (min value >= 0.15)."""
     th = np.linspace(0.0, 2.0 * np.pi, size, endpoint=False)
     a = rng.uniform(-1.0, 1.0, size=max_harmonic)

@@ -197,6 +197,13 @@ class TestVerifyCommand:
     (["spectrum", "--d", "3", "--n", "inf"], "finite --n > 1"),
     (["bubble", "--a", "-0.5", "--b", "0", "--d", "3", "--grid", "0"], "argument --grid"),
     (["verify", "--suite", "rigidity", "--a", "-0.5"], "--a --b --d together"),
+    (["bubble", "--a", "-0.5", "--b", "0", "--d", "3", "--r-min", "0"], "argument --r-min"),
+    (["bubble", "--a", "-0.5", "--b", "0", "--d", "3", "--r-max", "inf"], "argument --r-max"),
+    (["bubble", "--a", "-0.5", "--b", "0", "--d", "3", "--r-min", "10", "--r-max", "1"],
+     "--r-min <= --r-max"),
+    (["shoot", "--a", "-0.5", "--b", "0", "--d", "3", "--w0", "2", "--s-max", "-1"],
+     "argument --s-max"),
+    (["verify", "--suite", "identities", "--angular", "8"], "argument --angular"),
 ])
 def test_bad_input_exits_2_with_reason(argv, reason, tmp_path):
     cfg = tmp_path / "run.cfg"
@@ -209,3 +216,37 @@ def test_bad_input_exits_2_with_reason(argv, reason, tmp_path):
     assert proc.returncode == 2
     assert reason in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_angular_grid_above_the_floor_is_judged_not_refused(capsys):
+    # 9 nodes represent the suite's fields; the order fit then fails honestly.
+    code, _, err = run_cli(capsys, "verify", "--suite", "identities", "--angular", "9",
+                           "--fields", "1", "--refine", "2")
+    assert code == 1 and "contract failure" in err
+
+
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+import cknlab.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+loaded = {"import": scipy_modules()}
+for argv in (["params", "--a", "-0.5", "--b", "0", "--d", "3"],
+             ["scan", "--d", "3", "--a-min", "-1", "--a-max", "0", "--a-step", "0.25"],
+             ["bubble", "--a", "-0.5", "--b", "0", "--d", "3", "--grid", "5"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cknlab.cli.main(argv) == 0
+    loaded[argv[0]] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_params_scan_bubble_never_import_scipy():
+    src = str(Path(cknlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"import": [], "params": [], "scan": [], "bubble": []}

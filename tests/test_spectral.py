@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cknlab.bubble import cylinder_amplitude
 from cknlab.errors import NoSignChange
@@ -11,6 +12,7 @@ from cknlab.spectral import (
     build_sector_operator,
     converged_lowest_eigenvalue,
     default_domain,
+    eigvalsh_tridiagonal,
     fs_crossing,
     lowest_eigenvalue,
     path_params,
@@ -122,3 +124,11 @@ class TestFsCrossing:
     def test_bracket_without_crossing(self):
         with pytest.raises(NoSignChange):
             fs_crossing(3, 6.0, alpha_range=(0.3, 0.5))
+
+
+def test_eigvalsh_tridiagonal_matches_scipy():
+    diag = np.array([2.0, 3.0, 1.0, 4.0, 2.5])
+    off = np.array([-1.0, 0.5, -0.25, 1.0])
+    for kwargs in ({}, {"select": "i", "select_range": (0, 0)}):
+        assert np.array_equal(eigvalsh_tridiagonal(diag, off, **kwargs),
+                              scipy.linalg.eigvalsh_tridiagonal(diag, off, **kwargs))
