@@ -14,6 +14,7 @@ import sys
 
 import numpy as np
 
+from cknlab.params import felli_schneider_threshold
 from cknlab.reporting import csv_text, json_text
 from cknlab.spectral import build_sector_operator, fs_crossing, lowest_eigenvalue, path_params
 
@@ -24,7 +25,7 @@ N_GRID = 2000
 
 
 def sweep(d, n):
-    formula = np.sqrt((d - 1.0) / (n - 1.0))
+    formula = felli_schneider_threshold(d, n)
     alphas = np.linspace(0.7 * formula, 1.3 * formula, 13)
     rows = []
     for alpha in alphas:

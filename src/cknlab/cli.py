@@ -22,8 +22,8 @@ import numpy as np
 from . import verify
 from .bubble import eval_bubble, make_bubble
 from .errors import AdmissibilityError, CknLabError, EmptyScan
-from .params import derive_params
-from .radial_ode import shoot
+from .params import derive_params, felli_schneider_threshold
+from .radial_ode import SERIES_START, shoot
 # ordered_map stays bound here for the perfbench tracer tests, which patch it.
 from .reporting import csv_text, json_text, ordered_map, write_text  # noqa: F401
 from .spectral import build_sector_operator, fs_crossing, lowest_eigenvalue, path_params
@@ -57,12 +57,17 @@ def _count_at_least(low: int):
     return count
 
 
-def _positive_finite(text: str) -> float:
-    """argparse type for a positive finite float."""
-    value = float(text)
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be positive and finite: got {text}")
+def _finite_above(low: float):
+    """argparse type for a finite float above ``low``."""
+    def value(text: str) -> float:
+        number = float(text)
+        if not low < number < math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite and above {low:g}: got {text}")
+        return number
     return value
+
+
+_positive_finite = _finite_above(0.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,21 +100,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("bubble", cmd_bubble, "emit (r, u(r)) of the explicit extremal")
     weights(p)
-    p.add_argument("--lam", type=float, default=1.0, help="scaling parameter")
+    p.add_argument("--lam", type=_positive_finite, default=1.0, help="scaling parameter")
     p.add_argument("--grid", type=_count_at_least(1), default=2048, help="radius count")
     p.add_argument("--r-min", type=_positive_finite, default=1e-3)
     p.add_argument("--r-max", type=_positive_finite, default=1e3)
 
     p = command("shoot", cmd_shoot, "radial shooting from amplitude w0")
     weights(p)
-    p.add_argument("--w0", type=float, required=True)
-    p.add_argument("--s-max", type=_positive_finite, default=1e3)
+    p.add_argument("--w0", type=_positive_finite, required=True)
+    p.add_argument("--s-max", type=_finite_above(SERIES_START), default=1e3)
 
     p = command("spectrum", cmd_spectrum, "sector eigenvalues and threshold crossing")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=float, required=True, help="intrinsic dimension of the path")
-    p.add_argument("--alpha-min", type=float, help="default 0.7 x the closed-form threshold")
-    p.add_argument("--alpha-max", type=float, help="default 1.3 x the closed-form threshold")
+    p.add_argument("--alpha-min", type=_positive_finite,
+                   help="default 0.7 x the closed-form threshold")
+    p.add_argument("--alpha-max", type=_positive_finite,
+                   help="default 1.3 x the closed-form threshold")
     p.add_argument("--alpha-count", type=_count_at_least(1), default=9)
     p.add_argument("--k-max", type=_count_at_least(0), default=2)
     p.add_argument("--grid", type=_count_at_least(1), default=2000, help="eigensolver nodes")
@@ -203,9 +210,13 @@ def cmd_spectrum(args) -> int:
     d, n, N = args.d, args.n, args.grid
     if not 1 < n < math.inf:
         return _invalid("spectrum requires a finite --n > 1")
-    formula = float(np.sqrt((d - 1.0) / (n - 1.0)))
+    if not n > d:  # see path_params
+        return _invalid("spectrum requires --n > --d: no alpha is admissible on the path")
+    formula = felli_schneider_threshold(d, n)
     a_lo = 0.7 * formula if args.alpha_min is None else args.alpha_min
     a_hi = 1.3 * formula if args.alpha_max is None else args.alpha_max
+    if not a_lo < a_hi:
+        return _invalid(f"spectrum requires --alpha-min < --alpha-max: got {a_lo} and {a_hi}")
     rows = []
     for alpha in np.linspace(a_lo, a_hi, args.alpha_count):
         ps = path_params(d, n, float(alpha))

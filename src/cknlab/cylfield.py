@@ -238,24 +238,13 @@ def to_cylinder(
     return field
 
 
-@dataclass(frozen=True)
-class CylGradient:
-    radial_part: CylinderField      # alpha * w'
-    angular_part: CylinderField     # grad_theta w / r (zero for Radial)
-    square_norm: CylinderField      # alpha^2 w'^2 + |grad_theta w|^2 / r^2
-
-
-def grad_cyl(w: CylinderField) -> CylGradient:
-    """Cylinder gradient D w = (alpha w', grad_theta w / r)."""
+def grad_cyl(w: CylinderField) -> CylinderField:
+    """|D w|^2 for the cylinder gradient D w = (alpha w', grad_theta w / r)."""
     radial = w.params.alpha * d_ds(w.values, w.grid)
     g = w.angular.grad_theta(w.values)
-    ang = np.zeros_like(w.values) if g is None else g / w.grid.column(w.values)
-    sq = radial**2 if g is None else radial**2 + ang**2
-    return CylGradient(
-        radial_part=w.with_values(radial),
-        angular_part=w.with_values(ang),
-        square_norm=w.with_values(sq),
-    )
+    if g is None:
+        return w.with_values(radial**2)
+    return w.with_values(radial**2 + (g / w.grid.column(w.values)) ** 2)
 
 
 def apply_L(w: CylinderField) -> CylinderField:
@@ -300,7 +289,7 @@ def ckn_rayleigh(w: CylinderField) -> float:
     ps = w.params
     p = ps.p_exp
     num = integrate_mu(w.with_values(np.abs(w.values) ** p))
-    den = integrate_mu(grad_cyl(w).square_norm)
+    den = integrate_mu(grad_cyl(w))
     if not (np.isfinite(den) and den > 1e-250):
         raise DegenerateDenominator(f"gradient energy {den} is degenerate")
     if not np.isfinite(num):

@@ -30,7 +30,11 @@ from .errors import (
 )
 from .fitting import fit_loglog
 from .grids import radial_derivs
-from .pressure import PressureField, bochner_k, pressure_of, rigidity_defect
+from .pressure import (PressureField, defect_density, pressure_of, pressure_weight,
+                       rigidity_defect)
+
+SUPERHARMONIC_GATE_REL_TOL = 1e-6  # L w <= 0 gate, relative to the size of L's terms
+ENERGY_STABILITY_TOL = 1e-6        # relative energy change allowed under r_max halving
 
 
 @dataclass(frozen=True)
@@ -62,25 +66,18 @@ def make_cutoff(R: float, s_power: float = 2.0) -> Cutoff:
     return Cutoff(R=float(R), s_power=float(s_power), c_profile=15.0 / 8.0)
 
 
-def _defect_density(pf: PressureField) -> np.ndarray:
-    return pf.P.values ** (1.0 - pf.n) * bochner_k(pf).values
-
-
-def _grad_density(pf: PressureField) -> np.ndarray:
-    return pf.P.values ** (1.0 - pf.n) * pf.DP2
-
-
 @dataclass(frozen=True)
 class IntIneqSides:
     lhs: float           # int P^(1-n) k[P] eta^s dmu
     rhs_weighted: float  # int P^(1-n) |DP|^2 |eta'|^2 dmu
 
 
-def int_ineq_sides(pf: PressureField, cut: Cutoff) -> IntIneqSides:
-    """Both sides of the localized defect inequality 0 <= lhs <= C rhs.
+def int_ineq_sides(pf: PressureField, cutoffs: list[Cutoff]) -> list[IntIneqSides]:
+    """Both sides of the localized defect inequality 0 <= lhs <= C rhs, per cutoff.
 
-    The sign guarantee needs the symmetric regime; the constant C is
-    existential and only reported empirically by callers.
+    The densities P^(1-n) k[P] and P^(1-n) |DP|^2 are computed once for all
+    cutoffs.  The sign guarantee needs the symmetric regime; the constant C
+    is existential and only reported empirically by callers.
     """
     ps = pf.params
     if not ps.is_symmetric:
@@ -89,16 +86,21 @@ def int_ineq_sides(pf: PressureField, cut: Cutoff) -> IntIneqSides:
             "sign guarantee lost"
         )
     grid = pf.grid
-    if 2.0 * cut.R > grid.r_max * (1.0 + 1e-12):
+    if any(2.0 * cut.R > grid.r_max * (1.0 + 1e-12) for cut in cutoffs):
         raise RegionOutsideGrid("cutoff support (0, 2R) exceeds the grid")
     s = grid.column(pf.P.values)
-    eta_s = cut.eta(s) ** cut.s_power
-    etap2 = cut.eta_prime(s) ** 2
-    lhs = integrate_mu(pf.field(_defect_density(pf) * eta_s),
-                       MeasureRegion(grid.r_min, min(2.0 * cut.R, grid.r_max)))
-    rhs = integrate_mu(pf.field(_grad_density(pf) * etap2),
-                       MeasureRegion(cut.R, min(2.0 * cut.R, grid.r_max)))
-    return IntIneqSides(lhs=lhs, rhs_weighted=rhs)
+    defect = defect_density(pf)
+    grad = pressure_weight(pf.P.values, ps.n) * pf.DP2
+    sides = []
+    for cut in cutoffs:
+        eta_s = cut.eta(s) ** cut.s_power
+        etap2 = cut.eta_prime(s) ** 2
+        lhs = integrate_mu(pf.field(defect * eta_s),
+                           MeasureRegion(grid.r_min, min(2.0 * cut.R, grid.r_max)))
+        rhs = integrate_mu(pf.field(grad * etap2),
+                           MeasureRegion(cut.R, min(2.0 * cut.R, grid.r_max)))
+        sides.append(IntIneqSides(lhs=lhs, rhs_weighted=rhs))
+    return sides
 
 
 @dataclass(frozen=True)
@@ -108,8 +110,7 @@ class SuperharmonicBound:
     rho: float         # rho snapped to the nearest grid node
 
 
-def superharmonic_lower_bound(w: CylinderField, rho: float,
-                              gate_rel_tol: float = 1e-6) -> SuperharmonicBound:
+def superharmonic_lower_bound(w: CylinderField, rho: float) -> SuperharmonicBound:
     """Comparison bound w >= A r^(2-n) on (rho, r_max) for L-superharmonic w.
 
     A is the inner-boundary sphere minimum rho^(n-2) min_{r=rho} w (the
@@ -132,9 +133,10 @@ def superharmonic_lower_bound(w: CylinderField, rho: float,
     magnitude = L_kernel(np.abs(wp), np.abs(wpp), None if lap is None else np.abs(lap), s, ps)
     scale = float(np.max(magnitude[idx:]))
     excess = float(np.max(Lw[idx:]))
-    if excess > gate_rel_tol * scale:
+    if excess > SUPERHARMONIC_GATE_REL_TOL * scale:
         raise NotSuperharmonic(
-            f"max L w = {excess:.3e} exceeds {gate_rel_tol:.1e} x scale {scale:.3e}"
+            f"max L w = {excess:.3e} exceeds {SUPERHARMONIC_GATE_REL_TOL:.1e} "
+            f"x scale {scale:.3e}"
         )
 
     sphere_min = float(np.min(np.atleast_1d(w.values[idx])))
@@ -143,10 +145,11 @@ def superharmonic_lower_bound(w: CylinderField, rho: float,
     return SuperharmonicBound(A=A, min_margin=float(np.min(margin)), rho=rho_eff)
 
 
-def _dyadic_radii(grid, count: int = 6, r_hi_cap: float | None = None) -> np.ndarray:
+def _dyadic_radii(grid, r_hi_cap: float | None = None) -> np.ndarray:
+    """Six dyadic radii ending at r_hi_cap (default r_max / 2)."""
     hi = grid.r_max / 2.0 if r_hi_cap is None else r_hi_cap
-    lo = hi / 2.0 ** (count - 1)
-    return lo * 2.0 ** np.arange(count)
+    lo = hi / 2.0**5
+    return lo * 2.0 ** np.arange(6)
 
 
 @dataclass(frozen=True)
@@ -158,9 +161,10 @@ class WeakEnergyResult:
     beta: float
 
 
-def weak_energy(w: CylinderField, t: float, R_list=None) -> WeakEnergyResult:
+def weak_energy(w: CylinderField, t: float) -> WeakEnergyResult:
     """Weak energy growth law: both integrals over (0, R) are O(R^beta).
 
+    R runs over six dyadic radii up to r_max / 2.
     beta = -(n-2) t / 2 for -2 < t < -1 and -(n-2)(1+t) for t <= -2.
     """
     if t >= -1.0:
@@ -169,10 +173,10 @@ def weak_energy(w: CylinderField, t: float, R_list=None) -> WeakEnergyResult:
     ps = w.params
     n = ps.n
     grid = w.grid
-    R_list = np.asarray(R_list if R_list is not None else _dyadic_radii(grid), dtype=float)
+    R_list = _dyadic_radii(grid)
     beta = -(n - 2.0) * t / 2.0 if t > -2.0 else -(n - 2.0) * (1.0 + t)
     fa = w.with_values(w.values ** (ps.p_exp + t))
-    fb = w.with_values(w.values**t * grad_cyl(w).square_norm.values)
+    fb = w.with_values(w.values**t * grad_cyl(w).values)
     va = np.array([integrate_mu(fa, MeasureRegion(grid.r_min, R)) for R in R_list])
     vb = np.array([integrate_mu(fb, MeasureRegion(grid.r_min, R)) for R in R_list])
     ea = fit_loglog(R_list, va).slope
@@ -208,7 +212,7 @@ def low_dim_chain(pf: PressureField, R_list=None) -> LowDimChainResult:
         R_list if R_list is not None else _dyadic_radii(grid, r_hi_cap=grid.r_max / 4.0),
         dtype=float,
     )
-    density = pf.field(_grad_density(pf))
+    density = pf.field(pressure_weight(pf.P.values, ps.n) * pf.DP2)
     G = lambda R: integrate_mu(density, MeasureRegion(grid.r_min, R))
     grad_values = np.array([G(R) for R in R_list])
     bound_values = np.array([G(2.0 * R) / R**2 for R in R_list])
@@ -231,12 +235,11 @@ class FiniteEnergyChainResult:
     defect: float                     # full-grid rigidity defect
 
 
-def finite_energy_chain(w: CylinderField, R_list=None,
-                        stability_tol: float = 1e-6) -> FiniteEnergyChainResult:
+def finite_energy_chain(w: CylinderField, R_list=None) -> FiniteEnergyChainResult:
     """Defect-closure chain for finite-energy solutions.
 
     Finiteness is certified on the grid by halving r_max: the energy must be
-    stable to ``stability_tol`` relative, otherwise NotFiniteEnergy.  The
+    stable to ``ENERGY_STABILITY_TOL`` relative, otherwise NotFiniteEnergy.  The
     defect over (0, 2R) is bounded by C R^-2 times the pressure-weighted
     annulus integral, which the comparison lower bound turns into C times
     the plain tail energy; both annulus quantities and their fitted decay
@@ -245,14 +248,14 @@ def finite_energy_chain(w: CylinderField, R_list=None,
     w.require_positive("finite_energy_chain")
     ps = w.params
     grid = w.grid
-    energy_field = grad_cyl(w).square_norm
+    energy_field = grad_cyl(w)
     total = integrate_mu(energy_field)
     inner = integrate_mu(energy_field, MeasureRegion(grid.r_min, grid.r_max / 2.0))
     rel_tail = abs(total - inner) / abs(total)
-    if rel_tail > stability_tol:
+    if rel_tail > ENERGY_STABILITY_TOL:
         raise NotFiniteEnergy(
             f"energy integral not stable under r_max halving: relative tail "
-            f"{rel_tail:.3e} > {stability_tol:.1e}"
+            f"{rel_tail:.3e} > {ENERGY_STABILITY_TOL:.1e}"
         )
     R_list = np.asarray(
         R_list if R_list is not None else _dyadic_radii(grid, r_hi_cap=grid.r_max / 4.0),

@@ -137,9 +137,9 @@ class RadialGrid:
         object.__setattr__(self, "x_nodes", x)
         object.__setattr__(self, "log_step", (x[-1] - x[0]) / (self.count - 1))
 
-    def refined(self, factor: int = 2) -> "RadialGrid":
-        """Same domain with (count-1)*factor + 1 nodes (halves h for factor 2)."""
-        return RadialGrid(self.r_min, self.r_max, (self.count - 1) * factor + 1)
+    def refined(self) -> "RadialGrid":
+        """Same domain with 2 (count-1) + 1 nodes, so h is halved."""
+        return RadialGrid(self.r_min, self.r_max, (self.count - 1) * 2 + 1)
 
     def column(self, values: np.ndarray) -> np.ndarray:
         """Broadcast helper: nodes shaped to match `values` along axis 0."""

@@ -77,6 +77,11 @@ class ParamSet:
         return True  # 2* is infinite for d = 2
 
 
+def felli_schneider_threshold(d: int, n: float) -> float:
+    """The symmetry-breaking threshold sqrt((d-1)/(n-1)) on alpha."""
+    return math.sqrt((d - 1.0) / (n - 1.0))
+
+
 def derive_params(a: float, b: float, d: int, strict_subcritical: bool = False) -> ParamSet:
     """Derive the full ParamSet for weights (a, b) in ambient dimension d.
 
@@ -120,9 +125,10 @@ def derive_params(a: float, b: float, d: int, strict_subcritical: bool = False) 
         n = d / one_ab
         p = 2.0 * d / (d - 2.0 + 2.0 * (b - a))
         alpha = one_ab * kappa / (kappa + b)
-        fs_threshold = math.sqrt((d - 1.0) / (n - 1.0))
+        fs_threshold = felli_schneider_threshold(d, n)
+        # scaled by 2/(n-2), the condition number of 2n/(n-2), large as p -> inf at d = 2
         p_check = 2.0 * n / (n - 2.0)
-        if abs(p - p_check) > REL_TOL * abs(p):
+        if abs(p - p_check) > REL_TOL * max(1.0, 2.0 / (n - 2.0)) * abs(p):
             raise AssertionError(
                 f"internal inconsistency: p = {p!r} vs 2n/(n-2) = {p_check!r}"
             )

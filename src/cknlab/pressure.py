@@ -40,13 +40,10 @@ class PressureField:
     """Pressure P = (n-1) w^(-2/(n-2)) with 4th-order derivative caches."""
 
     P: CylinderField
-    source_w: CylinderField
-    n: float
     dP: np.ndarray                 # P'
     d2P: np.ndarray                # P''
     thetaP: np.ndarray | None      # grad_theta P      (None for Radial)
     lap_thetaP: np.ndarray | None  # Lap_theta P       (None for Radial)
-    mixed: np.ndarray | None       # d/dr grad_theta P (None for Radial)
     LP: np.ndarray                 # L P
     DP2: np.ndarray                # |DP|^2
 
@@ -77,14 +74,16 @@ def pressure_of(w: CylinderField) -> PressureField:
     dP, d2P = radial_derivs(vals, grid)
     thetaP, lap_thetaP = w.angular.theta_pair(vals)
     LP = L_kernel(dP, d2P, lap_thetaP, s, ps)
-    mixed = None if thetaP is None else d_ds(thetaP, grid)
     DP2 = ps.alpha**2 * dP**2
     if thetaP is not None:
         DP2 = DP2 + thetaP**2 / s**2
-    return PressureField(
-        P=P, source_w=w, n=n, dP=dP, d2P=d2P, thetaP=thetaP,
-        lap_thetaP=lap_thetaP, mixed=mixed, LP=LP, DP2=DP2,
-    )
+    return PressureField(P=P, dP=dP, d2P=d2P, thetaP=thetaP, lap_thetaP=lap_thetaP,
+                         LP=LP, DP2=DP2)
+
+
+def pressure_weight(P: np.ndarray, n: float) -> np.ndarray:
+    """The weight P^(1-n) of the rigidity defect and the Obata vector field."""
+    return P ** (1.0 - n)
 
 
 def residual_eq_P(pf: PressureField) -> CylinderField:
@@ -93,7 +92,7 @@ def residual_eq_P(pf: PressureField) -> CylinderField:
     Zero at grid scale when the source field solves the cylinder equation;
     otherwise a diagnostic of how far it is from doing so.
     """
-    n = pf.n
+    n = pf.params.n
     Pinv = 1.0 / pf.P.values
     res = pf.LP - 2.0 * (n - 1.0) ** 2 / (n - 2.0) * Pinv - 0.5 * n * pf.DP2 * Pinv
     return pf.field(res)
@@ -107,7 +106,12 @@ def bochner_k(pf: PressureField) -> CylinderField:
     grad_LP = pf.P.angular.grad_theta(pf.LP)
     if grad_LP is not None:
         inner = inner + pf.thetaP * grad_LP / pf.s**2
-    return pf.field(half_LG - inner - pf.LP**2 / pf.n)
+    return pf.field(half_LG - inner - pf.LP**2 / ps.n)
+
+
+def defect_density(pf: PressureField) -> np.ndarray:
+    """P^(1-n) k[P], the integrand of the rigidity defect."""
+    return pressure_weight(pf.P.values, pf.params.n) * bochner_k(pf).values
 
 
 def sphere_bochner_density(pf: PressureField) -> np.ndarray:
@@ -117,7 +121,7 @@ def sphere_bochner_density(pf: PressureField) -> np.ndarray:
           - (Lap_theta P)^2/(n-1) - (n-2) alpha^2 |grad_theta P|^2.
     """
     pf.P.angular.require_periodic("sphere Bochner term")
-    return _sphere_k(pf.thetaP, pf.lap_thetaP, pf.n, pf.params.alpha)
+    return _sphere_k(pf.thetaP, pf.lap_thetaP, pf.params.n, pf.params.alpha)
 
 
 def _sphere_k(g1: np.ndarray, g2: np.ndarray, n: float, alpha: float) -> np.ndarray:
@@ -148,7 +152,7 @@ def bochner_decomposition(pf: PressureField) -> BochnerDecomposition:
     term_sphere         = r^-4 k_S[P]
     """
     ps = pf.params
-    n = pf.n
+    n = ps.n
     s = pf.s
     radial_deficit = pf.d2P - pf.dP / s
     if pf.lap_thetaP is not None:
@@ -157,7 +161,8 @@ def bochner_decomposition(pf: PressureField) -> BochnerDecomposition:
     if pf.thetaP is None:
         t2 = t3 = np.zeros_like(t1)
     else:
-        t2 = 2.0 * ps.alpha**2 / s**2 * (pf.mixed - pf.thetaP / s) ** 2
+        mixed = d_ds(pf.thetaP, pf.grid)  # d/dr grad_theta P
+        t2 = 2.0 * ps.alpha**2 / s**2 * (mixed - pf.thetaP / s) ** 2
         t3 = sphere_bochner_density(pf) / s**4
     return BochnerDecomposition(
         term_radial_hessian=pf.field(t1),
@@ -184,8 +189,8 @@ def sphere_bochner(pf: PressureField, radius_index: int) -> SphereBochnerSides:
     """
     pf.P.angular.require_periodic("sphere_bochner")
     ps = pf.params
-    n = pf.n
-    weight = pf.P.values[radius_index] ** (1.0 - n)
+    n = ps.n
+    weight = pressure_weight(pf.P.values[radius_index], n)
     g1 = pf.thetaP[radius_index]
     ks = _sphere_k(g1[None], pf.lap_thetaP[radius_index][None], n, ps.alpha)[0]
     dtheta = 2.0 * np.pi
@@ -208,10 +213,11 @@ def weighted_divergence(pf: PressureField, v_radial: np.ndarray,
 
 def obata_vector(pf: PressureField) -> tuple[np.ndarray, np.ndarray | None]:
     """Components (V_r, V_theta) of 1/2 P^(1-n) D|DP|^2 - (1/n) P^(1-n) LP DP."""
-    weight = pf.P.values ** (1.0 - pf.n)
-    v_r = weight * (0.5 * d_ds(pf.DP2, pf.grid) - pf.LP * pf.dP / pf.n)
+    n = pf.params.n
+    weight = pressure_weight(pf.P.values, n)
+    v_r = weight * (0.5 * d_ds(pf.DP2, pf.grid) - pf.LP * pf.dP / n)
     grad_G = pf.P.angular.grad_theta(pf.DP2)
-    v_t = None if grad_G is None else weight * (0.5 * grad_G - pf.LP * pf.thetaP / pf.n)
+    v_t = None if grad_G is None else weight * (0.5 * grad_G - pf.LP * pf.thetaP / n)
     return v_r, v_t
 
 
@@ -221,10 +227,8 @@ def divergence_form_residual(pf: PressureField) -> CylinderField:
     Vanishes at discretization order for solution inputs; reported (never an
     error) for arbitrary smooth positive P.
     """
-    lhs = pf.P.values ** (1.0 - pf.n) * bochner_k(pf).values
     v_r, v_t = obata_vector(pf)
-    rhs = weighted_divergence(pf, v_r, v_t)
-    return pf.field(lhs - rhs)
+    return pf.field(defect_density(pf) - weighted_divergence(pf, v_r, v_t))
 
 
 def rigidity_defect(pf: PressureField, region: MeasureRegion | None = None) -> float:
@@ -233,23 +237,20 @@ def rigidity_defect(pf: PressureField, region: MeasureRegion | None = None) -> f
     Nonnegative (within quadrature tolerance) for solution inputs in the
     symmetric regime; zero exactly on the extremal family.
     """
-    density = pf.P.values ** (1.0 - pf.n) * bochner_k(pf).values
-    return integrate_mu(pf.field(density), region)
+    return integrate_mu(pf.field(defect_density(pf)), region)
 
 
-def rigidity_defect_breakdown(
-    pf: PressureField, region: MeasureRegion | None = None
-) -> dict[str, float]:
-    """Defect split along the pointwise decomposition (diagnostic report)."""
+def rigidity_defect_breakdown(pf: PressureField) -> dict[str, float]:
+    """Defect over the whole grid split along the pointwise decomposition."""
     dec = bochner_decomposition(pf)
-    weight = pf.P.values ** (1.0 - pf.n)
+    weight = pressure_weight(pf.P.values, pf.params.n)
     out = {}
     for name, term in (
         ("radial_hessian", dec.term_radial_hessian),
         ("mixed", dec.term_mixed),
         ("sphere", dec.term_sphere),
     ):
-        out[name] = integrate_mu(pf.field(weight * term.values), region)
+        out[name] = integrate_mu(pf.field(weight * term.values))
     out["total_from_terms"] = sum(out.values())
-    out["total"] = rigidity_defect(pf, region)
+    out["total"] = rigidity_defect(pf)
     return out

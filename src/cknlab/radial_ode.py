@@ -63,20 +63,24 @@ def series_start(ps: ParamSet, w0: float, s: float) -> tuple[float, float]:
     return w0 + c2 * s**2, 2.0 * c2 * s
 
 
+def family_scale(ps: ParamSet, w0: float) -> float:
+    """Cylinder scaling mu = (w0/c0)^(2/(n-2)) of the family member with w(0) = w0."""
+    return (w0 / cylinder_amplitude(ps)) ** (2.0 / (ps.n - 2.0))
+
+
 DECAY_DECADES = 5.0  # default integration horizon: ~5 decades of amplitude
 
 
-def decay_horizon(ps: ParamSet, w0: float, decades: float = DECAY_DECADES) -> float:
-    """s_max at which a family profile of amplitude w0 has decayed ~10^-decades.
+def decay_horizon(ps: ParamSet, w0: float) -> float:
+    """s_max at which a family profile of amplitude w0 has decayed ~10^-DECAY_DECADES.
 
     Forward integration cannot track the decaying tail below the roundoff
     excitation of the constant homogeneous mode (~1e-13 w0 at the default
     tolerance), so the horizon is capped where the profile still carries
-    about ``decades`` orders of dynamic range; beyond that, pointwise
+    about ``DECAY_DECADES`` orders of dynamic range; beyond that, pointwise
     relative comparisons are meaningless in double precision.
     """
-    mu = (w0 / cylinder_amplitude(ps)) ** (2.0 / (ps.n - 2.0))
-    s_nominal = 10.0 ** (decades / (ps.n - 2.0)) / mu
+    s_nominal = 10.0 ** (DECAY_DECADES / (ps.n - 2.0)) / family_scale(ps, w0)
     return float(min(max(s_nominal, 10.0), 1e3))
 
 
@@ -86,9 +90,8 @@ def shoot(
     s_max: float | None = None,
     rtol: float = 1e-10,
     s_eval=None,
-    s0: float = SERIES_START,
 ) -> RadialProfile:
-    """Integrate the radial cylinder equation from a series start at s0.
+    """Integrate the radial cylinder equation from a series start at SERIES_START.
 
     ``s_max = None`` uses the amplitude-aware horizon of `decay_horizon`.
     """
@@ -98,6 +101,8 @@ def shoot(
         raise SubcriticalRange("shooting needs p > 2")
     if s_max is None:
         s_max = decay_horizon(ps, w0)
+    elif not s_max > SERIES_START:
+        raise ValueError(f"s_max must exceed the series start {SERIES_START:g}: got {s_max}")
     n, alpha, p = ps.n, ps.alpha, ps.p_exp
 
     def rhs(t, y):
@@ -116,6 +121,7 @@ def shoot(
     touch_zero.terminal = True
     touch_zero.direction = -1.0
 
+    s0 = SERIES_START
     w_start, wp_start = series_start(ps, w0, s0)
     t0, t1 = math.log(s0), math.log(s_max)
     t_eval = np.log(np.asarray(s_eval, dtype=float)) if s_eval is not None else None
@@ -141,7 +147,6 @@ def shoot(
 @dataclass(frozen=True)
 class BubbleMatch:
     lambda_fit: float
-    mu_fit: float           # cylinder-variable scaling mu = lambda^alpha
     sup_rel_error: float
 
 
@@ -154,8 +159,7 @@ def match_bubble(profile: RadialProfile) -> BubbleMatch:
     if profile.classification is not Classification.DECAYS_LIKE_BUBBLE:
         raise NotDecaying(f"profile classified {profile.classification.value}")
     ps = profile.ps
-    c0 = cylinder_amplitude(ps)
-    mu0 = (profile.w0 / c0) ** (2.0 / (ps.n - 2.0))
+    mu0 = family_scale(ps, profile.w0)
     s, w = profile.s, profile.w
     log_w = np.log(w)
 
@@ -174,7 +178,7 @@ def match_bubble(profile: RadialProfile) -> BubbleMatch:
     lam = mu ** (1.0 / ps.alpha)
     model = bubble_cylinder_values(ps, s, lam=lam)
     sup_rel = float(np.max(np.abs(w / model - 1.0)))
-    return BubbleMatch(lambda_fit=lam, mu_fit=mu, sup_rel_error=sup_rel)
+    return BubbleMatch(lambda_fit=lam, sup_rel_error=sup_rel)
 
 
 @dataclass(frozen=True)
@@ -221,13 +225,7 @@ class SweepReport:
         }
 
 
-def radial_rigidity_sweep(
-    ps: ParamSet,
-    w0_grid=None,
-    s_max: float | None = None,
-    tol: float = 1e-6,
-    rtol: float = 1e-10,
-) -> SweepReport:
+def radial_rigidity_sweep(ps: ParamSet, w0_grid=None, tol: float = 1e-6) -> SweepReport:
     """Shoot + match across amplitudes; failures are enumerated, not raised.
 
     Radial rigidity is blind to the angular regime, so the sweep runs in
@@ -238,7 +236,7 @@ def radial_rigidity_sweep(
         w0_grid = c0 * np.logspace(-0.5, 0.5, 10)
     entries = []
     for w0 in np.asarray(w0_grid, dtype=float):
-        profile = shoot(ps, float(w0), s_max=s_max, rtol=rtol)
+        profile = shoot(ps, float(w0))
         if profile.classification is Classification.DECAYS_LIKE_BUBBLE:
             m = match_bubble(profile)
             entries.append(SweepEntry(

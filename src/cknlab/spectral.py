@@ -26,8 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bubble import cylinder_amplitude
+from .cylfield import SingleHarmonic
 from .errors import AdmissibilityError, ConvergenceFailure, NoSignChange, SubcriticalRange
-from .params import ParamSet, derive_params
+from .params import ParamSet, derive_params, felli_schneider_threshold
+
+BISECT_TOL = 1e-5  # width of the final alpha bracket in fs_crossing
 
 
 def soliton_profile(ps: ParamSet, t):
@@ -42,7 +45,7 @@ def soliton_profile(ps: ParamSet, t):
 
 def sector_potential(ps: ParamSet, k: int, t):
     """V_k(t) = alpha^2 Lambda^2 + lambda_k - (p-1) v*(t)^(p-2)."""
-    lam_k = float(k * (k + ps.d - 2))
+    lam_k = SingleHarmonic(k).eigenvalue(ps.d)
     Lambda = (ps.n - 2.0) / 2.0
     v = np.asarray(soliton_profile(ps, t))
     return ps.alpha**2 * Lambda**2 + lam_k - (ps.p_exp - 1.0) * v ** (ps.p_exp - 2.0)
@@ -68,10 +71,6 @@ class SectorOperator:
             raise ValueError("parity must be 'full' or 'odd'")
         if self.N < 64:
             raise ValueError("need N >= 64 grid intervals")
-
-    @property
-    def lambda_k(self) -> float:
-        return float(self.k * (self.k + self.ps.d - 2))
 
     def interior_nodes(self) -> tuple[np.ndarray, float]:
         if self.parity == "odd":
@@ -117,37 +116,35 @@ def lowest_eigenvalue(op: SectorOperator) -> float:
 class EigenvalueEstimate:
     value: float        # Richardson-extrapolated over the grid step
     uncertainty: float  # |step refinement| / 3 + |domain extension| shifts
-    raw: dict
 
 
 def converged_lowest_eigenvalue(ps: ParamSet, k: int, N: int = 2000,
-                                T: float | None = None,
                                 parity: str = "full") -> EigenvalueEstimate:
     """Lowest eigenvalue extrapolated over N (h^2 Richardson) and probed in T."""
-    T = float(T if T is not None else default_domain(ps))
+    T = default_domain(ps)
     e1 = lowest_eigenvalue(build_sector_operator(ps, k, T, N, parity))
     e2 = lowest_eigenvalue(build_sector_operator(ps, k, T, 2 * N, parity))
     # same grid step as e2 on the wider domain, isolating the truncation error
     e3 = lowest_eigenvalue(build_sector_operator(ps, k, 1.5 * T, 3 * N, parity))
     value = (4.0 * e2 - e1) / 3.0
     unc = abs(e2 - e1) / 3.0 + abs(e3 - e2)
-    return EigenvalueEstimate(value=value, uncertainty=unc,
-                              raw={"e_N": e1, "e_2N": e2, "e_2N_1.5T": e3,
-                                   "N": N, "T": T, "parity": parity, "k": k})
+    return EigenvalueEstimate(value=value, uncertainty=unc)
 
 
-def zero_mode_eigenvalue(ps: ParamSet, N: int = 2000,
-                         T: float | None = None) -> EigenvalueEstimate:
+def zero_mode_eigenvalue(ps: ParamSet, N: int = 2000) -> EigenvalueEstimate:
     """The translation zero mode: lowest odd-parity k = 0 eigenvalue (= 0 exactly)."""
-    return converged_lowest_eigenvalue(ps, k=0, N=N, T=T, parity="odd")
+    return converged_lowest_eigenvalue(ps, k=0, N=N, parity="odd")
 
 
 def path_params(d: int, n: float, alpha: float) -> ParamSet:
     """The (a, b) pair realizing given (d, n, alpha): b = a + 1 - d/n, a from alpha.
 
-    On this path n is constant and alpha is affine in a, so a single weight
-    sweep realizes any alpha below the admissibility ceiling.
+    On this path n is constant and alpha is affine in a.  Every alpha > 0 is
+    admissible for n > d and none for n <= d (n < d forces b < a, n = d forces
+    p = 2* or a = b), which is refused before the rounding of b can decide it.
     """
+    if not n > d:
+        raise AdmissibilityError(f"the fixed-(d, n) path needs n > d: got d = {d}, n = {n}")
     a_c = (d - 2) / 2.0
     c1 = d / n
     c2 = a_c + 1.0 - d / n
@@ -160,8 +157,6 @@ def path_params(d: int, n: float, alpha: float) -> ParamSet:
 class FsCrossing:
     alpha_star_numeric: float
     alpha_star_formula: float
-    d: int
-    n: float
     a_at_crossing: float
 
     @property
@@ -170,14 +165,14 @@ class FsCrossing:
 
 
 def fs_crossing(d: int, n: float, alpha_range: tuple[float, float] | None = None,
-                N: int = 2000, bisect_tol: float = 1e-5) -> FsCrossing:
+                N: int = 2000) -> FsCrossing:
     """Bisect the k = 1 bottom-eigenvalue sign change along a fixed-(d, n) path.
 
     Positive eigenvalue (stable radial extremal) below the threshold,
     negative above; NoSignChange when the bracket excludes the crossing or
     the whole path is inadmissible (e.g. n = d sits on the p = 2* edge).
     """
-    formula = math.sqrt((d - 1.0) / (n - 1.0))
+    formula = felli_schneider_threshold(d, n)
     if alpha_range is None:
         alpha_range = (0.7 * formula, 1.3 * formula)
     lo, hi = float(alpha_range[0]), float(alpha_range[1])
@@ -197,7 +192,7 @@ def fs_crossing(d: int, n: float, alpha_range: tuple[float, float] | None = None
             f"no stable-to-unstable crossing in alpha bracket ({lo}, {hi}): "
             f"eigenvalues ({f_lo:.3e}, {f_hi:.3e})"
         )
-    while hi - lo > bisect_tol:
+    while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if eig(mid) > 0.0:
             lo = mid
@@ -206,4 +201,4 @@ def fs_crossing(d: int, n: float, alpha_range: tuple[float, float] | None = None
     alpha_star = 0.5 * (lo + hi)
     ps_star = path_params(d, n, alpha_star)
     return FsCrossing(alpha_star_numeric=alpha_star, alpha_star_formula=formula,
-                      d=d, n=n, a_at_crossing=ps_star.a)
+                      a_at_crossing=ps_star.a)

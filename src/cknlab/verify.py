@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bubble import bubble_cylinder, cylinder_amplitude
-from .cylfield import CylinderField, PeriodicGrid
+from .cylfield import CylinderField, PeriodicGrid, theta_nodes
 from .errors import NotFiniteEnergy
 from .estimates import (
     finite_energy_chain,
@@ -65,6 +65,11 @@ LOW_DIM_PARAMS = {                              # n in (2, 4) needs d = 2
 SPECTRUM_ZERO_MODE_PARAMS = ((-0.5, 0.0, 3), (-0.4, 0.1, 2), (-0.25, 0.15, 3))
 SPECTRUM_CROSSING_PAIRS = ((3, 6.0), (2, 4.0))
 
+# Contract tolerances that no caller varies.
+SPHERE_MARGIN_TOL = 1e-8        # identities: sphere inequality margin
+ZERO_MODE_TOL = 1e-6            # spectrum: |translation zero-mode eigenvalue|
+CROSSING_GAP_TOL = 0.01         # spectrum: relative gap to the closed-form threshold
+
 # Highest harmonic of the sphere check's circle profiles, and the fewest angular
 # nodes that represent it: degree K needs 2K + 1 equispaced samples and aliases on
 # fewer (on one node every theta-derivative vanishes and the identities hold vacuously).
@@ -72,9 +77,8 @@ CIRCLE_MAX_HARMONIC = 4
 MIN_ANGULAR_SIZE = 2 * CIRCLE_MAX_HARMONIC + 1
 
 
-def interior_max(values: np.ndarray, grid: RadialGrid, frac: float = 0.06,
-                 margin: int = 4) -> float:
-    """Max |values| over a fixed physical window (plus a node margin).
+def interior_max(values: np.ndarray, grid: RadialGrid, frac: float = 0.06) -> float:
+    """Max |values| over a fixed physical window, four nodes clear of each end.
 
     Refinement studies compare this across grids, so the window is tied to
     the domain, not the node count.
@@ -83,8 +87,8 @@ def interior_max(values: np.ndarray, grid: RadialGrid, frac: float = 0.06,
     span = x[-1] - x[0]
     lo, hi = x[0] + frac * span, x[-1] - frac * span
     mask = (x >= lo) & (x <= hi)
-    mask[:margin] = False
-    mask[len(x) - margin:] = False
+    mask[:4] = False
+    mask[len(x) - 4:] = False
     return float(np.max(np.abs(values[mask])))
 
 
@@ -92,9 +96,9 @@ def interior_max(values: np.ndarray, grid: RadialGrid, frac: float = 0.06,
 # Random smooth positive fields (seeded; resampled exactly on any grid)
 # ---------------------------------------------------------------------------
 
-def random_log_field_coeffs(rng: np.random.Generator, radial_degree: int = 4,
-                            max_harmonic: int = 3) -> dict:
-    shape = (radial_degree + 1, max_harmonic + 1)
+def random_log_field_coeffs(rng: np.random.Generator) -> dict:
+    """Coefficients of xi^i cos/sin(k theta) for radial degree i <= 4 and harmonic k <= 3."""
+    shape = (5, 4)
     return {
         "cos": rng.uniform(-0.25, 0.25, size=shape),
         "sin": rng.uniform(-0.25, 0.25, size=shape),
@@ -111,7 +115,7 @@ def evaluate_log_field(coeffs: dict, grid: RadialGrid, angular: PeriodicGrid,
     """
     x = grid.x_nodes
     xi = (2.0 * x - (x[0] + x[-1])) / (x[-1] - x[0])
-    th = np.linspace(0.0, 2.0 * np.pi, angular.size, endpoint=False)
+    th = theta_nodes(angular)
     ccos, csin = coeffs["cos"], coeffs["sin"]
     g = np.zeros((grid.count, angular.size))
     for i in range(ccos.shape[0]):
@@ -122,17 +126,16 @@ def evaluate_log_field(coeffs: dict, grid: RadialGrid, angular: PeriodicGrid,
     return CylinderField(grid, angular, np.exp(g), ps)
 
 
-def random_circle_profile(rng: np.random.Generator, size: int,
-                          max_harmonic: int = CIRCLE_MAX_HARMONIC) -> np.ndarray:
-    """Positive trigonometric polynomial on S^1 (min value >= 0.15)."""
-    th = np.linspace(0.0, 2.0 * np.pi, size, endpoint=False)
-    a = rng.uniform(-1.0, 1.0, size=max_harmonic)
-    b = rng.uniform(-1.0, 1.0, size=max_harmonic)
+def random_circle_profile(rng: np.random.Generator, size: int) -> np.ndarray:
+    """Positive trigonometric polynomial of degree CIRCLE_MAX_HARMONIC on S^1 (min >= 0.15)."""
+    th = theta_nodes(PeriodicGrid(size))
+    a = rng.uniform(-1.0, 1.0, size=CIRCLE_MAX_HARMONIC)
+    b = rng.uniform(-1.0, 1.0, size=CIRCLE_MAX_HARMONIC)
     total = np.sum(np.abs(a)) + np.sum(np.abs(b))
     target = rng.uniform(0.2, 0.85)
     a, b = a * target / total, b * target / total
     prof = np.ones_like(th)
-    for k in range(1, max_harmonic + 1):
+    for k in range(1, CIRCLE_MAX_HARMONIC + 1):
         prof += a[k - 1] * np.cos(k * th) + b[k - 1] * np.sin(k * th)
     return prof
 
@@ -179,10 +182,8 @@ def run_identities_suite(
     n_fields: int = 8,
     n_sphere_fields: int = 100,
     levels: int = 3,
-    base_count: int = 257,
     angular_size: int = 256,
     order_floor: float = 3.8,
-    margin_tol: float = 1e-8,
 ) -> dict:
     """Pointwise identity battery on seeded random fields and bubbles.
 
@@ -194,7 +195,7 @@ def run_identities_suite(
     rng = np.random.default_rng(seed)
     report = SuiteReport(suite="identities", seed=seed)
     ps2 = derive_params(*D2_IDENTITY_PARAMS)
-    sizes = _refinement_sizes(levels, base_count)
+    sizes = _refinement_sizes(levels, base=257)
     grids = [RadialGrid(1e-3, 1e3, n) for n in sizes]
     h_values = [g.log_step for g in grids]
     angular = PeriodicGrid(angular_size)
@@ -271,7 +272,7 @@ def run_identities_suite(
         "param_set": ps2.to_dict(),
         "fields": n_sphere_fields,
         "min_margin": min(margins),
-        "pass": min(margins) >= -margin_tol,
+        "pass": min(margins) >= -SPHERE_MARGIN_TOL,
     })
     return report.to_dict()
 
@@ -395,11 +396,9 @@ def run_estimates_suite(seed: int = DEFAULT_SEED, grid_count: int = 2048) -> tup
     psh = derive_params(-0.5, 0.0, 3)
     pfh = pressure_of(bubble_cylinder(psh, grid))
     R_cut = np.array([8.0, 16.0, 32.0, 64.0, 128.0, 256.0])
-    lhs_vals, rhs_vals = [], []
-    for R in R_cut:
-        sides = int_ineq_sides(pfh, make_cutoff(R, s_power=2.0))
-        lhs_vals.append(sides.lhs)
-        rhs_vals.append(sides.rhs_weighted)
+    sides = int_ineq_sides(pfh, [make_cutoff(R, s_power=2.0) for R in R_cut])
+    lhs_vals = [side.lhs for side in sides]
+    rhs_vals = [side.rhs_weighted for side in sides]
     rhs_slope = fit_loglog(R_cut, rhs_vals).slope
     lhs_ok = min(lhs_vals) >= -1e-8 and max(abs(v) for v in lhs_vals) < 1e-6
     rhs_ok = abs(rhs_slope - (2.0 - psh.n)) <= 0.1 and min(rhs_vals) > 0
@@ -428,7 +427,6 @@ def run_rigidity_suite(
     seed: int = DEFAULT_SEED,
     param_triples=SWEEP_PARAMS_3,
     amplitudes: int = 10,
-    tol: float = 1e-6,
 ) -> dict:
     """Radial rigidity sweeps: every decaying shot matches a scaled extremal."""
     report = SuiteReport(suite="rigidity", seed=seed)
@@ -437,7 +435,7 @@ def run_rigidity_suite(
         ps = derive_params(*triple)
         c0 = cylinder_amplitude(ps)
         w0_grid = c0 * np.logspace(-0.5, 0.5, amplitudes)
-        return radial_rigidity_sweep(ps, w0_grid, tol=tol)
+        return radial_rigidity_sweep(ps, w0_grid)
 
     # Serial: the sweeps are Python-bound ODE right-hand sides, so a thread
     # pool measured slower than this loop.
@@ -453,17 +451,10 @@ def run_rigidity_suite(
 # spectrum suite
 # ---------------------------------------------------------------------------
 
-def run_spectrum_suite(
-    seed: int = DEFAULT_SEED,
-    zero_mode_triples=SPECTRUM_ZERO_MODE_PARAMS,
-    crossing_pairs=SPECTRUM_CROSSING_PAIRS,
-    N: int = 2000,
-    zero_tol: float = 1e-6,
-    gap_tol: float = 0.01,
-) -> dict:
+def run_spectrum_suite(seed: int = DEFAULT_SEED, N: int = 2000) -> dict:
     """Zero-mode oracle plus threshold crossings against the closed form."""
     report = SuiteReport(suite="spectrum", seed=seed)
-    for triple in zero_mode_triples:
+    for triple in SPECTRUM_ZERO_MODE_PARAMS:
         ps = derive_params(*triple)
         est = zero_mode_eigenvalue(ps, N=N)
         report.add({
@@ -471,9 +462,9 @@ def run_spectrum_suite(
             "param_set": ps.to_dict(),
             "eigenvalue": est.value,
             "uncertainty": est.uncertainty,
-            "pass": abs(est.value) < zero_tol,
+            "pass": abs(est.value) < ZERO_MODE_TOL,
         })
-    for d, n in crossing_pairs:
+    for d, n in SPECTRUM_CROSSING_PAIRS:
         crossing = fs_crossing(d, n, N=N)
         report.add({
             "name": "threshold_crossing",
@@ -483,6 +474,6 @@ def run_spectrum_suite(
             "alpha_star_formula": crossing.alpha_star_formula,
             "relative_gap": crossing.relative_gap,
             "a_at_crossing": crossing.a_at_crossing,
-            "pass": crossing.relative_gap < gap_tol,
+            "pass": crossing.relative_gap < CROSSING_GAP_TOL,
         })
     return report.to_dict()

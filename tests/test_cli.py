@@ -41,6 +41,12 @@ class TestParamsCommand:
         code, _, err = run_cli(capsys, "params", "--a", "0.0")
         assert code == 2
 
+    def test_d2_near_the_p_infinity_edge(self, capsys):
+        # p = 2e5: the exponent consistency check allows for the conditioning of 2n/(n-2)
+        code, out, err = run_cli(capsys, "params", "--a", "-0.1", "--b", "-0.09999", "--d", "2")
+        assert code == 0, err
+        assert json.loads(out)["p_exp"] > 1e5
+
 
 class TestScanCommand:
     def test_regime_flips_once_at_threshold(self, capsys, tmp_path):
@@ -204,6 +210,18 @@ class TestVerifyCommand:
     (["shoot", "--a", "-0.5", "--b", "0", "--d", "3", "--w0", "2", "--s-max", "-1"],
      "argument --s-max"),
     (["verify", "--suite", "identities", "--angular", "8"], "argument --angular"),
+    (["shoot", "--a", "-0.5", "--b", "0", "--d", "3", "--w0", "2", "--s-max", "1e-9"],
+     "argument --s-max"),
+    (["shoot", "--a", "-0.5", "--b", "0", "--d", "3", "--w0", "inf"], "argument --w0"),
+    (["bubble", "--a", "-0.5", "--b", "0", "--d", "3", "--lam", "inf", "--grid", "3"],
+     "argument --lam"),
+    (["spectrum", "--d", "3", "--n", "6", "--alpha-min", "0", "--alpha-max", "1"],
+     "argument --alpha-min"),
+    (["spectrum", "--d", "3", "--n", "6", "--alpha-max", "nan"], "argument --alpha-max"),
+    (["spectrum", "--d", "3", "--n", "6", "--alpha-min", "0.7", "--alpha-max", "0.7"],
+     "--alpha-min < --alpha-max"),
+    (["spectrum", "--d", "3", "--n", "3"], "--n > --d"),
+    (["spectrum", "--d", "3", "--n", "2.5"], "--n > --d"),
 ])
 def test_bad_input_exits_2_with_reason(argv, reason, tmp_path):
     cfg = tmp_path / "run.cfg"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cknlab import pressure
 from cknlab.bubble import bubble_cylinder
 from cknlab.cylfield import (
     CylinderField,
@@ -89,7 +90,7 @@ class TestCutoff:
 class TestIntIneqSides:
     def test_bubble_sign_and_positive_rhs(self, ps_n6, grid_default):
         pf = pressure_of(bubble_cylinder(ps_n6, grid_default))
-        sides = int_ineq_sides(pf, make_cutoff(32.0))
+        sides = int_ineq_sides(pf, [make_cutoff(32.0)])[0]
         assert sides.lhs >= -1e-8
         assert abs(sides.lhs) < 1e-6
         assert sides.rhs_weighted > 0.0
@@ -98,7 +99,7 @@ class TestIntIneqSides:
         # bubble integrand s^(4-2n) * R^-2 * s^(n-1) over (R, 2R): R^(2-n)
         pf = pressure_of(bubble_cylinder(ps_n6, grid_default))
         R_list = np.array([8.0, 16.0, 32.0, 64.0, 128.0, 256.0])
-        rhs = [int_ineq_sides(pf, make_cutoff(R)).rhs_weighted for R in R_list]
+        rhs = [int_ineq_sides(pf, [make_cutoff(R)])[0].rhs_weighted for R in R_list]
         slope = fit_loglog(R_list, rhs).slope
         assert abs(slope - (2.0 - ps_n6.n)) < 0.1
 
@@ -106,7 +107,24 @@ class TestIntIneqSides:
         ps = derive_params(-1.0, -1.0 / 3.0, 2)  # symmetry breaking
         pf = pressure_of(bubble_cylinder(ps, grid_default))
         with pytest.raises(RegimeViolation):
-            int_ineq_sides(pf, make_cutoff(8.0))
+            int_ineq_sides(pf, [make_cutoff(8.0)])
+
+    def test_bochner_k_once_for_all_cutoffs(self, ps_n6, grid_default, monkeypatch):
+        pf = pressure_of(bubble_cylinder(ps_n6, grid_default))
+        cutoffs = [make_cutoff(R) for R in (8.0, 16.0, 32.0, 64.0, 128.0, 256.0)]
+        calls = []
+        original = pressure.bochner_k
+
+        def counted(field):
+            calls.append(field)
+            return original(field)
+
+        monkeypatch.setattr(pressure, "bochner_k", counted)
+        sides = int_ineq_sides(pf, cutoffs)
+        assert len(calls) == 1 and len(sides) == 6
+        monkeypatch.undo()
+        for cut, side in zip(cutoffs, sides):
+            assert int_ineq_sides(pf, [cut]) == [side]
 
 
 class TestSuperharmonicBound:

@@ -89,6 +89,13 @@ class TestDeriveParams:
         ps = derive_params(-0.3, 0.2, 2, strict_subcritical=True)
         assert ps.p_exp == 4.0
 
+    def test_d2_near_the_p_infinity_edge(self):
+        # b - a -> 0 with d = 2 sends p and n/(n-2) to infinity: 2n/(n-2) then
+        # carries the rounding of n amplified by 2/(n-2), which is no inconsistency
+        for gap in (1e-5, 1e-7, 1e-9, 1e-11):
+            ps = derive_params(-0.1, -0.1 + gap, 2, strict_subcritical=True)
+            assert abs(ps.p_exp * (ps.b - ps.a) - 2.0) < 1e-12
+
     @settings(max_examples=200)
     @given(admissible_triples())
     def test_invariants_on_admissible_triples(self, triple):

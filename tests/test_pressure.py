@@ -209,7 +209,7 @@ class TestSphereBochner:
         rows = 1.0 + 0.1 * np.sin(np.arange(g.count))[:, None]   # rows differ
         target = rows * random_circle_profile(rng, 256)[None, :]
         pf = pressure_field_from_target(target, g, PeriodicGrid(256), ps_d2)
-        n, alpha, d = pf.n, ps_d2.alpha, ps_d2.d
+        n, alpha, d = pf.params.n, ps_d2.alpha, ps_d2.d
         full = sphere_bochner_density(pf)
         for i in (0, 17, 32, 63):
             weight = pf.P.values[i] ** (1.0 - n)

@@ -64,6 +64,12 @@ class TestShoot:
              + profile.w**ps_n6.p_exp / ps_n6.p_exp)
         assert np.all(np.diff(E) <= 1e-12 * E[0])
 
+    def test_horizon_at_or_below_series_start_is_refused(self, ps_n6):
+        c0 = cylinder_amplitude(ps_n6)
+        for s_max in (1e-9, radial_ode.SERIES_START, float("nan")):
+            with pytest.raises(ValueError, match="s_max"):
+                shoot(ps_n6, c0, s_max=s_max)
+
     def test_horizon_scales_with_amplitude(self, ps_n6):
         c0 = cylinder_amplitude(ps_n6)
         assert decay_horizon(ps_n6, c0) > decay_horizon(ps_n6, 4.0 * c0)

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cknlab.bubble import cylinder_amplitude
-from cknlab.errors import NoSignChange
+from cknlab.errors import AdmissibilityError, NoSignChange
 from cknlab.fitting import fit_loglog
-from cknlab.params import derive_params
+from cknlab.params import derive_params, felli_schneider_threshold
 from cknlab.spectral import (
     build_sector_operator,
     converged_lowest_eigenvalue,
@@ -124,6 +126,41 @@ class TestFsCrossing:
     def test_bracket_without_crossing(self):
         with pytest.raises(NoSignChange):
             fs_crossing(3, 6.0, alpha_range=(0.3, 0.5))
+
+
+class TestPathParamsProperties:
+    """The fixed-(d, n) weight path against the closed forms (no eigenvalue solves)."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_above_d_every_alpha_is_admissible(self, data):
+        d = data.draw(st.integers(min_value=2, max_value=6))
+        # within ~1e-13 of d, b - a = 1 - d/n is below the rounding of b and p
+        # lands on the excluded 2* edge in floating point
+        n = data.draw(st.floats(min_value=d + 1e-9, max_value=d + 20.0, exclude_max=True))
+        alpha = data.draw(st.floats(min_value=0.01, max_value=5.0))
+        ps = path_params(d, n, alpha)
+        # b = a + 1 - d/n rounds at the size of 1, so alpha = (1+a-b) kappa / (kappa+b)
+        # comes back with that rounding amplified by 1/(n-2) as n -> 2 (d = 2 only)
+        tol = 1e-12 * max(1.0, 1.0 / (n - 2.0))
+        assert ps.d == d
+        assert abs(ps.n / n - 1.0) <= 1e-12
+        assert abs(ps.alpha / alpha - 1.0) <= tol
+        assert abs(ps.fs_threshold / felli_schneider_threshold(d, n) - 1.0) <= 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_at_or_below_d_no_alpha_is_admissible(self, data):
+        d = data.draw(st.integers(min_value=2, max_value=6))
+        n = data.draw(st.floats(min_value=1.0, max_value=float(d), exclude_min=True))
+        alpha = data.draw(st.floats(min_value=0.01, max_value=5.0))
+        with pytest.raises(AdmissibilityError):
+            path_params(d, n, alpha)
+
+    def test_n_equal_d_is_refused_before_rounding_decides(self):
+        # here b = a + 1 - d/n rounds a hair above a, so p lands just below 2*
+        with pytest.raises(AdmissibilityError, match="n > d"):
+            path_params(5, 5.0, 0.010000000000000002)
 
 
 def test_eigvalsh_tridiagonal_matches_scipy():
