@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cylfield import CylinderField, L_kernel, Radial, to_cylinder
-from .errors import SubcriticalRange
+from .errors import AmplitudeOverflow, SubcriticalRange
 from .grids import RadialGrid, default_grid
 from .params import ParamSet
 
@@ -35,9 +35,20 @@ class BubbleSpec:
             raise ValueError("lambda must be positive")
 
 
+def _amplitude_power(base: float, ps: ParamSet) -> float:
+    """base^(1/(p-2)), the bubble amplitude c0, refused where it overflows."""
+    try:
+        return base ** (1.0 / (ps.p_exp - 2.0))
+    except OverflowError:
+        raise AmplitudeOverflow(
+            f"the bubble amplitude c0 = {base:.6g}^(1/(p-2)) overflows double "
+            f"precision at n = {ps.n:.6g} (p = {ps.p_exp:.6g})"
+        ) from None
+
+
 def cylinder_amplitude(ps: ParamSet) -> float:
     """c0 via the cylinder identity (alpha^2 n (n-2))^(1/(p-2))."""
-    return (ps.alpha**2 * ps.n * (ps.n - 2.0)) ** (1.0 / (ps.p_exp - 2.0))
+    return _amplitude_power(ps.alpha**2 * ps.n * (ps.n - 2.0), ps)
 
 
 def make_bubble(ps: ParamSet, lam: float = 1.0) -> BubbleSpec:
@@ -45,8 +56,7 @@ def make_bubble(ps: ParamSet, lam: float = 1.0) -> BubbleSpec:
         raise SubcriticalRange(
             f"the explicit profile degenerates at p = 2 (got p = {ps.p_exp})"
         )
-    p2 = ps.p_exp - 2.0
-    c0 = (ps.d * p2 * ps.kappa**2 / (1.0 + ps.a - ps.b)) ** (1.0 / p2)
+    c0 = _amplitude_power(ps.d * (ps.p_exp - 2.0) * ps.kappa**2 / (1.0 + ps.a - ps.b), ps)
     return BubbleSpec(ps=ps, lam=float(lam), c0=c0)
 
 

@@ -26,6 +26,10 @@ class SubcriticalRange(AdmissibilityError):
     """Exponent p lies on an endpoint excluded by strict subcriticality."""
 
 
+class AmplitudeOverflow(CknLabError):
+    """The bubble amplitude c0 exceeds double precision at this n."""
+
+
 class NonPositiveSample(CknLabError):
     """A consumer that requires a positive field received one that is not."""
 

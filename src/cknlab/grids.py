@@ -8,14 +8,20 @@ and the measure integral becomes
 so one uniform-grid toolbox (5/6-point stencils, cell-wise cubic composite
 quadrature) serves every operation.  Stencil weights are generated with the
 standard divided-difference recursion rather than hardcoded tables.
+
+The quadrature takes the complete cells of a region in one np.vecdot (numpy
+2) and adds them left to right with np.cumsum, with the bits of a per-cell
+np.dot loop; cut end cells use Lagrange-cubic antiderivatives built once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridTooCoarse, RegionOutsideGrid
 
@@ -176,22 +182,33 @@ def d2_ds2(values: np.ndarray, grid: RadialGrid) -> np.ndarray:
 # interpolant so arbitrary (r_lo, r_hi) regions keep full order.
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=8)
+def _lagrange_basis_antiderivatives(offsets: tuple[float, ...]):
+    """(antiderivative, denominator) of each Lagrange basis cubic on offsets.
+
+    integrate_uniform cuts partial cells with three offset sets (first,
+    interior and last cell), so a small cache holds every one of them.
+    """
+    nodes = np.asarray(offsets, dtype=float)
+    pairs = []
+    for j, oj in enumerate(nodes):
+        others = np.delete(nodes, j)
+        poly = np.polynomial.Polynomial.fromroots(others)
+        pairs.append((poly.integ(), np.prod(oj - others)))
+    return tuple(pairs)
+
+
 def _lagrange_cell_weights(offsets, lo: float, hi: float) -> np.ndarray:
     """Integrals over [lo, hi] (grid units) of the Lagrange basis on offsets."""
-    offsets = np.asarray(offsets, dtype=float)
-    ws = np.empty(len(offsets))
-    for j, oj in enumerate(offsets):
-        others = np.delete(offsets, j)
-        poly = np.polynomial.Polynomial.fromroots(others)
-        denom = np.prod(oj - others)
-        integ = poly.integ()
+    pairs = _lagrange_basis_antiderivatives(tuple(float(o) for o in offsets))
+    ws = np.empty(len(pairs))
+    for j, (integ, denom) in enumerate(pairs):
         ws[j] = (integ(hi) - integ(lo)) / denom
     return ws
 
 
 _CELL_INTERIOR = _lagrange_cell_weights([-1.0, 0.0, 1.0, 2.0], 0.0, 1.0)  # [-1,13,13,-1]/24
 _CELL_FIRST = _lagrange_cell_weights([0.0, 1.0, 2.0, 3.0], 0.0, 1.0)      # [9,19,-5,1]/24
-_CELL_LAST = _CELL_FIRST[::-1].copy()
 
 
 def _cell_stencil(k: int, ncell: int) -> np.ndarray:
@@ -233,29 +250,27 @@ def integrate_uniform(F: np.ndarray, h: float, x0: float, x_lo: float, x_hi: flo
     if k_lo == k_hi:
         return partial(k_lo, t_lo, t_hi)
 
-    total = 0.0
+    # Head cell, then complete cells [first_full, k_hi), then tail, added left
+    # to right from +0.0 (so a -0.0 sum reads +0.0): np.cumsum adds in order
+    # like a running ``total +=``, where np.sum would add pairwise.
+    terms = [0.0]
+    first_full = k_lo
     if t_lo > k_lo:
-        total += partial(k_lo, t_lo, k_lo + 1.0)
-        first_full = k_lo + 1
-    else:
-        first_full = k_lo
-    if t_hi > k_hi:
-        tail = partial(k_hi, float(k_hi), t_hi)
-        last_full = k_hi  # cells [first_full, last_full) are complete
-    else:
-        tail = 0.0
-        last_full = k_hi
-
-    for k in range(first_full, last_full):
-        if k == 0:
-            total += h * float(np.dot(_CELL_FIRST, F[:4]))
-        elif k == ncell - 1:
-            total += h * float(np.dot(_CELL_LAST, F[-4:]))
-        else:
-            total += h * float(
-                np.dot(_CELL_INTERIOR, F[k - 1:k + 3])
-            )
-    return total + tail
+        terms.append(partial(k_lo, t_lo, k_lo + 1.0))
+        first_full += 1
+    tail = partial(k_hi, float(k_hi), t_hi) if t_hi > k_hi else 0.0
+    if first_full < k_hi:
+        # Cell 0 takes the one-sided cubic, cell k > 0 nodes k-1..k+2.  Each
+        # cell is one BLAS ddot of four weights and four samples: np.vecdot
+        # calls per window the ddot that np.dot calls for one cell, so every
+        # cell keeps the bits of a per-cell np.dot, which an elementwise
+        # product sum would not.
+        windows = sliding_window_view(F, 4)[max(first_full, 1) - 1:k_hi - 1]
+        cells = np.vecdot(windows, _CELL_INTERIOR)
+        if first_full == 0:
+            cells = np.concatenate(([np.dot(_CELL_FIRST, F[:4])], cells))
+        terms = np.concatenate((terms, h * cells))
+    return np.cumsum(terms)[-1] + tail
 
 
 def integrate_measure_radial(profile: np.ndarray, grid: RadialGrid, n: float,

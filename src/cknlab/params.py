@@ -123,6 +123,12 @@ def derive_params(a: float, b: float, d: int, strict_subcritical: bool = False) 
         fs_threshold = 0.0
     else:
         n = d / one_ab
+        if n <= 2.0:  # only at d = 2, where b - a vanished in rounding 1+a-b
+            raise ConstraintAB(
+                f"b - a = {b - a!r} is below the resolution of 1 + a - b = "
+                f"{one_ab!r} at d = 2, so n = d/(1+a-b) is not above 2: "
+                f"got a = {a}, b = {b}"
+            )
         p = 2.0 * d / (d - 2.0 + 2.0 * (b - a))
         alpha = one_ab * kappa / (kappa + b)
         fs_threshold = felli_schneider_threshold(d, n)

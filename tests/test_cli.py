@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cknlab
 from cknlab.cli import main
@@ -222,6 +226,15 @@ class TestVerifyCommand:
      "--alpha-min < --alpha-max"),
     (["spectrum", "--d", "3", "--n", "3"], "--n > --d"),
     (["spectrum", "--d", "3", "--n", "2.5"], "--n > --d"),
+    (["params", "--a", "-0.1", "--b", "-0.09999999999999999", "--d", "2"],
+     "inadmissible parameters: b - a"),
+    (["params", "--a", "-0.5", "--b", "-0.49999999999999994", "--d", "2"],
+     "inadmissible parameters: b - a"),
+    (["spectrum", "--d", "3", "--n", "1000"], "overflows double precision"),
+    (["bubble", "--a", "-0.5", "--b", "0.499", "--d", "3", "--grid", "4"],
+     "overflows double precision"),
+    (["verify", "--suite", "rigidity", "--a", "-0.5", "--b", "0.499", "--d", "3"],
+     "overflows double precision"),
 ])
 def test_bad_input_exits_2_with_reason(argv, reason, tmp_path):
     cfg = tmp_path / "run.cfg"
@@ -268,3 +281,46 @@ def test_params_scan_bubble_never_import_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"import": [], "params": [], "scan": [], "bubble": []}
+
+
+def _ulp_gaps(a: float):
+    """b - a at the edges of the weight range: 0, a few ulps of a, 1 and 1 - ulp."""
+    ulp = math.ulp(a) if a else math.ulp(1.0)
+    return st.sampled_from([0.0, ulp, 2.0 * ulp, 1.0 - math.ulp(1.0), 1.0])
+
+
+@st.composite
+def _fuzz_argv(draw):
+    d = draw(st.integers(min_value=2, max_value=6))
+    command = draw(st.sampled_from(["params", "spectrum", "bubble"]))
+    if command == "spectrum":
+        n = draw(st.one_of(
+            st.floats(min_value=1.0, max_value=1e6),
+            st.sampled_from([float(d), math.nextafter(d, math.inf), d + 1e-9, 150.0, 1e6]),
+        ))
+        argv = ["spectrum", "--d", str(d), "--n", repr(n),
+                "--grid", str(draw(st.integers(min_value=1, max_value=64))),
+                "--alpha-count", str(draw(st.integers(min_value=1, max_value=3)))]
+        if draw(st.booleans()):
+            lo = draw(st.floats(min_value=1e-3, max_value=10.0))
+            argv += ["--alpha-min", repr(lo), "--alpha-max", repr(lo * 2.0)]
+        return argv
+    a = draw(st.one_of(st.floats(min_value=-3.0, max_value=(d - 2) / 2.0),
+                       st.sampled_from([-0.5, -0.1, 0.0, (d - 2) / 2.0])))
+    b = a + draw(st.one_of(_ulp_gaps(a), st.floats(min_value=0.0, max_value=1.0)))
+    argv = [command, "--a", repr(a), "--b", repr(b), "--d", str(d)]
+    if command == "bubble":
+        argv += ["--grid", str(draw(st.integers(min_value=1, max_value=8)))]
+    return argv
+
+
+@settings(max_examples=40, deadline=None)
+@given(_fuzz_argv())
+@example(["params", "--a", "-0.5", "--b", "-0.49999999999999994", "--d", "2"])
+@example(["spectrum", "--d", "3", "--n", "1000", "--grid", "8", "--alpha-count", "1"])
+def test_argv_fuzz_exits_with_a_code(argv):
+    # Every invocation ends in an exit code (0 output, 1 contract failure, 2
+    # refused with a reason); no exception escapes cli.main.
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2), argv

@@ -11,6 +11,8 @@ from cknlab.grids import (
     RadialGrid,
     _CELL_FIRST,
     _CELL_INTERIOR,
+    _lagrange_basis_antiderivatives,
+    _lagrange_cell_weights,
     d2_dx2,
     d2_ds2,
     d_dx,
@@ -157,3 +159,167 @@ class TestQuadrature:
         i_shift = integrate_measure_radial(np.full(64, shift), g, 3.0, g.r_min, g.r_max)
         assert i_g >= i_f
         assert abs(i_g - (i_f + i_shift)) < 1e-9 * max(1.0, abs(i_g))
+
+
+# The per-cell loop the vectorised quadrature replaced, kept verbatim as the
+# reference: integrate_uniform must return its bits and raise its exceptions.
+def _loop_cell_weights(offsets, lo: float, hi: float) -> np.ndarray:
+    """Integrals over [lo, hi] (grid units) of the Lagrange basis on offsets."""
+    offsets = np.asarray(offsets, dtype=float)
+    ws = np.empty(len(offsets))
+    for j, oj in enumerate(offsets):
+        others = np.delete(offsets, j)
+        poly = np.polynomial.Polynomial.fromroots(others)
+        denom = np.prod(oj - others)
+        integ = poly.integ()
+        ws[j] = (integ(hi) - integ(lo)) / denom
+    return ws
+
+
+_LOOP_INTERIOR = _loop_cell_weights([-1.0, 0.0, 1.0, 2.0], 0.0, 1.0)
+_LOOP_FIRST = _loop_cell_weights([0.0, 1.0, 2.0, 3.0], 0.0, 1.0)
+_LOOP_LAST = _LOOP_FIRST[::-1].copy()
+
+
+def _loop_cell_stencil(k: int, ncell: int) -> np.ndarray:
+    """Node indices of the cubic used for cell k (of ncell cells)."""
+    if k == 0:
+        return np.arange(0, 4)
+    if k == ncell - 1:
+        return np.arange(ncell - 3, ncell + 1)
+    return np.arange(k - 1, k + 3)
+
+
+def _loop_integrate_uniform(F, h, x0, x_lo, x_hi):
+    F = np.asarray(F, dtype=float)
+    npts = F.shape[0]
+    ncell = npts - 1
+    x_end = x0 + ncell * h
+    eps = 1e-12 * max(abs(x0), abs(x_end), 1.0)
+    if x_lo < x0 - eps or x_hi > x_end + eps:
+        raise RegionOutsideGrid(
+            f"region [{x_lo}, {x_hi}] outside grid [{x0}, {x_end}] (log coords)"
+        )
+    if x_hi <= x_lo:
+        return 0.0
+    t_lo = min(max((x_lo - x0) / h, 0.0), ncell)
+    t_hi = min(max((x_hi - x0) / h, 0.0), ncell)
+    k_lo = min(int(math.floor(t_lo)), ncell - 1)
+    k_hi = min(int(math.floor(t_hi)), ncell - 1)
+
+    def partial(k: int, a: float, b: float) -> float:
+        idx = _loop_cell_stencil(k, ncell)
+        w = _loop_cell_weights(idx - k, a - k, b - k)
+        return h * float(np.dot(w, F[idx]))
+
+    if k_lo == k_hi:
+        return partial(k_lo, t_lo, t_hi)
+
+    total = 0.0
+    if t_lo > k_lo:
+        total += partial(k_lo, t_lo, k_lo + 1.0)
+        first_full = k_lo + 1
+    else:
+        first_full = k_lo
+    if t_hi > k_hi:
+        tail = partial(k_hi, float(k_hi), t_hi)
+        last_full = k_hi  # cells [first_full, last_full) are complete
+    else:
+        tail = 0.0
+        last_full = k_hi
+
+    for k in range(first_full, last_full):
+        if k == 0:
+            total += h * float(np.dot(_LOOP_FIRST, F[:4]))
+        elif k == ncell - 1:
+            total += h * float(np.dot(_LOOP_LAST, F[-4:]))
+        else:
+            total += h * float(
+                np.dot(_LOOP_INTERIOR, F[k - 1:k + 3])
+            )
+    return total + tail
+
+
+def _outcome(fn, *args):
+    """(result type, float64 bit pattern), or the exception type raised."""
+    try:
+        value = fn(*args)
+    except Exception as exc:  # parity of failures is part of the contract
+        return type(exc)
+    return type(value), int(np.float64(value).view(np.int64))
+
+
+_MAGNITUDE = st.builds(lambda m, e: m * 10.0**e,
+                       st.floats(min_value=-10.0, max_value=10.0),
+                       st.integers(min_value=-30, max_value=30))
+
+
+@st.composite
+def _samples_and_region(draw):
+    npts = draw(st.integers(min_value=1, max_value=40))
+    if draw(st.integers(min_value=0, max_value=4)) == 0:
+        F = np.full(npts, -0.0)
+    else:
+        F = np.array(draw(st.lists(
+            st.one_of(_MAGNITUDE, st.sampled_from([0.0, -0.0]),
+                      st.floats(min_value=-1e30, max_value=1e30)),
+            min_size=npts, max_size=npts)))
+    h = np.float64(draw(st.floats(min_value=1e-3, max_value=1.0)))  # as RadialGrid.log_step
+    x0 = draw(st.floats(min_value=-10.0, max_value=10.0))
+    ncell = npts - 1
+    kind = draw(st.sampled_from(["nodes", "off-grid", "one cell", "reversed", "whole",
+                                 "outside"]))
+    if kind == "nodes":
+        t_lo, t_hi = sorted(draw(st.lists(st.integers(0, max(ncell, 0)), min_size=2,
+                                          max_size=2)))
+    elif kind == "one cell":
+        k = draw(st.integers(0, max(ncell - 1, 0)))
+        t_lo, t_hi = sorted(k + draw(st.floats(0.0, 1.0)) for _ in range(2))
+    elif kind == "whole":
+        t_lo, t_hi = 0.0, float(ncell)
+    elif kind == "outside":
+        # just past either end: inside the 1e-12 tolerance (clamped) or beyond it
+        step = draw(st.sampled_from([1e-15, 1e-13, 1e-11, 1e-9, 0.5]))
+        t_lo, t_hi = (-step, float(ncell)) if draw(st.booleans()) else (0.0, ncell + step)
+    else:
+        t_lo, t_hi = sorted(draw(st.floats(0.0, max(ncell, 0))) for _ in range(2))
+        if kind == "reversed":
+            t_lo, t_hi = t_hi, t_lo
+    return F, h, x0, x0 + t_lo * h, x0 + t_hi * h
+
+
+class TestQuadratureBitwise:
+    @settings(max_examples=150, deadline=None)
+    @given(_samples_and_region())
+    def test_bitwise_equal_to_the_per_cell_loop(self, case):
+        assert _outcome(integrate_uniform, *case) == _outcome(_loop_integrate_uniform, *case)
+
+    def test_bitwise_equal_on_grid_scale_fields(self):
+        g = default_grid()
+        F = np.random.default_rng(5).standard_normal(g.count) * np.exp(3.0 * g.x_nodes)
+        x = g.x_nodes
+        for x_lo, x_hi in [(x[0], x[-1]), (x[0] + 0.3 * g.log_step, 1.1), (x[5], x[2000]),
+                           (-2.0, -2.0 + 0.5 * g.log_step)]:
+            args = (F, g.log_step, x[0], x_lo, x_hi)
+            assert _outcome(integrate_uniform, *args) == _outcome(_loop_integrate_uniform, *args)
+
+    def test_partial_cell_basis_is_built_once_and_returned_fresh(self, monkeypatch):
+        built = []
+        init = np.polynomial.Polynomial.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(np.polynomial.Polynomial, "__init__", counting_init)
+        _lagrange_basis_antiderivatives.cache_clear()
+        offsets = [-2.0, -1.0, 0.0, 1.0]
+        first = _lagrange_cell_weights(offsets, 0.25, 0.75)
+        assert built
+        built.clear()
+        again = _lagrange_cell_weights(offsets, 0.25, 0.75)
+        assert not built
+        assert np.array_equal(first, again) and again is not first
+        again[:] = 99.0  # the caller owns the array: the cache keeps no reference to it
+        assert np.array_equal(_lagrange_cell_weights(offsets, 0.25, 0.75), first)
+        assert np.array_equal(first, _loop_cell_weights(offsets, 0.25, 0.75))
