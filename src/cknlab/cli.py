@@ -35,6 +35,10 @@ EXIT_INVALID_INPUT = 2
 #: Largest regime map `scan` builds; the row count is checked before any row.
 SCAN_MAX_ROWS = 100_000
 
+#: Most float64 samples in one array (32 MB; 16x the default identities
+#: field); size flags are checked against it before anything is allocated.
+MAX_SAMPLES = 2**22
+
 #: suite -> {verify flag the suite reads: keyword of verify.run_<suite>_suite}.
 #: None marks a flag read here and not passed on; --a --b --d together give
 #: rigidity's one parameter triple.
@@ -47,12 +51,14 @@ SUITE_FLAGS = {
 ESTIMATES_HEADER = ["lemma", "params", "R", "lhs", "rhs", "fitted_exponent", "bound", "pass"]
 
 
-def _count_at_least(low: int):
-    """argparse type for an integer count of at least ``low``."""
+def _count_at_least(low: int, most: float = math.inf):
+    """argparse type for an integer count of at least ``low`` and at most ``most``."""
     def count(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}: got {value}")
+        if value > most:
+            raise argparse.ArgumentTypeError(f"must be at most {most}: got {value}")
         return value
     return count
 
@@ -101,7 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("bubble", cmd_bubble, "emit (r, u(r)) of the explicit extremal")
     weights(p)
     p.add_argument("--lam", type=_positive_finite, default=1.0, help="scaling parameter")
-    p.add_argument("--grid", type=_count_at_least(1), default=2048, help="radius count")
+    p.add_argument("--grid", type=_count_at_least(1, MAX_SAMPLES), default=2048,
+                   help="radius count")
     p.add_argument("--r-min", type=_positive_finite, default=1e-3)
     p.add_argument("--r-max", type=_positive_finite, default=1e3)
 
@@ -119,7 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default 1.3 x the closed-form threshold")
     p.add_argument("--alpha-count", type=_count_at_least(1), default=9)
     p.add_argument("--k-max", type=_count_at_least(0), default=2)
-    p.add_argument("--grid", type=_count_at_least(1), default=2000, help="eigensolver nodes")
+    p.add_argument("--grid", type=_count_at_least(1, MAX_SAMPLES), default=2000,
+                   help="eigensolver nodes")
 
     p = command("verify", cmd_verify, "run a verification suite")
     p.add_argument("--suite", choices=tuple(SUITE_FLAGS), required=True)
@@ -244,6 +252,17 @@ def cmd_verify(args) -> int:
     if unread:
         return _invalid(f"--suite {args.suite} does not read {' '.join(unread)}")
     kwargs = {reads[f]: getattr(args, f) for f in given if reads[f]}
+    if args.suite == "identities":
+        refine = args.refine or verify.IDENTITY_LEVELS
+        angular = args.angular or verify.IDENTITY_ANGULAR
+        samples = verify.identities_field_samples(refine, angular)
+        sizing = f"--refine {refine} --angular {angular}"
+    else:  # spectrum's widest operator (converged_lowest_eigenvalue) has 3 --grid nodes
+        samples = (3 if args.suite == "spectrum" else 1) * (args.grid or 0)
+        sizing = f"--grid {args.grid}"
+    if samples > MAX_SAMPLES:
+        return _invalid(f"--suite {args.suite} builds arrays of at most {MAX_SAMPLES} samples: "
+                        f"{sizing} gives {samples}")
     if args.suite == "rigidity" and given:
         if len(given) < 3:
             return _invalid("--suite rigidity takes --a --b --d together")

@@ -228,6 +228,8 @@ def integrate_uniform(F: np.ndarray, h: float, x0: float, x_lo: float, x_hi: flo
     """
     F = np.asarray(F, dtype=float)
     npts = F.shape[0]
+    if npts < 4:
+        raise GridTooCoarse(f"integrate_uniform needs >= 4 nodes for its cubic cells, got {npts}")
     ncell = npts - 1
     x_end = x0 + ncell * h
     eps = 1e-12 * max(abs(x0), abs(x_end), 1.0)

@@ -177,12 +177,25 @@ def _refinement_sizes(levels: int = 3, base: int = 513) -> list[int]:
     return [(base - 1) * 2**i + 1 for i in range(levels)]
 
 
+IDENTITY_LEVELS = 3      # refinement levels of run_identities_suite
+IDENTITY_ANGULAR = 256   # angular nodes of run_identities_suite
+
+
+def _identity_sizes(levels: int) -> list[int]:
+    return _refinement_sizes(levels, base=257)
+
+
+def identities_field_samples(levels: int, angular_size: int) -> int:
+    """Samples of the largest array `run_identities_suite` builds: a field on its finest grid."""
+    return _identity_sizes(levels)[-1] * angular_size
+
+
 def run_identities_suite(
     seed: int = DEFAULT_SEED,
     n_fields: int = 8,
     n_sphere_fields: int = 100,
-    levels: int = 3,
-    angular_size: int = 256,
+    levels: int = IDENTITY_LEVELS,
+    angular_size: int = IDENTITY_ANGULAR,
     order_floor: float = 3.8,
 ) -> dict:
     """Pointwise identity battery on seeded random fields and bubbles.
@@ -195,7 +208,7 @@ def run_identities_suite(
     rng = np.random.default_rng(seed)
     report = SuiteReport(suite="identities", seed=seed)
     ps2 = derive_params(*D2_IDENTITY_PARAMS)
-    sizes = _refinement_sizes(levels, base=257)
+    sizes = _identity_sizes(levels)
     grids = [RadialGrid(1e-3, 1e3, n) for n in sizes]
     h_values = [g.log_step for g in grids]
     angular = PeriodicGrid(angular_size)

@@ -235,17 +235,34 @@ class TestVerifyCommand:
      "overflows double precision"),
     (["verify", "--suite", "rigidity", "--a", "-0.5", "--b", "0.499", "--d", "3"],
      "overflows double precision"),
+    # size flags: refused before any array is allocated
+    (["verify", "--suite", "identities", "--refine", "12"], "--refine 12 --angular 256"),
+    (["verify", "--suite", "identities", "--angular", "20000"], "--refine 3 --angular 20000"),
+    (["bubble", "--a", "-0.5", "--b", "0", "--d", "3", "--grid", "4194305"],
+     "argument --grid: must be at most 4194304"),
+    (["verify", "--suite", "estimates", "--grid", "4194305"], "--grid 4194305"),
+    (["spectrum", "--d", "3", "--n", "6", "--grid", "4194305"],
+     "argument --grid: must be at most 4194304"),
+    (["verify", "--suite", "spectrum", "--grid", "1398102"], "--grid 1398102 gives 4194306"),
 ])
-def test_bad_input_exits_2_with_reason(argv, reason, tmp_path):
+def test_bad_input_exits_2_with_reason(argv, reason, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("a=0.0\nb=0.0\nd=3\nseed=5\n")   # seed: a flag params does not read
     argv = [str(cfg) if arg == "RUN_CFG" else arg for arg in argv]
+    code, _, err = run_cli(capsys, *argv)  # an escaping exception fails the test
+    assert code == 2
+    assert reason in err
+    assert "Traceback" not in err
+
+
+def test_module_entry_point_exits_2_with_reason():
+    # `python -m cknlab.cli` hands main's exit code to the process
     src = str(Path(cknlab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-m", "cknlab.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-m", "cknlab.cli", "spectrum", "--d", "3",
+                           "--n", "1"], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2
-    assert reason in proc.stderr
+    assert "--n > 1" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -292,7 +292,17 @@ class TestQuadratureBitwise:
     @settings(max_examples=150, deadline=None)
     @given(_samples_and_region())
     def test_bitwise_equal_to_the_per_cell_loop(self, case):
-        assert _outcome(integrate_uniform, *case) == _outcome(_loop_integrate_uniform, *case)
+        if len(case[0]) < 4:  # no cubic cell fits; the loop read a wrapped index here
+            assert _outcome(integrate_uniform, *case) is GridTooCoarse
+        else:
+            assert _outcome(integrate_uniform, *case) == _outcome(_loop_integrate_uniform, *case)
+
+    @pytest.mark.parametrize("x_lo, x_hi", [(1.2, 1.8), (0.2, 0.8), (0.0, 2.0)])
+    def test_fewer_than_four_nodes_is_too_coarse(self, x_lo, x_hi):
+        # on F = [0, 1, 2] the loop returned 0.999 for [1.2, 1.8] (exact: 0.9)
+        # and raised a bare IndexError for [0.2, 0.8]
+        with pytest.raises(GridTooCoarse, match="needs >= 4 nodes"):
+            integrate_uniform(np.array([0.0, 1.0, 2.0]), 1.0, 0.0, x_lo, x_hi)
 
     def test_bitwise_equal_on_grid_scale_fields(self):
         g = default_grid()

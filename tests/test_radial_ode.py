@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cknlab import radial_ode
 from cknlab.bubble import bubble_cylinder_values, cylinder_amplitude
@@ -46,14 +50,16 @@ class TestShoot:
         assert rel.max() < 1e-4
 
     def test_series_start_consistency_order(self, ps_n6):
-        # |numeric - two-term series| = O(s^4), measured where the s^4 term
-        # is resolvable above the integrator tolerance
+        # |numeric - two-term series| = O(s^4), measured on the solver's own
+        # nodes where the s^4 term is resolvable above the integrator tolerance
         c0 = cylinder_amplitude(ps_n6)
-        s_eval = np.logspace(-2.3, -1.3, 10)
-        profile = shoot(ps_n6, c0, rtol=1e-13, s_eval=s_eval)
-        series = np.array([series_start(ps_n6, c0, s)[0] for s in profile.s])
-        diff = np.abs(profile.w - series)
-        slope = fit_loglog(profile.s, diff).slope
+        profile = shoot(ps_n6, c0, rtol=1e-13)
+        window = (profile.s >= 10**-2.3) & (profile.s <= 10**-1.3)
+        s = profile.s[window]
+        assert s.size >= 10
+        series = np.array([series_start(ps_n6, c0, si)[0] for si in s])
+        diff = np.abs(profile.w[window] - series)
+        slope = fit_loglog(s, diff).slope
         assert slope >= 3.8
 
     def test_energy_monotone_along_profile(self, ps_n6):
@@ -90,6 +96,79 @@ class TestShoot:
             shoot(derive_params(-1.0, 0.0, 3), 1.0)
 
 
+def _solve_ivp_shot(ps, w0, s_max, rtol):
+    """The shot as `solve_ivp` takes it: the oracle for `shoot`'s own step loop.
+
+    Same RHS, DOP853, tolerances and TouchesZero rail, plus the BlowsUp rail
+    that `shoot` dropped because w never exceeds w0.
+    """
+    if s_max is None:
+        s_max = decay_horizon(ps, w0)
+    n, alpha, p = ps.n, ps.alpha, ps.p_exp
+
+    def rhs(t, y):
+        w, v = y
+        wp = max(w, 0.0) ** (p - 1.0)
+        return (v, -(n - 2.0) * v - math.exp(2.0 * t) * wp / alpha**2)
+
+    def blow_up(t, y):
+        return y[0] - 1e6 * w0
+
+    def touch_zero(t, y):
+        return y[0] - radial_ode.TOUCH_FACTOR * w0
+
+    blow_up.terminal = True
+    blow_up.direction = 1.0
+    touch_zero.terminal = True
+    touch_zero.direction = -1.0
+    s0 = radial_ode.SERIES_START
+    w_start, wp_start = series_start(ps, w0, s0)
+    sol = radial_ode.solve_ivp(
+        rhs, (math.log(s0), math.log(s_max)), [w_start, s0 * wp_start],
+        method="DOP853", rtol=rtol, atol=1e-20 * w0, events=(blow_up, touch_zero),
+    )
+    assert sol.status in (0, 1) and not len(sol.t_events[0])
+    cls = Classification.TOUCHES_ZERO if sol.status == 1 else Classification.DECAYS_LIKE_BUBBLE
+    s = np.exp(sol.t)
+    return s, sol.y[0], sol.y[1] / s, cls
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+@st.composite
+def _admissible_p_above_2(draw):
+    d = draw(st.integers(min_value=2, max_value=6))
+    a_c = (d - 2) / 2.0
+    a = draw(st.floats(min_value=a_c - 2.0, max_value=a_c - 0.05))
+    gap = draw(st.floats(min_value=0.1 if d == 2 else 0.0, max_value=0.9))
+    return derive_params(a, a + gap, d)
+
+
+def _assert_same_shot(ps, w0, s_max, rtol):
+    s, w, w_prime, cls = _solve_ivp_shot(ps, w0, s_max, rtol)
+    profile = shoot(ps, w0, s_max=s_max, rtol=rtol)
+    assert profile.classification is cls
+    for ours, ref in ((profile.s, s), (profile.w, w), (profile.w_prime, w_prime)):
+        assert np.array_equal(_bits(ours), _bits(ref))
+    return cls
+
+
+class TestShootBitwise:
+    @settings(max_examples=20, deadline=None)
+    @given(ps=_admissible_p_above_2(),
+           u=st.floats(min_value=-3.0, max_value=3.0),
+           s_max=st.sampled_from([None, 5.0, 1e2, 1e3, 5e3]),
+           rtol=st.sampled_from([1e-8, 1e-10, 1e-13]))
+    def test_same_bits_as_solve_ivp(self, ps, u, s_max, rtol):
+        _assert_same_shot(ps, cylinder_amplitude(ps) * 10.0**u, s_max, rtol)
+
+    def test_pinned_touches_zero(self, ps_n6):
+        # the shot of `ckn-lab shoot --a -0.5 --b 0 --d 3 --w0 100`: the rail trips
+        assert _assert_same_shot(ps_n6, 100.0, 1e3, 1e-10) is Classification.TOUCHES_ZERO
+
+
 class TestMatchBubble:
     def test_identity_fit_at_c0(self, ps_n6):
         c0 = cylinder_amplitude(ps_n6)
@@ -113,7 +192,7 @@ class TestMatchBubble:
         profile = shoot(ps_n6, cylinder_amplitude(ps_n6))
         broken = type(profile)(
             ps=profile.ps, w0=profile.w0, s=profile.s, w=profile.w,
-            w_prime=profile.w_prime, classification=Classification.BLOWS_UP,
+            w_prime=profile.w_prime, classification=Classification.TOUCHES_ZERO,
         )
         with pytest.raises(NotDecaying):
             match_bubble(broken)
