@@ -90,6 +90,7 @@ def derive_params(a: float, b: float, d: int, strict_subcritical: bool = False) 
     they are admissible-for-parameters and it is up to the caller to demand
     strictness where an operation needs p in the open range.
     """
+    a, b = float(a), float(b)  # numpy scalars would turn overflow into inf
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("a and b must be finite")
     if not float(d).is_integer():

@@ -7,12 +7,14 @@ s0 = 1e-6 and proceeds in the log variable t = ln s, where the system reads
 
     d2w/dt2 = -(n-2) dw/dt - e^(2t) w^(p-1) / alpha^2.
 
-The integrator is scipy's DOP853 (tableau, initial step, error norm and
-dense output), driven by our own step loop on Python floats: the profile is
-bit-identical to ``solve_ivp(..., method="DOP853")`` without its per-step
-interpreter work.  A shot ends at s_max or where w falls to TOUCH_FACTOR * w0
-(TouchesZero).  It cannot blow up: dw/dt starts negative and cannot turn
-positive, since d2w/dt2 <= 0 wherever dw/dt = 0, so w never exceeds w0.
+The integrator is DOP853 (Hairer-Norsett-Wanner, Solving ODEs I, II.10) with
+scipy's tableau, initial step and error norm, copied here and run on Python
+floats: the profile is bit-identical to ``solve_ivp(..., method="DOP853")``
+without its per-step interpreter work, and a shot loads no scipy module.  A
+shot ends at s_max or where w falls to TOUCH_FACTOR * w0 (TouchesZero); only
+that rail imports scipy, for DOP853's dense output and `brentq`.  A shot
+cannot blow up: dw/dt starts negative and cannot turn positive, since
+d2w/dt2 <= 0 wherever dw/dt = 0, so w never exceeds w0.
 
 Every decaying profile should match a rescaled extremal; the sweep measures
 that directly, as a desk-scale witness of radial rigidity.  The intrinsic
@@ -22,14 +24,13 @@ dimension n is generically fractional and enters the ODE as a real number.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bubble import bubble_cylinder_values, cylinder_amplitude
-from .errors import NotDecaying, StepFailure, SubcriticalRange
+from .errors import AmplitudeOverflow, NotDecaying, StepFailure, SubcriticalRange
 from .params import ParamSet
 
 TOUCH_FACTOR = 1e-12    # TouchesZero when w < 1e-12 * w0
@@ -52,11 +53,12 @@ class RadialProfile:
     classification: Classification
 
 
-# scipy is imported on first call, so commands that never shoot do not pay
-# its import time; both forwarders return scipy's result object unchanged.
-# `shoot` no longer calls solve_ivp.  It stays because perfbench/tracer.py
-# binds `radial_ode.solve_ivp` by name (its install() fails without it) and
-# tests/test_radial_ode.py takes its shot through it as the bitwise oracle.
+# scipy is imported on first call, so commands that never call these do not
+# pay its import time; both forwarders return scipy's result object unchanged.
+# `match_bubble` calls minimize_scalar; `shoot` does not call solve_ivp.  It
+# stays because perfbench/tracer.py binds `radial_ode.solve_ivp` by name (its
+# install() fails without it) and tests/test_radial_ode.py takes its shot
+# through it as the bitwise oracle.
 def solve_ivp(*args, **kwargs):
     from scipy.integrate import solve_ivp
     return solve_ivp(*args, **kwargs)
@@ -69,7 +71,15 @@ def minimize_scalar(*args, **kwargs):
 
 def series_start(ps: ParamSet, w0: float, s: float) -> tuple[float, float]:
     """Two-term series value and derivative near the singular point."""
-    c2 = -(w0 ** (ps.p_exp - 1.0)) / (2.0 * ps.n * ps.alpha**2)
+    try:
+        c2 = -(w0 ** (ps.p_exp - 1.0)) / (2.0 * ps.n * ps.alpha**2)
+    except OverflowError:
+        c2 = -math.inf
+    if math.isinf(c2):
+        raise AmplitudeOverflow(
+            f"the series coefficient w0^(p-1)/(2 n alpha^2) overflows double "
+            f"precision at w0 = {w0:.6g} (p = {ps.p_exp:.6g})"
+        )
     return w0 + c2 * s**2, 2.0 * c2 * s
 
 
@@ -94,81 +104,168 @@ def decay_horizon(ps: ParamSet, w0: float) -> float:
     return float(min(max(s_nominal, 10.0), 1e3))
 
 
-@functools.cache
-def _float_dop853():
-    """scipy's DOP853 with the step arithmetic of `shoot` on two Python floats.
+# The DOP853 tableau of Hairer, Norsett & Wanner (Solving ODEs I, II.10) as
+# scipy.integrate's DOP853 stores it, and scipy's step-size factors: row s of
+# A holds the weights of stages 0..s-1 for stage s, zeros included, since
+# they are part of each stage sum's BLAS call.
+DOP853_C = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+            0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+            0.6512820512820513, 0.6, 0.8571428571428571, 1.0)
+DOP853_A = (
+    (),
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+     -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+     12.360567175794303, 0.6433927460157636),
+)
+DOP853_B = (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+            1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+            -0.1521609496625161, 0.20136540080403034, 0.04471061572777259)
+DOP853_E3 = (-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+             1.8915178993145003, -5.801203960010585, -0.4226823213237919,
+             -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0.0)
+DOP853_E5 = (0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+             -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+             0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0)
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
+ERROR_EXPONENT = -1 / (7 + 1)  # -1/(q+1) for the order-7 error estimator
 
-    Only `_step_impl`, the `OdeSolver` extension point, is overridden; it is
-    `RungeKutta._step_impl` with `rk_step` inlined.  The stage sums, the
-    final B-sum and the inherited error norm stay numpy calls: they go
-    through BLAS, whose FMA order plain Python cannot reproduce.  The rest
-    (``y + dy*h``, ``t + c*h``, the RHS, the error scale and the step
-    factor) is IEEE arithmetic on floats, which gives the bits numpy gives
-    on 2-element arrays, so a profile is bit-identical to
-    ``solve_ivp(..., method="DOP853")``.  `K`, `f`, `y_old` and
-    `h_previous` are set as scipy sets them, so the inherited
-    `dense_output` stays valid.  The caller sets ``rhs(t, w, v)``, the
-    float form of `fun`, on the instance before the first step.
+_ROOT2 = 2 ** 0.5  # scipy's RMS norm divides by x.size ** 0.5
+_STAGES = tuple((s, np.array(DOP853_A[s]), DOP853_C[s]) for s in range(1, 12))
+_B, _E3, _E5 = np.array(DOP853_B), np.array(DOP853_E3), np.array(DOP853_E5)
+
+
+def _norm(x: float, y: float) -> float:
+    """np.linalg.norm((x, y)): numpy's own dot, whose FMA order floats cannot repeat."""
+    e = np.array((x, y))
+    return math.sqrt(e.dot(e))
+
+
+class _Dop853:
+    """scipy's DOP853, forward in t, on the state (w, v) held as two Python floats.
+
+    The initial step is scipy's `select_initial_step`, `step` its
+    `RungeKutta._step_impl` and the error norm DOP853's
+    `_estimate_error_norm`, each in scipy's operation order, so a profile has
+    the bits of ``solve_ivp(..., method="DOP853")``.  The stage sums, the
+    B-sum, the two error sums and the norms' dots stay numpy calls
+    (``ndarray.dot`` is ``np.dot``) on views of K built once per shot: BLAS
+    sets their bits, and a plain float sum does not repeat its FMA order.
+    The rest is IEEE arithmetic on floats, with numpy's bits on 2-element
+    arrays.  ``rhs(t, w, v)`` returns the pair (dw/dt, dv/dt).
     """
-    from scipy.integrate import DOP853
-    from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
 
-    stage_rows = [(s, DOP853.A[s, :s], float(DOP853.C[s])) for s in range(1, DOP853.n_stages)]
+    def __init__(self, rhs, t, w, v, t_bound, rtol, atol):
+        self.rhs, self.t_bound, self.rtol, self.atol = rhs, t_bound, rtol, atol
+        self.t, self.w, self.v = t, w, v
+        self.f = rhs(t, w, v)
+        self.h_abs = self._initial_step()
+        self.K_ext = np.empty((16, 2))  # rows 13-15: the dense output's extra stages
+        K = self.K = self.K_ext[:13]
+        self.stages = tuple((s, K[:s].T, a, c) for s, a, c in _STAGES)
+        self.K_B, self.K_E = K[:12].T, K.T
 
-    class FloatDOP853(DOP853):
-        def _step_impl(self):
-            rhs, K, B = self.rhs, self.K, self.B
-            t, direction, t_bound = self.t, float(self.direction), self.t_bound
-            w, v = self.y.tolist()
-            rtol, atol = float(self.rtol), float(self.atol)
+    def _initial_step(self) -> float:
+        t0, w0, v0, (fw0, fv0) = self.t, self.w, self.v, self.f
+        rtol, atol = self.rtol, self.atol
+        interval_length = abs(self.t_bound - t0)
+        if interval_length == 0.0:
+            return 0.0
+        sw, sv = atol + abs(w0) * rtol, atol + abs(v0) * rtol
+        d0 = _norm(w0 / sw, v0 / sv) / _ROOT2
+        d1 = _norm(fw0 / sw, fv0 / sv) / _ROOT2
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = min(h0, interval_length)
+        fw1, fv1 = self.rhs(t0 + h0, w0 + h0 * fw0, v0 + h0 * fv0)
+        d2 = _norm((fw1 - fw0) / sw, (fv1 - fv0) / sv) / _ROOT2 / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** (1 / 8)  # 1/(q+1), q = 7
+        return min(100 * h0, h1, interval_length)
 
-            min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-            h_abs = min(max(float(self.h_abs), min_step), self.max_step)
+    def _error_norm(self, h: float, sw: float, sv: float) -> float:
+        K_E = self.K_E
+        e5w, e5v = K_E.dot(_E5).tolist()
+        e3w, e3v = K_E.dot(_E3).tolist()
+        err5_norm_2 = _norm(e5w / sw, e5v / sv) ** 2
+        err3_norm_2 = _norm(e3w / sw, e3v / sv) ** 2
+        if err5_norm_2 == 0 and err3_norm_2 == 0:
+            return 0.0
+        denom = err5_norm_2 + 0.01 * err3_norm_2
+        return abs(h) * err5_norm_2 / math.sqrt(denom * 2)
 
-            K[0] = self.f
-            step_rejected = False
-            while True:
-                if h_abs < min_step:
-                    return False, self.TOO_SMALL_STEP
-                t_new = t + h_abs * direction
-                if direction * (t_new - t_bound) > 0:
-                    t_new = t_bound
-                h = t_new - t
-                h_abs = abs(h)
+    def step(self) -> None:
+        """One accepted step; `StepFailure` where the step falls below its floor."""
+        rhs, K, rtol, atol = self.rhs, self.K, self.rtol, self.atol
+        t, w, v = self.t, self.w, self.v
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        h_abs = max(self.h_abs, min_step)
+        K[0] = self.f
+        step_rejected = False
+        while True:
+            if h_abs < min_step:
+                raise StepFailure("integrator failed: Required step size is less "
+                                  "than spacing between numbers.")
+            t_new = min(t + h_abs, self.t_bound)
+            h = t_new - t
+            h_abs = abs(h)
+            for s, K_s, a, c in self.stages:
+                dw, dv = K_s.dot(a).tolist()
+                K[s] = rhs(t + c * h, w + dw * h, v + dv * h)
+            bw, bv = self.K_B.dot(_B).tolist()
+            w_new, v_new = w + h * bw, v + h * bv
+            f_new = K[12] = rhs(t + h, w_new, v_new)
+            error_norm = self._error_norm(h, atol + max(abs(w), abs(w_new)) * rtol,
+                                          atol + max(abs(v), abs(v_new)) * rtol)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = MAX_FACTOR
+                else:
+                    factor = min(MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+                if step_rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+            step_rejected = True
+        self.h_previous = h
+        self.t_old, self.w_old, self.v_old = t, w, v
+        self.t, self.w, self.v = t_new, w_new, v_new
+        self.h_abs = h_abs
+        self.f = f_new
 
-                for s, a, c in stage_rows:
-                    dw, dv = np.dot(K[:s].T, a).tolist()
-                    K[s] = rhs(t + c * h, w + dw * h, v + dv * h)
-                bw, bv = np.dot(K[:-1].T, B).tolist()
-                w_new, v_new = w + h * bw, v + h * bv
-                f_new = rhs(t + h, w_new, v_new)
-                K[-1] = f_new
-                scale = np.array((atol + max(abs(w), abs(w_new)) * rtol,
-                                  atol + max(abs(v), abs(v_new)) * rtol))
-                error_norm = float(self._estimate_error_norm(K, h, scale))
+    def dense_output(self):
+        """scipy's DOP853 interpolant over the last step, as `_dense_output_impl` builds it."""
+        from scipy.integrate import DOP853
+        from scipy.integrate._ivp.rk import Dop853DenseOutput
 
-                if error_norm < 1:
-                    if error_norm == 0:
-                        factor = MAX_FACTOR
-                    else:
-                        factor = min(MAX_FACTOR,
-                                     SAFETY * error_norm ** self.error_exponent)
-                    if step_rejected:
-                        factor = min(1, factor)
-                    h_abs *= factor
-                    break
-                h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** self.error_exponent)
-                step_rejected = True
-
-            self.h_previous = h
-            self.y_old = self.y
-            self.t = t_new
-            self.y = np.array((w_new, v_new))
-            self.h_abs = h_abs
-            self.f = np.array(f_new)
-            return True, None
-
-    return FloatDOP853
+        K, h, t_old = self.K_ext, self.h_previous, self.t_old
+        y_old = np.array((self.w_old, self.v_old))
+        for s, (a, c) in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=13):
+            dy = np.dot(K[:s].T, a[:s]) * h
+            K[s] = self.rhs(t_old + c * h, *(y_old + dy).tolist())
+        f_old, delta_y = K[0], np.array((self.w, self.v)) - y_old
+        F = np.empty((7, 2))
+        F[0] = delta_y
+        F[1] = h * f_old - delta_y
+        F[2] = 2 * delta_y - h * (np.array(self.f) + f_old)
+        F[3:] = h * np.dot(DOP853.D, K)
+        return Dop853DenseOutput(t_old, self.t, y_old, F)
 
 
 def shoot(
@@ -182,8 +279,10 @@ def shoot(
     ``s_max = None`` uses the amplitude-aware horizon of `decay_horizon`.
     Integration ends at ``s_max`` or where ``w`` falls to ``TOUCH_FACTOR * w0``
     (TouchesZero); that crossing is located on DOP853's dense output by
-    `brentq`, as `solve_ivp` locates a terminal event.
+    `brentq`, as `solve_ivp` locates a terminal event, and only there is
+    scipy imported.
     """
+    w0 = float(w0)
     if not w0 > 0:
         raise ValueError("w0 must be positive")
     if not ps.p_exp > 2.0:
@@ -203,28 +302,26 @@ def shoot(
     t0, t1 = math.log(s0), math.log(s_max)
     ts, ws, vs = [t0], [w_start], [s0 * wp_start]
     floor = TOUCH_FACTOR * w0
-    solver = _float_dop853()(lambda t, y: rhs(t, *y.tolist()), t0, (ws[0], vs[0]), t1,
-                             rtol=rtol, atol=1e-20 * w0)
-    solver.rhs = rhs
+    # scipy floors rtol at 100 eps (with a warning)
+    stepper = _Dop853(rhs, t0, ws[0], vs[0], t1, max(rtol, 100 * EPS), 1e-20 * w0)
     cls = Classification.DECAYS_LIKE_BUBBLE
-    while solver.status == "running" and cls is Classification.DECAYS_LIKE_BUBBLE:
-        message = solver.step()
-        if solver.status == "failed":
-            raise StepFailure(f"integrator failed: {message}")
-        t = solver.t
-        w, v = solver.y.tolist()
+    while True:  # one step even at t0 == t1, where solve_ivp repeats the start
+        stepper.step()
+        t, w, v = stepper.t, stepper.w, stepper.v
         if ws[-1] - floor >= 0 >= w - floor:  # find_active_events, direction -1
             from scipy.optimize import brentq
-            sol = solver.dense_output()
-            t = brentq(lambda tt: sol(tt)[0] - floor, solver.t_old, t,
+            sol = stepper.dense_output()
+            t = brentq(lambda tt: sol(tt)[0] - floor, stepper.t_old, t,
                        xtol=4 * EPS, rtol=4 * EPS)
             w, v = sol(t).tolist()
             cls = Classification.TOUCHES_ZERO
         ts.append(t)
         ws.append(w)
         vs.append(v)
+        if cls is Classification.TOUCHES_ZERO or stepper.t >= t1:
+            break
     s = np.exp(np.array(ts))
-    return RadialProfile(ps=ps, w0=float(w0), s=s, w=np.array(ws),
+    return RadialProfile(ps=ps, w0=w0, s=s, w=np.array(ws),
                          w_prime=np.array(vs) / s,  # w' = (dw/dt)/s
                          classification=cls)
 

@@ -244,6 +244,9 @@ class TestVerifyCommand:
     (["spectrum", "--d", "3", "--n", "6", "--grid", "4194305"],
      "argument --grid: must be at most 4194304"),
     (["verify", "--suite", "spectrum", "--grid", "1398102"], "--grid 1398102 gives 4194306"),
+    # series start: w0^(p-1) overflows at p ~ 333
+    (["shoot", "--a", "-0.0626", "--b", "-0.0566", "--d", "2", "--w0", "10"],
+     "w0^(p-1)/(2 n alpha^2) overflows double precision"),
 ])
 def test_bad_input_exits_2_with_reason(argv, reason, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
@@ -283,7 +286,8 @@ def scipy_modules():
 loaded = {"import": scipy_modules()}
 for argv in (["params", "--a", "-0.5", "--b", "0", "--d", "3"],
              ["scan", "--d", "3", "--a-min", "-1", "--a-max", "0", "--a-step", "0.25"],
-             ["bubble", "--a", "-0.5", "--b", "0", "--d", "3", "--grid", "5"]):
+             ["bubble", "--a", "-0.5", "--b", "0", "--d", "3", "--grid", "5"],
+             ["shoot", "--a", "-0.5", "--b", "0", "--d", "3", "--w0", "2.5"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cknlab.cli.main(argv) == 0
     loaded[argv[0]] = scipy_modules()
@@ -297,7 +301,8 @@ def test_params_scan_bubble_never_import_scipy():
     proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"import": [], "params": [], "scan": [], "bubble": []}
+    assert json.loads(proc.stdout) == {"import": [], "params": [], "scan": [], "bubble": [],
+                                       "shoot": []}
 
 
 def _ulp_gaps(a: float):

@@ -1,12 +1,14 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cknlab.errors import ConstraintAB, ConstraintAC, SubcriticalRange
+from cknlab.bubble import cylinder_amplitude
+from cknlab.errors import AmplitudeOverflow, ConstraintAB, ConstraintAC, SubcriticalRange
 from cknlab.params import (
     Regime,
     applicable_results,
@@ -70,6 +72,17 @@ class TestDeriveParams:
         with pytest.raises(ValueError, match="integer"):
             derive_params(-0.5, 0.0, 3.5)
         assert derive_params(-0.5, 0.0, 3.0) == derive_params(-0.5, 0.0, 3)
+
+    def test_numpy_scalars_derive_python_floats(self):
+        # a numpy scalar would carry into p, n and alpha, where an overflow
+        # becomes inf with a RuntimeWarning instead of AmplitudeOverflow
+        ps = derive_params(np.float64(0.2719), np.float64(0.2719 + 0.99496), np.int64(6))
+        assert ps == derive_params(0.2719, 0.2719 + 0.99496, 6)
+        assert all(type(x) is float for x in (ps.a, ps.b, ps.p_exp, ps.alpha, ps.n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AmplitudeOverflow):
+                cylinder_amplitude(derive_params(np.float64(0.2719), 0.2719 + 0.99496, 6))
 
     def test_hardy_edge_p2(self):
         ps = derive_params(-1.0, 0.0, 3)  # b = a + 1

@@ -169,6 +169,26 @@ class TestShootBitwise:
         assert _assert_same_shot(ps_n6, 100.0, 1e3, 1e-10) is Classification.TOUCHES_ZERO
 
 
+class TestDop853Tableau:
+    def test_copied_tableau_is_scipys(self):
+        from scipy.integrate._ivp import dop853_coefficients as ref
+        from scipy.integrate._ivp import rk
+
+        n = ref.N_STAGES
+        A = np.zeros((n, n))
+        for s, row in enumerate(radial_ode.DOP853_A):
+            A[s, :s] = row
+        assert all(len(row) == s for s, row in enumerate(radial_ode.DOP853_A))
+        assert np.array_equal(A, ref.A[:n, :n])
+        assert np.array_equal(radial_ode.DOP853_B, ref.B)
+        assert np.array_equal(radial_ode.DOP853_C, ref.C[:n])
+        assert np.array_equal(radial_ode.DOP853_E3, ref.E3)
+        assert np.array_equal(radial_ode.DOP853_E5, ref.E5)
+        assert (radial_ode.SAFETY, radial_ode.MIN_FACTOR, radial_ode.MAX_FACTOR) == (
+            rk.SAFETY, rk.MIN_FACTOR, rk.MAX_FACTOR)
+        assert radial_ode.ERROR_EXPONENT == -1 / (scipy.integrate.DOP853.error_estimator_order + 1)
+
+
 class TestMatchBubble:
     def test_identity_fit_at_c0(self, ps_n6):
         c0 = cylinder_amplitude(ps_n6)
