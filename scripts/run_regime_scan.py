@@ -12,8 +12,7 @@ import sys
 
 import numpy as np
 
-from cknlab.errors import AdmissibilityError
-from cknlab.params import derive_params
+from cknlab.params import REGIME_HEADER, regime_row
 from cknlab.reporting import csv_text
 
 OUT = pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else pathlib.Path("out")
@@ -27,15 +26,8 @@ def scan_line(offset):
     flip = None
     prev = None
     for a in A_GRID:
-        b = a + offset
-        try:
-            ps = derive_params(float(a), float(b), D)
-            regime = ps.regime.value
-            rows.append((a, b, ps.p_exp, ps.alpha, ps.n, ps.fs_threshold, regime))
-        except AdmissibilityError:
-            regime = "excluded"
-            rows.append((a, b, float("nan"), float("nan"), float("nan"),
-                         float("nan"), regime))
+        rows.append(regime_row(float(a), float(a + offset), D))
+        regime = rows[-1][-1]
         if prev is not None and regime != prev and "excluded" not in (regime, prev):
             flip = float(a)
         prev = regime
@@ -44,11 +36,10 @@ def scan_line(offset):
 
 def main():
     OUT.mkdir(parents=True, exist_ok=True)
-    header = ["a", "b", "p", "alpha", "n", "fs_threshold", "regime"]
     for offset in OFFSETS:
         rows, flip = scan_line(offset)
         path = OUT / f"regime_d{D}_offset{offset:g}.csv"
-        path.write_text(csv_text(header, rows))
+        path.write_text(csv_text(REGIME_HEADER, rows))
         flip_txt = f"{flip:.3f}" if flip is not None else "none in range"
         print(f"offset {offset:g}: {len(rows)} rows -> {path}  (flip at a = {flip_txt})")
 

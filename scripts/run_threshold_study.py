@@ -14,9 +14,8 @@ import sys
 
 import numpy as np
 
-from cknlab.params import felli_schneider_threshold
 from cknlab.reporting import csv_text, json_text
-from cknlab.spectral import build_sector_operator, fs_crossing, lowest_eigenvalue, path_params
+from cknlab.spectral import SPECTRUM_HEADER, alpha_bracket, fs_crossing, spectrum_table
 
 OUT = pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else pathlib.Path("out")
 PAIRS = [(3, 6.0), (2, 4.0), (4, 8.0)]
@@ -24,33 +23,15 @@ K_MAX = 2
 N_GRID = 2000
 
 
-def sweep(d, n):
-    formula = felli_schneider_threshold(d, n)
-    alphas = np.linspace(0.7 * formula, 1.3 * formula, 13)
-    rows = []
-    for alpha in alphas:
-        ps = path_params(d, n, float(alpha))
-        for k in range(K_MAX + 1):
-            ev = lowest_eigenvalue(build_sector_operator(ps, k, N=N_GRID))
-            rows.append((float(alpha), k, ev))
-    return rows
-
-
 def main():
     OUT.mkdir(parents=True, exist_ok=True)
     summaries = []
     for d, n in PAIRS:
-        rows = sweep(d, n)
+        rows = spectrum_table(d, n, np.linspace(*alpha_bracket(d, n), 13), K_MAX, N_GRID)
         path = OUT / f"spectrum_d{d}_n{n:g}.csv"
-        path.write_text(csv_text(["alpha", "k", "lowest_eigenvalue"], rows))
+        path.write_text(csv_text(SPECTRUM_HEADER, rows))
         crossing = fs_crossing(d, n, N=N_GRID)
-        summaries.append({
-            "d": d,
-            "n": n,
-            "alpha_star_numeric": crossing.alpha_star_numeric,
-            "alpha_star_formula": crossing.alpha_star_formula,
-            "relative_gap": crossing.relative_gap,
-        })
+        summaries.append(crossing.to_dict())
         print(f"(d={d}, n={n:g}): numeric {crossing.alpha_star_numeric:.6f}  "
               f"closed form {crossing.alpha_star_formula:.6f}  "
               f"gap {100 * crossing.relative_gap:.4f}%  -> {path}")

@@ -60,11 +60,6 @@ def make_bubble(ps: ParamSet, lam: float = 1.0) -> BubbleSpec:
     return BubbleSpec(ps=ps, lam=float(lam), c0=c0)
 
 
-def scaling_exponent(ps: ParamSet) -> float:
-    """kappa = (d-2-2a)/2 = a_c - a; u -> lambda^kappa u(lambda .) preserves solutions."""
-    return ps.kappa
-
-
 def eval_bubble(spec: BubbleSpec, radius):
     """Scaled profile lambda^kappa U(lambda r); value at 0 by continuity."""
     ps = spec.ps
@@ -72,7 +67,13 @@ def eval_bubble(spec: BubbleSpec, radius):
     q = (ps.p_exp - 2.0) * ps.kappa
     e = 2.0 / (ps.p_exp - 2.0)
     scaled = spec.lam * r
-    out = spec.lam**ps.kappa * spec.c0 * (1.0 + scaled**q) ** (-e)
+    amp = spec.lam**ps.kappa * spec.c0
+    with np.errstate(over="ignore"):
+        g = 1.0 + scaled**q
+    out = np.asarray(amp * g ** (-e))
+    big = np.isinf(g)
+    if big.any():  # 1 + scaled^q = scaled^q in double precision long before it overflows
+        out[big] = amp * scaled[big] ** (-2.0 * ps.kappa)
     return out if out.shape else float(out)
 
 

@@ -22,11 +22,11 @@ import numpy as np
 from . import verify
 from .bubble import eval_bubble, make_bubble
 from .errors import AdmissibilityError, CknLabError, EmptyScan
-from .params import derive_params, felli_schneider_threshold
+from .params import REGIME_HEADER, derive_params, regime_row
 from .radial_ode import SERIES_START, shoot
 # ordered_map stays bound here for the perfbench tracer tests, which patch it.
 from .reporting import csv_text, json_text, ordered_map, write_text  # noqa: F401
-from .spectral import build_sector_operator, fs_crossing, lowest_eigenvalue, path_params
+from .spectral import ALPHA_BRACKET, SPECTRUM_HEADER, alpha_bracket, fs_crossing, spectrum_table
 
 EXIT_PASS = 0
 EXIT_CONTRACT_FAILURE = 1
@@ -76,6 +76,15 @@ def _finite_above(low: float):
 _positive_finite = _finite_above(0.0)
 
 
+def _s_max(text: str) -> float:
+    """argparse type for --s-max: finite and above SERIES_START in log(s), where shots step."""
+    value = _finite_above(SERIES_START)(text)
+    if not math.log(value) > math.log(SERIES_START):
+        raise argparse.ArgumentTypeError(
+            f"must exceed the series start {SERIES_START:g} after taking logs: got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ckn-lab",
@@ -115,15 +124,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("shoot", cmd_shoot, "radial shooting from amplitude w0")
     weights(p)
     p.add_argument("--w0", type=_positive_finite, required=True)
-    p.add_argument("--s-max", type=_finite_above(SERIES_START), default=1e3)
+    p.add_argument("--s-max", type=_s_max, default=1e3)
 
     p = command("spectrum", cmd_spectrum, "sector eigenvalues and threshold crossing")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=float, required=True, help="intrinsic dimension of the path")
     p.add_argument("--alpha-min", type=_positive_finite,
-                   help="default 0.7 x the closed-form threshold")
+                   help=f"default {ALPHA_BRACKET[0]:g} x the closed-form threshold")
     p.add_argument("--alpha-max", type=_positive_finite,
-                   help="default 1.3 x the closed-form threshold")
+                   help=f"default {ALPHA_BRACKET[1]:g} x the closed-form threshold")
     p.add_argument("--alpha-count", type=_count_at_least(1), default=9)
     p.add_argument("--k-max", type=_count_at_least(0), default=2)
     p.add_argument("--grid", type=_count_at_least(1, MAX_SAMPLES), default=2000,
@@ -170,21 +179,9 @@ def cmd_scan(args) -> int:
     count = int(round(span)) + 1
     if count <= 0:
         raise EmptyScan("empty a range")
-    header = ["a", "b", "p", "alpha", "n", "fs_threshold", "regime"]
-
-    def row(i):
-        a = args.a_min + i * step
-        b = a + args.b_offset
-        try:
-            ps = derive_params(a, b, args.d)
-            return (a, b, ps.p_exp, ps.alpha, ps.n, ps.fs_threshold,
-                    ps.regime.value)
-        except AdmissibilityError:
-            return (a, b, float("nan"), float("nan"), float("nan"),
-                    float("nan"), "excluded")
-
-    rows = [row(i) for i in range(count)]
-    write_text(csv_text(header, rows), args.out)
+    a_values = (args.a_min + i * step for i in range(count))
+    rows = [regime_row(a, a + args.b_offset, args.d) for a in a_values]
+    write_text(csv_text(REGIME_HEADER, rows), args.out)
     return EXIT_PASS
 
 
@@ -220,27 +217,14 @@ def cmd_spectrum(args) -> int:
         return _invalid("spectrum requires a finite --n > 1")
     if not n > d:  # see path_params
         return _invalid("spectrum requires --n > --d: no alpha is admissible on the path")
-    formula = felli_schneider_threshold(d, n)
-    a_lo = 0.7 * formula if args.alpha_min is None else args.alpha_min
-    a_hi = 1.3 * formula if args.alpha_max is None else args.alpha_max
+    a_lo, a_hi = alpha_bracket(d, n)
+    a_lo = a_lo if args.alpha_min is None else args.alpha_min
+    a_hi = a_hi if args.alpha_max is None else args.alpha_max
     if not a_lo < a_hi:
         return _invalid(f"spectrum requires --alpha-min < --alpha-max: got {a_lo} and {a_hi}")
-    rows = []
-    for alpha in np.linspace(a_lo, a_hi, args.alpha_count):
-        ps = path_params(d, n, float(alpha))
-        for k in range(args.k_max + 1):
-            ev = lowest_eigenvalue(build_sector_operator(ps, k, N=N))
-            rows.append((float(alpha), k, ev))
+    rows = spectrum_table(d, n, np.linspace(a_lo, a_hi, args.alpha_count), args.k_max, N)
     crossing = fs_crossing(d, n, (a_lo, a_hi), N=N)
-    summary = {
-        "d": d,
-        "n": n,
-        "alpha_star_numeric": crossing.alpha_star_numeric,
-        "alpha_star_formula": crossing.alpha_star_formula,
-        "relative_gap": crossing.relative_gap,
-        "a_at_crossing": crossing.a_at_crossing,
-    }
-    _write_rows_and_record(["alpha", "k", "lowest_eigenvalue"], rows, summary, args.out)
+    _write_rows_and_record(SPECTRUM_HEADER, rows, crossing.to_dict(), args.out)
     return EXIT_PASS
 
 

@@ -143,10 +143,6 @@ class RadialGrid:
         object.__setattr__(self, "x_nodes", x)
         object.__setattr__(self, "log_step", (x[-1] - x[0]) / (self.count - 1))
 
-    def refined(self) -> "RadialGrid":
-        """Same domain with 2 (count-1) + 1 nodes, so h is halved."""
-        return RadialGrid(self.r_min, self.r_max, (self.count - 1) * 2 + 1)
-
     def column(self, values: np.ndarray) -> np.ndarray:
         """Broadcast helper: nodes shaped to match `values` along axis 0."""
         s = self.nodes
@@ -169,11 +165,6 @@ def radial_derivs(values: np.ndarray, grid: RadialGrid) -> tuple[np.ndarray, np.
     s = grid.column(np.asarray(values))
     dx = d_dx(values, grid.log_step)
     return dx / s, (d2_dx2(values, grid.log_step) - dx) / s**2
-
-
-def d2_ds2(values: np.ndarray, grid: RadialGrid) -> np.ndarray:
-    """Second radial derivative on the log grid."""
-    return radial_derivs(values, grid)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import ConstraintAB, ConstraintAC, SubcriticalRange
+from .errors import AdmissibilityError, ConstraintAB, ConstraintAC, SubcriticalRange
 
 #: Relative tolerance for internal consistency checks of derived quantities.
 REL_TOL = 1e-12
@@ -155,6 +155,20 @@ def derive_params(a: float, b: float, d: int, strict_subcritical: bool = False) 
     )
 
 
+#: Columns of the rows `regime_row` returns.
+REGIME_HEADER = ["a", "b", "p", "alpha", "n", "fs_threshold", "regime"]
+
+
+def regime_row(a: float, b: float, d: int) -> tuple:
+    """One regime-map row; an inadmissible (a, b) gives NaNs marked "excluded"."""
+    try:
+        ps = derive_params(a, b, d)
+    except AdmissibilityError:
+        nan = float("nan")
+        return (a, b, nan, nan, nan, nan, "excluded")
+    return (a, b, ps.p_exp, ps.alpha, ps.n, ps.fs_threshold, ps.regime.value)
+
+
 @dataclass(frozen=True)
 class DecayThresholds:
     """Cylinder-variable decay exponents gating the classification results.
@@ -188,8 +202,6 @@ TAG_DECAY = "decay"                # n >= 4 plus pointwise decay sigma < sigma_s
 TAG_FINITE_ENERGY = "finite_energy"  # solution in the energy space
 TAG_NATURAL_DECAY = "natural_decay"  # decay at the finite-energy threshold rate
 TAG_BOUNDED = "bounded"            # bounded solutions, 2 < n <= 6
-
-ALL_TAGS = (TAG_LOW_DIM, TAG_DECAY, TAG_FINITE_ENERGY, TAG_NATURAL_DECAY, TAG_BOUNDED)
 
 
 def applicable_results(

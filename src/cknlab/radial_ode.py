@@ -100,7 +100,13 @@ def decay_horizon(ps: ParamSet, w0: float) -> float:
     about ``DECAY_DECADES`` orders of dynamic range; beyond that, pointwise
     relative comparisons are meaningless in double precision.
     """
-    s_nominal = 10.0 ** (DECAY_DECADES / (ps.n - 2.0)) / family_scale(ps, w0)
+    try:
+        s_nominal = 10.0 ** (DECAY_DECADES / (ps.n - 2.0)) / family_scale(ps, w0)
+    except OverflowError:
+        raise AmplitudeOverflow(
+            f"the decay horizon 10^({DECAY_DECADES:g}/(n-2))/mu overflows double "
+            f"precision at n = {ps.n:.6g}"
+        ) from None
     return float(min(max(s_nominal, 10.0), 1e3))
 
 
@@ -289,8 +295,9 @@ def shoot(
         raise SubcriticalRange("shooting needs p > 2")
     if s_max is None:
         s_max = decay_horizon(ps, w0)
-    elif not s_max > SERIES_START:
-        raise ValueError(f"s_max must exceed the series start {SERIES_START:g}: got {s_max}")
+    elif not (s_max > SERIES_START and math.log(s_max) > math.log(SERIES_START)):
+        raise ValueError(f"s_max must exceed the series start {SERIES_START:g} "
+                         f"after taking logs: got {s_max!r}")
     n, alpha, p = ps.n, ps.alpha, ps.p_exp
 
     def rhs(t, w, v):

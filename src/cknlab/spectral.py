@@ -21,7 +21,7 @@ against the closed form is the headline check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -32,6 +32,12 @@ from .params import ParamSet, derive_params, felli_schneider_threshold
 
 BISECT_TOL = 1e-5  # width of the final alpha bracket in fs_crossing
 
+#: Default alpha bracket of the threshold search, in units of the closed form.
+ALPHA_BRACKET = (0.7, 1.3)
+
+#: Columns of the rows `spectrum_table` returns.
+SPECTRUM_HEADER = ["alpha", "k", "lowest_eigenvalue"]
+
 
 def soliton_profile(ps: ParamSet, t):
     """v*(t) = c0 (2 cosh t)^(-(n-2)/2), the extremal in log-cylinder variables."""
@@ -39,7 +45,13 @@ def soliton_profile(ps: ParamSet, t):
         raise SubcriticalRange("soliton profile needs p > 2")
     t = np.asarray(t, dtype=float)
     c0 = cylinder_amplitude(ps)
-    out = c0 * (2.0 * np.cosh(t)) ** (-(ps.n - 2.0) / 2.0)
+    power = -(ps.n - 2.0) / 2.0
+    with np.errstate(over="ignore"):
+        two_cosh = 2.0 * np.cosh(t)
+    out = np.asarray(c0 * two_cosh**power)
+    big = np.isinf(two_cosh)
+    if big.any():  # 2 cosh t = e^|t| in double precision long before it overflows
+        out[big] = c0 * np.exp(power * np.abs(t[big]))
     return out if out.shape else float(out)
 
 
@@ -153,8 +165,27 @@ def path_params(d: int, n: float, alpha: float) -> ParamSet:
     return derive_params(a, b, d, strict_subcritical=True)
 
 
+def alpha_bracket(d: int, n: float) -> tuple[float, float]:
+    """ALPHA_BRACKET times the closed-form threshold of the fixed-(d, n) path."""
+    formula = felli_schneider_threshold(d, n)
+    return ALPHA_BRACKET[0] * formula, ALPHA_BRACKET[1] * formula
+
+
+def spectrum_table(d: int, n: float, alphas, k_max: int, N: int) -> list[tuple]:
+    """(alpha, k, lowest eigenvalue) rows along the fixed-(d, n) path, k = 0..k_max."""
+    rows = []
+    for alpha in alphas:
+        ps = path_params(d, n, float(alpha))
+        for k in range(k_max + 1):
+            ev = lowest_eigenvalue(build_sector_operator(ps, k, N=N))
+            rows.append((float(alpha), k, ev))
+    return rows
+
+
 @dataclass(frozen=True)
 class FsCrossing:
+    d: int
+    n: float
     alpha_star_numeric: float
     alpha_star_formula: float
     a_at_crossing: float
@@ -162,6 +193,9 @@ class FsCrossing:
     @property
     def relative_gap(self) -> float:
         return abs(self.alpha_star_numeric - self.alpha_star_formula) / self.alpha_star_formula
+
+    def to_dict(self) -> dict:
+        return {**asdict(self), "relative_gap": self.relative_gap}
 
 
 def fs_crossing(d: int, n: float, alpha_range: tuple[float, float] | None = None,
@@ -173,9 +207,7 @@ def fs_crossing(d: int, n: float, alpha_range: tuple[float, float] | None = None
     the whole path is inadmissible (e.g. n = d sits on the p = 2* edge).
     """
     formula = felli_schneider_threshold(d, n)
-    if alpha_range is None:
-        alpha_range = (0.7 * formula, 1.3 * formula)
-    lo, hi = float(alpha_range[0]), float(alpha_range[1])
+    lo, hi = map(float, alpha_bracket(d, n) if alpha_range is None else alpha_range)
 
     def eig(alpha: float) -> float:
         try:
@@ -200,5 +232,5 @@ def fs_crossing(d: int, n: float, alpha_range: tuple[float, float] | None = None
             hi = mid
     alpha_star = 0.5 * (lo + hi)
     ps_star = path_params(d, n, alpha_star)
-    return FsCrossing(alpha_star_numeric=alpha_star, alpha_star_formula=formula,
+    return FsCrossing(d=d, n=n, alpha_star_numeric=alpha_star, alpha_star_formula=formula,
                       a_at_crossing=ps_star.a)

@@ -44,13 +44,6 @@ DEFAULT_SEED = 20240601
 
 # Admissible triples used across suites, chosen once so reports are stable.
 D2_IDENTITY_PARAMS = (-0.3, 0.2, 2)            # n = 4, alpha = 0.3, symmetric
-BUBBLE_PARAMS_5 = (
-    (0.0, 0.0, 3),      # Sobolev, n = 3
-    (-0.5, 0.0, 3),     # n = 6
-    (0.0, 0.0, 4),      # Sobolev, n = 4
-    (-0.3, 0.2, 2),     # d = 2, n = 4
-    (0.1, 0.3, 5),      # n = 25/6
-)
 SWEEP_PARAMS_3 = ((0.0, 0.0, 3), (-0.5, 0.0, 3), (-0.3, 0.2, 2))
 WEAK_ENERGY_PARAMS = {                          # intrinsic dimension -> triple
     5: (-0.25, 0.15, 3),
@@ -481,12 +474,7 @@ def run_spectrum_suite(seed: int = DEFAULT_SEED, N: int = 2000) -> dict:
         crossing = fs_crossing(d, n, N=N)
         report.add({
             "name": "threshold_crossing",
-            "d": d,
-            "n": n,
-            "alpha_star_numeric": crossing.alpha_star_numeric,
-            "alpha_star_formula": crossing.alpha_star_formula,
-            "relative_gap": crossing.relative_gap,
-            "a_at_crossing": crossing.a_at_crossing,
+            **crossing.to_dict(),
             "pass": crossing.relative_gap < CROSSING_GAP_TOL,
         })
     return report.to_dict()

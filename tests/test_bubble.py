@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from cknlab.bubble import (
     residual_euclidean,
     residual_eq_w_closed_form,
     residual_scale,
-    scaling_exponent,
 )
 from cknlab.errors import SubcriticalRange
 from cknlab.fitting import fit_loglog
@@ -45,6 +45,22 @@ class TestEvalBubble:
         r = np.logspace(-3, 3, 500)
         u = eval_bubble(spec, r)
         assert np.all(np.diff(u) < 0)
+
+    def test_overflowing_power_keeps_the_closed_form(self):
+        # n ~ 2.01, q ~ 199: (lam r)^q overflows past r ~ 35, where u ~ amp (lam r)^(-2 kappa)
+        ps = derive_params(-0.5, -0.495, 2)
+        spec = make_bubble(ps, lam=1.5)
+        r = np.logspace(-3, 3, 61)
+        q = (ps.p_exp - 2.0) * ps.kappa
+        log_g = np.logaddexp(0.0, q * np.log(spec.lam * r))  # log(1 + (lam r)^q)
+        expected = spec.lam**ps.kappa * spec.c0 * np.exp(-2.0 / (ps.p_exp - 2.0) * log_g)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = eval_bubble(spec, r)
+            u_far = eval_bubble(spec, r[-1])
+        assert q * math.log(spec.lam * r[-1]) > math.log(np.finfo(float).max)
+        assert np.max(np.abs(u / expected - 1.0)) < 1e-12
+        assert u_far == u[-1]
 
     def test_prefactor_identity_two_routes(self):
         # paper-form prefactor equals (alpha^2 n (n-2))^(1/(p-2))
@@ -132,8 +148,8 @@ class TestCylinderForm:
 
 class TestScaling:
     def test_kappa_values(self, ps_sobolev3, ps_n6):
-        assert scaling_exponent(ps_sobolev3) == 0.5
-        assert scaling_exponent(ps_n6) == 1.0
+        assert ps_sobolev3.kappa == 0.5
+        assert ps_n6.kappa == 1.0
 
     def test_scaled_residual_small(self, ps_n6):
         spec = make_bubble(ps_n6, lam=2.0)

@@ -247,6 +247,12 @@ class TestVerifyCommand:
     # series start: w0^(p-1) overflows at p ~ 333
     (["shoot", "--a", "-0.0626", "--b", "-0.0566", "--d", "2", "--w0", "10"],
      "w0^(p-1)/(2 n alpha^2) overflows double precision"),
+    # log(s_max) rounds to log(1e-6): the shot would repeat its start
+    (["shoot", "--a", "-0.5", "--b", "0", "--d", "3", "--w0", "2",
+      "--s-max", "1.0000000000000002e-06"], "argument --s-max"),
+    # decay horizon 10^(5/(n-2)) overflows at n ~ 2.01
+    (["verify", "--suite", "rigidity", "--a", "-0.5", "--b", "-0.495", "--d", "2"],
+     "decay horizon"),
 ])
 def test_bad_input_exits_2_with_reason(argv, reason, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"

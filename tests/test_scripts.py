@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import cknlab
+from cknlab.cli import main
 
 SRC = Path(cknlab.__file__).resolve().parent.parent
 SCRIPTS = SRC.parent / "scripts"
@@ -32,3 +33,16 @@ def test_script_runs_and_writes_its_outputs(script, args, files, printed, tmp_pa
     assert printed in proc.stdout
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
     assert all((tmp_path / name).stat().st_size > 0 for name in files)
+
+
+def test_threshold_study_table_matches_the_spectrum_command(tmp_path):
+    # one owner of the (alpha, k, eigenvalue) table and the default alpha bracket
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "run_threshold_study.py"),
+                           str(tmp_path)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = tmp_path / "cli.csv"
+    assert main(["spectrum", "--d", "3", "--n", "6", "--alpha-count", "13",
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == (tmp_path / "spectrum_d3_n6.csv").read_bytes()

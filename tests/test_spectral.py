@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +44,21 @@ class TestSolitonProfile:
         # v* e^(Lambda |t|) -> c0
         amp = v[-1] * math.exp((ps_n6.n - 2.0) / 2.0 * t[-1])
         assert abs(amp / cylinder_amplitude(ps_n6) - 1.0) < 1e-10
+
+    def test_overflowing_cosh_keeps_the_closed_form(self):
+        # n = 2.05: the domain reaches |t| = 800, past cosh's overflow at |t| ~ 710
+        ps = path_params(2, 2.05, 0.9)
+        T = default_domain(ps)
+        t = np.concatenate([np.linspace(-T, T, 81), [710.0, -710.0]])  # cosh finite, 2 cosh not
+        Lambda = (ps.n - 2.0) / 2.0
+        expected = cylinder_amplitude(ps) * np.exp(-Lambda * np.logaddexp(t, -t))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = soliton_profile(ps, t)
+            v_end = soliton_profile(ps, T)
+        assert T > 800.0
+        assert np.max(np.abs(v / expected - 1.0)) < 1e-12
+        assert v_end == v[80] > 0.0
 
     def test_transforms_back_to_cylinder_bubble(self, ps_n6):
         # w(s) = s^(-Lambda) v*(ln s) is exactly c0 (1+s^2)^(-(n-2)/2)
