@@ -14,6 +14,7 @@ residual tests isolate formula errors from discretization errors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,20 @@ def make_bubble(ps: ParamSet, lam: float = 1.0) -> BubbleSpec:
     return BubbleSpec(ps=ps, lam=float(lam), c0=c0)
 
 
+def _scaled_amplitude(spec: BubbleSpec) -> float:
+    """lambda^kappa c0, the scaled profile's value at 0, refused where it overflows."""
+    try:
+        amp = spec.lam**spec.ps.kappa * spec.c0
+    except OverflowError:
+        amp = math.inf
+    if not math.isfinite(amp):
+        raise AmplitudeOverflow(
+            f"the scaled amplitude lambda^kappa c0 overflows double precision at "
+            f"lambda = {spec.lam:.6g} (kappa = {spec.ps.kappa:.6g})"
+        )
+    return amp
+
+
 def eval_bubble(spec: BubbleSpec, radius):
     """Scaled profile lambda^kappa U(lambda r); value at 0 by continuity."""
     ps = spec.ps
@@ -67,7 +82,7 @@ def eval_bubble(spec: BubbleSpec, radius):
     q = (ps.p_exp - 2.0) * ps.kappa
     e = 2.0 / (ps.p_exp - 2.0)
     scaled = spec.lam * r
-    amp = spec.lam**ps.kappa * spec.c0
+    amp = _scaled_amplitude(spec)
     with np.errstate(over="ignore"):
         g = 1.0 + scaled**q
     out = np.asarray(amp * g ** (-e))
@@ -85,15 +100,41 @@ def bubble_derivatives(spec: BubbleSpec, radius):
     e = 2.0 / (ps.p_exp - 2.0)
     lam = spec.lam
     rr = lam * r
-    g = 1.0 + rr**q
-    amp = lam**ps.kappa * spec.c0
-    u = amp * g ** (-e)
-    du = -amp * e * q * rr ** (q - 1.0) * g ** (-e - 1.0) * lam
-    d2u = (
-        -amp * e * q * (q - 1.0) * rr ** (q - 2.0) * g ** (-e - 1.0)
-        + amp * e * (e + 1.0) * q**2 * rr ** (2.0 * q - 2.0) * g ** (-e - 2.0)
-    ) * lam**2
+    amp = _scaled_amplitude(spec)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = 1.0 + rr**q
+        u = amp * g ** (-e)
+        du = -amp * e * q * rr ** (q - 1.0) * g ** (-e - 1.0) * lam
+        d2u = (
+            -amp * e * q * (q - 1.0) * rr ** (q - 2.0) * g ** (-e - 1.0)
+            + amp * e * (e + 1.0) * q**2 * rr ** (2.0 * q - 2.0) * g ** (-e - 2.0)
+        ) * lam**2
+    u, du, d2u = (np.array(a, dtype=float) for a in (u, du, d2u))
+    far = np.asarray(rr) > 1.0
+    over = (np.isinf(g) & far, ~np.isfinite(du) & far, ~np.isfinite(d2u) & far)
+    if any(m.any() for m in over):
+        # a power of rr overflowed: g = rr^q in double precision there, so the
+        # profile is its tail amp rr^(-2 kappa) (e q = 2 kappa), as in eval_bubble
+        rr = np.broadcast_to(rr, u.shape)
+        two_k = 2.0 * ps.kappa
+        for order, (vals, m) in enumerate(zip((u, du, d2u), over)):
+            coeff = (1.0, -two_k, two_k * (two_k + 1.0))[order] * lam**order
+            vals[m] = coeff * amp * rr[m] ** (-two_k - order)
     return u, du, d2u
+
+
+def _source_term(ps: ParamSet, r: np.ndarray, u) -> np.ndarray:
+    """|x|^(-bp) u^(p-1); entries where a factor leaves double range go through logs."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.asarray(r ** (-ps.b * ps.p_exp) * np.asarray(u) ** (ps.p_exp - 1.0))
+    bad = ~np.isfinite(out)
+    if bad.any():  # r^(-bp) overflowed, and u^(p-1) may have underflowed to 0
+        out = np.array(out, dtype=float)
+        rb, ub = np.broadcast_arrays(r, u)
+        with np.errstate(divide="ignore"):  # log(0) = -inf, whose exp is the 0 sought
+            out[bad] = np.exp(-ps.b * ps.p_exp * np.log(rb[bad])
+                              + (ps.p_exp - 1.0) * np.log(ub[bad]))
+    return out
 
 
 def residual_euclidean(spec: BubbleSpec, radius):
@@ -105,8 +146,7 @@ def residual_euclidean(spec: BubbleSpec, radius):
     r = np.asarray(radius, dtype=float)
     u, du, d2u = bubble_derivatives(spec, r)
     div_term = r ** (-2.0 * ps.a) * (d2u + (ps.d - 1.0 - 2.0 * ps.a) * du / r)
-    source = r ** (-ps.b * ps.p_exp) * u ** (ps.p_exp - 1.0)
-    out = div_term + source
+    out = div_term + _source_term(ps, r, u)
     return out if out.shape else float(out)
 
 
@@ -114,8 +154,7 @@ def residual_scale(spec: BubbleSpec, radius):
     """Natural normalizer |x|^(-bp) u^(p-1) for relative residuals."""
     ps = spec.ps
     r = np.asarray(radius, dtype=float)
-    u = eval_bubble(spec, r)
-    out = r ** (-ps.b * ps.p_exp) * np.asarray(u) ** (ps.p_exp - 1.0)
+    out = _source_term(ps, r, eval_bubble(spec, r))
     return out if out.shape else float(out)
 
 

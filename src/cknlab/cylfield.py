@@ -91,7 +91,7 @@ class PeriodicGrid(_AngularCalculus):
 
     def theta_pair(self, values):
         spec, m = np.fft.rfft(values, axis=1), values.shape[1]
-        return _theta_from_spectrum(spec, m, 1), _theta_from_spectrum(spec, m, 2)
+        return _theta_from_spectrum(spec.copy(), m, 1), _theta_from_spectrum(spec, m, 2)
 
     def sphere_mean(self, values, d):
         return values.mean(axis=1), 2.0 * np.pi
@@ -140,11 +140,13 @@ def theta_nodes(angular: PeriodicGrid) -> np.ndarray:
 
 
 def _theta_from_spectrum(spec: np.ndarray, m: int, order: int) -> np.ndarray:
+    """Inverse transform of the order-th derivative; multiplies ``spec`` in place."""
     k = np.arange(spec.shape[1], dtype=float)
     mult = (1j * k) ** order
     if order % 2 == 1 and m % 2 == 0:
         mult[-1] = 0.0  # odd derivative of the unpaired Nyquist mode
-    return np.fft.irfft(spec * mult[None, :], n=m, axis=1)
+    spec *= mult
+    return np.fft.irfft(spec, n=m, axis=1)
 
 
 def theta_derivative(values: np.ndarray, order: int) -> np.ndarray:
@@ -159,8 +161,13 @@ def L_kernel(d1: np.ndarray, d2: np.ndarray, lap_theta: np.ndarray | None,
     ``lap_theta`` None skips the angular term.  Given (V_r, V_r', div_theta V_theta)
     it is the weighted divergence D_i V_i.
     """
-    out = ps.alpha**2 * (d2 + (ps.n - 1.0) * d1 / s)
-    return out if lap_theta is None else out + lap_theta / s**2
+    out = np.multiply(d1, ps.n - 1.0)
+    out /= s
+    out += d2
+    out *= ps.alpha**2
+    if lap_theta is not None:
+        out += lap_theta / s**2
+    return out
 
 
 def L_of_values(values: np.ndarray, grid: RadialGrid, angular: AngularRep, ps: ParamSet):
@@ -171,7 +178,12 @@ def L_of_values(values: np.ndarray, grid: RadialGrid, angular: AngularRep, ps: P
 
 @dataclass(frozen=True)
 class CylinderField:
-    """Dense real samples of a function on the cylinder."""
+    """Dense real samples of a function on the cylinder.
+
+    The field takes ownership of ``values``: an array that owns its memory is
+    frozen in place (a later write to it raises); a view is copied, since
+    whoever holds its base could still write through it.
+    """
 
     grid: RadialGrid
     angular: AngularRep
@@ -185,7 +197,8 @@ class CylinderField:
             raise ValueError(f"values shape {v.shape} != expected {expected}")
         if not np.all(np.isfinite(v)):
             raise ValueError("field samples must be finite")
-        v = v.copy()
+        if v.base is not None:
+            v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 

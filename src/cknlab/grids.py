@@ -82,6 +82,9 @@ def _apply_stencil_axis0(values: np.ndarray, interior, edge0, edge1, h: float, m
     differences from the evaluation node: rounding error then scales with the
     local variation instead of the field magnitude, which matters where a
     field is nearly constant (e.g. any profile flattening toward the origin).
+    The interior terms go through one scratch buffer (ufunc ``out=``), in the
+    order of the plain ``out += c_j * (v_j - v_center)`` sum; the four edge
+    rows are small and keep that plain form.
     """
     v = np.asarray(values, dtype=float)
     npts = v.shape[0]
@@ -90,8 +93,12 @@ def _apply_stencil_axis0(values: np.ndarray, interior, edge0, edge1, h: float, m
     out = np.zeros_like(v)
     c = interior
     center = v[2:-2]
+    acc = out[2:-2]
+    buf = np.empty_like(center)
     for off, cj in ((-2, c[0]), (-1, c[1]), (1, c[3]), (2, c[4])):
-        out[2:-2] += cj * (v[2 + off:npts - 2 + off] - center)
+        np.subtract(v[2 + off:npts - 2 + off], center, out=buf)
+        np.multiply(buf, cj, out=buf)
+        np.add(acc, buf, out=acc)
 
     def edge_value(weights, window, eval_idx):
         acc = np.zeros_like(window[0])
@@ -156,15 +163,20 @@ def default_grid() -> RadialGrid:
 
 def d_ds(values: np.ndarray, grid: RadialGrid) -> np.ndarray:
     """First radial derivative on the log grid."""
-    s = grid.column(np.asarray(values))
-    return d_dx(values, grid.log_step) / s
+    out = d_dx(values, grid.log_step)
+    out /= grid.column(out)
+    return out
 
 
 def radial_derivs(values: np.ndarray, grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
     """(w', w'') on the log grid from one shared d/dx pass."""
-    s = grid.column(np.asarray(values))
     dx = d_dx(values, grid.log_step)
-    return dx / s, (d2_dx2(values, grid.log_step) - dx) / s**2
+    s = grid.column(dx)
+    d2 = d2_dx2(values, grid.log_step)
+    d2 -= dx
+    d2 /= s**2
+    dx /= s
+    return dx, d2
 
 
 # ---------------------------------------------------------------------------

@@ -35,17 +35,67 @@ from .cylfield import (
 from .grids import d_ds, radial_derivs
 
 
-@dataclass(frozen=True)
 class PressureField:
-    """Pressure P = (n-1) w^(-2/(n-2)) with 4th-order derivative caches."""
+    """Pressure P = (n-1) w^(-2/(n-2)) with 4th-order derivative caches.
 
-    P: CylinderField
-    dP: np.ndarray                 # P'
-    d2P: np.ndarray                # P''
-    thetaP: np.ndarray | None      # grad_theta P      (None for Radial)
-    lap_thetaP: np.ndarray | None  # Lap_theta P       (None for Radial)
-    LP: np.ndarray                 # L P
-    DP2: np.ndarray                # |DP|^2
+    The angular derivatives are taken when the field is built.  The radial
+    ones (P', P'', L P and |DP|^2) are computed the first time one is read,
+    so a check that reads only angular derivatives never pays for them.  A
+    field is read by one thread; two threads that raced on a first read
+    would compute and store the same arrays.
+    """
+
+    __slots__ = ("P", "thetaP", "lap_thetaP", "_cache", "__weakref__")
+
+    def __init__(self, P: CylinderField, thetaP: np.ndarray | None,
+                 lap_thetaP: np.ndarray | None):
+        self.P = P
+        self.thetaP = thetaP            # grad_theta P  (None for Radial)
+        self.lap_thetaP = lap_thetaP    # Lap_theta P   (None for Radial)
+        self._cache = {}
+
+    def _cached(self, key: str, compute):
+        """compute()'s arrays, made once and kept read-only."""
+        value = self._cache.get(key)
+        if value is None:
+            value = compute()
+            for a in value if isinstance(value, tuple) else (value,):
+                a.flags.writeable = False
+            self._cache[key] = value
+        return value
+
+    def _derivs(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._cached("derivs", lambda: radial_derivs(self.P.values, self.grid))
+
+    @property
+    def dP(self) -> np.ndarray:
+        """P'."""
+        return self._derivs()[0]
+
+    @property
+    def d2P(self) -> np.ndarray:
+        """P''."""
+        return self._derivs()[1]
+
+    @property
+    def LP(self) -> np.ndarray:
+        """L P."""
+        return self._cached("LP", lambda: L_kernel(self.dP, self.d2P, self.lap_thetaP,
+                                                   self.s, self.params))
+
+    @property
+    def DP2(self) -> np.ndarray:
+        """|DP|^2 = alpha^2 P'^2 + |grad_theta P|^2 / r^2."""
+        return self._cached("DP2", self._grad_square)
+
+    def _grad_square(self) -> np.ndarray:
+        out = np.square(self.dP)
+        out *= self.params.alpha**2
+        if self.thetaP is not None:
+            theta2 = np.square(self.thetaP)
+            theta2 /= self.s**2
+            out += theta2
+        return out
 
     @property
     def grid(self):
@@ -65,20 +115,11 @@ class PressureField:
 
 def pressure_of(w: CylinderField) -> PressureField:
     w.require_positive("pressure_of")
-    ps = w.params
-    n = ps.n
-    vals = (n - 1.0) * w.values ** (-2.0 / (n - 2.0))
+    n = w.params.n
+    vals = w.values ** (-2.0 / (n - 2.0))
+    vals *= n - 1.0
     P = w.with_values(vals)
-    grid = w.grid
-    s = grid.column(vals)
-    dP, d2P = radial_derivs(vals, grid)
-    thetaP, lap_thetaP = w.angular.theta_pair(vals)
-    LP = L_kernel(dP, d2P, lap_thetaP, s, ps)
-    DP2 = ps.alpha**2 * dP**2
-    if thetaP is not None:
-        DP2 = DP2 + thetaP**2 / s**2
-    return PressureField(P=P, dP=dP, d2P=d2P, thetaP=thetaP, lap_thetaP=lap_thetaP,
-                         LP=LP, DP2=DP2)
+    return PressureField(P, *w.angular.theta_pair(P.values))
 
 
 def pressure_weight(P: np.ndarray, n: float) -> np.ndarray:
@@ -101,12 +142,21 @@ def residual_eq_P(pf: PressureField) -> CylinderField:
 def bochner_k(pf: PressureField) -> CylinderField:
     """k[P] = 1/2 L |DP|^2 - <DP, D L P> - (1/n) (L P)^2."""
     ps = pf.params
-    half_LG = 0.5 * L_of_values(pf.DP2, pf.grid, pf.P.angular, ps)
-    inner = ps.alpha**2 * pf.dP * d_ds(pf.LP, pf.grid)
+    out = L_of_values(pf.DP2, pf.grid, pf.P.angular, ps)
+    out *= 0.5
+    scratch = d_ds(pf.LP, pf.grid)
+    inner = ps.alpha**2 * pf.dP
+    inner *= scratch
     grad_LP = pf.P.angular.grad_theta(pf.LP)
     if grad_LP is not None:
-        inner = inner + pf.thetaP * grad_LP / pf.s**2
-    return pf.field(half_LG - inner - pf.LP**2 / ps.n)
+        grad_LP *= pf.thetaP
+        grad_LP /= pf.s**2
+        inner += grad_LP
+    out -= inner
+    np.square(pf.LP, out=scratch)
+    scratch /= ps.n
+    out -= scratch
+    return pf.field(out)
 
 
 def defect_density(pf: PressureField) -> np.ndarray:
@@ -126,8 +176,18 @@ def sphere_bochner_density(pf: PressureField) -> np.ndarray:
 
 def _sphere_k(g1: np.ndarray, g2: np.ndarray, n: float, alpha: float) -> np.ndarray:
     """k_S from grad_theta P and Lap_theta P, row by row (rows are sphere slices)."""
-    term = 0.5 * theta_derivative(g1**2, 2) - g1 * theta_derivative(g2, 1)
-    return term - g2**2 / (n - 1.0) - (n - 2.0) * alpha**2 * g1**2
+    g1_sq = g1**2
+    out = theta_derivative(g1_sq, 2)
+    out *= 0.5
+    scratch = theta_derivative(g2, 1)
+    scratch *= g1
+    out -= scratch
+    np.square(g2, out=scratch)
+    scratch /= n - 1.0
+    out -= scratch
+    g1_sq *= (n - 2.0) * alpha**2
+    out -= g1_sq
+    return out
 
 
 @dataclass(frozen=True)
@@ -137,11 +197,9 @@ class BochnerDecomposition:
     term_sphere: CylinderField
 
     def total(self) -> CylinderField:
-        return self.term_radial_hessian.with_values(
-            self.term_radial_hessian.values
-            + self.term_mixed.values
-            + self.term_sphere.values
-        )
+        out = self.term_radial_hessian.values + self.term_mixed.values
+        out += self.term_sphere.values
+        return self.term_radial_hessian.with_values(out)
 
 
 def bochner_decomposition(pf: PressureField) -> BochnerDecomposition:
@@ -154,16 +212,21 @@ def bochner_decomposition(pf: PressureField) -> BochnerDecomposition:
     ps = pf.params
     n = ps.n
     s = pf.s
-    radial_deficit = pf.d2P - pf.dP / s
+    t1 = pf.dP / s
+    np.subtract(pf.d2P, t1, out=t1)      # the radial deficit
     if pf.lap_thetaP is not None:
-        radial_deficit = radial_deficit - pf.lap_thetaP / (ps.alpha**2 * (n - 1.0) * s**2)
-    t1 = (n - 1.0) / n * ps.alpha**4 * radial_deficit**2
+        t1 -= pf.lap_thetaP / (ps.alpha**2 * (n - 1.0) * s**2)
+    np.square(t1, out=t1)
+    t1 *= (n - 1.0) / n * ps.alpha**4
     if pf.thetaP is None:
         t2 = t3 = np.zeros_like(t1)
     else:
-        mixed = d_ds(pf.thetaP, pf.grid)  # d/dr grad_theta P
-        t2 = 2.0 * ps.alpha**2 / s**2 * (mixed - pf.thetaP / s) ** 2
-        t3 = sphere_bochner_density(pf) / s**4
+        t2 = d_ds(pf.thetaP, pf.grid)    # d/dr grad_theta P
+        t2 -= pf.thetaP / s
+        np.square(t2, out=t2)
+        t2 *= 2.0 * ps.alpha**2 / s**2
+        t3 = sphere_bochner_density(pf)
+        t3 /= s**4
     return BochnerDecomposition(
         term_radial_hessian=pf.field(t1),
         term_mixed=pf.field(t2),

@@ -102,10 +102,10 @@ def decay_horizon(ps: ParamSet, w0: float) -> float:
     """
     try:
         s_nominal = 10.0 ** (DECAY_DECADES / (ps.n - 2.0)) / family_scale(ps, w0)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):  # mu = (w0/c0)^(2/(n-2)) underflows to 0
         raise AmplitudeOverflow(
             f"the decay horizon 10^({DECAY_DECADES:g}/(n-2))/mu overflows double "
-            f"precision at n = {ps.n:.6g}"
+            f"precision at n = {ps.n:.6g}, w0 = {w0:.6g}"
         ) from None
     return float(min(max(s_nominal, 10.0), 1e3))
 

@@ -9,6 +9,7 @@ from cknlab.bubble import (
     bubble_cylinder_derivatives,
     bubble_cylinder_values,
     bubble_cylinder_via_transform,
+    bubble_derivatives,
     cylinder_amplitude,
     eval_bubble,
     make_bubble,
@@ -17,7 +18,7 @@ from cknlab.bubble import (
     residual_eq_w_closed_form,
     residual_scale,
 )
-from cknlab.errors import SubcriticalRange
+from cknlab.errors import AmplitudeOverflow, SubcriticalRange
 from cknlab.fitting import fit_loglog
 from cknlab.grids import RadialGrid
 from cknlab.params import derive_params
@@ -99,6 +100,43 @@ class TestEuclideanResidual:
         r = np.logspace(-1, 1, 64)
         rel = np.abs(residual_euclidean(spec, r) / residual_scale(spec, r))
         assert rel.max() < 1e-10
+
+
+class TestNearTwoOverflow:
+    # n = 2.01 (p = 400): rr^q overflows past rr ~ 30, and r^(-bp) past r ~ 35
+    @pytest.fixture
+    def spec(self):
+        return make_bubble(derive_params(-0.5, -0.495, 2))
+
+    def test_residual_is_finite_where_powers_overflow(self, spec):
+        # runs under pyproject's error::RuntimeWarning filter: no overflow warning
+        r = np.logspace(-2, 4, 61)
+        res = residual_euclidean(spec, r)
+        assert np.all(np.isfinite(res))
+        assert np.all(np.isfinite(residual_scale(spec, r)))
+        assert math.isfinite(residual_euclidean(spec, 1e3))
+
+    def test_overflowed_derivatives_take_the_tail_form(self, spec):
+        ps = spec.ps
+        q = (ps.p_exp - 2.0) * ps.kappa
+        r = np.logspace(-2, 4, 61)
+        u, du, d2u = bubble_derivatives(spec, r)
+        assert np.array_equal(u, eval_bubble(spec, r))
+        # the tail amp r^(-2 kappa) and its two derivatives, checked where the
+        # closed form still holds (r^q near 1e150) and where it overflowed
+        tail = spec.c0 * r ** (-2.0 * ps.kappa)
+        two_k = 2.0 * ps.kappa
+        far = q * np.log10(r) > 150.0
+        assert far.sum() > 10
+        assert np.max(np.abs(du[far] / (-two_k * tail[far] / r[far]) - 1.0)) < 1e-12
+        d2_tail = two_k * (two_k + 1.0) * tail[far] / r[far] ** 2
+        assert np.max(np.abs(d2u[far] / d2_tail - 1.0)) < 1e-12
+
+    def test_scaled_amplitude_overflow_is_refused(self):
+        spec = make_bubble(derive_params(-5.0, -4.5, 3), lam=1e300)
+        for fn in (eval_bubble, bubble_derivatives, residual_euclidean):
+            with pytest.raises(AmplitudeOverflow, match="lambda\\^kappa c0"):
+                fn(spec, 1.0)
 
 
 class TestCylinderForm:

@@ -253,6 +253,9 @@ class TestVerifyCommand:
     # decay horizon 10^(5/(n-2)) overflows at n ~ 2.01
     (["verify", "--suite", "rigidity", "--a", "-0.5", "--b", "-0.495", "--d", "2"],
      "decay horizon"),
+    # lambda^kappa = (1e300)^5.5 overflows in the scaled profile
+    (["bubble", "--a", "-5", "--b", "-4.5", "--d", "3", "--lam", "1e300", "--grid", "2"],
+     "lambda^kappa c0 overflows double precision"),
 ])
 def test_bad_input_exits_2_with_reason(argv, reason, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"

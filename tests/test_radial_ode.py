@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cknlab import radial_ode
 from cknlab.bubble import bubble_cylinder_values, cylinder_amplitude
-from cknlab.errors import NotDecaying, SubcriticalRange
+from cknlab.errors import AmplitudeOverflow, NotDecaying, SubcriticalRange
 from cknlab.fitting import fit_loglog
 from cknlab.params import derive_params
 from cknlab.radial_ode import (
@@ -80,6 +80,17 @@ class TestShoot:
     def test_horizon_scales_with_amplitude(self, ps_n6):
         c0 = cylinder_amplitude(ps_n6)
         assert decay_horizon(ps_n6, c0) > decay_horizon(ps_n6, 4.0 * c0)
+
+    def test_horizon_refused_where_the_scale_underflows(self):
+        # n = 2.017, w0 = 1e-3 c0: mu = (w0/c0)^(2/(n-2)) rounds to 0, so the
+        # horizon 10^(5/(n-2))/mu is past double precision
+        ps = derive_params(-0.5, -0.5 + 1.0 - 2.0 / 2.017, 2)
+        w0 = 1e-3 * cylinder_amplitude(ps)
+        assert radial_ode.family_scale(ps, w0) == 0.0
+        with pytest.raises(AmplitudeOverflow, match="decay horizon"):
+            decay_horizon(ps, w0)
+        with pytest.raises(AmplitudeOverflow, match="decay horizon"):
+            shoot(ps, w0)
 
     def test_touch_guard_ends_integration_at_numeric_floor(self, ps_n6):
         # forcing the horizon past the decay range trips the TouchesZero rail
