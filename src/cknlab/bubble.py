@@ -81,14 +81,21 @@ def eval_bubble(spec: BubbleSpec, radius):
     r = np.asarray(radius, dtype=float)
     q = (ps.p_exp - 2.0) * ps.kappa
     e = 2.0 / (ps.p_exp - 2.0)
-    scaled = spec.lam * r
     amp = _scaled_amplitude(spec)
     with np.errstate(over="ignore"):
+        scaled = spec.lam * r
         g = 1.0 + scaled**q
     out = np.asarray(amp * g ** (-e))
     big = np.isinf(g)
     if big.any():  # 1 + scaled^q = scaled^q in double precision long before it overflows
         out[big] = amp * scaled[big] ** (-2.0 * ps.kappa)
+    lost = out == 0.0
+    if lost.any():  # u > 0: a factor left double range (lambda r = inf, or g^(-e)
+        # underflowed before amp scaled it up), so take the product through logs
+        log_g = np.log(g[lost])
+        inf = np.isinf(log_g)  # there g = (lambda r)^q
+        log_g[inf] = q * (math.log(spec.lam) + np.log(r[lost][inf]))
+        out[lost] = np.exp(ps.kappa * math.log(spec.lam) + math.log(spec.c0) - e * log_g)
     return out if out.shape else float(out)
 
 

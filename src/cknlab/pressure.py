@@ -113,12 +113,16 @@ class PressureField:
         return self.P.with_values(values)
 
 
+def pressure_values(w: np.ndarray, n: float) -> np.ndarray:
+    """P = (n-1) w^(-2/(n-2)), sample by sample."""
+    vals = w ** (-2.0 / (n - 2.0))
+    vals *= n - 1.0
+    return vals
+
+
 def pressure_of(w: CylinderField) -> PressureField:
     w.require_positive("pressure_of")
-    n = w.params.n
-    vals = w.values ** (-2.0 / (n - 2.0))
-    vals *= n - 1.0
-    P = w.with_values(vals)
+    P = w.with_values(pressure_values(w.values, w.params.n))
     return PressureField(P, *w.angular.theta_pair(P.values))
 
 
@@ -251,11 +255,17 @@ def sphere_bochner(pf: PressureField, radius_index: int) -> SphereBochnerSides:
             >= (n-2) ((d-1)/(n-1) - alpha^2) int_S P^(1-n) |grad_theta P|^2 dtheta.
     """
     pf.P.angular.require_periodic("sphere_bochner")
-    ps = pf.params
+    i = radius_index
+    return circle_bochner(pf.P.values[i], pf.thetaP[i], pf.lap_thetaP[i], pf.params)
+
+
+def circle_bochner(P: np.ndarray, g1: np.ndarray, g2: np.ndarray,
+                   ps) -> SphereBochnerSides:
+    """The sphere inequality's two sides on one circle of samples of P,
+    grad_theta P (g1) and Lap_theta P (g2)."""
     n = ps.n
-    weight = pressure_weight(pf.P.values[radius_index], n)
-    g1 = pf.thetaP[radius_index]
-    ks = _sphere_k(g1[None], pf.lap_thetaP[radius_index][None], n, ps.alpha)[0]
+    weight = pressure_weight(P, n)
+    ks = _sphere_k(g1[None], g2[None], n, ps.alpha)[0]
     dtheta = 2.0 * np.pi
     lhs = float(np.mean(weight * ks)) * dtheta
     coeff = (n - 2.0) * ((ps.d - 1.0) / (n - 1.0) - ps.alpha**2)

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bubble import bubble_cylinder_values, cylinder_amplitude
-from .errors import AmplitudeOverflow, NotDecaying, StepFailure, SubcriticalRange
+from .errors import (AmplitudeOverflow, ConvergenceFailure, NotDecaying, StepFailure,
+                     SubcriticalRange)
 from .params import ParamSet
 
 TOUCH_FACTOR = 1e-12    # TouchesZero when w < 1e-12 * w0
@@ -53,20 +54,107 @@ class RadialProfile:
     classification: Classification
 
 
-# scipy is imported on first call, so commands that never call these do not
-# pay its import time; both forwarders return scipy's result object unchanged.
-# `match_bubble` calls minimize_scalar; `shoot` does not call solve_ivp.  It
-# stays because perfbench/tracer.py binds `radial_ode.solve_ivp` by name (its
-# install() fails without it) and tests/test_radial_ode.py takes its shot
-# through it as the bitwise oracle.
+# `shoot` does not call solve_ivp.  It stays, importing scipy on first call
+# and returning scipy's result unchanged, because perfbench/tracer.py binds
+# `radial_ode.solve_ivp` by name (its install() fails without it) and
+# tests/test_radial_ode.py takes its shot through it as the bitwise oracle.
 def solve_ivp(*args, **kwargs):
     from scipy.integrate import solve_ivp
     return solve_ivp(*args, **kwargs)
 
 
-def minimize_scalar(*args, **kwargs):
-    from scipy.optimize import minimize_scalar
-    return minimize_scalar(*args, **kwargs)
+BRENT_MAXITER = 500
+BRENT_MINTOL = 1.0e-11
+BRENT_CG = 0.3819660    # golden-section fraction
+
+
+@dataclass(frozen=True)
+class ScalarMinimum:
+    x: float
+    fun: float
+    nit: int
+    nfev: int
+
+
+def minimize_scalar(fun, bracket, xtol: float = 1.48e-8) -> ScalarMinimum:
+    """Brent's minimizer of fun from a bracket (xa, xb, xc) with f(xb) below f(xa), f(xc).
+
+    A port of scipy.optimize's `Brent` (the 3-point `get_bracket_info` and
+    `optimize`) in scipy's operation order on Python floats: the iterates,
+    nit, nfev and the ValueError texts are those of
+    ``scipy.optimize.minimize_scalar(fun, bracket, method="brent",
+    options={"xtol": xtol})``, and no scipy module is loaded.
+    """
+    if xtol < 0:
+        raise ValueError(f'tolerance should be >= 0, got {xtol!r}')
+    xa, xb, xc = bracket
+    if xa > xc:
+        xc, xa = xa, xc
+    if not ((xa < xb) and (xb < xc)):
+        raise ValueError("Bracketing values (xa, xb, xc) do not fulfill this "
+                         "requirement: (xa < xb) and (xb < xc)")
+    fa, fb, fc = fun(xa), fun(xb), fun(xc)
+    if not ((fb < fa) and (fb < fc)):
+        raise ValueError("Bracketing values (xa, xb, xc) do not fulfill this "
+                         "requirement: (f(xb) < f(xa)) and (f(xb) < f(xc))")
+    nfev = 3
+    x = w = v = xb
+    fw = fv = fx = fb
+    a, b = xa, xc
+    deltax = rat = 0.0
+    nit = 0
+    while nit < BRENT_MAXITER:
+        tol1 = xtol * abs(x) + BRENT_MINTOL
+        tol2 = 2.0 * tol1
+        xmid = 0.5 * (a + b)
+        if abs(x - xmid) < (tol2 - 0.5 * (b - a)):
+            break
+        if abs(deltax) <= tol1:  # golden-section step (always on the first pass)
+            deltax = a - x if x >= xmid else b - x
+            rat = BRENT_CG * deltax
+        else:                    # parabolic step
+            tmp1 = (x - w) * (fx - fv)
+            tmp2 = (x - v) * (fx - fw)
+            p = (x - v) * tmp2 - (x - w) * tmp1
+            tmp2 = 2.0 * (tmp2 - tmp1)
+            if tmp2 > 0.0:
+                p = -p
+            tmp2 = abs(tmp2)
+            dx_temp = deltax
+            deltax = rat
+            if ((p > tmp2 * (a - x)) and (p < tmp2 * (b - x)) and
+                    (abs(p) < abs(0.5 * tmp2 * dx_temp))):
+                rat = p * 1.0 / tmp2
+                u = x + rat
+                if (u - a) < tol2 or (b - u) < tol2:
+                    rat = tol1 if xmid - x >= 0 else -tol1
+            else:
+                deltax = a - x if x >= xmid else b - x
+                rat = BRENT_CG * deltax
+        if abs(rat) < tol1:      # move by at least tol1
+            u = x + tol1 if rat >= 0 else x - tol1
+        else:
+            u = x + rat
+        fu = fun(u)
+        nfev += 1
+        if fu > fx:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if (fu <= fw) or (w == x):
+                v, w, fv, fw = w, u, fw, fu
+            elif (fu <= fv) or (v == x) or (v == w):
+                v, fv = u, fu
+        else:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, w, x = w, x, u
+            fv, fw, fx = fw, fx, fu
+        nit += 1
+    return ScalarMinimum(x=x, fun=fx, nit=nit, nfev=nfev)
 
 
 def series_start(ps: ParamSet, w0: float, s: float) -> tuple[float, float]:
@@ -358,11 +446,14 @@ def match_bubble(profile: RadialProfile) -> BubbleMatch:
         return float(np.mean(diff**2))
 
     span = math.log(4.0)
-    res = minimize_scalar(
-        objective,
-        bracket=(math.log(mu0) - span, math.log(mu0), math.log(mu0) + span),
-        method="brent", options={"xtol": 1e-14},
-    )
+    bracket = (math.log(mu0) - span, math.log(mu0), math.log(mu0) + span)
+    try:
+        res = minimize_scalar(objective, bracket, xtol=1e-14)
+    except ValueError as exc:  # the family scale mu0 is not the bracket's lowest point
+        raise ConvergenceFailure(
+            f"the scale fit at w0 = {profile.w0:.6g} has no Brent bracket on log mu = "
+            f"({bracket[0]:.6g}, {bracket[1]:.6g}, {bracket[2]:.6g}): {exc}"
+        ) from None
     mu = math.exp(res.x)
     lam = mu ** (1.0 / ps.alpha)
     model = bubble_cylinder_values(ps, s, lam=lam)

@@ -20,8 +20,13 @@ against the closed form is the headline check.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
+import threading
 from dataclasses import asdict, dataclass
+from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
 
@@ -106,10 +111,50 @@ def build_sector_operator(ps: ParamSet, k: int, T: float | None = None,
                           N=int(N), parity=parity)
 
 
-def eigvalsh_tridiagonal(*args, **kwargs):
-    """scipy.linalg.eigvalsh_tridiagonal, with scipy imported on first call."""
-    from scipy.linalg import eigvalsh_tridiagonal
-    return eigvalsh_tridiagonal(*args, **kwargs)
+_FLAPACK = "scipy.linalg._flapack"
+_flapack_lock = threading.Lock()
+
+
+def _dstebz():
+    """LAPACK dstebz from scipy's compiled ``_flapack`` extension.
+
+    The extension is loaded by file path and registered under its own name,
+    so the `scipy.linalg` package (about 0.2 s and 28 MB over numpy) is not
+    imported; a later ``import scipy.linalg`` finds and shares the module.
+    There is no fallback: if scipy moves the extension this raises.
+    """
+    with _flapack_lock:
+        module = sys.modules.get(_FLAPACK)
+        if module is None:
+            linalg_dir = os.path.join(
+                importlib.util.find_spec("scipy").submodule_search_locations[0], "linalg")
+            paths = [os.path.join(linalg_dir, "_flapack" + suffix)
+                     for suffix in EXTENSION_SUFFIXES]
+            path = next((p for p in paths if os.path.exists(p)), None)
+            if path is None:
+                raise ImportError(f"no scipy LAPACK extension among {paths}")
+            spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[_FLAPACK] = module
+    return module.dstebz
+
+
+def lowest_tridiagonal_eigenvalue(diag, off) -> float:
+    """Smallest eigenvalue of the symmetric tridiagonal matrix (diag, off), n >= 2.
+
+    The call ``scipy.linalg.eigvalsh_tridiagonal(diag, off, select="i",
+    select_range=(0, 0))`` makes: bisection by dstebz (range 'I', il = iu = 1,
+    abstol 0, order 'E') with scipy's finiteness check and LAPACK info rule.
+    """
+    diag = np.asarray_chkfinite(diag)
+    off = np.asarray_chkfinite(off)
+    _, w, _, _, info = _dstebz()(diag, off, 2, 0.0, 1.0, 1, 1, 0.0, "E")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of internal dstebz")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"dstebz did not converge (LAPACK info={info})")
+    return float(w[0])
 
 
 def lowest_eigenvalue(op: SectorOperator) -> float:
@@ -117,8 +162,7 @@ def lowest_eigenvalue(op: SectorOperator) -> float:
     t, h = op.interior_nodes()
     diag = 2.0 * op.ps.alpha**2 / h**2 + sector_potential(op.ps, op.k, t)
     off = np.full(len(t) - 1, -op.ps.alpha**2 / h**2)
-    vals = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))
-    out = float(vals[0])
+    out = lowest_tridiagonal_eigenvalue(diag, off)
     if not math.isfinite(out):
         raise ConvergenceFailure("eigensolver returned a non-finite value")
     return out

@@ -31,10 +31,11 @@ from .params import ParamSet, derive_params
 from .pressure import (
     bochner_decomposition,
     bochner_k,
+    circle_bochner,
     divergence_form_residual,
     pressure_of,
+    pressure_values,
     residual_eq_P,
-    sphere_bochner,
 )
 from .radial_ode import radial_rigidity_sweep
 from .reporting import ordered_map
@@ -141,8 +142,12 @@ def random_circle_profile(rng: np.random.Generator, size: int) -> np.ndarray:
 def pressure_field_from_target(target: np.ndarray, grid: RadialGrid,
                                angular: PeriodicGrid, ps: ParamSet):
     """PressureField whose P equals `target` exactly (w inverted pointwise)."""
-    w_vals = ((ps.n - 1.0) / target) ** ((ps.n - 2.0) / 2.0)
-    return pressure_of(CylinderField(grid, angular, w_vals, ps))
+    return pressure_of(CylinderField(grid, angular, source_of_pressure(target, ps.n), ps))
+
+
+def source_of_pressure(target: np.ndarray, n: float) -> np.ndarray:
+    """The w whose pressure is `target`: ((n-1)/P)^((n-2)/2), sample by sample."""
+    return ((n - 1.0) / target) ** ((n - 2.0) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +276,14 @@ def run_identities_suite(
             "pass": o_prs >= order_floor,
         })
 
-    sphere_grid = RadialGrid(1e-1, 1e1, 64)
     profiles = [random_circle_profile(rng, angular_size) for _ in range(n_sphere_fields)]
 
     def sphere_margin(profile):
-        target = np.broadcast_to(profile[None, :], (sphere_grid.count, angular_size)).copy()
-        pf = pressure_field_from_target(target, sphere_grid, angular, ps2)
-        return sphere_bochner(pf, sphere_grid.count // 2).margin
+        # A field with this circle profile at every radius is read at one
+        # radius, so its pressure is built on that one circle.
+        P = pressure_values(source_of_pressure(profile[None, :], ps2.n), ps2.n)
+        g1, g2 = angular.theta_pair(P)
+        return circle_bochner(P[0], g1[0], g2[0], ps2).margin
 
     margins = ordered_map(sphere_margin, profiles)
     report.add({

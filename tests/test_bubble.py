@@ -199,6 +199,17 @@ class TestScaling:
         expected = 3.0**ps_n6.kappa * cylinder_amplitude(ps_n6)
         assert abs(eval_bubble(spec, 1e-280) / expected - 1.0) < 1e-12
 
+    def test_tail_past_double_range_goes_through_logs(self, ps_n6):
+        # at lambda = 1e306, lambda r overflows past r ~ 180 and g^(-e)
+        # underflows below it before amp = lambda c0 scales it back; u is the
+        # tail c0 lambda^(-kappa) r^(-2 kappa) (kappa = 1), not 0
+        spec = make_bubble(ps_n6, lam=1e306)
+        r = np.logspace(-3, 2, 11)
+        u = eval_bubble(spec, r)
+        tail = spec.c0 * 1e-306 * r**-2.0
+        assert np.max(np.abs(u / tail - 1.0)) < 1e-11
+        assert abs(eval_bubble(spec, 1e3) / (spec.c0 * 1e-312) - 1.0) < 1e-9  # subnormal
+
     def test_pressure_amplitude_value(self, ps_sobolev3):
         # A = (n-1) c0^(-2/(n-2)) = 2 / sqrt(3) for the d = 3 Sobolev case
         assert abs(pressure_amplitude(ps_sobolev3) - 2.0 / math.sqrt(3.0)) < 1e-14

@@ -296,22 +296,78 @@ loaded = {"import": scipy_modules()}
 for argv in (["params", "--a", "-0.5", "--b", "0", "--d", "3"],
              ["scan", "--d", "3", "--a-min", "-1", "--a-max", "0", "--a-step", "0.25"],
              ["bubble", "--a", "-0.5", "--b", "0", "--d", "3", "--grid", "5"],
-             ["shoot", "--a", "-0.5", "--b", "0", "--d", "3", "--w0", "2.5"]):
+             ["shoot", "--a", "-0.5", "--b", "0", "--d", "3", "--w0", "2.5"],
+             ["verify", "--suite", "rigidity"],
+             ["spectrum", "--d", "3", "--n", "6"],
+             ["verify", "--suite", "spectrum"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cknlab.cli.main(argv) == 0
-    loaded[argv[0]] = scipy_modules()
+    loaded[" ".join(argv[::2]) if argv[0] == "verify" else argv[0]] = scipy_modules()
 print(json.dumps(loaded))
 """
 
 
 def test_params_scan_bubble_never_import_scipy():
+    # the Brent fit of the rigidity suite is the lab's own, and eigenvalues take
+    # LAPACK dstebz from scipy's compiled _flapack extension alone: no scipy
+    # package (scipy, scipy.linalg, scipy.optimize, scipy.integrate) is imported
     src = str(Path(cknlab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    lapack = ["scipy.linalg._flapack"]
     assert json.loads(proc.stdout) == {"import": [], "params": [], "scan": [], "bubble": [],
-                                       "shoot": []}
+                                       "shoot": [], "verify rigidity": [], "spectrum": lapack,
+                                       "verify spectrum": lapack}
+
+
+LOAD_ORDER_PROBE = """
+import json, sys
+import numpy as np
+from cknlab.params import derive_params
+from cknlab.spectral import build_sector_operator, lowest_eigenvalue, sector_potential
+
+op = build_sector_operator(derive_params(-0.5, 0.0, 3), k=1, N=400)
+ours = lowest_eigenvalue(op) if sys.argv[1] == "lab-first" else None
+import scipy.linalg, scipy.linalg.lapack, scipy.optimize
+
+t, h = op.interior_nodes()
+diag = 2.0 * op.ps.alpha**2 / h**2 + sector_potential(op.ps, op.k, t)
+off = np.full(len(t) - 1, -op.ps.alpha**2 / h**2)
+dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+out = {
+    "dstebz": scipy.linalg.lapack.dstebz(diag, off, 2, 0.0, 1.0, 1, 1, 0.0, "E")[1][0].hex(),
+    "eigh": [v.hex() for v in scipy.linalg.eigh(dense, eigvals_only=True)[:3].tolist()],
+    "tridiagonal": scipy.linalg.eigvalsh_tridiagonal(
+        diag, off, select="i", select_range=(0, 0))[0].hex(),
+    "brent": scipy.optimize.minimize_scalar(lambda x: (x - 0.3) ** 2,
+                                            bracket=(0.0, 0.5, 2.0)).x.hex(),
+    "shared": scipy.linalg.lapack._flapack is sys.modules["scipy.linalg._flapack"],
+}
+if ours is None:
+    ours = lowest_eigenvalue(op)
+out["lab"] = ours.hex()
+print(json.dumps(out))
+"""
+
+
+def test_lapack_loaded_first_serves_a_later_scipy_import():
+    # lowest_eigenvalue loads scipy's _flapack by path; scipy.linalg and
+    # scipy.optimize imported afterwards share it and give the bits they give
+    # when scipy.linalg is imported first
+    src = str(Path(cknlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    runs = {}
+    for order in ("lab-first", "scipy-first"):
+        proc = subprocess.run([sys.executable, "-c", LOAD_ORDER_PROBE, order], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        runs[order] = json.loads(proc.stdout)
+    assert runs["lab-first"] == runs["scipy-first"]
+    assert runs["lab-first"]["shared"] is True
+    assert runs["lab-first"]["lab"] == runs["lab-first"]["dstebz"] == \
+        runs["lab-first"]["tridiagonal"]
 
 
 def _ulp_gaps(a: float):
@@ -349,6 +405,8 @@ def _fuzz_argv(draw):
 @given(_fuzz_argv())
 @example(["params", "--a", "-0.5", "--b", "-0.49999999999999994", "--d", "2"])
 @example(["spectrum", "--d", "3", "--n", "1000", "--grid", "8", "--alpha-count", "1"])
+@example(["bubble", "--a", "-0.5", "--b", "0", "--d", "3", "--lam", "1e306", "--grid", "4",
+          "--r-max", "1e3"])
 def test_argv_fuzz_exits_with_a_code(argv):
     # Every invocation ends in an exit code (0 output, 1 contract failure, 2
     # refused with a reason); no exception escapes cli.main.

@@ -31,7 +31,14 @@ from cknlab.pressure import (
     sphere_bochner,
     sphere_bochner_density,
 )
-from cknlab.verify import _identity_sizes, evaluate_log_field, random_log_field_coeffs
+from cknlab.verify import (
+    _identity_sizes,
+    evaluate_log_field,
+    pressure_field_from_target,
+    random_circle_profile,
+    random_log_field_coeffs,
+    source_of_pressure,
+)
 
 PS2 = derive_params(-0.3, 0.2, 2)     # n = 4: the identities suite's triple
 PS3 = derive_params(-0.5, 0.0, 3)     # n = 6
@@ -287,6 +294,20 @@ class TestPressureBitwise:
             ks = ref_sphere_k(g1[i][None], g2[i][None], ps.n, ps.alpha)[0]
             weight = ref["P"][i] ** (1.0 - ps.n)
             assert sphere_bochner(pf, i).k_sphere_integral == float(np.mean(weight * ks)) * 2 * np.pi
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([64, 128, 256]))
+    def test_sphere_margin_on_one_circle(self, seed, size):
+        # the identities suite builds each sphere-margin pressure on the circle
+        # it reads; the field that carries the profile at all 64 radii gives the
+        # same bits at its middle radius
+        profile = random_circle_profile(np.random.default_rng(seed), size)
+        P = pressure.pressure_values(source_of_pressure(profile[None, :], PS2.n), PS2.n)
+        g1, g2 = PeriodicGrid(size).theta_pair(P)
+        sides = pressure.circle_bochner(P[0], g1[0], g2[0], PS2)
+        target = np.broadcast_to(profile[None, :], (64, size)).copy()
+        pf = pressure_field_from_target(target, RadialGrid(1e-1, 1e1, 64), PeriodicGrid(size), PS2)
+        assert sides == sphere_bochner(pf, 32)
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(st.integers(0, 2**32 - 1), st.integers(16, 40), st.sampled_from([9, 16, 31]))

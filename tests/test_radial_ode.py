@@ -1,15 +1,17 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from cknlab import radial_ode
 from cknlab.bubble import bubble_cylinder_values, cylinder_amplitude
-from cknlab.errors import AmplitudeOverflow, NotDecaying, SubcriticalRange
+from cknlab.errors import AmplitudeOverflow, ConvergenceFailure, NotDecaying, SubcriticalRange
 from cknlab.fitting import fit_loglog
 from cknlab.params import derive_params
 from cknlab.radial_ode import (
@@ -229,6 +231,15 @@ class TestMatchBubble:
         with pytest.raises(NotDecaying):
             match_bubble(broken)
 
+    def test_bracket_without_a_low_middle_is_a_named_failure(self, ps_n6):
+        # the profile is the c0 extremal (mu = 1), but w0 claims mu0 = 100, so
+        # the bracket log mu0 +- log 4 is lowest at its left end
+        c0 = cylinder_amplitude(ps_n6)
+        profile = dataclasses.replace(shoot(ps_n6, c0), w0=1e4 * c0)
+        with pytest.raises(ConvergenceFailure, match=r"w0 = 60000 .*\(3\.21888, 4\.60517, "
+                                                     r"5\.99146\).*f\(xb\) < f\(xa\)"):
+            match_bubble(profile)
+
 
 class TestSweep:
     @pytest.mark.parametrize("triple", SWEEP_TRIPLES)
@@ -265,8 +276,60 @@ class TestScipyForwarders:
         assert np.array_equal(ours.t, ref.t) and np.array_equal(ours.y, ref.y)
         assert abs(ours.y[0, -1] - np.exp(-2.0)) < 1e-9
 
-    def test_minimize_scalar_matches_scipy(self):
-        kwargs = dict(bracket=(0.0, 1.0, 3.0), method="brent", options={"xtol": 1e-14})
-        ours = radial_ode.minimize_scalar(lambda x: (x - 1.5) ** 2, **kwargs)
-        ref = scipy.optimize.minimize_scalar(lambda x: (x - 1.5) ** 2, **kwargs)
-        assert ours.x == ref.x and ours.nfev == ref.nfev
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_minimize_scalar_matches_scipy(self, data):
+        name = data.draw(st.sampled_from(sorted(_OBJECTIVES)))
+        c = data.draw(st.floats(min_value=-5.0, max_value=5.0))
+        fun = _OBJECTIVES[name](c)
+        bracket = data.draw(st.one_of(_low_middle_bracket(c), _low_middle_bracket(c),
+                                      _any_bracket(c)))
+        xtol = data.draw(st.sampled_from([1e-14, 1.48e-8, 1e-3, 0.0]))
+        try:
+            ref = scipy.optimize.minimize_scalar(fun, bracket=bracket, method="brent",
+                                                 options={"xtol": xtol})
+        except ValueError as exc:
+            with pytest.raises(ValueError) as ours:
+                radial_ode.minimize_scalar(fun, bracket, xtol=xtol)
+            assert str(ours.value) == str(exc)
+            event("scipy raises")
+            return
+        ours = radial_ode.minimize_scalar(fun, bracket, xtol=xtol)
+        assert float(ours.x).hex() == float(ref.x).hex()
+        assert float(ours.fun).hex() == float(ref.fun).hex()
+        assert (ours.nit, ours.nfev) == (ref.nit, ref.nfev)
+        event(f"converges ({name})")
+
+    def test_minimize_scalar_refuses_a_negative_tolerance_as_scipy(self):
+        kwargs = dict(bracket=(0.0, 1.0, 3.0), method="brent", options={"xtol": -1.0})
+        with pytest.raises(ValueError) as ref:
+            scipy.optimize.minimize_scalar(lambda x: (x - 1.5) ** 2, **kwargs)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(ref.value))}$"):
+            radial_ode.minimize_scalar(lambda x: (x - 1.5) ** 2, (0.0, 1.0, 3.0), xtol=-1.0)
+
+
+# Objectives of the Brent differential test, by minimizer c: smooth, flat,
+# kinked, wavy (several local minima), flat-bottomed (ties) and numpy-valued.
+_OBJECTIVES = {
+    "quadratic": lambda c: lambda x: (x - c) ** 2,
+    "quartic": lambda c: lambda x: (x - c) ** 4,
+    "kink": lambda c: lambda x: abs(x - c),
+    "wavy": lambda c: lambda x: (x - c) ** 2 + 0.3 * math.sin(7.0 * x),
+    "plateau": lambda c: lambda x: max(abs(x - c), 0.5),
+    "numpy": lambda c: lambda x: float(np.mean(np.log1p((x - c + np.arange(3.0)) ** 2))),
+}
+
+
+def _any_bracket(c):
+    offset = st.floats(min_value=-6.0, max_value=6.0)
+    return st.tuples(offset, offset, offset).map(lambda o: tuple(c + t for t in o))
+
+
+@st.composite
+def _low_middle_bracket(draw, c):
+    """(xa, xb, xc) around c with xb nearest c, in either orientation."""
+    left = draw(st.floats(min_value=1e-3, max_value=6.0))
+    right = draw(st.floats(min_value=1e-3, max_value=6.0))
+    middle = draw(st.floats(min_value=-0.99, max_value=0.99)) * min(left, right)
+    bracket = (c - left, c + middle, c + right)
+    return bracket[::-1] if draw(st.booleans()) else bracket

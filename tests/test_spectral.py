@@ -7,6 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cknlab import spectral
 from cknlab.bubble import cylinder_amplitude
 from cknlab.errors import AdmissibilityError, NoSignChange
 from cknlab.fitting import fit_loglog
@@ -15,14 +16,15 @@ from cknlab.spectral import (
     build_sector_operator,
     converged_lowest_eigenvalue,
     default_domain,
-    eigvalsh_tridiagonal,
     fs_crossing,
     lowest_eigenvalue,
+    lowest_tridiagonal_eigenvalue,
     path_params,
     sector_potential,
     soliton_profile,
     zero_mode_eigenvalue,
 )
+from cknlab.verify import run_spectrum_suite
 
 
 class TestSolitonProfile:
@@ -179,9 +181,40 @@ class TestPathParamsProperties:
             path_params(5, 5.0, 0.010000000000000002)
 
 
-def test_eigvalsh_tridiagonal_matches_scipy():
-    diag = np.array([2.0, 3.0, 1.0, 4.0, 2.5])
-    off = np.array([-1.0, 0.5, -0.25, 1.0])
-    for kwargs in ({}, {"select": "i", "select_range": (0, 0)}):
-        assert np.array_equal(eigvalsh_tridiagonal(diag, off, **kwargs),
-                              scipy.linalg.eigvalsh_tridiagonal(diag, off, **kwargs))
+def _scipy_lowest(diag, off):
+    return scipy.linalg.eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))
+
+
+def test_eigvalsh_tridiagonal_matches_scipy(monkeypatch):
+    # every matrix the spectrum suite solves, and random ones of all sizes
+    matrices = []
+
+    def recording(diag, off):
+        matrices.append((np.array(diag), np.array(off)))
+        return lowest_tridiagonal_eigenvalue(diag, off)
+
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "lowest_tridiagonal_eigenvalue", recording)
+        assert run_spectrum_suite()["pass"]
+    assert len(matrices) >= 40   # 45 solves at the default configuration
+    rng = np.random.default_rng(20261018)
+    for size in (2, 3, 5, 64, 1999):   # sector operators have at least 63 rows
+        for scale in (1e-300, 1e-3, 1.0, 1e6, 1e150):
+            matrices.append((scale * rng.normal(size=size), scale * rng.normal(size=size - 1)))
+    matrices.append((np.full(7, 2.0), np.zeros(6)))   # a repeated eigenvalue
+    for diag, off in matrices:
+        ref = _scipy_lowest(diag, off)
+        assert ref.shape == (1,)
+        assert np.float64(lowest_tridiagonal_eigenvalue(diag, off)).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["diag", "off"])
+def test_lowest_tridiagonal_eigenvalue_refuses_non_finite_as_scipy(bad, where):
+    diag, off = np.array([2.0, 3.0, 1.0, 4.0]), np.array([-1.0, 0.5, -0.25])
+    (diag if where == "diag" else off)[1] = bad
+    with pytest.raises(ValueError) as ours:
+        lowest_tridiagonal_eigenvalue(diag, off)
+    with pytest.raises(ValueError) as ref:
+        _scipy_lowest(diag, off)
+    assert str(ours.value) == str(ref.value)
