@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cylfield import CylinderField, L_kernel, Radial, to_cylinder
-from .errors import AmplitudeOverflow, SubcriticalRange
+from .cylfield import CylinderField, L_kernel, Radial
+from .errors import AmplitudeOverflow, ScaleUnderflow, SubcriticalRange
 from .grids import RadialGrid, default_grid
 from .params import ParamSet
 
@@ -100,33 +100,39 @@ def eval_bubble(spec: BubbleSpec, radius):
 
 
 def bubble_derivatives(spec: BubbleSpec, radius):
-    """(u, u', u'') of the scaled profile, from the closed form."""
+    """(u, u', u'') of the scaled profile, from the closed form.
+
+    Where 1 + (lambda r)^q rounds to (lambda r)^q the profile is its tail
+    u = lambda^kappa c0 (lambda r)^(-2 kappa) (e q = 2 kappa), whose derivatives
+    -2 kappa u / r and 2 kappa (2 kappa + 1) u / r^2 are taken from u, so they
+    stay in double range where lambda r, lambda^2 or a power of lambda r does not.
+    """
     ps = spec.ps
     r = np.asarray(radius, dtype=float)
     q = (ps.p_exp - 2.0) * ps.kappa
     e = 2.0 / (ps.p_exp - 2.0)
     lam = spec.lam
-    rr = lam * r
     amp = _scaled_amplitude(spec)
+    u = np.array(eval_bubble(spec, r), dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        g = 1.0 + rr**q
-        u = amp * g ** (-e)
+        rr = lam * r
+        rr_q = rr**q
+        g = 1.0 + rr_q
         du = -amp * e * q * rr ** (q - 1.0) * g ** (-e - 1.0) * lam
         d2u = (
             -amp * e * q * (q - 1.0) * rr ** (q - 2.0) * g ** (-e - 1.0)
             + amp * e * (e + 1.0) * q**2 * rr ** (2.0 * q - 2.0) * g ** (-e - 2.0)
-        ) * lam**2
-    u, du, d2u = (np.array(a, dtype=float) for a in (u, du, d2u))
-    far = np.asarray(rr) > 1.0
-    over = (np.isinf(g) & far, ~np.isfinite(du) & far, ~np.isfinite(d2u) & far)
-    if any(m.any() for m in over):
-        # a power of rr overflowed: g = rr^q in double precision there, so the
-        # profile is its tail amp rr^(-2 kappa) (e q = 2 kappa), as in eval_bubble
-        rr = np.broadcast_to(rr, u.shape)
-        two_k = 2.0 * ps.kappa
-        for order, (vals, m) in enumerate(zip((u, du, d2u), over)):
-            coeff = (1.0, -two_k, two_k * (two_k + 1.0))[order] * lam**order
-            vals[m] = coeff * amp * rr[m] ** (-two_k - order)
+        ) * np.float64(lam) ** 2
+    du, d2u = np.array(du, dtype=float), np.array(d2u, dtype=float)
+    tail = g == rr_q
+    two_k = 2.0 * ps.kappa
+    du[tail] = -two_k * u[tail] / r[tail]
+    d2u[tail] = two_k * (two_k + 1.0) * u[tail] / r[tail] ** 2
+    if not (np.isfinite(du).all() and np.isfinite(d2u).all()):
+        raise AmplitudeOverflow(
+            f"u' or u'' of the scaled profile overflows double precision at "
+            f"lambda = {lam:.6g} (kappa = {ps.kappa:.6g})"
+        )
     return u, du, d2u
 
 
@@ -134,8 +140,8 @@ def _source_term(ps: ParamSet, r: np.ndarray, u) -> np.ndarray:
     """|x|^(-bp) u^(p-1); entries where a factor leaves double range go through logs."""
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.asarray(r ** (-ps.b * ps.p_exp) * np.asarray(u) ** (ps.p_exp - 1.0))
-    bad = ~np.isfinite(out)
-    if bad.any():  # r^(-bp) overflowed, and u^(p-1) may have underflowed to 0
+    bad = ~np.isfinite(out) | (out == 0.0)
+    if bad.any():  # r^(-bp) overflowed, or u^(p-1) underflowed to 0 (the product is > 0)
         out = np.array(out, dtype=float)
         rb, ub = np.broadcast_arrays(r, u)
         with np.errstate(divide="ignore"):  # log(0) = -inf, whose exp is the 0 sought
@@ -162,6 +168,12 @@ def residual_scale(spec: BubbleSpec, radius):
     ps = spec.ps
     r = np.asarray(radius, dtype=float)
     out = _source_term(ps, r, eval_bubble(spec, r))
+    lost = out == 0.0
+    if lost.any():  # the scale is positive: 0 means it left double range
+        raise ScaleUnderflow(
+            f"the residual scale |x|^(-bp) u^(p-1) underflows double precision at "
+            f"r = {float(r[lost].flat[0]):.6g}"
+        )
     return out if out.shape else float(out)
 
 
@@ -210,16 +222,6 @@ def bubble_cylinder(ps: ParamSet, grid: RadialGrid | None = None) -> CylinderFie
     grid = grid or default_grid()
     values = bubble_cylinder_values(ps, grid.nodes)
     return CylinderField(grid, Radial(), values, ps)
-
-
-def bubble_cylinder_via_transform(ps: ParamSet, grid: RadialGrid | None = None,
-                                  lam: float = 1.0) -> CylinderField:
-    """Same field obtained through the r -> r^alpha pullback of eval_bubble.
-
-    Kept as an independent route for transform round-trip tests.
-    """
-    spec = make_bubble(ps, lam)
-    return to_cylinder(lambda r, _t: eval_bubble(spec, r), ps, grid)
 
 
 def pressure_amplitude(ps: ParamSet) -> float:

@@ -5,13 +5,11 @@ carrying the measure dmu = r^(n-1) dr dtheta, the gradient
 D = (alpha d/dr, grad_theta / r) and the operator
     L w = alpha^2 w'' + alpha^2 (n-1) w'/r + Lap_theta w / r^2.
 
-Three angular representations are supported: Radial (no angular dependence,
-any d), PeriodicGrid (full uniform grid on S^1, d = 2 only; angular calculus
-is spectral) and SingleHarmonic (one sector, Lap_theta acts as -k(k+d-2)).
-Each representation owns its angular calculus on sample arrays and raises
-UnsupportedAngularRep where an operation is undefined for it; L is written
-once, in `L_kernel`.  Nonlinear pointwise work is done on Radial and
-PeriodicGrid fields; full angular grids for d >= 3 are out of scope.
+Two angular representations are supported: Radial (no angular dependence,
+any d) and PeriodicGrid (full uniform grid on S^1, d = 2 only; angular
+calculus is spectral).  Each owns its angular calculus on sample arrays; L
+is written once, in `L_kernel`.  Full angular grids for d >= 3 are out of
+scope.
 """
 
 from __future__ import annotations
@@ -20,14 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateDenominator,
-    NonPositiveSample,
-    RegionOutsideGrid,
-    UnsupportedAngularRep,
-)
-from .grids import (RadialGrid, d_ds, default_grid, integrate_measure_radial, radial_derivs,
-                    sphere_area)
+from .errors import NonPositiveSample, RegionOutsideGrid, UnsupportedAngularRep
+from .grids import RadialGrid, d_ds, integrate_measure_radial, radial_derivs, sphere_area
 from .params import ParamSet
 
 
@@ -40,14 +32,10 @@ class _AngularCalculus:
     def sample_shape(self, grid: RadialGrid, d: int) -> tuple:
         return (grid.count,)
 
-    def sample(self, u_sampler, r: np.ndarray) -> np.ndarray:
-        """Samples of ``u_sampler(radius, angle)`` at the Euclidean radii r."""
-        return np.asarray(u_sampler(r, np.zeros_like(r)), dtype=float)
-
     def grad_theta(self, values: np.ndarray) -> np.ndarray | None:
         return None
 
-    def lap_theta(self, values: np.ndarray, d: int) -> np.ndarray | None:
+    def lap_theta(self, values: np.ndarray) -> np.ndarray | None:
         return None
 
     def theta_pair(self, values: np.ndarray):
@@ -57,9 +45,6 @@ class _AngularCalculus:
     def sphere_mean(self, values: np.ndarray, d: int):
         """(theta-mean profile, sphere measure) for integrals against dmu."""
         return values, sphere_area(d)
-
-    def require_periodic(self, who: str) -> None:
-        raise UnsupportedAngularRep(f"{who} needs a PeriodicGrid field")
 
 
 @dataclass(frozen=True)
@@ -78,15 +63,10 @@ class PeriodicGrid(_AngularCalculus):
             raise UnsupportedAngularRep("PeriodicGrid fields require d = 2")
         return (grid.count, self.size)
 
-    def sample(self, u_sampler, r):
-        th = theta_nodes(self)
-        values = np.asarray(u_sampler(r[:, None], th[None, :]), dtype=float)
-        return np.broadcast_to(values, (r.size, self.size)).copy()
-
     def grad_theta(self, values):
         return theta_derivative(values, 1)
 
-    def lap_theta(self, values, d):
+    def lap_theta(self, values):
         return theta_derivative(values, 2)
 
     def theta_pair(self, values):
@@ -96,43 +76,8 @@ class PeriodicGrid(_AngularCalculus):
     def sphere_mean(self, values, d):
         return values.mean(axis=1), 2.0 * np.pi
 
-    def require_periodic(self, who):
-        pass
 
-
-@dataclass(frozen=True)
-class SingleHarmonic(_AngularCalculus):
-    """One spherical-harmonic sector with eigenvalue k(k+d-2)."""
-
-    k: int
-
-    def eigenvalue(self, d: int) -> float:
-        return float(self.k * (self.k + d - 2))
-
-    def sample(self, u_sampler, r):
-        raise UnsupportedAngularRep("to_cylinder samples pointwise values; "
-                                    "build SingleHarmonic fields directly")
-
-    def grad_theta(self, values):
-        if self.k:
-            raise UnsupportedAngularRep("square-norm of a k >= 1 harmonic sector mixes "
-                                        "sectors; use a PeriodicGrid field")
-        return None
-
-    def lap_theta(self, values, d):
-        return -self.eigenvalue(d) * values if self.k > 0 else None
-
-    def theta_pair(self, values):
-        if self.k:
-            raise UnsupportedAngularRep("pressure is a nonlinear function of w; "
-                                        "use Radial or PeriodicGrid fields")
-        return None, None
-
-    def sphere_mean(self, values, d):
-        raise UnsupportedAngularRep("integrate_mu supports Radial and PeriodicGrid")
-
-
-AngularRep = Radial | PeriodicGrid | SingleHarmonic
+AngularRep = Radial | PeriodicGrid
 
 
 def theta_nodes(angular: PeriodicGrid) -> np.ndarray:
@@ -173,7 +118,7 @@ def L_kernel(d1: np.ndarray, d2: np.ndarray, lap_theta: np.ndarray | None,
 def L_of_values(values: np.ndarray, grid: RadialGrid, angular: AngularRep, ps: ParamSet):
     """L applied to a sample array."""
     d1, d2 = radial_derivs(values, grid)
-    return L_kernel(d1, d2, angular.lap_theta(values, ps.d), grid.column(values), ps)
+    return L_kernel(d1, d2, angular.lap_theta(values), grid.column(values), ps)
 
 
 @dataclass(frozen=True)
@@ -205,14 +150,10 @@ class CylinderField:
     def with_values(self, values: np.ndarray) -> "CylinderField":
         return CylinderField(self.grid, self.angular, values, self.params)
 
-    @property
-    def min_value(self) -> float:
-        return float(self.values.min())
-
     def require_positive(self, who: str) -> None:
-        if self.min_value <= 0.0:
-            raise NonPositiveSample(f"{who} requires a positive field "
-                                    f"(min sample {self.min_value})")
+        low = float(self.values.min())
+        if low <= 0.0:
+            raise NonPositiveSample(f"{who} requires a positive field (min sample {low})")
 
 
 @dataclass(frozen=True)
@@ -231,26 +172,6 @@ def full_region(grid: RadialGrid) -> MeasureRegion:
     return MeasureRegion(grid.r_min, grid.r_max)
 
 
-def to_cylinder(
-    u_sampler,
-    ps: ParamSet,
-    grid: RadialGrid | None = None,
-    angular: AngularRep = Radial(),
-    require_positive: bool = False,
-) -> CylinderField:
-    """Sample w(s, theta) = u(s^(1/alpha), theta) on the grid.
-
-    ``u_sampler(radius, angle)`` must accept numpy arrays (broadcasting);
-    radial samplers may ignore the angle argument.
-    """
-    grid = grid or default_grid()
-    values = angular.sample(u_sampler, grid.nodes ** (1.0 / ps.alpha))
-    field = CylinderField(grid, angular, values, ps)
-    if require_positive:
-        field.require_positive("to_cylinder")
-    return field
-
-
 def grad_cyl(w: CylinderField) -> CylinderField:
     """|D w|^2 for the cylinder gradient D w = (alpha w', grad_theta w / r)."""
     radial = w.params.alpha * d_ds(w.values, w.grid)
@@ -258,11 +179,6 @@ def grad_cyl(w: CylinderField) -> CylinderField:
     if g is None:
         return w.with_values(radial**2)
     return w.with_values(radial**2 + (g / w.grid.column(w.values)) ** 2)
-
-
-def apply_L(w: CylinderField) -> CylinderField:
-    """L w = alpha^2 w'' + alpha^2 (n-1) w'/r + Lap_theta w / r^2."""
-    return w.with_values(L_of_values(w.values, w.grid, w.angular, w.params))
 
 
 def integrate_mu(f: CylinderField, region: MeasureRegion | None = None) -> float:
@@ -282,29 +198,3 @@ def integrate_mu(f: CylinderField, region: MeasureRegion | None = None) -> float
     return factor * integrate_measure_radial(
         profile, f.grid, f.params.n, region.r_lo, region.r_hi
     )
-
-
-def residual_eq_w(w: CylinderField) -> CylinderField:
-    """L w + w^(p-1); vanishes at grid scale iff w solves the cylinder equation."""
-    w.require_positive("residual_eq_w")
-    lw = L_of_values(w.values, w.grid, w.angular, w.params)
-    return w.with_values(lw + w.values ** (w.params.p_exp - 1.0))
-
-
-def ckn_rayleigh(w: CylinderField) -> float:
-    """alpha^(1-2/p) (int |w|^p dmu)^(2/p) / int |Dw|^2 dmu.
-
-    Quotient form of the weighted interpolation inequality on the cylinder;
-    its value on a trial field is a certified lower witness for the sharp
-    constant (no claim of sharpness is made here).
-    """
-    w.require_positive("ckn_rayleigh")
-    ps = w.params
-    p = ps.p_exp
-    num = integrate_mu(w.with_values(np.abs(w.values) ** p))
-    den = integrate_mu(grad_cyl(w))
-    if not (np.isfinite(den) and den > 1e-250):
-        raise DegenerateDenominator(f"gradient energy {den} is degenerate")
-    if not np.isfinite(num):
-        raise DegenerateDenominator(f"p-norm integral {num} is not finite")
-    return ps.alpha ** (1.0 - 2.0 / p) * num ** (2.0 / p) / den

@@ -27,7 +27,11 @@ class SubcriticalRange(AdmissibilityError):
 
 
 class AmplitudeOverflow(CknLabError):
-    """The bubble amplitude c0 exceeds double precision at this n."""
+    """The bubble amplitude, or a closed-form value built on it, exceeds double precision."""
+
+
+class ScaleUnderflow(CknLabError):
+    """A positive normalizer underflows to 0 in double precision."""
 
 
 class NonPositiveSample(CknLabError):
@@ -40,10 +44,6 @@ class GridTooCoarse(CknLabError):
 
 class RegionOutsideGrid(CknLabError):
     """Integration region is not contained in the grid support."""
-
-
-class DegenerateDenominator(CknLabError):
-    """Rayleigh quotient denominator vanishes."""
 
 
 class UnsupportedAngularRep(CknLabError):

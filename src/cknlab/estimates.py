@@ -128,7 +128,7 @@ def superharmonic_lower_bound(w: CylinderField, rho: float) -> SuperharmonicBoun
 
     s = grid.column(w.values)
     wp, wpp = radial_derivs(w.values, grid)
-    lap = w.angular.lap_theta(w.values, ps.d)
+    lap = w.angular.lap_theta(w.values)
     Lw = L_kernel(wp, wpp, lap, s, ps)
     magnitude = L_kernel(np.abs(wp), np.abs(wpp), None if lap is None else np.abs(lap), s, ps)
     scale = float(np.max(magnitude[idx:]))

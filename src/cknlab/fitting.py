@@ -29,9 +29,3 @@ def fit_loglog(x, y) -> LogLogFit:
 def fitted_order(h_values, errors) -> float:
     """Convergence order: slope of log(error) against log(h)."""
     return fit_loglog(h_values, errors).slope
-
-
-def halving_factors(errors) -> list[float]:
-    """Error reduction factors between successive grid halvings."""
-    e = np.abs(np.asarray(errors, dtype=float))
-    return [float(e[i] / e[i + 1]) for i in range(len(e) - 1)]

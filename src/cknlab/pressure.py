@@ -11,11 +11,17 @@ an Obata-type divergence form
 The rigidity defect int P^(1-n) k[P] dmu is nonnegative in the symmetric
 regime and vanishes exactly on the extremal.
 
+On each circle of a d = 2 field the sphere inequality (the Bochner term of
+Dolbeault-Esteban-Loss)
+    int_S P^(1-n) k_S[P] dtheta
+        >= (n-2) ((d-1)/(n-1) - alpha^2) int_S P^(1-n) |grad_theta P|^2 dtheta
+is checked row by row by `sphere_margins`.
+
 Non-solution inputs are always accepted: every routine is a diagnostic, not
 a validator.  L, and the divergence in the same weighted radial form
 (alpha^2 (d/dr + (n-1)/r)), come from `cylfield.L_kernel`, so integration by
 parts mirrors the continuum; angular derivatives come from the field's
-angular representation.
+angular representation, Radial (none) or PeriodicGrid (spectral on S^1).
 """
 
 from __future__ import annotations
@@ -168,18 +174,12 @@ def defect_density(pf: PressureField) -> np.ndarray:
     return pressure_weight(pf.P.values, pf.params.n) * bochner_k(pf).values
 
 
-def sphere_bochner_density(pf: PressureField) -> np.ndarray:
-    """k_S[P] on each sphere slice (d = 2 reduction of the sphere Bochner term).
+def _sphere_k(g1: np.ndarray, g2: np.ndarray, n: float, alpha: float) -> np.ndarray:
+    """k_S[P] from grad_theta P and Lap_theta P, row by row (rows are circles):
 
     k_S = 1/2 Lap_theta |grad_theta P|^2 - grad_theta P . grad_theta Lap_theta P
           - (Lap_theta P)^2/(n-1) - (n-2) alpha^2 |grad_theta P|^2.
     """
-    pf.P.angular.require_periodic("sphere Bochner term")
-    return _sphere_k(pf.thetaP, pf.lap_thetaP, pf.params.n, pf.params.alpha)
-
-
-def _sphere_k(g1: np.ndarray, g2: np.ndarray, n: float, alpha: float) -> np.ndarray:
-    """k_S from grad_theta P and Lap_theta P, row by row (rows are sphere slices)."""
     g1_sq = g1**2
     out = theta_derivative(g1_sq, 2)
     out *= 0.5
@@ -229,7 +229,7 @@ def bochner_decomposition(pf: PressureField) -> BochnerDecomposition:
         t2 -= pf.thetaP / s
         np.square(t2, out=t2)
         t2 *= 2.0 * ps.alpha**2 / s**2
-        t3 = sphere_bochner_density(pf)
+        t3 = _sphere_k(pf.thetaP, pf.lap_thetaP, n, ps.alpha)
         t3 /= s**4
     return BochnerDecomposition(
         term_radial_hessian=pf.field(t1),
@@ -238,39 +238,15 @@ def bochner_decomposition(pf: PressureField) -> BochnerDecomposition:
     )
 
 
-@dataclass(frozen=True)
-class SphereBochnerSides:
-    k_sphere_integral: float
-    rhs_bound: float
-
-    @property
-    def margin(self) -> float:
-        return self.k_sphere_integral - self.rhs_bound
-
-
-def sphere_bochner(pf: PressureField, radius_index: int) -> SphereBochnerSides:
-    """Sphere inequality at one radius (r-independent form):
-
-        int_S P^(1-n) k_S[P] dtheta
-            >= (n-2) ((d-1)/(n-1) - alpha^2) int_S P^(1-n) |grad_theta P|^2 dtheta.
-    """
-    pf.P.angular.require_periodic("sphere_bochner")
-    i = radius_index
-    return circle_bochner(pf.P.values[i], pf.thetaP[i], pf.lap_thetaP[i], pf.params)
-
-
-def circle_bochner(P: np.ndarray, g1: np.ndarray, g2: np.ndarray,
-                   ps) -> SphereBochnerSides:
-    """The sphere inequality's two sides on one circle of samples of P,
-    grad_theta P (g1) and Lap_theta P (g2)."""
+def sphere_margins(P: np.ndarray, g1: np.ndarray, g2: np.ndarray, ps) -> np.ndarray:
+    """The sphere inequality's left side minus its right side on each row (circle)
+    of samples of P, grad_theta P (g1) and Lap_theta P (g2)."""
     n = ps.n
     weight = pressure_weight(P, n)
-    ks = _sphere_k(g1[None], g2[None], n, ps.alpha)[0]
     dtheta = 2.0 * np.pi
-    lhs = float(np.mean(weight * ks)) * dtheta
+    lhs = np.mean(weight * _sphere_k(g1, g2, n, ps.alpha), axis=1) * dtheta
     coeff = (n - 2.0) * ((ps.d - 1.0) / (n - 1.0) - ps.alpha**2)
-    rhs = coeff * float(np.mean(weight * g1**2)) * dtheta
-    return SphereBochnerSides(k_sphere_integral=lhs, rhs_bound=rhs)
+    return lhs - coeff * np.mean(weight * g1**2, axis=1) * dtheta
 
 
 def weighted_divergence(pf: PressureField, v_radial: np.ndarray,

@@ -31,7 +31,6 @@ from importlib.machinery import EXTENSION_SUFFIXES
 import numpy as np
 
 from .bubble import cylinder_amplitude
-from .cylfield import SingleHarmonic
 from .errors import AdmissibilityError, ConvergenceFailure, NoSignChange, SubcriticalRange
 from .params import ParamSet, derive_params, felli_schneider_threshold
 
@@ -60,9 +59,14 @@ def soliton_profile(ps: ParamSet, t):
     return out if out.shape else float(out)
 
 
+def sphere_eigenvalue(k: int, d: int) -> float:
+    """lambda_k = k (k + d - 2), the eigenvalue of -Lap_theta on degree-k harmonics."""
+    return float(k * (k + d - 2))
+
+
 def sector_potential(ps: ParamSet, k: int, t):
     """V_k(t) = alpha^2 Lambda^2 + lambda_k - (p-1) v*(t)^(p-2)."""
-    lam_k = SingleHarmonic(k).eigenvalue(ps.d)
+    lam_k = sphere_eigenvalue(k, ps.d)
     Lambda = (ps.n - 2.0) / 2.0
     v = np.asarray(soliton_profile(ps, t))
     return ps.alpha**2 * Lambda**2 + lam_k - (ps.p_exp - 1.0) * v ** (ps.p_exp - 2.0)

@@ -8,7 +8,6 @@ from cknlab.bubble import (
     bubble_cylinder,
     bubble_cylinder_derivatives,
     bubble_cylinder_values,
-    bubble_cylinder_via_transform,
     bubble_derivatives,
     cylinder_amplitude,
     eval_bubble,
@@ -18,7 +17,7 @@ from cknlab.bubble import (
     residual_eq_w_closed_form,
     residual_scale,
 )
-from cknlab.errors import AmplitudeOverflow, SubcriticalRange
+from cknlab.errors import AmplitudeOverflow, ScaleUnderflow, SubcriticalRange
 from cknlab.fitting import fit_loglog
 from cknlab.grids import RadialGrid
 from cknlab.params import derive_params
@@ -113,8 +112,19 @@ class TestNearTwoOverflow:
         r = np.logspace(-2, 4, 61)
         res = residual_euclidean(spec, r)
         assert np.all(np.isfinite(res))
-        assert np.all(np.isfinite(residual_scale(spec, r)))
+        # the scale r^(-bp) u^(p-1) is representable on about (0.025, 40); near
+        # its ends a factor leaves double range and the product goes through logs
+        inside = (r > 0.025) & (r < 40.0)
+        assert np.all(residual_scale(spec, r[inside]) > 0.0)
         assert math.isfinite(residual_euclidean(spec, 1e3))
+
+    def test_underflowed_scale_is_refused(self, spec):
+        # the true scale at r = 1e3 is about 1e-603; a 0 would make the
+        # relative residual residual_euclidean / residual_scale divide by zero
+        with pytest.raises(ScaleUnderflow, match="r = 1000"):
+            residual_scale(spec, 1e3)
+        with pytest.raises(ScaleUnderflow, match="r = 0.01"):
+            residual_scale(spec, np.logspace(-2, 4, 61))
 
     def test_overflowed_derivatives_take_the_tail_form(self, spec):
         ps = spec.ps
@@ -154,7 +164,8 @@ class TestCylinderForm:
     def test_transform_route_agrees_at_nodes(self, ps_n6):
         g = RadialGrid(1e-3, 1e3, 1000)
         direct = bubble_cylinder(ps_n6, g).values
-        pulled = bubble_cylinder_via_transform(ps_n6, g).values
+        # the r -> r^alpha pullback of the Euclidean profile, at r = s^(1/alpha)
+        pulled = eval_bubble(make_bubble(ps_n6), g.nodes ** (1.0 / ps_n6.alpha))
         assert np.max(np.abs(pulled / direct - 1.0)) < 1e-12
 
     def test_tail_slope(self, ps_n6, grid_default):
@@ -209,6 +220,25 @@ class TestScaling:
         tail = spec.c0 * 1e-306 * r**-2.0
         assert np.max(np.abs(u / tail - 1.0)) < 1e-11
         assert abs(eval_bubble(spec, 1e3) / (spec.c0 * 1e-312) - 1.0) < 1e-9  # subnormal
+
+    def test_derivatives_past_double_range_take_the_tail(self, ps_n6):
+        # lambda r overflows at r = 1e3 and lambda^2 overflows everywhere; the
+        # tail u = c0 lambda^(-kappa) r^(-2 kappa) and its derivatives -2 u / r
+        # and 6 u / r^2 (kappa = 1) are all in double range
+        spec = make_bubble(ps_n6, lam=1e306)
+        r = np.array([1e-3, 1e3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u, du, d2u = bubble_derivatives(spec, r)
+        assert np.array_equal(u, eval_bubble(spec, r))
+        assert np.max(np.abs(du / (-2.0 * u / r) - 1.0)) < 1e-15
+        assert np.max(np.abs(d2u / (6.0 * u / r**2) - 1.0)) < 1e-15
+        assert abs(u[0] / (spec.c0 * 1e-306 * 1e6) - 1.0) < 1e-12
+
+    def test_derivative_past_double_range_is_refused(self, ps_n6):
+        # at r = 1e-300 the closed form is not yet its tail and u' is about 1e595
+        with pytest.raises(AmplitudeOverflow, match="u' or u''"):
+            bubble_derivatives(make_bubble(ps_n6, lam=1e306), 1e-300)
 
     def test_pressure_amplitude_value(self, ps_sobolev3):
         # A = (n-1) c0^(-2/(n-2)) = 2 / sqrt(3) for the d = 3 Sobolev case

@@ -1,70 +1,27 @@
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
-from cknlab.bubble import bubble_cylinder, bubble_cylinder_values, cylinder_amplitude
+from cknlab.bubble import bubble_cylinder
 from cknlab.cylfield import (
     CylinderField,
+    L_of_values,
     MeasureRegion,
     PeriodicGrid,
     Radial,
-    SingleHarmonic,
-    apply_L,
-    ckn_rayleigh,
     grad_cyl,
     integrate_mu,
-    residual_eq_w,
     theta_derivative,
     theta_nodes,
-    to_cylinder,
 )
-from cknlab.errors import (
-    DegenerateDenominator,
-    NonPositiveSample,
-    RegionOutsideGrid,
-    UnsupportedAngularRep,
-)
-from cknlab.fitting import halving_factors
+from cknlab.errors import RegionOutsideGrid
 from cknlab.grids import RadialGrid, sphere_area
 from cknlab.params import derive_params
 from cknlab.reporting import csv_text
 
 
-class TestToCylinder:
-    def test_constant_is_fixed(self, ps_n6, grid_small):
-        w = to_cylinder(lambda r, t: np.ones_like(r), ps_n6, grid_small)
-        assert np.max(np.abs(w.values - 1.0)) == 0.0
-
-    def test_power_law_exponent(self, ps_n6, grid_small):
-        # u(r) = r^(-(n-2) alpha) pulls back to w(s) = s^(2-n)
-        n, alpha = ps_n6.n, ps_n6.alpha
-        w = to_cylinder(lambda r, t: r ** (-(n - 2) * alpha), ps_n6, grid_small)
-        expected = grid_small.nodes ** (2.0 - n)
-        rel = np.abs(w.values / expected - 1.0)
-        assert rel.max() < 1e-13
-
-    def test_round_trip_at_nodes(self, ps_n6, grid_small):
-        u = lambda r, t: 2.0 + np.sin(np.log(r))
-        w = to_cylinder(u, ps_n6, grid_small)
-        r_back = grid_small.nodes ** (1.0 / ps_n6.alpha)
-        rel = np.abs(w.values / u(r_back, None) - 1.0)
-        assert rel.max() < 1e-13
-
-    def test_positivity_gate(self, ps_n6, grid_small):
-        with pytest.raises(NonPositiveSample):
-            to_cylinder(lambda r, t: np.log(r), ps_n6, grid_small,
-                        require_positive=True)
-
-    def test_angular_sampler_d2(self, ps_d2):
-        g = RadialGrid(1e-1, 1e1, 64)
-        w = to_cylinder(lambda r, t: 2.0 + np.cos(t) * 0 * r + np.cos(t), ps_d2,
-                        g, angular=PeriodicGrid(32))
-        assert w.values.shape == (64, 32)
-
-
 class TestGradCyl:
     def test_constant(self, ps_n6, grid_small):
-        w = to_cylinder(lambda r, t: np.ones_like(r), ps_n6, grid_small)
+        w = CylinderField(grid_small, Radial(), np.ones(grid_small.count), ps_n6)
         assert np.max(np.abs(grad_cyl(w).values)) < 1e-20
 
     def test_linear_field(self, ps_n6, grid_small):
@@ -86,12 +43,6 @@ class TestGradCyl:
         expected = np.cos(th)[None, :] ** 2 / g.nodes[:, None] ** 2
         assert np.max(np.abs(sq - expected)) < 1e-10 * expected.max()
 
-    def test_single_harmonic_k1_unsupported(self, ps_n6, grid_small):
-        w = CylinderField(grid_small, SingleHarmonic(1),
-                          np.ones(grid_small.count), ps_n6)
-        with pytest.raises(UnsupportedAngularRep):
-            grad_cyl(w)
-
 
 @pytest.mark.parametrize("m", [63, 64])
 def test_periodic_theta_pair_is_bitwise_both_orders(m):
@@ -102,40 +53,33 @@ def test_periodic_theta_pair_is_bitwise_both_orders(m):
 
 
 class TestApplyL:
+    """L on sample arrays, through L_of_values."""
+
     def test_annihilates_harmonic_power(self, ps_n6, grid_small):
         n = ps_n6.n
         s = grid_small.nodes
-        w = CylinderField(grid_small, Radial(), s ** (2.0 - n), ps_n6)
-        out = apply_L(w).values
+        out = L_of_values(s ** (2.0 - n), grid_small, Radial(), ps_n6)
         scale = np.abs(ps_n6.alpha**2 * n * (n - 1) * s ** (-n))
         assert np.max(np.abs(out[4:-4]) / scale[4:-4]) < 1e-5
 
     def test_annihilates_constants(self, ps_n6, grid_small):
-        w = CylinderField(grid_small, Radial(), np.ones(grid_small.count), ps_n6)
-        assert np.max(np.abs(apply_L(w).values)) < 1e-20
+        ones = np.ones(grid_small.count)
+        assert np.max(np.abs(L_of_values(ones, grid_small, Radial(), ps_n6))) < 1e-20
 
     def test_quadratic_closed_form(self, ps_n6, grid_small):
-        w = CylinderField(grid_small, Radial(), grid_small.nodes**2, ps_n6)
         expected = 2.0 * ps_n6.alpha**2 * ps_n6.n
-        out = apply_L(w).values
+        out = L_of_values(grid_small.nodes**2, grid_small, Radial(), ps_n6)
         assert np.max(np.abs(out[4:-4] - expected)) < 1e-7 * expected
 
-    def test_single_harmonic_k0_matches_radial(self, ps_n6, grid_small):
-        vals = (1.0 + grid_small.nodes**2) ** (-1.0)
-        rad = apply_L(CylinderField(grid_small, Radial(), vals, ps_n6)).values
-        sect = apply_L(CylinderField(grid_small, SingleHarmonic(0), vals, ps_n6)).values
-        assert np.max(np.abs(rad - sect)) <= 1e-13 * np.max(np.abs(rad))
-
     def test_single_harmonic_matches_periodic_sector(self, ps_d2):
-        # L(f(s) cos k theta) under the sector rule == spectral route at k = 2
+        # L(f(s) cos k theta) by the spectral route == (L f - k^2 f / s^2) cos k theta
         g = RadialGrid(1e-1, 1e1, 128)
         k = 2
         prof = (1.0 + g.nodes**2) ** (-1.5)
-        sect = apply_L(CylinderField(g, SingleHarmonic(k), prof, ps_d2)).values
+        sect = L_of_values(prof, g, Radial(), ps_d2) - k**2 * prof / g.nodes**2
         ang = PeriodicGrid(64)
         th = np.linspace(0, 2 * np.pi, 64, endpoint=False)
-        full = apply_L(CylinderField(g, ang, prof[:, None] * np.cos(k * th)[None, :],
-                                     ps_d2)).values
+        full = L_of_values(prof[:, None] * np.cos(k * th)[None, :], g, ang, ps_d2)
         recovered = 2.0 * np.mean(full * np.cos(k * th)[None, :], axis=1)
         assert np.max(np.abs(recovered - sect)) < 1e-10 * np.max(np.abs(sect))
 
@@ -152,10 +96,10 @@ class TestApplyL:
             wpp = (w * (np.cos(x) ** 2 - np.sin(x)) - w * np.cos(x)) / s**2
             exactL = ps_n6.alpha**2 * (wpp + (ps_n6.n - 1) * wp / s)
             exactG = ps_n6.alpha**2 * wp**2
-            errsL.append(np.max(np.abs(apply_L(field).values - exactL)[6:-6]))
+            errsL.append(np.max(np.abs(L_of_values(w, g, Radial(), ps_n6) - exactL)[6:-6]))
             errsG.append(np.max(np.abs(grad_cyl(field).values - exactG)[6:-6]))
-        for f in halving_factors(errsL) + halving_factors(errsG):
-            assert 8.0 <= f <= 32.0
+        for errs in (errsL, errsG):
+            assert all(8.0 <= a / b <= 32.0 for a, b in zip(errs, errs[1:]))
 
 
 class TestIntegrateMu:
@@ -193,65 +137,27 @@ class TestIntegrateMu:
 
 
 class TestResidualEqW:
+    """L w + w^(p-1), which vanishes at grid scale iff w solves the cylinder equation."""
+
     def test_bubble_closed_form_residual(self, ps_n6, grid_default):
-        w = bubble_cylinder(ps_n6, grid_default)
-        res = residual_eq_w(w)
-        norm = np.max(w.values ** (ps_n6.p_exp - 1))
-        assert np.max(np.abs(res.values[4:-4])) / norm < 5e-6  # FD noise floor
+        w = bubble_cylinder(ps_n6, grid_default).values
+        res = L_of_values(w, grid_default, Radial(), ps_n6) + w ** (ps_n6.p_exp - 1)
+        norm = np.max(w ** (ps_n6.p_exp - 1))
+        assert np.max(np.abs(res[4:-4])) / norm < 5e-6  # FD noise floor
         # away from the flat region the FD residual is tight
         mask = grid_default.nodes >= 1.0
-        assert np.max(np.abs(res.values[mask][:-4])) / norm < 1e-8
+        assert np.max(np.abs(res[mask][:-4])) / norm < 1e-8
 
     def test_constant_residual_is_one(self, ps_n6, grid_small):
-        w = CylinderField(grid_small, Radial(), np.ones(512), ps_n6)
-        res = residual_eq_w(w).values
+        w = np.ones(512)
+        res = L_of_values(w, grid_small, Radial(), ps_n6) + w ** (ps_n6.p_exp - 1)
         assert np.max(np.abs(res[4:-4] - 1.0)) < 1e-10
 
     def test_amplitude_scaling_is_not_a_symmetry(self, ps_n6, grid_default):
-        w = bubble_cylinder(ps_n6, grid_default)
-        res = residual_eq_w(w.with_values(2.0 * w.values))
-        norm = np.max((2.0 * w.values) ** (ps_n6.p_exp - 1))
-        assert np.max(np.abs(res.values[4:-4])) / norm > 0.1
-
-
-class TestCknRayleigh:
-    def test_matches_quadrature_oracle_sobolev(self, ps_sobolev3, grid_default):
-        w = bubble_cylinder(ps_sobolev3, grid_default)
-        got = ckn_rayleigh(w)
-        c0 = cylinder_amplitude(ps_sobolev3)
-        n, p = ps_sobolev3.n, ps_sobolev3.p_exp
-        num, _ = quad(lambda s: (c0 * (1 + s * s) ** (-0.5)) ** p * s ** (n - 1),
-                      grid_default.r_min, grid_default.r_max, limit=200)
-        den, _ = quad(lambda s: (c0 * s / (1 + s * s) ** 1.5) ** 2 * s ** (n - 1),
-                      grid_default.r_min, grid_default.r_max, limit=200)
-        area = sphere_area(3)
-        expected = (area * num) ** (2.0 / p) / (area * den)
-        assert abs(got / expected - 1.0) < 1e-6
-
-    def test_refinement_stability(self, ps_sobolev3):
-        vals = []
-        for count in (1024, 2048):
-            g = RadialGrid(1e-3, 1e3, count)
-            vals.append(ckn_rayleigh(bubble_cylinder(ps_sobolev3, g)))
-        assert abs(vals[1] / vals[0] - 1.0) < 1e-4
-
-    def test_scale_invariance(self, ps_n6, grid_default):
-        base = ckn_rayleigh(bubble_cylinder(ps_n6, grid_default))
-        for lam in (0.5, 2.0, 5.0):
-            vals = bubble_cylinder_values(ps_n6, grid_default.nodes, lam=lam)
-            w = CylinderField(grid_default, Radial(), vals, ps_n6)
-            assert abs(ckn_rayleigh(w) / base - 1.0) < 1e-6
-
-    def test_bump_is_worse_than_bubble(self, ps_n6, grid_default):
-        s = grid_default.nodes
-        bump = np.exp(-0.5 * ((np.log(s) - 0.0) / 0.1) ** 2) + 1e-8
-        w = CylinderField(grid_default, Radial(), bump, ps_n6)
-        assert ckn_rayleigh(w) < ckn_rayleigh(bubble_cylinder(ps_n6, grid_default))
-
-    def test_degenerate_denominator(self, ps_n6, grid_small):
-        w = CylinderField(grid_small, Radial(), np.ones(512), ps_n6)
-        with pytest.raises(DegenerateDenominator):
-            ckn_rayleigh(w)
+        w = 2.0 * bubble_cylinder(ps_n6, grid_default).values
+        res = L_of_values(w, grid_default, Radial(), ps_n6) + w ** (ps_n6.p_exp - 1)
+        norm = np.max(w ** (ps_n6.p_exp - 1))
+        assert np.max(np.abs(res[4:-4])) / norm > 0.1
 
 
 class TestCsvExport:

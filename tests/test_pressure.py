@@ -4,7 +4,8 @@ from scipy.integrate import quad
 
 from cknlab.bubble import bubble_cylinder, pressure_amplitude
 from cknlab.cylfield import CylinderField, L_of_values, MeasureRegion, PeriodicGrid, Radial
-from cknlab.errors import NonPositiveSample, UnsupportedAngularRep
+from cknlab import pressure
+from cknlab.errors import NonPositiveSample
 from cknlab.fitting import fitted_order
 from cknlab.grids import RadialGrid, sphere_area
 from cknlab.params import derive_params
@@ -16,8 +17,7 @@ from cknlab.pressure import (
     residual_eq_P,
     rigidity_defect,
     rigidity_defect_breakdown,
-    sphere_bochner,
-    sphere_bochner_density,
+    sphere_margins,
 )
 from cknlab.verify import (
     evaluate_log_field,
@@ -183,25 +183,29 @@ class TestSphereBochner:
         target = np.broadcast_to(profile_theta(th)[None, :], (count, M)).copy()
         return pressure_field_from_target(target, g, PeriodicGrid(M), ps)
 
+    @staticmethod
+    def margins(pf):
+        return sphere_margins(pf.P.values, pf.thetaP, pf.lap_thetaP, pf.params)
+
     def test_constant_in_theta_both_sides_zero(self, ps_d2):
+        # both sides integrate theta-derivatives of P, which vanish
         pf = self._make(ps_d2, lambda th: np.full_like(th, 2.0))
-        sides = sphere_bochner(pf, 32)
-        assert abs(sides.k_sphere_integral) < 1e-12
-        assert abs(sides.rhs_bound) < 1e-12
+        assert np.max(np.abs(pf.thetaP)) < 1e-12 and np.max(np.abs(pf.lap_thetaP)) < 1e-12
+        assert abs(self.margins(pf)[32]) < 1e-12
 
     def test_two_plus_cos_margin(self):
         # d = 2 path with n = 6, alpha = 1/2
         ps = derive_params(-1.0, -1.0 / 3.0, 2)
         assert abs(ps.n - 6.0) < 1e-12 and abs(ps.alpha - 0.5) < 1e-12
         pf = self._make(ps, lambda th: 2.0 + np.cos(th))
-        assert sphere_bochner(pf, 32).margin >= 0.0
+        assert self.margins(pf)[32] >= 0.0
 
     def test_seeded_profiles_nonnegative_margin(self, ps_d2, rng):
         from cknlab.verify import random_circle_profile
         for _ in range(100):
             prof = random_circle_profile(rng, 256)
             pf = self._make(ps_d2, lambda th, p=prof: p)
-            assert sphere_bochner(pf, 32).margin >= -1e-8
+            assert self.margins(pf)[32] >= -1e-8
 
     def test_row_margin_matches_full_density(self, ps_d2, rng):
         from cknlab.verify import random_circle_profile
@@ -210,18 +214,14 @@ class TestSphereBochner:
         target = rows * random_circle_profile(rng, 256)[None, :]
         pf = pressure_field_from_target(target, g, PeriodicGrid(256), ps_d2)
         n, alpha, d = pf.params.n, ps_d2.alpha, ps_d2.d
-        full = sphere_bochner_density(pf)
+        full = pressure._sphere_k(pf.thetaP, pf.lap_thetaP, n, alpha)
+        margins = self.margins(pf)
         for i in (0, 17, 32, 63):
             weight = pf.P.values[i] ** (1.0 - n)
             lhs = float(np.mean(weight * full[i])) * 2.0 * np.pi
             coeff = (n - 2.0) * ((d - 1.0) / (n - 1.0) - alpha**2)
             rhs = coeff * float(np.mean(weight * pf.thetaP[i] ** 2)) * 2.0 * np.pi
-            assert np.array_equal(sphere_bochner(pf, i).margin, lhs - rhs)
-
-    def test_requires_periodic_grid(self, ps_n6, grid_small):
-        pf = pressure_of(bubble_cylinder(ps_n6, grid_small))
-        with pytest.raises(UnsupportedAngularRep):
-            sphere_bochner(pf, 10)
+            assert np.array_equal(margins[i], lhs - rhs)
 
 
 class TestDivergenceForm:
