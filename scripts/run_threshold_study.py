@@ -14,8 +14,9 @@ import sys
 
 import numpy as np
 
+from cknlab.params import alpha_bracket
 from cknlab.reporting import csv_text, json_text
-from cknlab.spectral import SPECTRUM_HEADER, alpha_bracket, fs_crossing, spectrum_table
+from cknlab.spectral import SPECTRUM_HEADER, fs_crossing, spectrum_table
 
 OUT = pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else pathlib.Path("out")
 PAIRS = [(3, 6.0), (2, 4.0), (4, 8.0)]

@@ -17,16 +17,13 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
-from . import verify
-from .bubble import eval_bubble, make_bubble
+# Modules, not names: each stays lazy (cknlab/__init__.py) until a command reads
+# it, and building the parser reads nothing from a module that imports numpy.
+from . import bubble, radial_ode, spectral, verify
 from .errors import AdmissibilityError, CknLabError, EmptyScan
-from .params import REGIME_HEADER, derive_params, regime_row
-from .radial_ode import SERIES_START, shoot
+from .params import ALPHA_BRACKET, REGIME_HEADER, alpha_bracket, derive_params, regime_row
 # ordered_map stays bound here for the perfbench tracer tests, which patch it.
 from .reporting import csv_text, json_text, ordered_map, write_text  # noqa: F401
-from .spectral import ALPHA_BRACKET, SPECTRUM_HEADER, alpha_bracket, fs_crossing, spectrum_table
 
 EXIT_PASS = 0
 EXIT_CONTRACT_FAILURE = 1
@@ -38,6 +35,15 @@ SCAN_MAX_ROWS = 100_000
 #: Most float64 samples in one array (32 MB; 16x the default identities
 #: field); size flags are checked against it before anything is allocated.
 MAX_SAMPLES = 2**22
+
+#: Most eigensolver nodes in one `spectrum` table: --alpha-count x (--k-max + 1)
+#: sector solves of --grid nodes each (54 000 by default).
+SPECTRUM_MAX_NODES = 2**24
+
+#: Most field samples one identities suite builds, --fields random fields on its
+#: finest grid: the default 8 fields at any size MAX_SAMPLES admits (127 fields
+#: at the default 1025 x 256).
+IDENTITIES_MAX_SAMPLES = 8 * MAX_SAMPLES
 
 #: suite -> {verify flag the suite reads: keyword of verify.run_<suite>_suite}.
 #: None marks a flag read here and not passed on; --a --b --d together give
@@ -78,10 +84,11 @@ _positive_finite = _finite_above(0.0)
 
 def _s_max(text: str) -> float:
     """argparse type for --s-max: finite and above SERIES_START in log(s), where shots step."""
-    value = _finite_above(SERIES_START)(text)
-    if not math.log(value) > math.log(SERIES_START):
+    start = radial_ode.SERIES_START
+    value = _finite_above(start)(text)
+    if not math.log(value) > math.log(start):
         raise argparse.ArgumentTypeError(
-            f"must exceed the series start {SERIES_START:g} after taking logs: got {text}")
+            f"must exceed the series start {start:g} after taking logs: got {text}")
     return value
 
 
@@ -103,6 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--a", type=float, required=required)
         p.add_argument("--b", type=float, required=required)
         p.add_argument("--d", type=int, required=required)
+
+    def count(text: str) -> int:   # --angular: verify's floor, read on use, not at build time
+        return _count_at_least(verify.MIN_ANGULAR_SIZE)(text)
 
     weights(command("params", cmd_params, "derive and print a ParamSet"))
 
@@ -140,12 +150,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("verify", cmd_verify, "run a verification suite")
     p.add_argument("--suite", choices=tuple(SUITE_FLAGS), required=True)
-    p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
+    p.add_argument("--seed", type=int)   # default verify.DEFAULT_SEED, read by cmd_verify
     p.add_argument("--format", choices=("csv", "json"), help="estimates only (default json)")
     p.add_argument("--fields", type=_count_at_least(1), help="random fields (identities)")
     p.add_argument("--refine", type=_count_at_least(2), help="refinement levels (identities)")
-    p.add_argument("--angular", type=_count_at_least(verify.MIN_ANGULAR_SIZE),
-                   help="angular node count (identities)")
+    p.add_argument("--angular", type=count, help="angular node count (identities)")
     p.add_argument("--grid", type=_count_at_least(1),
                    help="radial node count (estimates, spectrum)")
     weights(p, required=False)  # rigidity: one (a, b, d) triple
@@ -188,16 +197,17 @@ def cmd_scan(args) -> int:
 def cmd_bubble(args) -> int:
     if args.r_min > args.r_max:   # equal bounds sample one radius
         return _invalid("bubble requires --r-min <= --r-max")
-    spec = make_bubble(derive_params(args.a, args.b, args.d), lam=args.lam)
+    import numpy as np
+    spec = bubble.make_bubble(derive_params(args.a, args.b, args.d), lam=args.lam)
     radii = np.exp(np.linspace(np.log(args.r_min), np.log(args.r_max), args.grid))
-    values = eval_bubble(spec, radii)
+    values = bubble.eval_bubble(spec, radii)
     write_text(csv_text(["r", "u"], list(zip(radii, values))), args.out)
     return EXIT_PASS
 
 
 def cmd_shoot(args) -> int:
     ps = derive_params(args.a, args.b, args.d)
-    profile = shoot(ps, args.w0, s_max=args.s_max)
+    profile = radial_ode.shoot(ps, args.w0, s_max=args.s_max)
     rows = list(zip(profile.s, profile.w, profile.w_prime))
     record = {
         "params": ps.to_dict(),
@@ -213,6 +223,10 @@ def cmd_shoot(args) -> int:
 
 def cmd_spectrum(args) -> int:
     d, n, N = args.d, args.n, args.grid
+    nodes = args.alpha_count * (args.k_max + 1) * N
+    if nodes > SPECTRUM_MAX_NODES:
+        return _invalid(f"spectrum solves at most {SPECTRUM_MAX_NODES} table nodes: --alpha-count "
+                        f"{args.alpha_count} x (--k-max {args.k_max} + 1) x --grid {N} gives {nodes}")
     if not 1 < n < math.inf:
         return _invalid("spectrum requires a finite --n > 1")
     if not n > d:  # see path_params
@@ -222,9 +236,11 @@ def cmd_spectrum(args) -> int:
     a_hi = a_hi if args.alpha_max is None else args.alpha_max
     if not a_lo < a_hi:
         return _invalid(f"spectrum requires --alpha-min < --alpha-max: got {a_lo} and {a_hi}")
-    rows = spectrum_table(d, n, np.linspace(a_lo, a_hi, args.alpha_count), args.k_max, N)
-    crossing = fs_crossing(d, n, (a_lo, a_hi), N=N)
-    _write_rows_and_record(SPECTRUM_HEADER, rows, crossing.to_dict(), args.out)
+    import numpy as np
+    rows = spectral.spectrum_table(d, n, np.linspace(a_lo, a_hi, args.alpha_count),
+                                   args.k_max, N)
+    crossing = spectral.fs_crossing(d, n, (a_lo, a_hi), N=N)
+    _write_rows_and_record(spectral.SPECTRUM_HEADER, rows, crossing.to_dict(), args.out)
     return EXIT_PASS
 
 
@@ -241,18 +257,23 @@ def cmd_verify(args) -> int:
         angular = args.angular or verify.IDENTITY_ANGULAR
         samples = verify.identities_field_samples(refine, angular)
         sizing = f"--refine {refine} --angular {angular}"
+        fields = args.fields or verify.IDENTITY_FIELDS
     else:  # spectrum's widest operator (converged_lowest_eigenvalue) has 3 --grid nodes
         samples = (3 if args.suite == "spectrum" else 1) * (args.grid or 0)
         sizing = f"--grid {args.grid}"
     if samples > MAX_SAMPLES:
         return _invalid(f"--suite {args.suite} builds arrays of at most {MAX_SAMPLES} samples: "
                         f"{sizing} gives {samples}")
+    if args.suite == "identities" and fields * samples > IDENTITIES_MAX_SAMPLES:
+        return _invalid(f"--suite identities builds at most {IDENTITIES_MAX_SAMPLES} field "
+                        f"samples: --fields {fields} {sizing} gives {fields * samples}")
     if args.suite == "rigidity" and given:
         if len(given) < 3:
             return _invalid("--suite rigidity takes --a --b --d together")
         kwargs["param_triples"] = ((args.a, args.b, args.d),)
     # Looked up at call time, so a rebinding of the verify module (tracing) applies.
-    report = getattr(verify, f"run_{args.suite}_suite")(seed=args.seed, **kwargs)
+    seed = verify.DEFAULT_SEED if args.seed is None else args.seed
+    report = getattr(verify, f"run_{args.suite}_suite")(seed=seed, **kwargs)
     if args.suite == "estimates":
         report, rows = report
     text = csv_text(ESTIMATES_HEADER, rows) if args.format == "csv" else json_text(report)

@@ -179,8 +179,8 @@ def weak_energy(w: CylinderField, t: float) -> WeakEnergyResult:
     fb = w.with_values(w.values**t * grad_cyl(w).values)
     va = np.array([integrate_mu(fa, MeasureRegion(grid.r_min, R)) for R in R_list])
     vb = np.array([integrate_mu(fb, MeasureRegion(grid.r_min, R)) for R in R_list])
-    ea = fit_loglog(R_list, va).slope
-    eb = fit_loglog(R_list, vb).slope
+    ea = fit_loglog(R_list, va)
+    eb = fit_loglog(R_list, vb)
     return WeakEnergyResult(R_list=R_list, values_A=va, values_B=vb,
                             fitted_exponents=(ea, eb), beta=beta)
 
@@ -216,8 +216,8 @@ def low_dim_chain(pf: PressureField, R_list=None) -> LowDimChainResult:
     G = lambda R: integrate_mu(density, MeasureRegion(grid.r_min, R))
     grad_values = np.array([G(R) for R in R_list])
     bound_values = np.array([G(2.0 * R) / R**2 for R in R_list])
-    growth = fit_loglog(R_list, grad_values).slope
-    decay = fit_loglog(R_list, bound_values).slope
+    growth = fit_loglog(R_list, grad_values)
+    decay = fit_loglog(R_list, bound_values)
     return LowDimChainResult(
         R_list=R_list, grad_values=grad_values, bound_values=bound_values,
         grad_integral_growth=growth, defect_decay=decay, closes=growth < 2.0,
@@ -272,7 +272,7 @@ def finite_energy_chain(w: CylinderField, R_list=None) -> FiniteEnergyChainResul
 
     def tail_slope(values):
         # compactly supported fields have identically-zero tails: no rate
-        return fit_loglog(R_list, values).slope if np.all(values > 0) else float("nan")
+        return fit_loglog(R_list, values) if np.all(values > 0) else float("nan")
 
     return FiniteEnergyChainResult(
         R_list=R_list,

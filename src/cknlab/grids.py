@@ -210,8 +210,14 @@ def _lagrange_cell_weights(offsets, lo: float, hi: float) -> np.ndarray:
     return ws
 
 
-_CELL_INTERIOR = _lagrange_cell_weights([-1.0, 0.0, 1.0, 2.0], 0.0, 1.0)  # [-1,13,13,-1]/24
-_CELL_FIRST = _lagrange_cell_weights([0.0, 1.0, 2.0, 3.0], 0.0, 1.0)      # [9,19,-5,1]/24
+# Whole-cell weights [-1, 13, 13, -1]/24 (nodes k-1..k+2) and [9, 19, -5, 1]/24
+# (nodes 0..3) as literals with the bits _lagrange_cell_weights gives (one entry
+# of each is 1 ulp off the fraction; tests/test_grids.py pins them), so
+# numpy.polynomial loads only when a region cuts a cell.
+_CELL_INTERIOR = np.array([-0.041666666666666664, 0.5416666666666667,
+                           0.5416666666666666, -0.041666666666666664])
+_CELL_FIRST = np.array([0.375, 0.7916666666666666, -0.20833333333333337,
+                        0.041666666666666664])
 
 
 def _cell_stencil(k: int, ncell: int) -> np.ndarray:

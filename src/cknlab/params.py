@@ -45,23 +45,10 @@ class ParamSet:
     kappa: float
 
     def to_dict(self) -> dict:
-        out = {
-            "a": self.a,
-            "b": self.b,
-            "d": self.d,
-            "a_c": self.a_c,
-            "p_exp": self.p_exp,
-            "alpha": self.alpha,
-            "n": self.n,
-            "fs_threshold": self.fs_threshold,
-            "regime": self.regime.value,
-            "kappa": self.kappa,
-        }
+        out = {**vars(self), "regime": self.regime.value}
         # JSON has no literal for infinities (n is infinite on the p=2 edge).
-        for key, val in out.items():
-            if isinstance(val, float) and math.isinf(val):
-                out[key] = "inf"
-        return out
+        return {key: "inf" if isinstance(val, float) and math.isinf(val) else val
+                for key, val in out.items()}
 
     @property
     def is_symmetric(self) -> bool:
@@ -80,6 +67,16 @@ class ParamSet:
 def felli_schneider_threshold(d: int, n: float) -> float:
     """The symmetry-breaking threshold sqrt((d-1)/(n-1)) on alpha."""
     return math.sqrt((d - 1.0) / (n - 1.0))
+
+
+#: Default alpha bracket of the threshold search, in units of the closed form.
+ALPHA_BRACKET = (0.7, 1.3)
+
+
+def alpha_bracket(d: int, n: float) -> tuple[float, float]:
+    """ALPHA_BRACKET times the closed-form threshold of the fixed-(d, n) path."""
+    formula = felli_schneider_threshold(d, n)
+    return ALPHA_BRACKET[0] * formula, ALPHA_BRACKET[1] * formula
 
 
 def derive_params(a: float, b: float, d: int, strict_subcritical: bool = False) -> ParamSet:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 FLOAT_FMT = "{:.17g}"
 
@@ -65,5 +64,7 @@ def ordered_map(fn, items, max_workers: int | None = None) -> list:
         max_workers = min(8, os.cpu_count() or 1)
     if max_workers <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
+    from concurrent.futures import ThreadPoolExecutor   # only a call that pools loads it
+
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
         return list(pool.map(fn, items))

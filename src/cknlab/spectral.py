@@ -32,12 +32,9 @@ import numpy as np
 
 from .bubble import cylinder_amplitude
 from .errors import AdmissibilityError, ConvergenceFailure, NoSignChange, SubcriticalRange
-from .params import ParamSet, derive_params, felli_schneider_threshold
+from .params import ParamSet, alpha_bracket, derive_params, felli_schneider_threshold
 
 BISECT_TOL = 1e-5  # width of the final alpha bracket in fs_crossing
-
-#: Default alpha bracket of the threshold search, in units of the closed form.
-ALPHA_BRACKET = (0.7, 1.3)
 
 #: Columns of the rows `spectrum_table` returns.
 SPECTRUM_HEADER = ["alpha", "k", "lowest_eigenvalue"]
@@ -211,12 +208,6 @@ def path_params(d: int, n: float, alpha: float) -> ParamSet:
     a = a_c - alpha * c2 / c1
     b = a + 1.0 - d / n
     return derive_params(a, b, d, strict_subcritical=True)
-
-
-def alpha_bracket(d: int, n: float) -> tuple[float, float]:
-    """ALPHA_BRACKET times the closed-form threshold of the fixed-(d, n) path."""
-    formula = felli_schneider_threshold(d, n)
-    return ALPHA_BRACKET[0] * formula, ALPHA_BRACKET[1] * formula
 
 
 def spectrum_table(d: int, n: float, alphas, k_max: int, N: int) -> list[tuple]:

@@ -25,7 +25,7 @@ from .estimates import (
     superharmonic_lower_bound,
     weak_energy,
 )
-from .fitting import fit_loglog, fitted_order
+from .fitting import fit_loglog
 from .grids import RadialGrid
 from .params import ParamSet, derive_params
 from .pressure import (
@@ -38,6 +38,8 @@ from .pressure import (
     sphere_margins,
 )
 from .radial_ode import radial_rigidity_sweep
+# Imported above is every module the pooled items touch, so each is loaded before
+# ordered_map starts a thread: a first read of a lazy module is not thread-safe.
 from .reporting import ordered_map
 from .spectral import fs_crossing, zero_mode_eigenvalue
 
@@ -180,6 +182,7 @@ def _refinement_sizes(levels: int = 3, base: int = 513) -> list[int]:
     return [(base - 1) * 2**i + 1 for i in range(levels)]
 
 
+IDENTITY_FIELDS = 8      # random fields of run_identities_suite
 IDENTITY_LEVELS = 3      # refinement levels of run_identities_suite
 IDENTITY_ANGULAR = 256   # angular nodes of run_identities_suite
 
@@ -195,7 +198,7 @@ def identities_field_samples(levels: int, angular_size: int) -> int:
 
 def run_identities_suite(
     seed: int = DEFAULT_SEED,
-    n_fields: int = 8,
+    n_fields: int = IDENTITY_FIELDS,
     n_sphere_fields: int = 100,
     levels: int = IDENTITY_LEVELS,
     angular_size: int = IDENTITY_ANGULAR,
@@ -228,7 +231,7 @@ def run_identities_suite(
             pf = pressure_field_from_target(target, g, angular, ps2)
             diff = bochner_decomposition(pf).total().values - bochner_k(pf).values
             errs.append(interior_max(diff, g, frac=0.1))
-        return errs, fitted_order(h_values, errs)
+        return errs, fit_loglog(h_values, errs)
 
     field_results = ordered_map(decomposition_orders, all_coeffs)
     orders = [o for _, o in field_results]
@@ -257,8 +260,8 @@ def run_identities_suite(
             pf = pressure_of(bubble_cylinder(ps, g))
             div_errs.append(interior_max(divergence_form_residual(pf).values, g, frac=0.1))
             prs_errs.append(interior_max(residual_eq_P(pf).values, g, frac=0.1))
-        o_div = fitted_order(bubble_h, div_errs)
-        o_prs = fitted_order(bubble_h, prs_errs)
+        o_div = fit_loglog(bubble_h, div_errs)
+        o_prs = fit_loglog(bubble_h, prs_errs)
         report.add({
             "identity": "divergence_identity_bubble",
             "param_set": ps.to_dict(),
@@ -315,7 +318,7 @@ def run_estimates_suite(seed: int = DEFAULT_SEED, grid_count: int = 2048) -> tup
         w = bubble_cylinder(ps, grid)
         bound = superharmonic_lower_bound(w, rho=1.0)
         tail = (grid.nodes >= 1e2)
-        slope = fit_loglog(grid.nodes[tail], w.values[tail]).slope
+        slope = fit_loglog(grid.nodes[tail], w.values[tail])
         ok = bound.min_margin >= -1e-10 and abs(slope - (2.0 - ps.n)) <= 1e-3
         report.add({
             "name": "superharmonic_lower_bound",
@@ -414,7 +417,7 @@ def run_estimates_suite(seed: int = DEFAULT_SEED, grid_count: int = 2048) -> tup
     sides = int_ineq_sides(pfh, [make_cutoff(R, s_power=2.0) for R in R_cut])
     lhs_vals = [side.lhs for side in sides]
     rhs_vals = [side.rhs_weighted for side in sides]
-    rhs_slope = fit_loglog(R_cut, rhs_vals).slope
+    rhs_slope = fit_loglog(R_cut, rhs_vals)
     lhs_ok = min(lhs_vals) >= -1e-8 and max(abs(v) for v in lhs_vals) < 1e-6
     rhs_ok = abs(rhs_slope - (2.0 - psh.n)) <= 0.1 and min(rhs_vals) > 0
     report.add({

@@ -166,7 +166,7 @@ def test_criterion_6_estimates():
         bound = superharmonic_lower_bound(w, rho=1.0)
         worst_margin = min(worst_margin, bound.min_margin)
         tail = grid.nodes >= 1e2
-        slope = fit_loglog(grid.nodes[tail], w.values[tail]).slope
+        slope = fit_loglog(grid.nodes[tail], w.values[tail])
         worst_slope_err = max(worst_slope_err, abs(slope - (2.0 - ps.n)))
     if worst_margin < -1e-10 or worst_slope_err > 1e-3:
         fails.append("superharmonic bound")

@@ -11,7 +11,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-import cknlab.cli  # noqa: F401  (imports every module the tracer wraps)
+import cknlab.cli  # noqa: F401  (binds every module the tracer wraps; each loads on first read)
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 

@@ -255,7 +255,16 @@ class TestVerifyCommand:
      "decay horizon"),
     # lambda^kappa = (1e300)^5.5 overflows in the scaled profile
     (["bubble", "--a", "-5", "--b", "-4.5", "--d", "3", "--lam", "1e300", "--grid", "2"],
-     "lambda^kappa c0 overflows double precision"),
+     "lambda^kappa c0 overflows double precision"),    # work caps: refused before any solve or field
+    (["spectrum", "--d", "3", "--n", "6", "--alpha-count", "8193", "--k-max", "0",
+      "--grid", "2048"], "--alpha-count 8193 x (--k-max 0 + 1) x --grid 2048 gives 16779264"),
+    (["spectrum", "--d", "3", "--n", "6", "--k-max", "1000000"], "--k-max 1000000"),
+    (["spectrum", "--d", "3", "--n", "6", "--alpha-count", "10000000"], "--alpha-count 10000000"),
+    (["verify", "--suite", "identities", "--fields", "128"],
+     "--fields 128 --refine 3 --angular 256 gives 33587200"),
+    (["verify", "--suite", "identities", "--fields", "16", "--refine", "6"],
+     "--fields 16 --refine 6 --angular 256 gives 33558528"),
+    (["verify", "--suite", "identities", "--fields", "1000000000"], "at most 33554432 field"),
 ])
 def test_bad_input_exits_2_with_reason(argv, reason, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
@@ -320,6 +329,65 @@ def test_params_scan_bubble_never_import_scipy():
     assert json.loads(proc.stdout) == {"import": [], "params": [], "scan": [], "bubble": [],
                                        "shoot": [], "verify rigidity": [], "spectrum": lapack,
                                        "verify spectrum": lapack}
+
+
+CLOSURE_PROBE = """
+import contextlib, io, json, sys, types
+import cknlab.cli
+
+cknlab.cli.build_parser()
+parser_numpy = "numpy" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cknlab.cli.main(sys.argv[1:])
+print(json.dumps({
+    "code": code, "parser_numpy": parser_numpy, "numpy": "numpy" in sys.modules,
+    "futures": "concurrent.futures" in sys.modules,
+    # a lazy module that is bound but never read keeps its lazy type
+    "loaded": sorted(name[len("cknlab."):] for name, module in sys.modules.items()
+                     if name.startswith("cknlab.") and type(module) is types.ModuleType),
+}))
+"""
+_BASE = ["cli", "errors", "params", "reporting"]
+_BUBBLE = _BASE + ["bubble", "cylfield", "grids"]
+#: command -> (argv, the cknlab modules it runs)
+COMMAND_MODULES = {
+    "params": (["--a", "-0.5", "--b", "0", "--d", "3"], _BASE),
+    "scan": (["--d", "3", "--a-min", "-1", "--a-max", "0", "--a-step", "0.25"], _BASE),
+    "bubble": (["--a", "-0.5", "--b", "0", "--d", "3", "--grid", "5"], _BUBBLE),
+    "shoot": (["--a", "-0.5", "--b", "0", "--d", "3", "--w0", "2.5"], _BUBBLE + ["radial_ode"]),
+    "spectrum": (["--d", "3", "--n", "6", "--grid", "200"], _BUBBLE + ["spectral"]),
+    "verify": (["--suite", "spectrum", "--grid", "200"],
+               _BUBBLE + ["estimates", "fitting", "pressure", "radial_ode", "spectral",
+                          "verify"]),
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_MODULES)
+def test_each_command_loads_only_its_modules(command):
+    # fresh interpreter: the parser reads no numpy module, params and scan run
+    # on the standard library alone, and each command loads the table's modules
+    argv, modules = COMMAND_MODULES[command]
+    src = str(Path(cknlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", CLOSURE_PROBE, command, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["code"] == 0 and got["parser_numpy"] is False
+    assert got["loaded"] == sorted(modules)
+    if command in ("params", "scan"):
+        assert got["numpy"] is False and got["futures"] is False
+
+
+def test_module_entry_point_runs_clean_under_warnings_as_errors():
+    # cli is not a lazy module, so runpy finds no stale cknlab.cli in sys.modules
+    src = str(Path(cknlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "cknlab.cli", "params",
+                           "--a", "-0.5", "--b", "0", "--d", "3"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["n"] == 6.0
 
 
 LOAD_ORDER_PROBE = """

@@ -46,6 +46,13 @@ def test_cell_weights_closed_forms():
     np.testing.assert_allclose(_CELL_FIRST, np.array([9, 19, -5, 1]) / 24.0, atol=1e-15)
 
 
+def test_cell_weight_literals_keep_the_lagrange_bits():
+    # the literals stand for the Polynomial build bit for bit; a partial cell
+    # still goes through that build, so both paths share one set of weights
+    assert _CELL_INTERIOR.tobytes() == _lagrange_cell_weights([-1, 0, 1, 2], 0.0, 1.0).tobytes()
+    assert _CELL_FIRST.tobytes() == _lagrange_cell_weights([0, 1, 2, 3], 0.0, 1.0).tobytes()
+
+
 class TestRadialGrid:
     def test_log_uniform(self):
         g = default_grid()

@@ -6,7 +6,7 @@ from cknlab.bubble import bubble_cylinder, pressure_amplitude
 from cknlab.cylfield import CylinderField, L_of_values, MeasureRegion, PeriodicGrid, Radial
 from cknlab import pressure
 from cknlab.errors import NonPositiveSample
-from cknlab.fitting import fitted_order
+from cknlab.fitting import fit_loglog
 from cknlab.grids import RadialGrid, sphere_area
 from cknlab.params import derive_params
 from cknlab.pressure import (
@@ -98,7 +98,7 @@ class TestResidualEqP:
             pf = pressure_of(bubble_cylinder(ps_n6, g))
             errs.append(interior_max(residual_eq_P(pf).values, g, frac=0.1))
             hs.append(g.log_step)
-        assert fitted_order(hs, errs) >= 3.8
+        assert fit_loglog(hs, errs) >= 3.8
 
 
 class TestBochnerK:
@@ -173,7 +173,7 @@ class TestDecomposition:
             diff = bochner_decomposition(pf).total().values - bochner_k(pf).values
             errs.append(interior_max(diff, g))
             hs.append(g.log_step)
-        assert fitted_order(hs, errs) >= 3.8
+        assert fit_loglog(hs, errs) >= 3.8
 
 
 class TestSphereBochner:
@@ -233,7 +233,7 @@ class TestDivergenceForm:
             errs.append(interior_max(divergence_form_residual(pf).values, g, frac=0.1))
             hs.append(g.log_step)
         assert errs[-1] < 1e-7
-        assert fitted_order(hs, errs) >= 3.8
+        assert fit_loglog(hs, errs) >= 3.8
 
     def test_radial_linear_both_sides_agree(self, ps_n6):
         # P = s: exact identity even off-solution; both sides are

@@ -61,7 +61,7 @@ class TestShoot:
         assert s.size >= 10
         series = np.array([series_start(ps_n6, c0, si)[0] for si in s])
         diff = np.abs(profile.w[window] - series)
-        slope = fit_loglog(s, diff).slope
+        slope = fit_loglog(s, diff)
         assert slope >= 3.8
 
     def test_energy_monotone_along_profile(self, ps_n6):

@@ -41,7 +41,7 @@ class TestSolitonProfile:
     def test_tail_rate_and_amplitude(self, ps_n6):
         t = np.linspace(6.0, 14.0, 60)
         v = soliton_profile(ps_n6, t)
-        slope = fit_loglog(np.exp(t), v).slope
+        slope = fit_loglog(np.exp(t), v)
         assert abs(slope + (ps_n6.n - 2.0) / 2.0) < 1e-3
         # v* e^(Lambda |t|) -> c0
         amp = v[-1] * math.exp((ps_n6.n - 2.0) / 2.0 * t[-1])
