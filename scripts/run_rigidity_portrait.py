@@ -16,7 +16,7 @@ from cknlab.bubble import bubble_cylinder, cylinder_amplitude
 from cknlab.grids import RadialGrid
 from cknlab.params import derive_params
 from cknlab.pressure import pressure_of, rigidity_defect, rigidity_defect_breakdown
-from cknlab.radial_ode import radial_rigidity_sweep
+from cknlab.radial_ode import MATCH_TOL, radial_rigidity_sweep
 
 a, b, d = (float(sys.argv[1]), float(sys.argv[2]), int(sys.argv[3])) \
     if len(sys.argv) == 4 else (-0.5, 0.0, 3)
@@ -30,7 +30,7 @@ def main():
     c0 = cylinder_amplitude(ps)
     report = radial_rigidity_sweep(ps, c0 * np.logspace(-0.6, 0.6, 12))
     print(f"radial sweep: {report.matched_count}/{len(report.entries)} profiles "
-          f"match a scaled extremal (tol {report.tol:g})")
+          f"match a scaled extremal (tol {MATCH_TOL:g})")
     for e in report.entries:
         print(f"  w0/c0 = {e.w0 / c0:7.3f}  lambda = {e.lambda_fit:10.6f}  "
               f"sup rel err = {e.sup_rel_error:.2e}")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .cylfield import CylinderField, L_kernel, Radial
 from .errors import AmplitudeOverflow, ScaleUnderflow, SubcriticalRange
-from .grids import RadialGrid, default_grid
+from .grids import RadialGrid
 from .params import ParamSet
 
 
@@ -215,11 +215,10 @@ def residual_eq_w_closed_form(ps: ParamSet, s, lam: float = 1.0):
     return L_kernel(dw, d2w, None, s, ps) + w ** (ps.p_exp - 1.0)
 
 
-def bubble_cylinder(ps: ParamSet, grid: RadialGrid | None = None) -> CylinderField:
+def bubble_cylinder(ps: ParamSet, grid: RadialGrid) -> CylinderField:
     """The extremal in cylinder variables, sampled as a Radial field."""
     if not ps.p_exp > 2.0:
         raise SubcriticalRange("cylinder bubble needs p > 2")
-    grid = grid or default_grid()
     values = bubble_cylinder_values(ps, grid.nodes)
     return CylinderField(grid, Radial(), values, ps)
 

@@ -36,8 +36,9 @@ SCAN_MAX_ROWS = 100_000
 #: field); size flags are checked against it before anything is allocated.
 MAX_SAMPLES = 2**22
 
-#: Most eigensolver nodes in one `spectrum` table: --alpha-count x (--k-max + 1)
-#: sector solves of --grid nodes each (54 000 by default).
+#: Most eigensolver nodes one `spectrum` command solves: the table's --alpha-count
+#: x (--k-max + 1) sector solves plus the crossing's, of --grid nodes each
+#: (90 000 by default at --d 3 --n 6, where the crossing makes 18).
 SPECTRUM_MAX_NODES = 2**24
 
 #: Most field samples one identities suite builds, --fields random fields on its
@@ -54,7 +55,6 @@ SUITE_FLAGS = {
     "rigidity": {"a": None, "b": None, "d": None},
     "spectrum": {"grid": "N"},
 }
-ESTIMATES_HEADER = ["lemma", "params", "R", "lhs", "rhs", "fitted_exponent", "bound", "pass"]
 
 
 def _count_at_least(low: int, most: float = math.inf):
@@ -223,10 +223,6 @@ def cmd_shoot(args) -> int:
 
 def cmd_spectrum(args) -> int:
     d, n, N = args.d, args.n, args.grid
-    nodes = args.alpha_count * (args.k_max + 1) * N
-    if nodes > SPECTRUM_MAX_NODES:
-        return _invalid(f"spectrum solves at most {SPECTRUM_MAX_NODES} table nodes: --alpha-count "
-                        f"{args.alpha_count} x (--k-max {args.k_max} + 1) x --grid {N} gives {nodes}")
     if not 1 < n < math.inf:
         return _invalid("spectrum requires a finite --n > 1")
     if not n > d:  # see path_params
@@ -236,6 +232,13 @@ def cmd_spectrum(args) -> int:
     a_hi = a_hi if args.alpha_max is None else args.alpha_max
     if not a_lo < a_hi:
         return _invalid(f"spectrum requires --alpha-min < --alpha-max: got {a_lo} and {a_hi}")
+    table = args.alpha_count * (args.k_max + 1) * N
+    crossing = spectral.fs_crossing_solves(a_lo, a_hi)
+    if table + crossing * N > SPECTRUM_MAX_NODES:
+        return _invalid(f"spectrum solves at most {SPECTRUM_MAX_NODES} nodes: --alpha-count "
+                        f"{args.alpha_count} x (--k-max {args.k_max} + 1) x --grid {N} gives "
+                        f"{table} table nodes, and the crossing's {crossing} solves x --grid {N} "
+                        f"give {crossing * N} more ({table + crossing * N} in all)")
     import numpy as np
     rows = spectral.spectrum_table(d, n, np.linspace(a_lo, a_hi, args.alpha_count),
                                    args.k_max, N)
@@ -276,7 +279,7 @@ def cmd_verify(args) -> int:
     report = getattr(verify, f"run_{args.suite}_suite")(seed=seed, **kwargs)
     if args.suite == "estimates":
         report, rows = report
-    text = csv_text(ESTIMATES_HEADER, rows) if args.format == "csv" else json_text(report)
+    text = csv_text(verify.ESTIMATES_HEADER, rows) if args.format == "csv" else json_text(report)
     write_text(text, args.out)
     if not report.get("pass", False):
         first = report.get("first_failure")

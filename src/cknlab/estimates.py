@@ -16,6 +16,7 @@ origin truncation controlled by the integrands' integrability at 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -43,7 +44,7 @@ class Cutoff:
 
     R: float
     s_power: float
-    c_profile: float  # sup |eta'| * R = 15/8 for the quintic smoothstep
+    c_profile: ClassVar[float] = 15.0 / 8.0  # sup |eta'| * R for the quintic smoothstep
 
     def eta(self, r):
         t = np.clip((2.0 * self.R - np.asarray(r, dtype=float)) / self.R, 0.0, 1.0)
@@ -63,7 +64,7 @@ def make_cutoff(R: float, s_power: float = 2.0) -> Cutoff:
         raise ValueError("cutoff radius must be positive")
     if s_power < 2.0:
         raise ValueError("cutoff exponent s must be >= 2")
-    return Cutoff(R=float(R), s_power=float(s_power), c_profile=15.0 / 8.0)
+    return Cutoff(R=float(R), s_power=float(s_power))
 
 
 @dataclass(frozen=True)
@@ -145,9 +146,8 @@ def superharmonic_lower_bound(w: CylinderField, rho: float) -> SuperharmonicBoun
     return SuperharmonicBound(A=A, min_margin=float(np.min(margin)), rho=rho_eff)
 
 
-def _dyadic_radii(grid, r_hi_cap: float | None = None) -> np.ndarray:
-    """Six dyadic radii ending at r_hi_cap (default r_max / 2)."""
-    hi = grid.r_max / 2.0 if r_hi_cap is None else r_hi_cap
+def _dyadic_radii(hi: float) -> np.ndarray:
+    """Six dyadic radii ending at hi."""
     lo = hi / 2.0**5
     return lo * 2.0 ** np.arange(6)
 
@@ -173,7 +173,7 @@ def weak_energy(w: CylinderField, t: float) -> WeakEnergyResult:
     ps = w.params
     n = ps.n
     grid = w.grid
-    R_list = _dyadic_radii(grid)
+    R_list = _dyadic_radii(grid.r_max / 2.0)
     beta = -(n - 2.0) * t / 2.0 if t > -2.0 else -(n - 2.0) * (1.0 + t)
     fa = w.with_values(w.values ** (ps.p_exp + t))
     fb = w.with_values(w.values**t * grad_cyl(w).values)
@@ -195,12 +195,13 @@ class LowDimChainResult:
     closes: bool               # growth < 2, so the R^-2 limit closes
 
 
-def low_dim_chain(pf: PressureField, R_list=None) -> LowDimChainResult:
+def low_dim_chain(pf: PressureField, R_list) -> LowDimChainResult:
     """Defect-closure chain for 2 < n < 4 (no decay or energy hypotheses).
 
-    Measures the growth of the pressure-gradient integral (the extremal's
-    own rate is R^(4-n)) and the decay of the induced defect bound
-    R^-2 G(2R); the chain closes whenever the growth exponent is < 2.
+    Measures, at the radii R_list, the growth of the pressure-gradient
+    integral (the extremal's own rate is R^(4-n)) and the decay of the
+    induced defect bound R^-2 G(2R); the chain closes whenever the growth
+    exponent is < 2.
     """
     ps = pf.params
     if not (2.0 < ps.n < 4.0):
@@ -208,10 +209,7 @@ def low_dim_chain(pf: PressureField, R_list=None) -> LowDimChainResult:
     if not ps.is_symmetric:
         raise RegimeViolation("chain requires the symmetric regime")
     grid = pf.grid
-    R_list = np.asarray(
-        R_list if R_list is not None else _dyadic_radii(grid, r_hi_cap=grid.r_max / 4.0),
-        dtype=float,
-    )
+    R_list = np.asarray(R_list, dtype=float)
     density = pf.field(pressure_weight(pf.P.values, ps.n) * pf.DP2)
     G = lambda R: integrate_mu(density, MeasureRegion(grid.r_min, R))
     grad_values = np.array([G(R) for R in R_list])
@@ -235,8 +233,9 @@ class FiniteEnergyChainResult:
     defect: float                     # full-grid rigidity defect
 
 
-def finite_energy_chain(w: CylinderField, R_list=None) -> FiniteEnergyChainResult:
-    """Defect-closure chain for finite-energy solutions.
+def finite_energy_chain(w: CylinderField) -> FiniteEnergyChainResult:
+    """Defect-closure chain for finite-energy solutions, on annuli (R, 2R) at six
+    dyadic radii R up to r_max / 4.
 
     Finiteness is certified on the grid by halving r_max: the energy must be
     stable to ``ENERGY_STABILITY_TOL`` relative, otherwise NotFiniteEnergy.  The
@@ -257,10 +256,7 @@ def finite_energy_chain(w: CylinderField, R_list=None) -> FiniteEnergyChainResul
             f"energy integral not stable under r_max halving: relative tail "
             f"{rel_tail:.3e} > {ENERGY_STABILITY_TOL:.1e}"
         )
-    R_list = np.asarray(
-        R_list if R_list is not None else _dyadic_radii(grid, r_hi_cap=grid.r_max / 4.0),
-        dtype=float,
-    )
+    R_list = _dyadic_radii(grid.r_max / 4.0)
     weighted = w.with_values(w.values ** (-2.0 / (ps.n - 2.0)) * energy_field.values)
     p_tail = np.array(
         [integrate_mu(weighted, MeasureRegion(R, 2.0 * R)) for R in R_list]

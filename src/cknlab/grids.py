@@ -156,11 +156,6 @@ class RadialGrid:
         return s if values.ndim == 1 else s[:, None]
 
 
-def default_grid() -> RadialGrid:
-    """r_min = 1e-3, r_max = 1e3, 2048 nodes."""
-    return RadialGrid(1e-3, 1e3, 2048)
-
-
 def d_ds(values: np.ndarray, grid: RadialGrid) -> np.ndarray:
     """First radial derivative on the log grid."""
     out = d_dx(values, grid.log_step)

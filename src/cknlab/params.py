@@ -137,19 +137,15 @@ def derive_params(a: float, b: float, d: int, strict_subcritical: bool = False) 
                 f"internal inconsistency: p = {p!r} vs 2n/(n-2) = {p_check!r}"
             )
 
-    if strict_subcritical:
-        upper = 2.0 * d / (d - 2) if d >= 3 else math.inf
-        if not (2.0 < p < upper):
-            raise SubcriticalRange(
-                f"requires p strictly inside (2, 2*): got p = {p}"
-                + (f", 2* = {upper}" if d >= 3 else "")
-            )
-
     regime = Regime.SYMMETRIC if alpha <= fs_threshold else Regime.SYMMETRY_BREAKING
-    return ParamSet(
+    ps = ParamSet(
         a=float(a), b=float(b), d=d, a_c=a_c, p_exp=p, alpha=alpha,
         n=n, fs_threshold=fs_threshold, regime=regime, kappa=kappa,
     )
+    if strict_subcritical and not ps.strictly_subcritical:
+        raise SubcriticalRange(f"requires p strictly inside (2, 2*): got p = {p}"
+                               + (f", 2* = {2.0 * d / (d - 2)}" if d >= 3 else ""))
+    return ps
 
 
 #: Columns of the rows `regime_row` returns.

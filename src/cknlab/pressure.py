@@ -250,8 +250,8 @@ def sphere_margins(P: np.ndarray, g1: np.ndarray, g2: np.ndarray, ps) -> np.ndar
 
 
 def weighted_divergence(pf: PressureField, v_radial: np.ndarray,
-                        v_theta: np.ndarray | None = None) -> np.ndarray:
-    """D_i V_i in the same weighted form as L:
+                        v_theta: np.ndarray | None) -> np.ndarray:
+    """D_i V_i in the same weighted form as L (no angular term where v_theta is None):
 
         alpha^2 (dV_r/dr + (n-1) V_r / r) + div_theta V_theta / r^2.
     """

@@ -36,6 +36,7 @@ from .params import ParamSet
 
 TOUCH_FACTOR = 1e-12    # TouchesZero when w < 1e-12 * w0
 SERIES_START = 1e-6
+MATCH_TOL = 1e-6        # a sweep's shot matches when its sup relative error is below this
 EPS = float(np.finfo(float).eps)
 
 
@@ -370,7 +371,8 @@ def shoot(
 ) -> RadialProfile:
     """Integrate the radial cylinder equation from a series start at SERIES_START.
 
-    ``s_max = None`` uses the amplitude-aware horizon of `decay_horizon`.
+    ``s_max = None`` uses the amplitude-aware horizon of `decay_horizon`.  A
+    series start at or below ``TOUCH_FACTOR * w0`` raises AmplitudeOverflow.
     Integration ends at ``s_max`` or where ``w`` falls to ``TOUCH_FACTOR * w0``
     (TouchesZero); that crossing is located on DOP853's dense output by
     `brentq`, as `solve_ivp` locates a terminal event, and only there is
@@ -394,9 +396,12 @@ def shoot(
 
     s0 = SERIES_START
     w_start, wp_start = series_start(ps, w0, s0)
+    floor = TOUCH_FACTOR * w0
+    if not w_start > floor:  # the TouchesZero crossing could never fire
+        raise AmplitudeOverflow(f"the series start w({s0:g}) = {w_start:.6g} is not above the "
+                                f"touch floor {floor:.6g} at w0 = {w0:.6g} (p = {p:.6g})")
     t0, t1 = math.log(s0), math.log(s_max)
     ts, ws, vs = [t0], [w_start], [s0 * wp_start]
-    floor = TOUCH_FACTOR * w0
     # scipy floors rtol at 100 eps (with a warning)
     stepper = _Dop853(rhs, t0, ws[0], vs[0], t1, max(rtol, 100 * EPS), 1e-20 * w0)
     cls = Classification.DECAYS_LIKE_BUBBLE
@@ -473,7 +478,6 @@ class SweepEntry:
 @dataclass(frozen=True)
 class SweepReport:
     ps: ParamSet
-    tol: float
     entries: tuple[SweepEntry, ...]
     regime: str
 
@@ -489,7 +493,7 @@ class SweepReport:
         return {
             "params": self.ps.to_dict(),
             "regime": self.regime,
-            "tol": self.tol,
+            "tol": MATCH_TOL,
             "matched": f"{self.matched_count}/{len(self.entries)}",
             "all_matched": self.all_matched,
             "entries": [
@@ -505,11 +509,13 @@ class SweepReport:
         }
 
 
-def radial_rigidity_sweep(ps: ParamSet, w0_grid=None, tol: float = 1e-6) -> SweepReport:
+def radial_rigidity_sweep(ps: ParamSet, w0_grid=None) -> SweepReport:
     """Shoot + match across amplitudes; failures are enumerated, not raised.
 
-    Radial rigidity is blind to the angular regime, so the sweep runs in
-    either regime and simply records the flag in the report.
+    ``w0_grid = None`` takes ten amplitudes c0 * 10^[-0.5, 0.5].  A shot
+    matches when its sup relative error is below MATCH_TOL.  Radial rigidity
+    is blind to the angular regime, so the sweep runs in either regime and
+    simply records the flag in the report.
     """
     c0 = cylinder_amplitude(ps)
     if w0_grid is None:
@@ -522,12 +528,12 @@ def radial_rigidity_sweep(ps: ParamSet, w0_grid=None, tol: float = 1e-6) -> Swee
             entries.append(SweepEntry(
                 w0=float(w0), classification=profile.classification.value,
                 lambda_fit=m.lambda_fit, sup_rel_error=m.sup_rel_error,
-                matched=m.sup_rel_error < tol,
+                matched=m.sup_rel_error < MATCH_TOL,
             ))
         else:
             entries.append(SweepEntry(
                 w0=float(w0), classification=profile.classification.value,
                 lambda_fit=None, sup_rel_error=None, matched=False,
             ))
-    return SweepReport(ps=ps, tol=tol, entries=tuple(entries),
+    return SweepReport(ps=ps, entries=tuple(entries),
                        regime=ps.regime.value)

@@ -237,6 +237,12 @@ class FsCrossing:
         return {**asdict(self), "relative_gap": self.relative_gap}
 
 
+def fs_crossing_solves(lo: float, hi: float) -> int:
+    """Sector solves `fs_crossing` makes on the bracket (lo, hi): one at each end,
+    then one per halving down to BISECT_TOL."""
+    return 2 + max(0, math.ceil(math.log2((hi - lo) / BISECT_TOL)))
+
+
 def fs_crossing(d: int, n: float, alpha_range: tuple[float, float] | None = None,
                 N: int = 2000) -> FsCrossing:
     """Bisect the k = 1 bottom-eigenvalue sign change along a fixed-(d, n) path.
@@ -244,6 +250,7 @@ def fs_crossing(d: int, n: float, alpha_range: tuple[float, float] | None = None
     Positive eigenvalue (stable radial extremal) below the threshold,
     negative above; NoSignChange when the bracket excludes the crossing or
     the whole path is inadmissible (e.g. n = d sits on the p = 2* edge).
+    It makes `fs_crossing_solves` solves of N nodes.
     """
     formula = felli_schneider_threshold(d, n)
     lo, hi = map(float, alpha_bracket(d, n) if alpha_range is None else alpha_range)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bubble import bubble_cylinder, cylinder_amplitude
+from .bubble import bubble_cylinder
 from .cylfield import CylinderField, PeriodicGrid, theta_nodes
 from .errors import NotFiniteEnergy
 from .estimates import (
@@ -62,6 +62,8 @@ SPECTRUM_ZERO_MODE_PARAMS = ((-0.5, 0.0, 3), (-0.4, 0.1, 2), (-0.25, 0.15, 3))
 SPECTRUM_CROSSING_PAIRS = ((3, 6.0), (2, 4.0))
 
 # Contract tolerances that no caller varies.
+IDENTITY_ORDER_FLOOR = 3.8      # identities: least fitted convergence order
+SPHERE_FIELDS = 100             # identities: random circle profiles of the sphere check
 SPHERE_MARGIN_TOL = 1e-8        # identities: sphere inequality margin
 ZERO_MODE_TOL = 1e-6            # spectrum: |translation zero-mode eigenvalue|
 CROSSING_GAP_TOL = 0.01         # spectrum: relative gap to the closed-form threshold
@@ -178,43 +180,40 @@ class SuiteReport:
         }
 
 
-def _refinement_sizes(levels: int = 3, base: int = 513) -> list[int]:
+def _refinement_sizes(levels: int, base: int) -> list[int]:
     return [(base - 1) * 2**i + 1 for i in range(levels)]
 
 
 IDENTITY_FIELDS = 8      # random fields of run_identities_suite
 IDENTITY_LEVELS = 3      # refinement levels of run_identities_suite
 IDENTITY_ANGULAR = 256   # angular nodes of run_identities_suite
-
-
-def _identity_sizes(levels: int) -> list[int]:
-    return _refinement_sizes(levels, base=257)
+IDENTITY_BASE = 257      # radial nodes of the coarsest random-field grid
 
 
 def identities_field_samples(levels: int, angular_size: int) -> int:
     """Samples of the largest array `run_identities_suite` builds: a field on its finest grid."""
-    return _identity_sizes(levels)[-1] * angular_size
+    return _refinement_sizes(levels, IDENTITY_BASE)[-1] * angular_size
 
 
 def run_identities_suite(
     seed: int = DEFAULT_SEED,
     n_fields: int = IDENTITY_FIELDS,
-    n_sphere_fields: int = 100,
     levels: int = IDENTITY_LEVELS,
     angular_size: int = IDENTITY_ANGULAR,
-    order_floor: float = 3.8,
 ) -> dict:
     """Pointwise identity battery on seeded random fields and bubbles.
 
     * Bochner decomposition sum == definition of k[P] at 4th order (d = 2).
     * Divergence (Obata) identity residual -> 0 at 4th order on bubbles.
     * Pressure equation residual -> 0 at 4th order on bubbles.
-    * Sphere inequality margin >= -tol on random positive circle profiles.
+    * Sphere inequality margin >= -SPHERE_MARGIN_TOL on SPHERE_FIELDS circle profiles.
+
+    "4th order" means a fitted order of at least IDENTITY_ORDER_FLOOR.
     """
     rng = np.random.default_rng(seed)
     report = SuiteReport(suite="identities", seed=seed)
     ps2 = derive_params(*D2_IDENTITY_PARAMS)
-    sizes = _identity_sizes(levels)
+    sizes = _refinement_sizes(levels, IDENTITY_BASE)
     grids = [RadialGrid(1e-3, 1e3, n) for n in sizes]
     h_values = [g.log_step for g in grids]
     angular = PeriodicGrid(angular_size)
@@ -243,14 +242,14 @@ def run_identities_suite(
         "fitted_orders": orders,
         "min_fitted_order": min(orders),
         "max_residual_worst": max(max(errs) for errs, _ in field_results),
-        "pass": min(orders) >= order_floor,
+        "pass": min(orders) >= IDENTITY_ORDER_FLOOR,
     })
 
     # Bubble pressure is exactly quadratic, so the h^4 truncation signal of
     # the solution identities has a small prefactor; the refinement triple
     # stays coarse enough to sit in the truncation-dominated regime (the
     # float64 sample-rounding floor grows like eps/h^2 under refinement).
-    bubble_sizes = _refinement_sizes(levels, base=97)
+    bubble_sizes = _refinement_sizes(levels, 97)
     bubble_grids = [RadialGrid(1e-3, 1e3, nn) for nn in bubble_sizes]
     bubble_h = [g.log_step for g in bubble_grids]
     for triple in ((-0.5, 0.0, 3), D2_IDENTITY_PARAMS):
@@ -268,7 +267,7 @@ def run_identities_suite(
             "grid_sizes": bubble_sizes,
             "max_residual": div_errs,
             "fitted_order": o_div,
-            "pass": o_div >= order_floor,
+            "pass": o_div >= IDENTITY_ORDER_FLOOR,
         })
         report.add({
             "identity": "pressure_equation_bubble",
@@ -276,19 +275,19 @@ def run_identities_suite(
             "grid_sizes": bubble_sizes,
             "max_residual": prs_errs,
             "fitted_order": o_prs,
-            "pass": o_prs >= order_floor,
+            "pass": o_prs >= IDENTITY_ORDER_FLOOR,
         })
 
     # One circle per profile, all checked in one batch: a field with a circle
     # profile at every radius is read at one radius.
     profiles = np.stack([random_circle_profile(rng, angular_size)
-                         for _ in range(n_sphere_fields)])
+                         for _ in range(SPHERE_FIELDS)])
     P = pressure_values(source_of_pressure(profiles, ps2.n), ps2.n)
     min_margin = float(sphere_margins(P, *angular.theta_pair(P), ps2).min())
     report.add({
         "identity": "sphere_inequality_margin",
         "param_set": ps2.to_dict(),
-        "fields": n_sphere_fields,
+        "fields": SPHERE_FIELDS,
         "min_margin": min_margin,
         "pass": min_margin >= -SPHERE_MARGIN_TOL,
     })
@@ -299,15 +298,16 @@ def run_identities_suite(
 # estimates suite
 # ---------------------------------------------------------------------------
 
+#: Columns of the rows `run_estimates_suite` returns.
+ESTIMATES_HEADER = ["lemma", "params", "R", "lhs", "rhs", "fitted_exponent", "bound", "pass"]
+
+
 def _param_label(ps: ParamSet) -> str:
     return f"a={ps.a};b={ps.b};d={ps.d}"
 
 
 def run_estimates_suite(seed: int = DEFAULT_SEED, grid_count: int = 2048) -> tuple[dict, list]:
-    """Growth-law battery on bubble inputs; returns (report, CSV rows).
-
-    CSV columns: lemma, params, R, lhs, rhs, fitted_exponent, bound, pass.
-    """
+    """Growth-law battery on bubble inputs; returns (report, rows under ESTIMATES_HEADER)."""
     report = SuiteReport(suite="estimates", seed=seed)
     rows = []
     grid = RadialGrid(1e-3, 1e3, grid_count)
@@ -441,23 +441,14 @@ def run_estimates_suite(seed: int = DEFAULT_SEED, grid_count: int = 2048) -> tup
 # rigidity suite
 # ---------------------------------------------------------------------------
 
-def run_rigidity_suite(
-    seed: int = DEFAULT_SEED,
-    param_triples=SWEEP_PARAMS_3,
-    amplitudes: int = 10,
-) -> dict:
-    """Radial rigidity sweeps: every decaying shot matches a scaled extremal."""
+def run_rigidity_suite(seed: int = DEFAULT_SEED, param_triples=SWEEP_PARAMS_3) -> dict:
+    """Radial rigidity sweeps at `radial_rigidity_sweep`'s own amplitude grid:
+    every decaying shot matches a scaled extremal to `radial_ode.MATCH_TOL`."""
     report = SuiteReport(suite="rigidity", seed=seed)
-
-    def one(triple):
-        ps = derive_params(*triple)
-        c0 = cylinder_amplitude(ps)
-        w0_grid = c0 * np.logspace(-0.5, 0.5, amplitudes)
-        return radial_rigidity_sweep(ps, w0_grid)
-
     # Serial: the sweeps are Python-bound ODE right-hand sides, so a thread
     # pool measured slower than this loop.
-    for sweep in map(one, param_triples):
+    for triple in param_triples:
+        sweep = radial_rigidity_sweep(derive_params(*triple))
         d = sweep.to_dict()
         d["name"] = "radial_rigidity_sweep"
         d["pass"] = sweep.all_matched

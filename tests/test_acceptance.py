@@ -120,7 +120,7 @@ def test_criterion_3_pressure_quadratic():
 
 def test_criterion_4_identity_suite():
     t0 = time.perf_counter()
-    rep = run_identities_suite(n_fields=50, n_sphere_fields=100)
+    rep = run_identities_suite(n_fields=50)
     elapsed = time.perf_counter() - t0
     by_name = {}
     for c in rep["checks"]:
@@ -129,10 +129,12 @@ def test_criterion_4_identity_suite():
     div_orders = [c["fitted_order"] for c in by_name["divergence_identity_bubble"]]
     margin = by_name["sphere_inequality_margin"][0]["min_margin"]
     ok = (rep["pass"] and dec["min_fitted_order"] >= 3.8
-          and min(div_orders) >= 3.8 and margin >= -1e-8 and elapsed < 60.0)
+          and min(div_orders) >= 3.8 and margin >= -1e-8 and elapsed < 60.0
+          and by_name["sphere_inequality_margin"][0]["fields"] == 100)
     report(4, ok, f"eq-decomposition order >= {dec['min_fitted_order']:.2f} on 50 fields, "
                   f"divergence identity orders {['%.2f' % o for o in div_orders]}, "
-                  f"sphere margin min {margin:.2e} (>= -1e-8), {elapsed:.1f} s (< 60 s)")
+                  f"sphere margin min {margin:.2e} (>= -1e-8) on 100 circles, "
+                  f"{elapsed:.1f} s (< 60 s)")
 
 
 def test_criterion_5_rigidity_defect():
@@ -206,15 +208,17 @@ def test_criterion_6_estimates():
 
 def test_criterion_7_radial_rigidity():
     t0 = time.perf_counter()
-    results = []
+    results, grids_ok = [], True
     for trip in SWEEP_PARAMS_3:
         ps = derive_params(*trip)
-        c0 = cylinder_amplitude(ps)
-        rep = radial_rigidity_sweep(ps, c0 * np.logspace(-0.5, 0.5, 10), tol=1e-6)
+        rep = radial_rigidity_sweep(ps)  # its default: 10 amplitudes c0 * 10^[-0.5, 0.5]
+        grids_ok &= np.array_equal([e.w0 for e in rep.entries],
+                                   cylinder_amplitude(ps) * np.logspace(-0.5, 0.5, 10))
         results.append(rep)
     elapsed = time.perf_counter() - t0
     worst = max(e.sup_rel_error for rep in results for e in rep.entries)
-    ok = all(rep.all_matched for rep in results) and elapsed < 30.0
+    ok = (grids_ok and all(rep.all_matched for rep in results) and worst < 1e-6
+          and elapsed < 30.0)
     report(7, ok, f"3 parameter sets x 10 amplitudes all matched, worst sup "
                   f"relative error {worst:.2e} (< 1e-6), {elapsed:.1f} s (< 30 s)")
 
@@ -237,9 +241,7 @@ def test_criterion_8_symmetry_breaking_threshold():
 
 
 def test_criterion_9_determinism():
-    texts = [json_text(run_identities_suite(seed=20240601, n_fields=3,
-                                            n_sphere_fields=10))
-             for _ in range(2)]
+    texts = [json_text(run_identities_suite(seed=20240601, n_fields=3)) for _ in range(2)]
     ok = texts[0] == texts[1] and len(texts[0]) > 100
     report(9, ok, f"repeated verify reports byte-identical "
                   f"({len(texts[0])} bytes)")

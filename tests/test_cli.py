@@ -265,6 +265,9 @@ class TestVerifyCommand:
     (["verify", "--suite", "identities", "--fields", "16", "--refine", "6"],
      "--fields 16 --refine 6 --angular 256 gives 33558528"),
     (["verify", "--suite", "identities", "--fields", "1000000000"], "at most 33554432 field"),
+    # p = 16: the two-term series is below zero at s0, so TouchesZero could never fire
+    (["shoot", "--a", "-1", "--b", "-0.875", "--d", "2", "--w0", "12.8"],
+     "series start w(1e-06) = -168.293 is not above the touch floor"),
 ])
 def test_bad_input_exits_2_with_reason(argv, reason, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
@@ -274,6 +277,20 @@ def test_bad_input_exits_2_with_reason(argv, reason, tmp_path, capsys):
     assert code == 2
     assert reason in err
     assert "Traceback" not in err
+
+
+def test_spectrum_cap_counts_the_crossing(monkeypatch, capsys):
+    # one table solve fits the cap; the crossing's 18 more solves of 2^22 nodes do not
+    def never(*args, **kwargs):
+        raise AssertionError("a solve ran before the work cap was checked")
+
+    monkeypatch.setattr(cknlab.spectral, "spectrum_table", never)
+    monkeypatch.setattr(cknlab.spectral, "fs_crossing", never)
+    code, _, err = run_cli(capsys, "spectrum", "--d", "3", "--n", "6", "--alpha-count", "1",
+                           "--k-max", "0", "--grid", "4194304")
+    assert code == 2
+    assert ("--alpha-count 1 x (--k-max 0 + 1) x --grid 4194304 gives 4194304 table nodes, and "
+            "the crossing's 18 solves x --grid 4194304 give 75497472 more (79691776 in all)") in err
 
 
 def test_module_entry_point_exits_2_with_reason():

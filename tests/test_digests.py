@@ -2,8 +2,9 @@
 
 The benchmark checks every operation's output bytes against
 perfbench/reference_digests.json; this runs one operation of each in-process
-workload through the benchmark's own code, so a change that moves a report
-byte fails the tests too.  perfbench/ is only read.
+workload, and the cli-cold commands with the most library code behind them,
+through the benchmark's own code, so a change that moves a report byte fails
+the tests too.  perfbench/ is only read.
 """
 
 import importlib.util
@@ -30,3 +31,9 @@ def worker():
 def test_seed_1_matches_reference_digests(worker, workload):
     streams, passed = worker.run_inprocess_op(workload, "seed=1")
     assert worker.check(workload, "seed=1", streams, passed, worker.load_refs()) is None
+
+
+@pytest.mark.parametrize("key", ["shoot", "spectrum", "verify:seed=1"])
+def test_cli_cold_matches_reference_digests(worker, key, tmp_path):
+    streams, passed, _ = worker.run_cli_op(key, str(tmp_path))
+    assert worker.check("cli-cold", key, streams, passed, worker.load_refs()) is None

@@ -232,7 +232,7 @@ class TestLowDimChain:
     def test_range_gate(self, ps_n6, grid_default):
         pf = pressure_of(bubble_cylinder(ps_n6, grid_default))
         with pytest.raises(RangeViolation):
-            low_dim_chain(pf)
+            low_dim_chain(pf, R_list=128.0 * 2.0 ** np.arange(6))
 
 
 class TestFiniteEnergyChain:
@@ -250,10 +250,8 @@ class TestFiniteEnergyChain:
 
     def test_compact_support_tail_vanishes(self, ps_n6, grid_default):
         s = grid_default.nodes
-        cut = make_cutoff(1.0)
-        vals = cut.eta(s) + 1e-30  # positive, vanishing beyond s = 2
-        chain = finite_energy_chain(
-            CylinderField(grid_default, Radial(), vals, ps_n6),
-            R_list=np.array([4.0, 8.0, 16.0, 32.0, 64.0, 128.0]),
-        )
+        cut = make_cutoff(3.5)
+        vals = cut.eta(s) + 1e-30  # positive, vanishing beyond s = 7
+        chain = finite_energy_chain(CylinderField(grid_default, Radial(), vals, ps_n6))
+        assert chain.R_list[0] == 7.8125  # the first annulus starts just past the support
         assert np.max(chain.plain_tail_values) < 1e-40

@@ -15,7 +15,6 @@ from cknlab.grids import (
     d2_dx2,
     d_dx,
     d_ds,
-    default_grid,
     fd_weights,
     integrate_measure_radial,
     integrate_uniform,
@@ -54,8 +53,8 @@ def test_cell_weight_literals_keep_the_lagrange_bits():
 
 
 class TestRadialGrid:
-    def test_log_uniform(self):
-        g = default_grid()
+    def test_log_uniform(self, grid_default):
+        g = grid_default
         assert g.count == 2048 and g.r_min == 1e-3 and g.r_max == 1e3
         # log coordinates match the affine formula to 1e-14 of their scale
         x = g.x_nodes
@@ -130,16 +129,16 @@ class TestQuadrature:
             got = integrate_uniform(F, g.log_step, x[0], a, b)
             assert abs(got - exact(a, b)) < 1e-12 * max(1.0, abs(exact(a, b)))
 
-    def test_measure_full_ball(self):
+    def test_measure_full_ball(self, grid_default):
         # int_0^R s^(n-1) ds = R^n / n, origin truncation negligible
-        g = default_grid()
+        g = grid_default
         n = 6.0
         got = integrate_measure_radial(np.ones(g.count), g, n, g.r_min, 10.0)
         assert abs(got - 10.0**n / n) < 1e-6 * 10.0**n / n
 
-    def test_power_law_closed_forms(self):
+    def test_power_law_closed_forms(self, grid_default):
         # f = s^(1-n) cancels the measure weight exactly; f = s^-n leaves 1/s
-        g = default_grid()
+        g = grid_default
         n = 6.0
         got_flat = integrate_measure_radial(g.nodes ** (1.0 - n), g, n, 1.0, 2.0)
         assert abs(got_flat - 1.0) < 1e-10
@@ -309,8 +308,8 @@ class TestQuadratureBitwise:
         with pytest.raises(GridTooCoarse, match="needs >= 4 nodes"):
             integrate_uniform(np.array([0.0, 1.0, 2.0]), 1.0, 0.0, x_lo, x_hi)
 
-    def test_bitwise_equal_on_grid_scale_fields(self):
-        g = default_grid()
+    def test_bitwise_equal_on_grid_scale_fields(self, grid_default):
+        g = grid_default
         F = np.random.default_rng(5).standard_normal(g.count) * np.exp(3.0 * g.x_nodes)
         x = g.x_nodes
         for x_lo, x_hi in [(x[0], x[-1]), (x[0] + 0.3 * g.log_step, 1.1), (x[5], x[2000]),

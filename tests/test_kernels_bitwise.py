@@ -31,7 +31,8 @@ from cknlab.pressure import (
     sphere_margins,
 )
 from cknlab.verify import (
-    _identity_sizes,
+    IDENTITY_BASE,
+    _refinement_sizes,
     evaluate_log_field,
     pressure_field_from_target,
     random_circle_profile,
@@ -394,7 +395,7 @@ class TestRadialCaches:
 @pytest.mark.parametrize("levels", range(2, 8))
 def test_refinement_grids_are_nested_bitwise(levels):
     # run_identities_suite evaluates each field on its finest grid and slices it
-    sizes = _identity_sizes(levels)
+    sizes = _refinement_sizes(levels, IDENTITY_BASE)
     nested = [RadialGrid(1e-3, 1e3, n) for n in sizes]
     finest = nested[-1]
     coeffs = random_log_field_coeffs(np.random.default_rng(levels))

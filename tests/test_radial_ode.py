@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.optimize
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from cknlab import radial_ode
@@ -161,6 +161,15 @@ def _admissible_p_above_2(draw):
 
 
 def _assert_same_shot(ps, w0, s_max, rtol):
+    """Returns the shared classification, or None where `shoot` refuses a series start
+    at or below the touch floor, from which the TouchesZero crossing cannot fire."""
+    s0 = radial_ode.SERIES_START
+    w_start = series_start(ps, w0, s0)[0]
+    if not w_start > radial_ode.TOUCH_FACTOR * w0:
+        with pytest.raises(AmplitudeOverflow,
+                           match=re.escape(f"series start w({s0:g}) = {w_start:.6g} ")):
+            shoot(ps, w0, s_max=s_max, rtol=rtol)
+        return None
     s, w, w_prime, cls = _solve_ivp_shot(ps, w0, s_max, rtol)
     profile = shoot(ps, w0, s_max=s_max, rtol=rtol)
     assert profile.classification is cls
@@ -175,6 +184,8 @@ class TestShootBitwise:
            u=st.floats(min_value=-3.0, max_value=3.0),
            s_max=st.sampled_from([None, 5.0, 1e2, 1e3, 5e3]),
            rtol=st.sampled_from([1e-8, 1e-10, 1e-13]))
+    # p = 16: the two-term series is already negative at s0 (w = -170)
+    @example(ps=derive_params(-1.0, -0.875, 2), u=1.0, s_max=None, rtol=1e-10)
     def test_same_bits_as_solve_ivp(self, ps, u, s_max, rtol):
         _assert_same_shot(ps, cylinder_amplitude(ps) * 10.0**u, s_max, rtol)
 

@@ -131,6 +131,17 @@ class TestFsCrossing:
         assert abs(crossing.alpha_star_formula - math.sqrt(1.0 / 3.0)) < 1e-14
         assert crossing.relative_gap < 0.01
 
+    @pytest.mark.parametrize("d, n", [(3, 6.0), (2, 4.0), (2, 2.2)])
+    def test_solve_count_is_what_the_crossing_makes(self, monkeypatch, d, n):
+        # the spectrum command's work cap counts the crossing by fs_crossing_solves
+        calls = []
+        solve = spectral.lowest_eigenvalue
+        monkeypatch.setattr(spectral, "lowest_eigenvalue",
+                            lambda op: calls.append(op.N) or solve(op))
+        fs_crossing(d, n, N=400)
+        assert len(calls) == spectral.fs_crossing_solves(*spectral.alpha_bracket(d, n))
+        assert calls == [400] * len(calls)
+
     def test_crossing_stable_under_refinement(self):
         a = fs_crossing(3, 6.0, N=1000).alpha_star_numeric
         b = fs_crossing(3, 6.0, N=2000).alpha_star_numeric

@@ -1,5 +1,6 @@
 import numpy as np
 
+from cknlab import verify
 from cknlab.reporting import csv_text, json_text, ordered_map
 from cknlab.verify import (
     run_estimates_suite,
@@ -11,8 +12,9 @@ from cknlab.verify import (
 
 class TestSuites:
     def test_identities_small_config(self):
-        rep = run_identities_suite(n_fields=2, n_sphere_fields=10)
+        rep = run_identities_suite(n_fields=2)
         assert rep["pass"] and rep["first_failure"] is None
+        assert rep["checks"][-1]["fields"] == 100
         names = {c["identity"] for c in rep["checks"]}
         assert names == {
             "bochner_decomposition_vs_definition",
@@ -27,14 +29,13 @@ class TestSuites:
         lemmas = {r[0] for r in rows}
         assert {"superharmonic_bound", "weak_energy", "defect_vs_gradient",
                 "finite_energy_tail", "localized_defect"} <= lemmas
-        text = csv_text(["lemma", "params", "R", "lhs", "rhs",
-                         "fitted_exponent", "bound", "pass"], rows)
+        text = csv_text(verify.ESTIMATES_HEADER, rows)
         assert text.count("\n") == len(rows) + 1
 
     def test_rigidity_suite(self):
-        rep = run_rigidity_suite(amplitudes=4)
+        rep = run_rigidity_suite()
         assert rep["pass"]
-        assert all(c["matched"] == "4/4" for c in rep["checks"])
+        assert all(c["matched"] == "10/10" and c["tol"] == 1e-6 for c in rep["checks"])
 
     def test_spectrum_suite(self):
         rep = run_spectrum_suite(N=1200)
@@ -43,22 +44,22 @@ class TestSuites:
                 if c["name"] == "threshold_crossing"]
         assert gaps and max(gaps) < 0.01
 
-    def test_failure_is_named(self):
-        rep = run_identities_suite(n_fields=1, n_sphere_fields=2,
-                                   order_floor=99.0)  # unreachable floor
+    def test_failure_is_named(self, monkeypatch):
+        monkeypatch.setattr(verify, "IDENTITY_ORDER_FLOOR", 99.0)  # unreachable floor
+        rep = run_identities_suite(n_fields=1)
         assert not rep["pass"]
         assert rep["first_failure"] == "bochner_decomposition_vs_definition"
 
 
 class TestDeterminism:
     def test_identities_reports_identical(self):
-        a = json_text(run_identities_suite(seed=3, n_fields=2, n_sphere_fields=5))
-        b = json_text(run_identities_suite(seed=3, n_fields=2, n_sphere_fields=5))
+        a = json_text(run_identities_suite(seed=3, n_fields=2))
+        b = json_text(run_identities_suite(seed=3, n_fields=2))
         assert a == b
 
     def test_seed_changes_fields(self):
-        a = run_identities_suite(seed=3, n_fields=2, n_sphere_fields=5)
-        b = run_identities_suite(seed=4, n_fields=2, n_sphere_fields=5)
+        a = run_identities_suite(seed=3, n_fields=2)
+        b = run_identities_suite(seed=4, n_fields=2)
         ma = a["checks"][-1]["min_margin"]
         mb = b["checks"][-1]["min_margin"]
         assert ma != mb
