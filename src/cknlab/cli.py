@@ -36,9 +36,9 @@ SCAN_MAX_ROWS = 100_000
 #: field); size flags are checked against it before anything is allocated.
 MAX_SAMPLES = 2**22
 
-#: Most eigensolver nodes one `spectrum` command solves: the table's --alpha-count
-#: x (--k-max + 1) sector solves plus the crossing's, of --grid nodes each
-#: (90 000 by default at --d 3 --n 6, where the crossing makes 18).
+#: Most eigensolver nodes one `spectrum` command or suite solves: its table or zero
+#: modes plus each crossing's sign tests, of --grid nodes each (90 000 by default at
+#: --d 3 --n 6, where the crossing makes 18, and 108 000 for the suite).
 SPECTRUM_MAX_NODES = 2**24
 
 #: Most field samples one identities suite builds, --fields random fields on its
@@ -161,6 +161,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _spectrum_work(command: str, nodes: int, why: str, brackets, N: int) -> str | None:
+    """The refusal when `nodes` plus a crossing of N-node sign tests per bracket pass the cap."""
+    solves = sum(spectral.fs_crossing_solves(lo, hi) for lo, hi in brackets)
+    total = nodes + solves * N
+    if total <= SPECTRUM_MAX_NODES:
+        return None
+    whose = "the crossing's" if len(brackets) == 1 else f"the {len(brackets)} crossings'"
+    return (f"{command} solves at most {SPECTRUM_MAX_NODES} nodes: {why}, and {whose} "
+            f"{solves} solves x --grid {N} give {solves * N} more ({total} in all)")
+
+
 def _invalid(reason: str) -> int:
     print(reason, file=sys.stderr)
     return EXIT_INVALID_INPUT
@@ -233,12 +244,10 @@ def cmd_spectrum(args) -> int:
     if not a_lo < a_hi:
         return _invalid(f"spectrum requires --alpha-min < --alpha-max: got {a_lo} and {a_hi}")
     table = args.alpha_count * (args.k_max + 1) * N
-    crossing = spectral.fs_crossing_solves(a_lo, a_hi)
-    if table + crossing * N > SPECTRUM_MAX_NODES:
-        return _invalid(f"spectrum solves at most {SPECTRUM_MAX_NODES} nodes: --alpha-count "
-                        f"{args.alpha_count} x (--k-max {args.k_max} + 1) x --grid {N} gives "
-                        f"{table} table nodes, and the crossing's {crossing} solves x --grid {N} "
-                        f"give {crossing * N} more ({table + crossing * N} in all)")
+    why = (f"--alpha-count {args.alpha_count} x (--k-max {args.k_max} + 1) x --grid {N} "
+           f"gives {table} table nodes")
+    if refusal := _spectrum_work("spectrum", table, why, [(a_lo, a_hi)], N):
+        return _invalid(refusal)
     import numpy as np
     rows = spectral.spectrum_table(d, n, np.linspace(a_lo, a_hi, args.alpha_count),
                                    args.k_max, N)
@@ -270,6 +279,12 @@ def cmd_verify(args) -> int:
     if args.suite == "identities" and fields * samples > IDENTITIES_MAX_SAMPLES:
         return _invalid(f"--suite identities builds at most {IDENTITIES_MAX_SAMPLES} field "
                         f"samples: --fields {fields} {sizing} gives {fields * samples}")
+    if args.suite == "spectrum" and args.grid:  # each zero mode solves N, 2N and 3N nodes
+        N, modes = args.grid, len(verify.SPECTRUM_ZERO_MODE_PARAMS)
+        why = f"{modes} zero modes x 6 x --grid {N} give {modes * 6 * N} nodes"
+        brackets = [alpha_bracket(d, n) for d, n in verify.SPECTRUM_CROSSING_PAIRS]
+        if refusal := _spectrum_work("--suite spectrum", modes * 6 * N, why, brackets, N):
+            return _invalid(refusal)
     if args.suite == "rigidity" and given:
         if len(given) < 3:
             return _invalid("--suite rigidity takes --a --b --d together")

@@ -244,12 +244,6 @@ _STAGES = tuple((s, np.array(DOP853_A[s]), DOP853_C[s]) for s in range(1, 12))
 _B, _E3, _E5 = np.array(DOP853_B), np.array(DOP853_E3), np.array(DOP853_E5)
 
 
-def _norm(x: float, y: float) -> float:
-    """np.linalg.norm((x, y)): numpy's own dot, whose FMA order floats cannot repeat."""
-    e = np.array((x, y))
-    return math.sqrt(e.dot(e))
-
-
 class _Dop853:
     """scipy's DOP853, forward in t, on the state (w, v) held as two Python floats.
 
@@ -268,11 +262,19 @@ class _Dop853:
         self.rhs, self.t_bound, self.rtol, self.atol = rhs, t_bound, rtol, atol
         self.t, self.w, self.v = t, w, v
         self.f = rhs(t, w, v)
-        self.h_abs = self._initial_step()
         self.K_ext = np.empty((16, 2))  # rows 13-15: the dense output's extra stages
-        K = self.K = self.K_ext[:13]
-        self.stages = tuple((s, K[:s].T, a, c) for s, a, c in _STAGES)
+        self.K_flat = self.K_ext.reshape(-1)  # stage s stores K_flat[2s] and K_flat[2s + 1]
+        K = self.K_ext[:13]
+        self.stages = tuple((2 * s, 2 * s + 1, K[:s].T, a, c) for s, a, c in _STAGES)
         self.K_B, self.K_E = K[:12].T, K.T
+        self._e = np.empty(2)  # _norm's operand; per stepper, since the pool runs threads
+        self.h_abs = self._initial_step()
+
+    def _norm(self, x: float, y: float) -> float:
+        """np.linalg.norm((x, y)): numpy's own dot, whose FMA order floats cannot repeat."""
+        e = self._e
+        e[0], e[1] = x, y
+        return math.sqrt(e.dot(e))
 
     def _initial_step(self) -> float:
         t0, w0, v0, (fw0, fv0) = self.t, self.w, self.v, self.f
@@ -281,12 +283,12 @@ class _Dop853:
         if interval_length == 0.0:
             return 0.0
         sw, sv = atol + abs(w0) * rtol, atol + abs(v0) * rtol
-        d0 = _norm(w0 / sw, v0 / sv) / _ROOT2
-        d1 = _norm(fw0 / sw, fv0 / sv) / _ROOT2
+        d0 = self._norm(w0 / sw, v0 / sv) / _ROOT2
+        d1 = self._norm(fw0 / sw, fv0 / sv) / _ROOT2
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
         h0 = min(h0, interval_length)
         fw1, fv1 = self.rhs(t0 + h0, w0 + h0 * fw0, v0 + h0 * fv0)
-        d2 = _norm((fw1 - fw0) / sw, (fv1 - fv0) / sv) / _ROOT2 / h0
+        d2 = self._norm((fw1 - fw0) / sw, (fv1 - fv0) / sv) / _ROOT2 / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
         else:
@@ -297,8 +299,8 @@ class _Dop853:
         K_E = self.K_E
         e5w, e5v = K_E.dot(_E5).tolist()
         e3w, e3v = K_E.dot(_E3).tolist()
-        err5_norm_2 = _norm(e5w / sw, e5v / sv) ** 2
-        err3_norm_2 = _norm(e3w / sw, e3v / sv) ** 2
+        err5_norm_2 = self._norm(e5w / sw, e5v / sv) ** 2
+        err3_norm_2 = self._norm(e3w / sw, e3v / sv) ** 2
         if err5_norm_2 == 0 and err3_norm_2 == 0:
             return 0.0
         denom = err5_norm_2 + 0.01 * err3_norm_2
@@ -306,11 +308,11 @@ class _Dop853:
 
     def step(self) -> None:
         """One accepted step; `StepFailure` where the step falls below its floor."""
-        rhs, K, rtol, atol = self.rhs, self.K, self.rtol, self.atol
+        rhs, K, rtol, atol = self.rhs, self.K_flat, self.rtol, self.atol
         t, w, v = self.t, self.w, self.v
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(self.h_abs, min_step)
-        K[0] = self.f
+        K[0], K[1] = self.f
         step_rejected = False
         while True:
             if h_abs < min_step:
@@ -319,12 +321,12 @@ class _Dop853:
             t_new = min(t + h_abs, self.t_bound)
             h = t_new - t
             h_abs = abs(h)
-            for s, K_s, a, c in self.stages:
+            for i, j, K_s, a, c in self.stages:
                 dw, dv = K_s.dot(a).tolist()
-                K[s] = rhs(t + c * h, w + dw * h, v + dv * h)
+                K[i], K[j] = rhs(t + c * h, w + dw * h, v + dv * h)
             bw, bv = self.K_B.dot(_B).tolist()
             w_new, v_new = w + h * bw, v + h * bv
-            f_new = K[12] = rhs(t + h, w_new, v_new)
+            K[24], K[25] = f_new = rhs(t + h, w_new, v_new)
             error_norm = self._error_norm(h, atol + max(abs(w), abs(w_new)) * rtol,
                                           atol + max(abs(v), abs(v_new)) * rtol)
             if error_norm < 1:
@@ -388,18 +390,18 @@ def shoot(
     elif not (s_max > SERIES_START and math.log(s_max) > math.log(SERIES_START)):
         raise ValueError(f"s_max must exceed the series start {SERIES_START:g} "
                          f"after taking logs: got {s_max!r}")
-    n, alpha, p = ps.n, ps.alpha, ps.p_exp
+    power, damping, alpha2 = ps.p_exp - 1.0, -(ps.n - 2.0), ps.alpha**2
 
     def rhs(t, w, v):
-        wp = max(w, 0.0) ** (p - 1.0)
-        return (v, -(n - 2.0) * v - math.exp(2.0 * t) * wp / alpha**2)
+        wp = (0.0 if w < 0.0 else w) ** power  # max(w, 0.0), without a builtin call
+        return (v, damping * v - math.exp(2.0 * t) * wp / alpha2)
 
     s0 = SERIES_START
     w_start, wp_start = series_start(ps, w0, s0)
     floor = TOUCH_FACTOR * w0
     if not w_start > floor:  # the TouchesZero crossing could never fire
         raise AmplitudeOverflow(f"the series start w({s0:g}) = {w_start:.6g} is not above the "
-                                f"touch floor {floor:.6g} at w0 = {w0:.6g} (p = {p:.6g})")
+                                f"touch floor {floor:.6g} at w0 = {w0:.6g} (p = {ps.p_exp:.6g})")
     t0, t1 = math.log(s0), math.log(s_max)
     ts, ws, vs = [t0], [w_start], [s0 * wp_start]
     # scipy floors rtol at 100 eps (with a warning)
@@ -496,16 +498,7 @@ class SweepReport:
             "tol": MATCH_TOL,
             "matched": f"{self.matched_count}/{len(self.entries)}",
             "all_matched": self.all_matched,
-            "entries": [
-                {
-                    "w0": e.w0,
-                    "classification": e.classification,
-                    "lambda_fit": e.lambda_fit,
-                    "sup_rel_error": e.sup_rel_error,
-                    "matched": e.matched,
-                }
-                for e in self.entries
-            ],
+            "entries": [dict(vars(e)) for e in self.entries],  # SweepEntry's fields in order
         }
 
 
@@ -523,17 +516,11 @@ def radial_rigidity_sweep(ps: ParamSet, w0_grid=None) -> SweepReport:
     entries = []
     for w0 in np.asarray(w0_grid, dtype=float):
         profile = shoot(ps, float(w0))
-        if profile.classification is Classification.DECAYS_LIKE_BUBBLE:
-            m = match_bubble(profile)
-            entries.append(SweepEntry(
-                w0=float(w0), classification=profile.classification.value,
-                lambda_fit=m.lambda_fit, sup_rel_error=m.sup_rel_error,
-                matched=m.sup_rel_error < MATCH_TOL,
-            ))
-        else:
-            entries.append(SweepEntry(
-                w0=float(w0), classification=profile.classification.value,
-                lambda_fit=None, sup_rel_error=None, matched=False,
-            ))
-    return SweepReport(ps=ps, entries=tuple(entries),
-                       regime=ps.regime.value)
+        decays = profile.classification is Classification.DECAYS_LIKE_BUBBLE
+        m = match_bubble(profile) if decays else BubbleMatch(None, None)
+        entries.append(SweepEntry(
+            w0=float(w0), classification=profile.classification.value,
+            lambda_fit=m.lambda_fit, sup_rel_error=m.sup_rel_error,
+            matched=decays and m.sup_rel_error < MATCH_TOL,
+        ))
+    return SweepReport(ps=ps, entries=tuple(entries), regime=ps.regime.value)

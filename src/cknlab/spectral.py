@@ -99,6 +99,12 @@ class SectorOperator:
             t = -self.T + h * np.arange(1, self.N)
         return t, h
 
+    def tridiagonal(self) -> tuple[np.ndarray, np.ndarray]:
+        """Diagonal and off-diagonal of the discretized operator."""
+        t, h = self.interior_nodes()
+        diag = 2.0 * self.ps.alpha**2 / h**2 + sector_potential(self.ps, self.k, t)
+        return diag, np.full(len(t) - 1, -self.ps.alpha**2 / h**2)
+
 
 def default_domain(ps: ParamSet) -> float:
     """Truncation half-width: the well is exponentially localized at rate n-2."""
@@ -158,12 +164,24 @@ def lowest_tridiagonal_eigenvalue(diag, off) -> float:
     return float(w[0])
 
 
+def tridiagonal_is_positive(diag, off) -> bool:
+    """Whether the symmetric tridiagonal (diag, off) is positive definite: every LDL^T
+    pivot d_i = a_i - b_(i-1)^2 / d_(i-1) is positive (the Sturm count at 0; Barth, Martin
+    & Wilkinson, Numer. Math. 9, 1967), in one pass that stops at the first pivot <= 0."""
+    diag = memoryview(np.asarray_chkfinite(diag))  # yields Python floats, copies nothing
+    pivot = diag[0]
+    if not pivot > 0.0:
+        return False
+    for a, b in zip(diag[1:], memoryview(np.asarray_chkfinite(off))):
+        pivot = a - b * b / pivot
+        if not pivot > 0.0:
+            return False
+    return True
+
+
 def lowest_eigenvalue(op: SectorOperator) -> float:
     """Smallest eigenvalue of the discretized operator (single resolution)."""
-    t, h = op.interior_nodes()
-    diag = 2.0 * op.ps.alpha**2 / h**2 + sector_potential(op.ps, op.k, t)
-    off = np.full(len(t) - 1, -op.ps.alpha**2 / h**2)
-    out = lowest_tridiagonal_eigenvalue(diag, off)
+    out = lowest_tridiagonal_eigenvalue(*op.tridiagonal())
     if not math.isfinite(out):
         raise ConvergenceFailure("eigensolver returned a non-finite value")
     return out
@@ -238,8 +256,8 @@ class FsCrossing:
 
 
 def fs_crossing_solves(lo: float, hi: float) -> int:
-    """Sector solves `fs_crossing` makes on the bracket (lo, hi): one at each end,
-    then one per halving down to BISECT_TOL."""
+    """Sign tests `fs_crossing` makes on the bracket (lo, hi), each one O(N) pass:
+    one at each end, then one per halving down to BISECT_TOL."""
     return 2 + max(0, math.ceil(math.log2((hi - lo) / BISECT_TOL)))
 
 
@@ -250,29 +268,33 @@ def fs_crossing(d: int, n: float, alpha_range: tuple[float, float] | None = None
     Positive eigenvalue (stable radial extremal) below the threshold,
     negative above; NoSignChange when the bracket excludes the crossing or
     the whole path is inadmissible (e.g. n = d sits on the p = 2* edge).
-    It makes `fs_crossing_solves` solves of N nodes.
+    Each of its `fs_crossing_solves` signs is the inertia of an N-node operator;
+    only a bracket without a crossing solves for the end eigenvalues it reports.
     """
     formula = felli_schneider_threshold(d, n)
     lo, hi = map(float, alpha_bracket(d, n) if alpha_range is None else alpha_range)
 
-    def eig(alpha: float) -> float:
+    def operator(alpha: float) -> SectorOperator:
         try:
             ps = path_params(d, n, alpha)
         except AdmissibilityError as exc:
             raise NoSignChange(
                 f"path (d={d}, n={n}) is not strictly admissible at alpha={alpha}: {exc}"
             ) from exc
-        return lowest_eigenvalue(build_sector_operator(ps, k=1, N=N))
+        return build_sector_operator(ps, k=1, N=N)
 
-    f_lo, f_hi = eig(lo), eig(hi)
-    if not (f_lo > 0.0 > f_hi):
+    def stable(alpha: float) -> bool:
+        return tridiagonal_is_positive(*operator(alpha).tridiagonal())
+
+    if not (stable(lo) and not stable(hi)):
+        f_lo, f_hi = lowest_eigenvalue(operator(lo)), lowest_eigenvalue(operator(hi))
         raise NoSignChange(
             f"no stable-to-unstable crossing in alpha bracket ({lo}, {hi}): "
             f"eigenvalues ({f_lo:.3e}, {f_hi:.3e})"
         )
     while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
-        if eig(mid) > 0.0:
+        if stable(mid):
             lo = mid
         else:
             hi = mid

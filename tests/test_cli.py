@@ -293,6 +293,28 @@ def test_spectrum_cap_counts_the_crossing(monkeypatch, capsys):
             "the crossing's 18 solves x --grid 4194304 give 75497472 more (79691776 in all)") in err
 
 
+@pytest.mark.parametrize("grid, refused", [(310689, False), (310690, True)])
+def test_spectrum_suite_cap_counts_zero_modes_and_crossings(monkeypatch, capsys, grid, refused):
+    # 3 zero modes of 6 x --grid nodes and 2 crossings of 18 sign tests each:
+    # 54 x --grid, so 310689 fits 2^24 and 310690 does not
+    class Solved(Exception):
+        pass
+
+    def solved(*args, **kwargs):
+        raise Solved
+
+    monkeypatch.setattr(cknlab.verify, "run_spectrum_suite", solved)
+    if not refused:
+        with pytest.raises(Solved):
+            main(["verify", "--suite", "spectrum", "--grid", str(grid)])
+        return
+    code, _, err = run_cli(capsys, "verify", "--suite", "spectrum", "--grid", str(grid))
+    assert code == 2
+    assert ("--suite spectrum solves at most 16777216 nodes: 3 zero modes x 6 x --grid 310690 "
+            "give 5592420 nodes, and the 2 crossings' 36 solves x --grid 310690 give 11184840 "
+            "more (16777260 in all)") in err
+
+
 def test_module_entry_point_exits_2_with_reason():
     # `python -m cknlab.cli` hands main's exit code to the process
     src = str(Path(cknlab.__file__).resolve().parent.parent)
@@ -498,3 +520,62 @@ def test_argv_fuzz_exits_with_a_code(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 1, 2), argv
+
+
+@st.composite
+def _large_count_argv(draw):
+    """A spectrum or verify invocation with one or more counts past every cap.
+
+    Each drawn large count alone exceeds its cap whatever the other flags are:
+    a table or --fields count above 2^25, a spectrum --grid whose crossing
+    (18 sign tests at --d 3 --n 6) passes 2^24 nodes, a suite --grid whose 54
+    node-solves do, and an estimates --grid above MAX_SAMPLES.
+    """
+    def large(low):
+        return st.integers(min_value=low, max_value=10**30).map(str)
+
+    small = st.integers(min_value=1, max_value=64).map(str)
+    cap = cknlab.cli.SPECTRUM_MAX_NODES
+    target = draw(st.sampled_from(["spectrum", "spectrum suite", "identities", "estimates"]))
+    if target == "spectrum":
+        lows = {"--alpha-count": 2 * cap, "--k-max": 2 * cap, "--grid": cap // 18 + 1}
+        argv = ["spectrum", "--d", "3", "--n", "6"]
+    elif target == "spectrum suite":
+        lows, argv = {"--grid": cap // 54 + 1}, ["verify", "--suite", "spectrum"]
+    elif target == "identities":
+        lows, argv = {"--fields": 2 * cap}, ["verify", "--suite", "identities"]
+    else:
+        lows = {"--grid": cknlab.cli.MAX_SAMPLES + 1}
+        argv = ["verify", "--suite", "estimates"]
+    flags = draw(st.lists(st.sampled_from(sorted(lows)), min_size=1, unique=True))
+    for flag in sorted(lows):
+        if flag in flags:
+            argv += [flag, draw(large(lows[flag]))]
+        elif draw(st.booleans()):
+            argv += [flag, draw(small)]
+    return argv, flags
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_large_count_argv())
+@example((["verify", "--suite", "spectrum", "--grid", "310690"], ["--grid"]))
+@example((["spectrum", "--d", "3", "--n", "6", "--alpha-count", "33554432", "--grid", "1",
+           "--k-max", "0"], ["--alpha-count"]))
+def test_large_counts_are_refused_before_any_solve(case):
+    # every refusal exits 2 and names a drawn flag; a solve or suite run fails the test
+    argv, flags = case
+
+    def never(*args, **kwargs):
+        raise AssertionError(f"{argv} ran work past the caps")
+
+    with pytest.MonkeyPatch.context() as m:
+        for module, name in [(cknlab.spectral, "spectrum_table"), (cknlab.spectral, "fs_crossing"),
+                             *((cknlab.verify, f"run_{suite}_suite") for suite in
+                               ("identities", "estimates", "rigidity", "spectrum"))]:
+            m.setattr(module, name, never)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code == 2, argv
+    assert any(flag in err.getvalue() for flag in flags), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

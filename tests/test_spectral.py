@@ -11,8 +11,9 @@ from cknlab import spectral
 from cknlab.bubble import cylinder_amplitude
 from cknlab.errors import AdmissibilityError, NoSignChange
 from cknlab.fitting import fit_loglog
-from cknlab.params import derive_params, felli_schneider_threshold
+from cknlab.params import alpha_bracket, derive_params, felli_schneider_threshold
 from cknlab.spectral import (
+    BISECT_TOL,
     build_sector_operator,
     converged_lowest_eigenvalue,
     default_domain,
@@ -22,9 +23,10 @@ from cknlab.spectral import (
     path_params,
     sector_potential,
     soliton_profile,
+    tridiagonal_is_positive,
     zero_mode_eigenvalue,
 )
-from cknlab.verify import run_spectrum_suite
+from cknlab.verify import SPECTRUM_CROSSING_PAIRS, run_spectrum_suite
 
 
 class TestSolitonProfile:
@@ -133,14 +135,16 @@ class TestFsCrossing:
 
     @pytest.mark.parametrize("d, n", [(3, 6.0), (2, 4.0), (2, 2.2)])
     def test_solve_count_is_what_the_crossing_makes(self, monkeypatch, d, n):
-        # the spectrum command's work cap counts the crossing by fs_crossing_solves
-        calls = []
-        solve = spectral.lowest_eigenvalue
-        monkeypatch.setattr(spectral, "lowest_eigenvalue",
-                            lambda op: calls.append(op.N) or solve(op))
+        # the spectrum work caps count the crossing by fs_crossing_solves: one
+        # O(N) inertia pass per sign, and no eigenvalue solve
+        rows = []
+        passes = spectral.tridiagonal_is_positive
+        monkeypatch.setattr(spectral, "tridiagonal_is_positive",
+                            lambda diag, off: rows.append(len(diag)) or passes(diag, off))
+        monkeypatch.setattr(spectral, "lowest_eigenvalue", _never)
         fs_crossing(d, n, N=400)
-        assert len(calls) == spectral.fs_crossing_solves(*spectral.alpha_bracket(d, n))
-        assert calls == [400] * len(calls)
+        assert len(rows) == spectral.fs_crossing_solves(*spectral.alpha_bracket(d, n))
+        assert rows == [399] * len(rows)
 
     def test_crossing_stable_under_refinement(self):
         a = fs_crossing(3, 6.0, N=1000).alpha_star_numeric
@@ -153,8 +157,87 @@ class TestFsCrossing:
             fs_crossing(3, 3.0)
 
     def test_bracket_without_crossing(self):
-        with pytest.raises(NoSignChange):
+        # the text reports both end eigenvalues, solved on this failure path only
+        with pytest.raises(NoSignChange) as exc:
             fs_crossing(3, 6.0, alpha_range=(0.3, 0.5))
+        assert str(exc.value) == ("no stable-to-unstable crossing in alpha bracket (0.3, 0.5): "
+                                  "eigenvalues (1.550e+00, 7.500e-01)")
+
+
+def _eigenvalue_bisection(d, n, N=2000):
+    """The crossing as bisection on converged eigenvalue signs: the oracle of the inertia test."""
+    lo, hi = alpha_bracket(d, n)
+
+    def eig(alpha):
+        return lowest_eigenvalue(build_sector_operator(path_params(d, n, alpha), k=1, N=N))
+
+    assert eig(lo) > 0.0 > eig(hi)
+    while hi - lo > BISECT_TOL:
+        mid = 0.5 * (lo + hi)
+        if eig(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _never(*args):
+    raise AssertionError("an eigenvalue was solved where an inertia pass answers")
+
+
+#: (d, n, alpha_star_numeric) of the parent's eigenvalue bisection at N = 2000
+_CROSSINGS = [(3, 6.0, float.fromhex("0x1.43d0d4ff5ab92p-1")),
+              (2, 4.0, float.fromhex("0x1.27996a4e00e1ap-1")),
+              (2, 2.05, float.fromhex("0x1.eb540d4eb23c8p-1")),
+              (2, 2.2, float.fromhex("0x1.d301c6ade77dcp-1"))]
+
+
+def _assert_inertia_is_the_eigenvalue_sign(d, n, alpha, k, N):
+    op = build_sector_operator(path_params(d, n, alpha), k, N=N)
+    assert tridiagonal_is_positive(*op.tridiagonal()) == (lowest_eigenvalue(op) > 0.0)
+
+
+class TestInertiaSign:
+    """`tridiagonal_is_positive` against the sign of the dstebz eigenvalue it replaces."""
+
+    @pytest.mark.parametrize("d, n", [*SPECTRUM_CROSSING_PAIRS, (2, 2.05), (2, 2.2)])
+    def test_crossing_is_the_eigenvalue_bisection_bit_for_bit(self, d, n):
+        alpha_star = fs_crossing(d, n).alpha_star_numeric
+        assert alpha_star.hex() == _eigenvalue_bisection(d, n).hex()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data(), k=st.integers(min_value=0, max_value=3),
+           N=st.sampled_from([64, 400, 2000]))
+    def test_inertia_is_the_eigenvalue_sign(self, data, k, N):
+        d = data.draw(st.integers(min_value=2, max_value=6))
+        # within ~1e-13 of d the path's b rounds onto the p = 2* edge
+        # (TestPathParamsProperties), so n starts 1e-9 above d
+        n = data.draw(st.floats(min_value=d + 1e-9, max_value=80.0))
+        _assert_inertia_is_the_eigenvalue_sign(d, n, data.draw(st.floats(*alpha_bracket(d, n))),
+                                               k, N)
+
+    @pytest.mark.parametrize("rel", [-1e-6, -1e-7, 1e-7, 1e-6])
+    @pytest.mark.parametrize("d, n, crossing", _CROSSINGS)
+    def test_inertia_is_the_eigenvalue_sign_at_the_crossing(self, d, n, crossing, rel):
+        _assert_inertia_is_the_eigenvalue_sign(d, n, crossing * (1.0 + rel), 1, 2000)
+
+    def test_stops_at_the_first_pivot_not_above_zero(self):
+        # pivots 1, 0: a division by the zero pivot would raise ZeroDivisionError
+        assert tridiagonal_is_positive([1.0, 1.0, 5.0], [1.0, 1.0]) is False
+        assert tridiagonal_is_positive([0.0, 5.0], [0.0]) is False
+        assert tridiagonal_is_positive([2.0, 2.0, 2.0], [-1.0, -1.0]) is True
+        assert tridiagonal_is_positive([1e-300, 1.0], [1e10]) is False   # b^2/d is inf
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["diag", "off"])
+    def test_refuses_non_finite_as_the_eigensolver(self, bad, where):
+        diag, off = np.array([2.0, 3.0, 1.0, 4.0]), np.array([-1.0, 0.5, -0.25])
+        (diag if where == "diag" else off)[1] = bad
+        with pytest.raises(ValueError) as ours:
+            tridiagonal_is_positive(diag, off)
+        with pytest.raises(ValueError) as ref:
+            lowest_tridiagonal_eigenvalue(diag, off)
+        assert str(ours.value) == str(ref.value)
 
 
 class TestPathParamsProperties:
@@ -197,17 +280,22 @@ def _scipy_lowest(diag, off):
 
 
 def test_eigvalsh_tridiagonal_matches_scipy(monkeypatch):
-    # every matrix the spectrum suite solves, and random ones of all sizes
+    # every matrix the spectrum suite solves or tests the inertia of, and
+    # random ones of all sizes
     matrices = []
 
-    def recording(diag, off):
-        matrices.append((np.array(diag), np.array(off)))
-        return lowest_tridiagonal_eigenvalue(diag, off)
+    def recording(solve):
+        def record(diag, off):
+            matrices.append((np.array(diag), np.array(off)))
+            return solve(diag, off)
+        return record
 
     with monkeypatch.context() as m:
-        m.setattr(spectral, "lowest_tridiagonal_eigenvalue", recording)
+        for name in ("lowest_tridiagonal_eigenvalue", "tridiagonal_is_positive"):
+            m.setattr(spectral, name, recording(getattr(spectral, name)))
         assert run_spectrum_suite()["pass"]
-    assert len(matrices) >= 40   # 45 solves at the default configuration
+    # 9 zero-mode solves and 36 crossing inertia passes at the default configuration
+    assert len(matrices) >= 40
     rng = np.random.default_rng(20261018)
     for size in (2, 3, 5, 64, 1999):   # sector operators have at least 63 rows
         for scale in (1e-300, 1e-3, 1.0, 1e6, 1e150):
