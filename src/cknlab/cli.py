@@ -270,8 +270,9 @@ def cmd_verify(args) -> int:
         samples = verify.identities_field_samples(refine, angular)
         sizing = f"--refine {refine} --angular {angular}"
         fields = args.fields or verify.IDENTITY_FIELDS
-    else:  # spectrum's widest operator (converged_lowest_eigenvalue) has 3 --grid nodes
-        samples = (3 if args.suite == "spectrum" else 1) * (args.grid or 0)
+    else:  # spectrum's widest operator is converged_lowest_eigenvalue's largest grid
+        widest = max(spectral.CONVERGED_GRID_FACTORS) if args.suite == "spectrum" else 1
+        samples = widest * (args.grid or 0)
         sizing = f"--grid {args.grid}"
     if samples > MAX_SAMPLES:
         return _invalid(f"--suite {args.suite} builds arrays of at most {MAX_SAMPLES} samples: "
@@ -279,11 +280,12 @@ def cmd_verify(args) -> int:
     if args.suite == "identities" and fields * samples > IDENTITIES_MAX_SAMPLES:
         return _invalid(f"--suite identities builds at most {IDENTITIES_MAX_SAMPLES} field "
                         f"samples: --fields {fields} {sizing} gives {fields * samples}")
-    if args.suite == "spectrum" and args.grid:  # each zero mode solves N, 2N and 3N nodes
+    if args.suite == "spectrum" and args.grid:  # each zero mode is one converged eigenvalue
         N, modes = args.grid, len(verify.SPECTRUM_ZERO_MODE_PARAMS)
-        why = f"{modes} zero modes x 6 x --grid {N} give {modes * 6 * N} nodes"
+        per_mode = sum(spectral.CONVERGED_GRID_FACTORS)
+        why = f"{modes} zero modes x {per_mode} x --grid {N} give {modes * per_mode * N} nodes"
         brackets = [alpha_bracket(d, n) for d, n in verify.SPECTRUM_CROSSING_PAIRS]
-        if refusal := _spectrum_work("--suite spectrum", modes * 6 * N, why, brackets, N):
+        if refusal := _spectrum_work("--suite spectrum", modes * per_mode * N, why, brackets, N):
             return _invalid(refusal)
     if args.suite == "rigidity" and given:
         if len(given) < 3:

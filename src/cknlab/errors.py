@@ -1,8 +1,8 @@
 """Exception hierarchy for the ckn-lab toolkit.
 
-Parameter admissibility failures derive from AdmissibilityError (the CLI maps
-them to exit code 2); everything else signals a broken precondition or a
-failed numerical contract (exit code 1 when surfaced through `verify`).
+Parameter admissibility failures derive from AdmissibilityError; the others
+signal a broken precondition or a numerical step that cannot finish.  The CLI
+exits 2 with the message of any of them (exit 1 is a failed report contract).
 """
 
 
@@ -79,7 +79,7 @@ class NotDecaying(CknLabError):
 
 
 class ConvergenceFailure(CknLabError):
-    """Eigenvalue extrapolation failed to converge."""
+    """A Brent scale fit has no bracket, or an eigensolve is not finite."""
 
 
 class NoSignChange(CknLabError):

@@ -11,12 +11,12 @@ standard divided-difference recursion rather than hardcoded tables.
 
 The quadrature takes the complete cells of a region in one np.vecdot (numpy
 2) and adds them left to right with np.cumsum, with the bits of a per-cell
-np.dot loop; cut end cells use Lagrange-cubic antiderivatives built once.
+np.dot loop.  Whole and cut cells share one set of Lagrange-cubic
+antiderivatives, built on Python integers at import.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -180,48 +180,41 @@ def radial_derivs(values: np.ndarray, grid: RadialGrid) -> tuple[np.ndarray, np.
 # interpolant so arbitrary (r_lo, r_hi) regions keep full order.
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=8)
-def _lagrange_basis_antiderivatives(offsets: tuple[float, ...]):
-    """(antiderivative, denominator) of each Lagrange basis cubic on offsets.
-
-    integrate_uniform cuts partial cells with three offset sets (first,
-    interior and last cell), so a small cache holds every one of them.
-    """
-    nodes = np.asarray(offsets, dtype=float)
+def _basis_antiderivatives(offsets: tuple[int, ...]) -> list:
+    """(antiderivative, denominator) of each Lagrange basis cubic on integer offsets.
+    The product of the (x - r) is exact in integers; each coefficient is then
+    divided once by its new power, as numpy's polyint rounds it (lowest first)."""
     pairs = []
-    for j, oj in enumerate(nodes):
-        others = np.delete(nodes, j)
-        poly = np.polynomial.Polynomial.fromroots(others)
-        pairs.append((poly.integ(), np.prod(oj - others)))
-    return tuple(pairs)
+    for j, oj in enumerate(offsets):
+        others = offsets[:j] + offsets[j + 1:]
+        prod = [1]
+        for r in others:
+            prod = [b - r * a for a, b in zip(prod + [0], [0] + prod)]
+        pairs.append(((0.0, *(c / (i + 1) for i, c in enumerate(prod))),
+                      float(math.prod(oj - r for r in others))))
+    return pairs
 
 
-def _lagrange_cell_weights(offsets, lo: float, hi: float) -> np.ndarray:
-    """Integrals over [lo, hi] (grid units) of the Lagrange basis on offsets."""
-    pairs = _lagrange_basis_antiderivatives(tuple(float(o) for o in offsets))
-    ws = np.empty(len(pairs))
-    for j, (integ, denom) in enumerate(pairs):
-        ws[j] = (integ(hi) - integ(lo)) / denom
-    return ws
+# The cubics of the first, an interior and the last cell, keyed by the offset
+# of their first node from the cell's left node.
+_BASES = {first: _basis_antiderivatives(tuple(range(first, first + 4))) for first in (0, -1, -2)}
 
 
-# Whole-cell weights [-1, 13, 13, -1]/24 (nodes k-1..k+2) and [9, 19, -5, 1]/24
-# (nodes 0..3) as literals with the bits _lagrange_cell_weights gives (one entry
-# of each is 1 ulp off the fraction; tests/test_grids.py pins them), so
-# numpy.polynomial loads only when a region cuts a cell.
-_CELL_INTERIOR = np.array([-0.041666666666666664, 0.5416666666666667,
-                           0.5416666666666666, -0.041666666666666664])
-_CELL_FIRST = np.array([0.375, 0.7916666666666666, -0.20833333333333337,
-                        0.041666666666666664])
+def _cell_weights(first: int, lo: float, hi: float) -> np.ndarray:
+    """Integrals over [lo, hi] (grid units) of the basis of _BASES[first], each
+    antiderivative taken by Horner's rule in numpy's polyval order."""
+    ws = []
+    for integ, denom in _BASES[first]:
+        at_hi = at_lo = integ[-1]
+        for c in integ[-2::-1]:
+            at_hi, at_lo = c + at_hi * hi, c + at_lo * lo
+        ws.append((at_hi - at_lo) / denom)
+    return np.array(ws)
 
 
-def _cell_stencil(k: int, ncell: int) -> np.ndarray:
-    """Node indices of the cubic used for cell k (of ncell cells)."""
-    if k == 0:
-        return np.arange(0, 4)
-    if k == ncell - 1:
-        return np.arange(ncell - 3, ncell + 1)
-    return np.arange(k - 1, k + 3)
+# Whole cells: [9, 19, -5, 1]/24 on nodes 0..3, [-1, 13, 13, -1]/24 on k-1..k+2.
+_CELL_FIRST = _cell_weights(0, 0.0, 1.0)
+_CELL_INTERIOR = _cell_weights(-1, 0.0, 1.0)
 
 
 def integrate_uniform(F: np.ndarray, h: float, x0: float, x_lo: float, x_hi: float) -> float:
@@ -249,9 +242,9 @@ def integrate_uniform(F: np.ndarray, h: float, x0: float, x_lo: float, x_hi: flo
     k_hi = min(int(math.floor(t_hi)), ncell - 1)
 
     def partial(k: int, a: float, b: float) -> float:
-        idx = _cell_stencil(k, ncell)
-        w = _lagrange_cell_weights(idx - k, a - k, b - k)
-        return h * float(np.dot(w, F[idx]))
+        first = 0 if k == 0 else -2 if k == ncell - 1 else -1
+        start = k + first
+        return h * float(np.dot(_cell_weights(first, a - k, b - k), F[start:start + 4]))
 
     if k_lo == k_hi:
         return partial(k_lo, t_lo, t_hi)

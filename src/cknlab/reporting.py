@@ -57,11 +57,10 @@ def write_text(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def ordered_map(fn, items, max_workers: int | None = None) -> list:
-    """Map over items with a bounded pool; results keep the input order."""
+def ordered_map(fn, items) -> list:
+    """Map over items on min(8, CPU count) threads; results keep the input order."""
     items = list(items)
-    if max_workers is None:
-        max_workers = min(8, os.cpu_count() or 1)
+    max_workers = min(8, os.cpu_count() or 1)
     if max_workers <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
     from concurrent.futures import ThreadPoolExecutor   # only a call that pools loads it

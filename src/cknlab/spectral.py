@@ -35,6 +35,8 @@ from .errors import AdmissibilityError, ConvergenceFailure, NoSignChange, Subcri
 from .params import ParamSet, alpha_bracket, derive_params, felli_schneider_threshold
 
 BISECT_TOL = 1e-5  # width of the final alpha bracket in fs_crossing
+#: Grids of `converged_lowest_eigenvalue` in units of its N: N, 2N on T, 3N on 1.5 T.
+CONVERGED_GRID_FACTORS = (1, 2, 3)
 
 #: Columns of the rows `spectrum_table` returns.
 SPECTRUM_HEADER = ["alpha", "k", "lowest_eigenvalue"]
@@ -197,10 +199,11 @@ def converged_lowest_eigenvalue(ps: ParamSet, k: int, N: int = 2000,
                                 parity: str = "full") -> EigenvalueEstimate:
     """Lowest eigenvalue extrapolated over N (h^2 Richardson) and probed in T."""
     T = default_domain(ps)
-    e1 = lowest_eigenvalue(build_sector_operator(ps, k, T, N, parity))
-    e2 = lowest_eigenvalue(build_sector_operator(ps, k, T, 2 * N, parity))
+    n1, n2, n3 = (f * N for f in CONVERGED_GRID_FACTORS)
+    e1 = lowest_eigenvalue(build_sector_operator(ps, k, T, n1, parity))
+    e2 = lowest_eigenvalue(build_sector_operator(ps, k, T, n2, parity))
     # same grid step as e2 on the wider domain, isolating the truncation error
-    e3 = lowest_eigenvalue(build_sector_operator(ps, k, 1.5 * T, 3 * N, parity))
+    e3 = lowest_eigenvalue(build_sector_operator(ps, k, 1.5 * T, n3, parity))
     value = (4.0 * e2 - e1) / 3.0
     unc = abs(e2 - e1) / 3.0 + abs(e3 - e2)
     return EigenvalueEstimate(value=value, uncertainty=unc)

@@ -2,16 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cknlab.errors import GridTooCoarse, RegionOutsideGrid
 from cknlab.grids import (
     RadialGrid,
+    _BASES,
     _CELL_FIRST,
     _CELL_INTERIOR,
-    _lagrange_basis_antiderivatives,
-    _lagrange_cell_weights,
+    _cell_weights,
     d2_dx2,
     d_dx,
     d_ds,
@@ -43,13 +43,6 @@ def test_fd_weights_reproduce_central_stencils():
 def test_cell_weights_closed_forms():
     np.testing.assert_allclose(_CELL_INTERIOR, np.array([-1, 13, 13, -1]) / 24.0, atol=1e-15)
     np.testing.assert_allclose(_CELL_FIRST, np.array([9, 19, -5, 1]) / 24.0, atol=1e-15)
-
-
-def test_cell_weight_literals_keep_the_lagrange_bits():
-    # the literals stand for the Polynomial build bit for bit; a partial cell
-    # still goes through that build, so both paths share one set of weights
-    assert _CELL_INTERIOR.tobytes() == _lagrange_cell_weights([-1, 0, 1, 2], 0.0, 1.0).tobytes()
-    assert _CELL_FIRST.tobytes() == _lagrange_cell_weights([0, 1, 2, 3], 0.0, 1.0).tobytes()
 
 
 class TestRadialGrid:
@@ -317,23 +310,32 @@ class TestQuadratureBitwise:
             args = (F, g.log_step, x[0], x_lo, x_hi)
             assert _outcome(integrate_uniform, *args) == _outcome(_loop_integrate_uniform, *args)
 
-    def test_partial_cell_basis_is_built_once_and_returned_fresh(self, monkeypatch):
-        built = []
-        init = np.polynomial.Polynomial.__init__
 
-        def counting_init(self, *args, **kwargs):
-            built.append(1)
-            init(self, *args, **kwargs)
+# Offset of the first node of the cubic, from the cell's left node, for the
+# first, an interior and the last cell.
+_FIRSTS = (0, -1, -2)
 
-        monkeypatch.setattr(np.polynomial.Polynomial, "__init__", counting_init)
-        _lagrange_basis_antiderivatives.cache_clear()
-        offsets = [-2.0, -1.0, 0.0, 1.0]
-        first = _lagrange_cell_weights(offsets, 0.25, 0.75)
-        assert built
-        built.clear()
-        again = _lagrange_cell_weights(offsets, 0.25, 0.75)
-        assert not built
-        assert np.array_equal(first, again) and again is not first
-        again[:] = 99.0  # the caller owns the array: the cache keeps no reference to it
-        assert np.array_equal(_lagrange_cell_weights(offsets, 0.25, 0.75), first)
-        assert np.array_equal(first, _loop_cell_weights(offsets, 0.25, 0.75))
+
+@pytest.mark.parametrize("first", _FIRSTS)
+def test_basis_antiderivatives_have_the_polynomial_bits(first):
+    offsets = np.arange(first, first + 4, dtype=float)
+    for j, (integ, denom) in enumerate(_BASES[first]):
+        others = np.delete(offsets, j)
+        poly = np.polynomial.Polynomial.fromroots(others).integ()
+        assert np.array(integ).tobytes() == poly.coef.tobytes()
+        assert np.float64(denom).tobytes() == np.prod(offsets[j] - others).tobytes()
+
+
+_UNIT = st.floats(min_value=0.0, max_value=1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_FIRSTS), _UNIT, _UNIT)
+@example(0, 0.0, 1.0)  # _CELL_FIRST
+@example(-1, 0.0, 1.0)  # _CELL_INTERIOR
+@example(0, -0.0, 1.0)
+@example(-2, -0.0, 0.0)
+@example(-1, 1.0, 1.0)
+def test_cut_cell_weights_have_the_polynomial_bits(first, lo, hi):
+    offsets = np.arange(first, first + 4, dtype=float)
+    assert _cell_weights(first, lo, hi).tobytes() == _loop_cell_weights(offsets, lo, hi).tobytes()

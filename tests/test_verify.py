@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import cknlab
 from cknlab import verify
 from cknlab.reporting import csv_text, json_text, ordered_map
 from cknlab.verify import (
@@ -64,7 +70,29 @@ class TestDeterminism:
         mb = b["checks"][-1]["min_margin"]
         assert ma != mb
 
-    def test_ordered_map_preserves_order(self):
+    def test_ordered_map_preserves_order(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)  # a pool even on a 1-core host
         items = list(range(64))
-        out = ordered_map(lambda x: x * x, items, max_workers=8)
+        out = ordered_map(lambda x: x * x, items)
         assert out == [x * x for x in items]
+
+
+POLYNOMIAL_PROBE = """
+import sys
+from cknlab import verify
+
+for suite in ("identities", "estimates", "rigidity", "spectrum"):
+    getattr(verify, f"run_{suite}_suite")(seed=verify.DEFAULT_SEED)
+print("numpy.polynomial" in sys.modules)
+"""
+
+
+def test_suites_never_import_numpy_polynomial():
+    # the quadrature's cubic-cell weights are built on Python integers; a fresh
+    # interpreter, since the bitwise oracles in test_grids load numpy.polynomial
+    src = str(Path(cknlab.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", POLYNOMIAL_PROBE],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
