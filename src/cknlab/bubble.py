@@ -37,7 +37,9 @@ class BubbleSpec:
 
 
 def _amplitude_power(base: float, ps: ParamSet) -> float:
-    """base^(1/(p-2)), the bubble amplitude c0, refused where it overflows."""
+    """base^(1/(p-2)), the bubble amplitude c0, refused at p <= 2 and where it overflows."""
+    if not ps.p_exp > 2.0:
+        raise SubcriticalRange(f"the bubble amplitude c0 needs p > 2 (got p = {ps.p_exp})")
     try:
         return base ** (1.0 / (ps.p_exp - 2.0))
     except OverflowError:
@@ -217,8 +219,6 @@ def residual_eq_w_closed_form(ps: ParamSet, s, lam: float = 1.0):
 
 def bubble_cylinder(ps: ParamSet, grid: RadialGrid) -> CylinderField:
     """The extremal in cylinder variables, sampled as a Radial field."""
-    if not ps.p_exp > 2.0:
-        raise SubcriticalRange("cylinder bubble needs p > 2")
     values = bubble_cylinder_values(ps, grid.nodes)
     return CylinderField(grid, Radial(), values, ps)
 

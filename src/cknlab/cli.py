@@ -19,7 +19,7 @@ import sys
 
 # Modules, not names: each stays lazy (cknlab/__init__.py) until a command reads
 # it, and building the parser reads nothing from a module that imports numpy.
-from . import bubble, radial_ode, spectral, verify
+from . import bubble, grids, radial_ode, spectral, verify
 from .errors import AdmissibilityError, CknLabError, EmptyScan
 from .params import ALPHA_BRACKET, REGIME_HEADER, alpha_bracket, derive_params, regime_row
 # ordered_map stays bound here for the perfbench tracer tests, which patch it.
@@ -114,6 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
     def count(text: str) -> int:   # --angular: verify's floor, read on use, not at build time
         return _count_at_least(verify.MIN_ANGULAR_SIZE)(text)
 
+    def intervals(text: str) -> int:   # spectrum --grid: the eigensolver's floor, read on use
+        return _count_at_least(spectral.MIN_SECTOR_INTERVALS, MAX_SAMPLES)(text)
+
     weights(command("params", cmd_params, "derive and print a ParamSet"))
 
     p = command("scan", cmd_scan, "regime map over a weight range")
@@ -145,8 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"default {ALPHA_BRACKET[1]:g} x the closed-form threshold")
     p.add_argument("--alpha-count", type=_count_at_least(1), default=9)
     p.add_argument("--k-max", type=_count_at_least(0), default=2)
-    p.add_argument("--grid", type=_count_at_least(1, MAX_SAMPLES), default=2000,
-                   help="eigensolver nodes")
+    p.add_argument("--grid", type=intervals, default=2000, help="eigensolver nodes")
 
     p = command("verify", cmd_verify, "run a verification suite")
     p.add_argument("--suite", choices=tuple(SUITE_FLAGS), required=True)
@@ -263,6 +265,10 @@ def cmd_verify(args) -> int:
     unread = [f"--{f}" for f in given if f not in reads]
     if unread:
         return _invalid(f"--suite {args.suite} does not read {' '.join(unread)}")
+    if args.grid is not None:   # the floor of the suite's grid, which argparse cannot know
+        low = grids.MIN_RADIAL_NODES if args.suite == "estimates" else spectral.MIN_SECTOR_INTERVALS
+        if args.grid < low:
+            return _invalid(f"--suite {args.suite} needs --grid of at least {low}: got {args.grid}")
     kwargs = {reads[f]: getattr(args, f) for f in given if reads[f]}
     if args.suite == "identities":
         refine = args.refine or verify.IDENTITY_LEVELS

@@ -73,6 +73,8 @@ _D2_EDGE1 = fd_weights(np.arange(0, 6), 1.0, 2)
 
 #: Minimum node count for the 4th-order machinery.
 MIN_STENCIL_NODES = 8
+#: Fewest nodes of a RadialGrid.
+MIN_RADIAL_NODES = 16
 
 
 def _apply_stencil_axis0(values: np.ndarray, interior, edge0, edge1, h: float, m: int):
@@ -140,8 +142,8 @@ class RadialGrid:
     def __post_init__(self):
         if not (self.r_min > 0 and self.r_max > self.r_min):
             raise ValueError("need 0 < r_min < r_max")
-        if self.count < 16:
-            raise GridTooCoarse("RadialGrid requires count >= 16")
+        if self.count < MIN_RADIAL_NODES:
+            raise GridTooCoarse(f"RadialGrid requires count >= {MIN_RADIAL_NODES}")
         x = np.linspace(math.log(self.r_min), math.log(self.r_max), self.count)
         s = np.exp(x)
         s.flags.writeable = False

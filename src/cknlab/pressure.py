@@ -17,6 +17,10 @@ Dolbeault-Esteban-Loss)
         >= (n-2) ((d-1)/(n-1) - alpha^2) int_S P^(1-n) |grad_theta P|^2 dtheta
 is checked row by row by `sphere_margins`.
 
+`pressure_of` builds a `PressureField`: P with P', P'', grad_theta P,
+Lap_theta P, L P and |DP|^2, each computed once and read-only.  The routines
+below read these arrays and never take those derivatives again.
+
 Non-solution inputs are always accepted: every routine is a diagnostic, not
 a validator.  L, and the divergence in the same weighted radial form
 (alpha^2 (d/dr + (n-1)/r)), come from `cylfield.L_kernel`, so integration by
@@ -42,66 +46,26 @@ from .grids import d_ds, radial_derivs
 
 
 class PressureField:
-    """Pressure P = (n-1) w^(-2/(n-2)) with 4th-order derivative caches.
+    """Pressure P = (n-1) w^(-2/(n-2)) with its derivatives, built by `pressure_of`.
 
-    The angular derivatives are taken when the field is built.  The radial
-    ones (P', P'', L P and |DP|^2) are computed the first time one is read,
-    so a check that reads only angular derivatives never pays for them.  A
-    field is read by one thread; two threads that raced on a first read
-    would compute and store the same arrays.
+    Every array is read-only; thetaP and lap_thetaP are None for Radial fields.
     """
 
-    __slots__ = ("P", "thetaP", "lap_thetaP", "_cache", "__weakref__")
+    __slots__ = ("P", "thetaP", "lap_thetaP", "dP", "d2P", "LP", "DP2", "__weakref__")
 
     def __init__(self, P: CylinderField, thetaP: np.ndarray | None,
-                 lap_thetaP: np.ndarray | None):
+                 lap_thetaP: np.ndarray | None, dP: np.ndarray, d2P: np.ndarray,
+                 LP: np.ndarray, DP2: np.ndarray):
         self.P = P
-        self.thetaP = thetaP            # grad_theta P  (None for Radial)
-        self.lap_thetaP = lap_thetaP    # Lap_theta P   (None for Radial)
-        self._cache = {}
-
-    def _cached(self, key: str, compute):
-        """compute()'s arrays, made once and kept read-only."""
-        value = self._cache.get(key)
-        if value is None:
-            value = compute()
-            for a in value if isinstance(value, tuple) else (value,):
+        self.thetaP = thetaP            # grad_theta P
+        self.lap_thetaP = lap_thetaP    # Lap_theta P
+        self.dP = dP                    # P'
+        self.d2P = d2P                  # P''
+        self.LP = LP                    # L P
+        self.DP2 = DP2                  # |DP|^2 = alpha^2 P'^2 + |grad_theta P|^2 / r^2
+        for a in (thetaP, lap_thetaP, dP, d2P, LP, DP2):
+            if a is not None:
                 a.flags.writeable = False
-            self._cache[key] = value
-        return value
-
-    def _derivs(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._cached("derivs", lambda: radial_derivs(self.P.values, self.grid))
-
-    @property
-    def dP(self) -> np.ndarray:
-        """P'."""
-        return self._derivs()[0]
-
-    @property
-    def d2P(self) -> np.ndarray:
-        """P''."""
-        return self._derivs()[1]
-
-    @property
-    def LP(self) -> np.ndarray:
-        """L P."""
-        return self._cached("LP", lambda: L_kernel(self.dP, self.d2P, self.lap_thetaP,
-                                                   self.s, self.params))
-
-    @property
-    def DP2(self) -> np.ndarray:
-        """|DP|^2 = alpha^2 P'^2 + |grad_theta P|^2 / r^2."""
-        return self._cached("DP2", self._grad_square)
-
-    def _grad_square(self) -> np.ndarray:
-        out = np.square(self.dP)
-        out *= self.params.alpha**2
-        if self.thetaP is not None:
-            theta2 = np.square(self.thetaP)
-            theta2 /= self.s**2
-            out += theta2
-        return out
 
     @property
     def grid(self):
@@ -128,8 +92,19 @@ def pressure_values(w: np.ndarray, n: float) -> np.ndarray:
 
 def pressure_of(w: CylinderField) -> PressureField:
     w.require_positive("pressure_of")
-    P = w.with_values(pressure_values(w.values, w.params.n))
-    return PressureField(P, *w.angular.theta_pair(P.values))
+    ps = w.params
+    P = w.with_values(pressure_values(w.values, ps.n))
+    s = P.grid.column(P.values)
+    thetaP, lap_thetaP = w.angular.theta_pair(P.values)
+    dP, d2P = radial_derivs(P.values, P.grid)
+    LP = L_kernel(dP, d2P, lap_thetaP, s, ps)
+    DP2 = np.square(dP)
+    DP2 *= ps.alpha**2
+    if thetaP is not None:
+        theta2 = np.square(thetaP)
+        theta2 /= s**2
+        DP2 += theta2
+    return PressureField(P, thetaP, lap_thetaP, dP, d2P, LP, DP2)
 
 
 def pressure_weight(P: np.ndarray, n: float) -> np.ndarray:

@@ -31,10 +31,12 @@ from importlib.machinery import EXTENSION_SUFFIXES
 import numpy as np
 
 from .bubble import cylinder_amplitude
-from .errors import AdmissibilityError, ConvergenceFailure, NoSignChange, SubcriticalRange
+from .errors import AdmissibilityError, ConvergenceFailure, NoSignChange
 from .params import ParamSet, alpha_bracket, derive_params, felli_schneider_threshold
 
 BISECT_TOL = 1e-5  # width of the final alpha bracket in fs_crossing
+#: Fewest grid intervals of a SectorOperator.
+MIN_SECTOR_INTERVALS = 64
 #: Grids of `converged_lowest_eigenvalue` in units of its N: N, 2N on T, 3N on 1.5 T.
 CONVERGED_GRID_FACTORS = (1, 2, 3)
 
@@ -44,8 +46,6 @@ SPECTRUM_HEADER = ["alpha", "k", "lowest_eigenvalue"]
 
 def soliton_profile(ps: ParamSet, t):
     """v*(t) = c0 (2 cosh t)^(-(n-2)/2), the extremal in log-cylinder variables."""
-    if not ps.p_exp > 2.0:
-        raise SubcriticalRange("soliton profile needs p > 2")
     t = np.asarray(t, dtype=float)
     c0 = cylinder_amplitude(ps)
     power = -(ps.n - 2.0) / 2.0
@@ -89,8 +89,8 @@ class SectorOperator:
     def __post_init__(self):
         if self.parity not in ("full", "odd"):
             raise ValueError("parity must be 'full' or 'odd'")
-        if self.N < 64:
-            raise ValueError("need N >= 64 grid intervals")
+        if self.N < MIN_SECTOR_INTERVALS:
+            raise ValueError(f"need N >= {MIN_SECTOR_INTERVALS} grid intervals")
 
     def interior_nodes(self) -> tuple[np.ndarray, float]:
         if self.parity == "odd":

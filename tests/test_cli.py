@@ -253,6 +253,17 @@ class TestVerifyCommand:
     # decay horizon 10^(5/(n-2)) overflows at n ~ 2.01
     (["verify", "--suite", "rigidity", "--a", "-0.5", "--b", "-0.495", "--d", "2"],
      "decay horizon"),
+    # p = 2 edge (b - a = 1): the bubble amplitude c0 = base^(1/(p-2)) has no value
+    (["verify", "--suite", "rigidity", "--a", "0", "--b", "1", "--d", "3"],
+     "inadmissible parameters: the bubble amplitude c0 needs p > 2"),
+    (["verify", "--suite", "rigidity", "--a", "-0.3", "--b", "0.7", "--d", "2"],
+     "inadmissible parameters: the bubble amplitude c0 needs p > 2"),
+    # grid floors of the eigensolver and of RadialGrid, named by the flag that sets them
+    (["spectrum", "--d", "3", "--n", "6", "--grid", "10"], "argument --grid: must be at least 64"),
+    (["verify", "--suite", "spectrum", "--grid", "1"],
+     "--suite spectrum needs --grid of at least 64: got 1"),
+    (["verify", "--suite", "estimates", "--grid", "8"],
+     "--suite estimates needs --grid of at least 16: got 8"),
     # lambda^kappa = (1e300)^5.5 overflows in the scaled profile
     (["bubble", "--a", "-5", "--b", "-4.5", "--d", "3", "--lam", "1e300", "--grid", "2"],
      "lambda^kappa c0 overflows double precision"),    # work caps: refused before any solve or field
@@ -493,7 +504,7 @@ def _fuzz_argv(draw):
             st.sampled_from([float(d), math.nextafter(d, math.inf), d + 1e-9, 150.0, 1e6]),
         ))
         argv = ["spectrum", "--d", str(d), "--n", repr(n),
-                "--grid", str(draw(st.integers(min_value=1, max_value=64))),
+                "--grid", str(draw(st.integers(min_value=1, max_value=128))),
                 "--alpha-count", str(draw(st.integers(min_value=1, max_value=3)))]
         if draw(st.booleans()):
             lo = draw(st.floats(min_value=1e-3, max_value=10.0))
@@ -511,7 +522,7 @@ def _fuzz_argv(draw):
 @settings(max_examples=40, deadline=None)
 @given(_fuzz_argv())
 @example(["params", "--a", "-0.5", "--b", "-0.49999999999999994", "--d", "2"])
-@example(["spectrum", "--d", "3", "--n", "1000", "--grid", "8", "--alpha-count", "1"])
+@example(["spectrum", "--d", "3", "--n", "1000", "--grid", "64", "--alpha-count", "1"])
 @example(["bubble", "--a", "-0.5", "--b", "0", "--d", "3", "--lam", "1e306", "--grid", "4",
           "--r-max", "1e3"])
 def test_argv_fuzz_exits_with_a_code(argv):
@@ -559,7 +570,7 @@ def _large_count_argv(draw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_large_count_argv())
 @example((["verify", "--suite", "spectrum", "--grid", "310690"], ["--grid"]))
-@example((["spectrum", "--d", "3", "--n", "6", "--alpha-count", "33554432", "--grid", "1",
+@example((["spectrum", "--d", "3", "--n", "6", "--alpha-count", "33554432", "--grid", "64",
            "--k-max", "0"], ["--alpha-count"]))
 def test_large_counts_are_refused_before_any_solve(case):
     # every refusal exits 2 and names a drawn flag; a solve or suite run fails the test

@@ -5,8 +5,8 @@ now works through scratch buffers and ufunc ``out=``, or, for the sphere
 inequality, the form that checked one circle at a time.  They are the oracles:
 every float operation of the rewrite must happen in the same order, so the
 outputs agree in ``tobytes()``, signed zeros included.  The file also pins
-the field ownership rule, the radial caches of PressureField and the nested
-refinement grids that `run_identities_suite` slices.
+the field ownership rule, the read-only arrays a PressureField is built with
+and shares, and the nested refinement grids that `run_identities_suite` slices.
 """
 
 import numpy as np
@@ -32,11 +32,14 @@ from cknlab.pressure import (
 )
 from cknlab.verify import (
     IDENTITY_BASE,
+    MIN_ANGULAR_SIZE,
+    SPHERE_FIELDS,
     _refinement_sizes,
     evaluate_log_field,
     pressure_field_from_target,
     random_circle_profile,
     random_log_field_coeffs,
+    run_identities_suite,
     source_of_pressure,
 )
 
@@ -357,18 +360,16 @@ class TestFieldOwnership:
                 CylinderField(grid_small, Radial(), values, PS3)
 
 
-class TestRadialCaches:
-    @pytest.fixture
-    def derivs_calls(self, monkeypatch):
-        calls = []
-        original = pressure.radial_derivs
+class TestPressureFieldArrays:
+    @staticmethod
+    def spy(monkeypatch, module, name, calls):
+        original = getattr(module, name)
 
-        def counting(values, grid):
-            calls.append(values.shape)
-            return original(values, grid)
+        def recording(*args, **kwargs):
+            calls.append((name, args))
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(pressure, "radial_derivs", counting)
-        return calls
+        monkeypatch.setattr(module, name, recording)
 
     def periodic_field(self):
         grid = RadialGrid(1e-1, 1e1, 64)
@@ -377,19 +378,62 @@ class TestRadialCaches:
         w = ((PS2.n - 1.0) / target) ** ((PS2.n - 2.0) / 2.0)
         return CylinderField(grid, PeriodicGrid(16), w, PS2)
 
-    def test_sphere_check_computes_no_radial_cache(self, derivs_calls):
-        pf = pressure_of(self.periodic_field())
-        sphere_margins(pf.P.values, pf.thetaP, pf.lap_thetaP, pf.params)
-        assert derivs_calls == []
+    def radial_field(self):
+        grid = RadialGrid(1e-1, 1e1, 64)
+        return CylinderField(grid, Radial(), 1.0 / (1.0 + grid.nodes**2) ** 2, PS3)
 
-    def test_each_cache_is_computed_once(self, derivs_calls):
+    def test_pressure_of_takes_one_radial_pass(self, monkeypatch):
+        calls = []
+        self.spy(monkeypatch, pressure, "radial_derivs", calls)
+        for w in (self.periodic_field(), self.radial_field()):
+            calls.clear()
+            pf = pressure_of(w)
+            assert len(calls) == 1 and calls[0][1][0] is pf.P.values
+
+    def test_bochner_reads_the_field_arrays(self, monkeypatch):
+        # k[P] and its decomposition differentiate |DP|^2, L P and grad_theta P
+        # as the field holds them, and take no derivative of P again
         pf = pressure_of(self.periodic_field())
-        first = [pf.dP, pf.d2P, pf.LP, pf.DP2]
+        calls = []
+        for name in ("radial_derivs", "L_of_values", "d_ds", "_sphere_k"):
+            self.spy(monkeypatch, pressure, name, calls)
         bochner_k(pf)
         bochner_decomposition(pf)
-        assert len(derivs_calls) == 1     # bochner_k's L |DP|^2 goes through cylfield
-        assert all(a is b for a, b in zip(first, [pf.dP, pf.d2P, pf.LP, pf.DP2]))
-        assert not any(a.flags.writeable for a in first)
+        assert [name for name, _ in calls] == ["L_of_values", "d_ds", "d_ds", "_sphere_k"]
+        expected = [(pf.DP2,), (pf.LP,), (pf.thetaP,), (pf.thetaP, pf.lap_thetaP)]
+        for (_, args), arrays in zip(calls, expected):
+            assert all(a is b for a, b in zip(args, arrays))
+
+    def test_every_array_is_read_only(self):
+        for w in (self.periodic_field(), self.radial_field()):
+            pf = pressure_of(w)
+            arrays = [getattr(pf, name) for name in
+                      ("thetaP", "lap_thetaP", "dP", "d2P", "LP", "DP2")] + [pf.P.values]
+            held = [a for a in arrays if a is not None]
+            assert len(held) == (7 if isinstance(w.angular, PeriodicGrid) else 5)
+            for a in held:
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a *= 2.0
+
+    def test_identities_sphere_check_takes_no_radial_derivative(self, monkeypatch):
+        # every radial stencil pass of the suite is on one of its refinement
+        # grids; the sphere check's batch of circle profiles takes none
+        levels = 2
+        lengths = []
+        for name in ("d_dx", "d2_dx2"):
+            original = getattr(grids, name)
+
+            def recording(values, h, original=original):
+                lengths.append(values.shape[0])
+                return original(values, h)
+
+            monkeypatch.setattr(grids, name, recording)
+        report = run_identities_suite(n_fields=1, levels=levels, angular_size=MIN_ANGULAR_SIZE)
+        assert report["checks"][-1]["identity"] == "sphere_inequality_margin"
+        counts = set(_refinement_sizes(levels, IDENTITY_BASE)) | set(_refinement_sizes(levels, 97))
+        assert SPHERE_FIELDS not in counts
+        assert lengths and set(lengths) <= counts
 
 
 @pytest.mark.parametrize("levels", range(2, 8))

@@ -109,6 +109,11 @@ class TestShoot:
         with pytest.raises(SubcriticalRange):
             shoot(derive_params(-1.0, 0.0, 3), 1.0)
 
+    def test_sweep_rejects_p2_edge(self):
+        # b - a = 1: the sweep's amplitude grid reads c0, which has no value at p = 2
+        with pytest.raises(SubcriticalRange):
+            radial_rigidity_sweep(derive_params(0.0, 1.0, 3))
+
 
 def _solve_ivp_shot(ps, w0, s_max, rtol):
     """The shot as `solve_ivp` takes it: the oracle for `shoot`'s own step loop.
