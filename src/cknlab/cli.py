@@ -19,7 +19,7 @@ import sys
 
 # Modules, not names: each stays lazy (cknlab/__init__.py) until a command reads
 # it, and building the parser reads nothing from a module that imports numpy.
-from . import bubble, grids, radial_ode, spectral, verify
+from . import bubble, radial_ode, spectral, verify
 from .errors import AdmissibilityError, CknLabError, EmptyScan
 from .params import ALPHA_BRACKET, REGIME_HEADER, alpha_bracket, derive_params, regime_row
 # ordered_map stays bound here for the perfbench tracer tests, which patch it.
@@ -266,7 +266,7 @@ def cmd_verify(args) -> int:
     if unread:
         return _invalid(f"--suite {args.suite} does not read {' '.join(unread)}")
     if args.grid is not None:   # the floor of the suite's grid, which argparse cannot know
-        low = grids.MIN_RADIAL_NODES if args.suite == "estimates" else spectral.MIN_SECTOR_INTERVALS
+        low = verify.ESTIMATES_MIN_GRID if args.suite == "estimates" else verify.SPECTRUM_MIN_GRID
         if args.grid < low:
             return _invalid(f"--suite {args.suite} needs --grid of at least {low}: got {args.grid}")
     kwargs = {reads[f]: getattr(args, f) for f in given if reads[f]}

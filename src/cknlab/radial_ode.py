@@ -9,10 +9,10 @@ s0 = 1e-6 and proceeds in the log variable t = ln s, where the system reads
 
 The integrator is DOP853 (Hairer-Norsett-Wanner, Solving ODEs I, II.10) with
 scipy's tableau, initial step and error norm, copied here and run on Python
-floats: the profile is bit-identical to ``solve_ivp(..., method="DOP853")``
+floats: every step is bit-identical to ``solve_ivp(..., method="DOP853")``
 without its per-step interpreter work, and a shot loads no scipy module.  A
-shot ends at s_max or where w falls to TOUCH_FACTOR * w0 (TouchesZero); only
-that rail imports scipy, for DOP853's dense output and `brentq`.  A shot
+shot ends at s_max or where w falls to TOUCH_FACTOR * w0 (TouchesZero), a
+crossing found by bisecting the length of the step that reached it.  A shot
 cannot blow up: dw/dt starts negative and cannot turn positive, since
 d2w/dt2 <= 0 wherever dw/dt = 0, so w never exceeds w0.
 
@@ -262,9 +262,8 @@ class _Dop853:
         self.rhs, self.t_bound, self.rtol, self.atol = rhs, t_bound, rtol, atol
         self.t, self.w, self.v = t, w, v
         self.f = rhs(t, w, v)
-        self.K_ext = np.empty((16, 2))  # rows 13-15: the dense output's extra stages
-        self.K_flat = self.K_ext.reshape(-1)  # stage s stores K_flat[2s] and K_flat[2s + 1]
-        K = self.K_ext[:13]
+        K = np.empty((13, 2))
+        self.K_flat = K.reshape(-1)  # stage s stores K_flat[2s] and K_flat[2s + 1]
         self.stages = tuple((2 * s, 2 * s + 1, K[:s].T, a, c) for s, a, c in _STAGES)
         self.K_B, self.K_E = K[:12].T, K.T
         self._e = np.empty(2)  # _norm's operand; per stepper, since the pool runs threads
@@ -306,6 +305,15 @@ class _Dop853:
         denom = err5_norm_2 + 0.01 * err3_norm_2
         return abs(h) * err5_norm_2 / math.sqrt(denom * 2)
 
+    def advance(self, t: float, w: float, v: float, h: float) -> tuple[float, float]:
+        """The 8th-order solution a step h from (t, w, v); K's row 0 holds f(t, w, v)."""
+        rhs, K = self.rhs, self.K_flat
+        for i, j, K_s, a, c in self.stages:
+            dw, dv = K_s.dot(a).tolist()
+            K[i], K[j] = rhs(t + c * h, w + dw * h, v + dv * h)
+        bw, bv = self.K_B.dot(_B).tolist()
+        return w + h * bw, v + h * bv
+
     def step(self) -> None:
         """One accepted step; `StepFailure` where the step falls below its floor."""
         rhs, K, rtol, atol = self.rhs, self.K_flat, self.rtol, self.atol
@@ -321,11 +329,7 @@ class _Dop853:
             t_new = min(t + h_abs, self.t_bound)
             h = t_new - t
             h_abs = abs(h)
-            for i, j, K_s, a, c in self.stages:
-                dw, dv = K_s.dot(a).tolist()
-                K[i], K[j] = rhs(t + c * h, w + dw * h, v + dv * h)
-            bw, bv = self.K_B.dot(_B).tolist()
-            w_new, v_new = w + h * bw, v + h * bv
+            w_new, v_new = self.advance(t, w, v, h)
             K[24], K[25] = f_new = rhs(t + h, w_new, v_new)
             error_norm = self._error_norm(h, atol + max(abs(w), abs(w_new)) * rtol,
                                           atol + max(abs(v), abs(v_new)) * rtol)
@@ -340,29 +344,9 @@ class _Dop853:
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
             step_rejected = True
-        self.h_previous = h
-        self.t_old, self.w_old, self.v_old = t, w, v
         self.t, self.w, self.v = t_new, w_new, v_new
         self.h_abs = h_abs
         self.f = f_new
-
-    def dense_output(self):
-        """scipy's DOP853 interpolant over the last step, as `_dense_output_impl` builds it."""
-        from scipy.integrate import DOP853
-        from scipy.integrate._ivp.rk import Dop853DenseOutput
-
-        K, h, t_old = self.K_ext, self.h_previous, self.t_old
-        y_old = np.array((self.w_old, self.v_old))
-        for s, (a, c) in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=13):
-            dy = np.dot(K[:s].T, a[:s]) * h
-            K[s] = self.rhs(t_old + c * h, *(y_old + dy).tolist())
-        f_old, delta_y = K[0], np.array((self.w, self.v)) - y_old
-        F = np.empty((7, 2))
-        F[0] = delta_y
-        F[1] = h * f_old - delta_y
-        F[2] = 2 * delta_y - h * (np.array(self.f) + f_old)
-        F[3:] = h * np.dot(DOP853.D, K)
-        return Dop853DenseOutput(t_old, self.t, y_old, F)
 
 
 def shoot(
@@ -376,9 +360,11 @@ def shoot(
     ``s_max = None`` uses the amplitude-aware horizon of `decay_horizon`.  A
     series start at or below ``TOUCH_FACTOR * w0`` raises AmplitudeOverflow.
     Integration ends at ``s_max`` or where ``w`` falls to ``TOUCH_FACTOR * w0``
-    (TouchesZero); that crossing is located on DOP853's dense output by
-    `brentq`, as `solve_ivp` locates a terminal event, and only there is
-    scipy imported.
+    (TouchesZero).  Every sample before that crossing has the bits of
+    `solve_ivp`'s.  The crossing comes from the same stepper: the length of
+    the step that reached the floor is bisected down to adjacent floats, each
+    probe one step from the sample before, and the last sample is the end of
+    the shortest probe with ``w`` at or below the floor.
     """
     w0 = float(w0)
     if not w0 > 0:
@@ -411,11 +397,16 @@ def shoot(
         stepper.step()
         t, w, v = stepper.t, stepper.w, stepper.v
         if ws[-1] - floor >= 0 >= w - floor:  # find_active_events, direction -1
-            from scipy.optimize import brentq
-            sol = stepper.dense_output()
-            t = brentq(lambda tt: sol(tt)[0] - floor, stepper.t_old, t,
-                       xtol=4 * EPS, rtol=4 * EPS)
-            w, v = sol(t).tolist()
+            # bisect the step length down to adjacent floats, each probe one
+            # step from the last sample; the crossing is the end at the floor
+            lo, hi = 0.0, t - ts[-1]
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
+                w_mid, v_mid = stepper.advance(ts[-1], ws[-1], vs[-1], mid)
+                if w_mid - floor > 0:
+                    lo = mid
+                else:
+                    hi, w, v = mid, w_mid, v_mid
+            t = ts[-1] + hi
             cls = Classification.TOUCHES_ZERO
         ts.append(t)
         ws.append(w)

@@ -61,12 +61,14 @@ LOW_DIM_PARAMS = {                              # n in (2, 4) needs d = 2
 SPECTRUM_ZERO_MODE_PARAMS = ((-0.5, 0.0, 3), (-0.4, 0.1, 2), (-0.25, 0.15, 3))
 SPECTRUM_CROSSING_PAIRS = ((3, 6.0), (2, 4.0))
 
-# Contract tolerances that no caller varies.
+# Contract tolerances that no caller varies, and the suite grid floors they set.
 IDENTITY_ORDER_FLOOR = 3.8      # identities: least fitted convergence order
 SPHERE_FIELDS = 100             # identities: random circle profiles of the sphere check
 SPHERE_MARGIN_TOL = 1e-8        # identities: sphere inequality margin
 ZERO_MODE_TOL = 1e-6            # spectrum: |translation zero-mode eigenvalue|
 CROSSING_GAP_TOL = 0.01         # spectrum: relative gap to the closed-form threshold
+SPECTRUM_MIN_GRID = 182         # spectrum: least --grid (by scan) meeting ZERO_MODE_TOL
+ESTIMATES_MIN_GRID = 686        # estimates: least --grid (by scan) passing every check
 
 # Highest harmonic of the sphere check's circle profiles, and the fewest angular
 # nodes that represent it: degree K needs 2K + 1 equispaced samples and aliases on

@@ -258,12 +258,13 @@ class TestVerifyCommand:
      "inadmissible parameters: the bubble amplitude c0 needs p > 2"),
     (["verify", "--suite", "rigidity", "--a", "-0.3", "--b", "0.7", "--d", "2"],
      "inadmissible parameters: the bubble amplitude c0 needs p > 2"),
-    # grid floors of the eigensolver and of RadialGrid, named by the flag that sets them
+    # grid floors, named by the flag that sets them: the eigensolver's for `spectrum`,
+    # and for each suite the least grid at which its tolerances can pass
     (["spectrum", "--d", "3", "--n", "6", "--grid", "10"], "argument --grid: must be at least 64"),
-    (["verify", "--suite", "spectrum", "--grid", "1"],
-     "--suite spectrum needs --grid of at least 64: got 1"),
-    (["verify", "--suite", "estimates", "--grid", "8"],
-     "--suite estimates needs --grid of at least 16: got 8"),
+    (["verify", "--suite", "spectrum", "--grid", "64"],
+     "--suite spectrum needs --grid of at least 182: got 64"),
+    (["verify", "--suite", "estimates", "--grid", "16"],
+     "--suite estimates needs --grid of at least 686: got 16"),
     # lambda^kappa = (1e300)^5.5 overflows in the scaled profile
     (["bubble", "--a", "-5", "--b", "-4.5", "--d", "3", "--lam", "1e300", "--grid", "2"],
      "lambda^kappa c0 overflows double precision"),    # work caps: refused before any solve or field
@@ -288,6 +289,26 @@ def test_bad_input_exits_2_with_reason(argv, reason, tmp_path, capsys):
     assert code == 2
     assert reason in err
     assert "Traceback" not in err
+
+
+SUITE_GRID_FLOORS = {"spectrum": "SPECTRUM_MIN_GRID", "estimates": "ESTIMATES_MIN_GRID"}
+
+
+@pytest.mark.parametrize("suite", SUITE_GRID_FLOORS)
+def test_suite_passes_at_its_grid_floor(suite, capsys):
+    floor = getattr(cknlab.verify, SUITE_GRID_FLOORS[suite])
+    code, _, err = run_cli(capsys, "verify", "--suite", suite, "--grid", str(floor))
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("suite", SUITE_GRID_FLOORS)
+def test_grid_below_the_suite_floor_is_refused(suite, capsys):
+    # one node under the floor is bad input (exit 2), not a contract failure
+    floor = getattr(cknlab.verify, SUITE_GRID_FLOORS[suite])
+    code, _, err = run_cli(capsys, "verify", "--suite", suite, "--grid", str(floor - 1))
+    assert code == 2
+    assert err.splitlines()[-1] == (f"--suite {suite} needs --grid of at least {floor}: "
+                                    f"got {floor - 1}")
 
 
 def test_spectrum_cap_counts_the_crossing(monkeypatch, capsys):
@@ -352,24 +373,28 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 loaded = {"import": scipy_modules()}
-for argv in (["params", "--a", "-0.5", "--b", "0", "--d", "3"],
-             ["scan", "--d", "3", "--a-min", "-1", "--a-max", "0", "--a-step", "0.25"],
-             ["bubble", "--a", "-0.5", "--b", "0", "--d", "3", "--grid", "5"],
-             ["shoot", "--a", "-0.5", "--b", "0", "--d", "3", "--w0", "2.5"],
-             ["verify", "--suite", "rigidity"],
-             ["spectrum", "--d", "3", "--n", "6"],
-             ["verify", "--suite", "spectrum"]):
+for name, argv in (("params", ["params", "--a", "-0.5", "--b", "0", "--d", "3"]),
+                   ("scan", ["scan", "--d", "3", "--a-min", "-1", "--a-max", "0",
+                             "--a-step", "0.25"]),
+                   ("bubble", ["bubble", "--a", "-0.5", "--b", "0", "--d", "3", "--grid", "5"]),
+                   ("shoot", ["shoot", "--a", "-0.5", "--b", "0", "--d", "3", "--w0", "2.5"]),
+                   ("shoot --w0 100", ["shoot", "--a", "-0.5", "--b", "0", "--d", "3",
+                                       "--w0", "100"]),
+                   ("verify rigidity", ["verify", "--suite", "rigidity"]),
+                   ("spectrum", ["spectrum", "--d", "3", "--n", "6"]),
+                   ("verify spectrum", ["verify", "--suite", "spectrum"])):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cknlab.cli.main(argv) == 0
-    loaded[" ".join(argv[::2]) if argv[0] == "verify" else argv[0]] = scipy_modules()
+    loaded[name] = scipy_modules()
 print(json.dumps(loaded))
 """
 
 
 def test_params_scan_bubble_never_import_scipy():
-    # the Brent fit of the rigidity suite is the lab's own, and eigenvalues take
-    # LAPACK dstebz from scipy's compiled _flapack extension alone: no scipy
-    # package (scipy, scipy.linalg, scipy.optimize, scipy.integrate) is imported
+    # the Brent fit of the rigidity suite and the TouchesZero crossing of a shot
+    # are the lab's own, and eigenvalues take LAPACK dstebz from scipy's compiled
+    # _flapack extension alone: no scipy package (scipy, scipy.linalg,
+    # scipy.optimize, scipy.integrate) is imported
     src = str(Path(cknlab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE], env=env,
@@ -377,8 +402,8 @@ def test_params_scan_bubble_never_import_scipy():
     assert proc.returncode == 0, proc.stderr
     lapack = ["scipy.linalg._flapack"]
     assert json.loads(proc.stdout) == {"import": [], "params": [], "scan": [], "bubble": [],
-                                       "shoot": [], "verify rigidity": [], "spectrum": lapack,
-                                       "verify spectrum": lapack}
+                                       "shoot": [], "shoot --w0 100": [], "verify rigidity": [],
+                                       "spectrum": lapack, "verify spectrum": lapack}
 
 
 CLOSURE_PROBE = """
@@ -545,7 +570,10 @@ def _large_count_argv(draw):
     def large(low):
         return st.integers(min_value=low, max_value=10**30).map(str)
 
-    small = st.integers(min_value=1, max_value=64).map(str)
+    def small(flag):  # admissible, so a refusal can only be of a drawn flag
+        low = cknlab.spectral.MIN_SECTOR_INTERVALS if flag == "--grid" else 1
+        return st.integers(min_value=low, max_value=low + 63).map(str)
+
     cap = cknlab.cli.SPECTRUM_MAX_NODES
     target = draw(st.sampled_from(["spectrum", "spectrum suite", "identities", "estimates"]))
     if target == "spectrum":
@@ -563,7 +591,7 @@ def _large_count_argv(draw):
         if flag in flags:
             argv += [flag, draw(large(lows[flag]))]
         elif draw(st.booleans()):
-            argv += [flag, draw(small)]
+            argv += [flag, draw(small(flag))]
     return argv, flags
 
 
@@ -573,7 +601,9 @@ def _large_count_argv(draw):
 @example((["spectrum", "--d", "3", "--n", "6", "--alpha-count", "33554432", "--grid", "64",
            "--k-max", "0"], ["--alpha-count"]))
 def test_large_counts_are_refused_before_any_solve(case):
-    # every refusal exits 2 and names a drawn flag; a solve or suite run fails the test
+    # every refusal exits 2 and its reason, the last line of stderr, names a drawn
+    # flag (argparse's usage line above it lists every flag); a solve or suite run
+    # fails the test
     argv, flags = case
 
     def never(*args, **kwargs):
@@ -588,5 +618,6 @@ def test_large_counts_are_refused_before_any_solve(case):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)
     assert code == 2, argv
-    assert any(flag in err.getvalue() for flag in flags), (argv, err.getvalue())
+    reason = err.getvalue().splitlines()[-1]
+    assert any(flag in reason for flag in flags), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
