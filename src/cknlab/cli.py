@@ -245,6 +245,13 @@ def cmd_spectrum(args) -> int:
     a_hi = a_hi if args.alpha_max is None else args.alpha_max
     if not a_lo < a_hi:
         return _invalid(f"spectrum requires --alpha-min < --alpha-max: got {a_lo} and {a_hi}")
+    for flag, given, alpha in (("--alpha-min", args.alpha_min, a_lo),
+                               ("--alpha-max", args.alpha_max, a_hi)):
+        try:
+            spectral.path_params(d, n, alpha)
+        except AdmissibilityError as exc:
+            source = flag if given is not None else f"--n {n!r}"
+            return _invalid(f"{source} gives an inadmissible path end alpha = {alpha!r}: {exc}")
     table = args.alpha_count * (args.k_max + 1) * N
     why = (f"--alpha-count {args.alpha_count} x (--k-max {args.k_max} + 1) x --grid {N} "
            f"gives {table} table nodes")

@@ -9,17 +9,20 @@ Two angular representations are supported: Radial (no angular dependence,
 any d) and PeriodicGrid (full uniform grid on S^1, d = 2 only; angular
 calculus is spectral).  Each owns its angular calculus on sample arrays; L
 is written once, in `L_kernel`.  Full angular grids for d >= 3 are out of
-scope.
+scope.  `integrate_mu(f, r_lo, r_hi)` is the one measure integral: the
+theta-mean profile times e^(n x), integrated by `grids.integrate_uniform`,
+which alone decides whether (r_lo, r_hi) lies inside the grid.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveSample, RegionOutsideGrid, UnsupportedAngularRep
-from .grids import RadialGrid, d_ds, integrate_measure_radial, radial_derivs, sphere_area
+from .errors import NonPositiveSample, UnsupportedAngularRep
+from .grids import RadialGrid, d_ds, integrate_uniform, radial_derivs, sphere_area
 from .params import ParamSet
 
 
@@ -156,22 +159,6 @@ class CylinderField:
             raise NonPositiveSample(f"{who} requires a positive field (min sample {low})")
 
 
-@dataclass(frozen=True)
-class MeasureRegion:
-    """Radial interval (r_lo, r_hi) inside the grid support."""
-
-    r_lo: float
-    r_hi: float
-
-    def __post_init__(self):
-        if not (0.0 < self.r_lo < self.r_hi):
-            raise ValueError("need 0 < r_lo < r_hi")
-
-
-def full_region(grid: RadialGrid) -> MeasureRegion:
-    return MeasureRegion(grid.r_min, grid.r_max)
-
-
 def grad_cyl(w: CylinderField) -> CylinderField:
     """|D w|^2 for the cylinder gradient D w = (alpha w', grad_theta w / r)."""
     radial = w.params.alpha * d_ds(w.values, w.grid)
@@ -181,20 +168,21 @@ def grad_cyl(w: CylinderField) -> CylinderField:
     return w.with_values(radial**2 + (g / w.grid.column(w.values)) ** 2)
 
 
-def integrate_mu(f: CylinderField, region: MeasureRegion | None = None) -> float:
-    """int f dmu over the region, dmu = r^(n-1) dr dtheta.
+def integrate_mu(f: CylinderField, r_lo: float | None = None,
+                 r_hi: float | None = None) -> float:
+    """int f dmu over (r_lo, r_hi), by default the whole grid; dmu = r^(n-1) dr dtheta.
 
     Radial representation carries the full |S^(d-1)| factor; PeriodicGrid
-    uses the spectrally-accurate periodic trapezoid in theta.
+    uses the spectrally-accurate periodic trapezoid in theta.  The radial
+    integral is integrate_uniform's in x = ln r, where s^(n-1) ds = s^n dx;
+    it alone decides whether (r_lo, r_hi) lies inside the grid.
     """
-    region = region or full_region(f.grid)
-    eps = 1e-9 * f.grid.r_min
-    if region.r_lo < f.grid.r_min - eps or region.r_hi > f.grid.r_max * (1 + 1e-12):
-        raise RegionOutsideGrid(
-            f"region ({region.r_lo}, {region.r_hi}) outside grid "
-            f"({f.grid.r_min}, {f.grid.r_max})"
-        )
+    grid = f.grid
+    r_lo = grid.r_min if r_lo is None else r_lo
+    r_hi = grid.r_max if r_hi is None else r_hi
+    if not (0.0 < r_lo < r_hi):
+        raise ValueError("need 0 < r_lo < r_hi")
     profile, factor = f.angular.sphere_mean(f.values, f.params.d)
-    return factor * integrate_measure_radial(
-        profile, f.grid, f.params.n, region.r_lo, region.r_hi
-    )
+    F = profile * np.exp(f.params.n * grid.x_nodes)
+    return factor * integrate_uniform(F, grid.log_step, grid.x_nodes[0],
+                                      math.log(r_lo), math.log(r_hi))

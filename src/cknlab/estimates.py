@@ -20,14 +20,13 @@ from typing import ClassVar
 
 import numpy as np
 
-from .cylfield import CylinderField, L_kernel, MeasureRegion, grad_cyl, integrate_mu
+from .cylfield import CylinderField, L_kernel, grad_cyl, integrate_mu
 from .errors import (
     BadExponent,
     NotFiniteEnergy,
     NotSuperharmonic,
     RangeViolation,
     RegimeViolation,
-    RegionOutsideGrid,
 )
 from .fitting import fit_loglog
 from .grids import radial_derivs
@@ -78,7 +77,8 @@ def int_ineq_sides(pf: PressureField, cutoffs: list[Cutoff]) -> list[IntIneqSide
 
     The densities P^(1-n) k[P] and P^(1-n) |DP|^2 are computed once for all
     cutoffs.  The sign guarantee needs the symmetric regime; the constant C
-    is existential and only reported empirically by callers.
+    is existential and only reported empirically by callers.  A cutoff whose
+    support (0, 2R) runs past the grid raises RegionOutsideGrid.
     """
     ps = pf.params
     if not ps.is_symmetric:
@@ -86,20 +86,15 @@ def int_ineq_sides(pf: PressureField, cutoffs: list[Cutoff]) -> list[IntIneqSide
             f"alpha = {ps.alpha} exceeds threshold {ps.fs_threshold}; "
             "sign guarantee lost"
         )
-    grid = pf.grid
-    if any(2.0 * cut.R > grid.r_max * (1.0 + 1e-12) for cut in cutoffs):
-        raise RegionOutsideGrid("cutoff support (0, 2R) exceeds the grid")
-    s = grid.column(pf.P.values)
+    s = pf.grid.column(pf.P.values)
     defect = defect_density(pf)
     grad = pressure_weight(pf.P.values, ps.n) * pf.DP2
     sides = []
     for cut in cutoffs:
         eta_s = cut.eta(s) ** cut.s_power
         etap2 = cut.eta_prime(s) ** 2
-        lhs = integrate_mu(pf.field(defect * eta_s),
-                           MeasureRegion(grid.r_min, min(2.0 * cut.R, grid.r_max)))
-        rhs = integrate_mu(pf.field(grad * etap2),
-                           MeasureRegion(cut.R, min(2.0 * cut.R, grid.r_max)))
+        lhs = integrate_mu(pf.field(defect * eta_s), r_hi=2.0 * cut.R)
+        rhs = integrate_mu(pf.field(grad * etap2), cut.R, 2.0 * cut.R)
         sides.append(IntIneqSides(lhs=lhs, rhs_weighted=rhs))
     return sides
 
@@ -177,8 +172,8 @@ def weak_energy(w: CylinderField, t: float) -> WeakEnergyResult:
     beta = -(n - 2.0) * t / 2.0 if t > -2.0 else -(n - 2.0) * (1.0 + t)
     fa = w.with_values(w.values ** (ps.p_exp + t))
     fb = w.with_values(w.values**t * grad_cyl(w).values)
-    va = np.array([integrate_mu(fa, MeasureRegion(grid.r_min, R)) for R in R_list])
-    vb = np.array([integrate_mu(fb, MeasureRegion(grid.r_min, R)) for R in R_list])
+    va = np.array([integrate_mu(fa, r_hi=R) for R in R_list])
+    vb = np.array([integrate_mu(fb, r_hi=R) for R in R_list])
     ea = fit_loglog(R_list, va)
     eb = fit_loglog(R_list, vb)
     return WeakEnergyResult(R_list=R_list, values_A=va, values_B=vb,
@@ -208,10 +203,9 @@ def low_dim_chain(pf: PressureField, R_list) -> LowDimChainResult:
         raise RangeViolation(f"chain requires 2 < n < 4, got n = {ps.n}")
     if not ps.is_symmetric:
         raise RegimeViolation("chain requires the symmetric regime")
-    grid = pf.grid
     R_list = np.asarray(R_list, dtype=float)
     density = pf.field(pressure_weight(pf.P.values, ps.n) * pf.DP2)
-    G = lambda R: integrate_mu(density, MeasureRegion(grid.r_min, R))
+    G = lambda R: integrate_mu(density, r_hi=R)
     grad_values = np.array([G(R) for R in R_list])
     bound_values = np.array([G(2.0 * R) / R**2 for R in R_list])
     growth = fit_loglog(R_list, grad_values)
@@ -249,7 +243,7 @@ def finite_energy_chain(w: CylinderField) -> FiniteEnergyChainResult:
     grid = w.grid
     energy_field = grad_cyl(w)
     total = integrate_mu(energy_field)
-    inner = integrate_mu(energy_field, MeasureRegion(grid.r_min, grid.r_max / 2.0))
+    inner = integrate_mu(energy_field, r_hi=grid.r_max / 2.0)
     rel_tail = abs(total - inner) / abs(total)
     if rel_tail > ENERGY_STABILITY_TOL:
         raise NotFiniteEnergy(
@@ -258,12 +252,8 @@ def finite_energy_chain(w: CylinderField) -> FiniteEnergyChainResult:
         )
     R_list = _dyadic_radii(grid.r_max / 4.0)
     weighted = w.with_values(w.values ** (-2.0 / (ps.n - 2.0)) * energy_field.values)
-    p_tail = np.array(
-        [integrate_mu(weighted, MeasureRegion(R, 2.0 * R)) for R in R_list]
-    )
-    e_tail = np.array(
-        [integrate_mu(energy_field, MeasureRegion(R, 2.0 * R)) for R in R_list]
-    )
+    p_tail = np.array([integrate_mu(weighted, R, 2.0 * R) for R in R_list])
+    e_tail = np.array([integrate_mu(energy_field, R, 2.0 * R) for R in R_list])
     defect = rigidity_defect(pressure_of(w))
 
     def tail_slope(values):

@@ -12,7 +12,9 @@ standard divided-difference recursion rather than hardcoded tables.
 The quadrature takes the complete cells of a region in one np.vecdot (numpy
 2) and adds them left to right with np.cumsum, with the bits of a per-cell
 np.dot loop.  Whole and cut cells share one set of Lagrange-cubic
-antiderivatives, built on Python integers at import.
+antiderivatives, built on Python integers at import.  integrate_uniform is
+the one judge of whether a region lies inside the grid; cylfield.integrate_mu
+forms f e^(n x) and hands it the region in x.
 """
 
 from __future__ import annotations
@@ -272,13 +274,3 @@ def integrate_uniform(F: np.ndarray, h: float, x0: float, x_lo: float, x_hi: flo
             cells = np.concatenate(([np.dot(_CELL_FIRST, F[:4])], cells))
         terms = np.concatenate((terms, h * cells))
     return np.cumsum(terms)[-1] + tail
-
-
-def integrate_measure_radial(profile: np.ndarray, grid: RadialGrid, n: float,
-                             r_lo: float, r_hi: float) -> float:
-    """int profile(s) s^(n-1) ds over (r_lo, r_hi), no angular factor."""
-    if r_lo <= 0 or r_hi <= 0:
-        raise RegionOutsideGrid("region bounds must be positive")
-    F = profile * np.exp(n * grid.x_nodes)  # s^(n-1) ds = s^n dx
-    return integrate_uniform(F, grid.log_step, grid.x_nodes[0],
-                             math.log(r_lo), math.log(r_hi))

@@ -38,7 +38,6 @@ from .cylfield import (
     CylinderField,
     L_kernel,
     L_of_values,
-    MeasureRegion,
     integrate_mu,
     theta_derivative,
 )
@@ -255,13 +254,14 @@ def divergence_form_residual(pf: PressureField) -> CylinderField:
     return pf.field(defect_density(pf) - weighted_divergence(pf, v_r, v_t))
 
 
-def rigidity_defect(pf: PressureField, region: MeasureRegion | None = None) -> float:
-    """int P^(1-n) k[P] dmu over the region.
+def rigidity_defect(pf: PressureField, r_lo: float | None = None,
+                    r_hi: float | None = None) -> float:
+    """int P^(1-n) k[P] dmu over (r_lo, r_hi), by default the whole grid.
 
     Nonnegative (within quadrature tolerance) for solution inputs in the
     symmetric regime; zero exactly on the extremal family.
     """
-    return integrate_mu(pf.field(defect_density(pf)), region)
+    return integrate_mu(pf.field(defect_density(pf)), r_lo, r_hi)
 
 
 def rigidity_defect_breakdown(pf: PressureField) -> dict[str, float]:

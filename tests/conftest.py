@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cknlab.grids import RadialGrid
 from cknlab.params import derive_params
+
+# Every property draws the same examples on every run, so a tier-1 pass is
+# reproducible; `--hypothesis-profile=explore` draws fresh ones to keep
+# searching for counterexamples.  Loaded here, before any test module builds
+# its @settings, which inherit from the loaded profile.
+settings.register_profile("tier1", derandomize=True)
+settings.register_profile("explore", derandomize=False)
+settings.load_profile("tier1")
 
 # Admissible triples exercised throughout: Sobolev cases, a d=2 pair, and
 # fractional intrinsic dimensions.

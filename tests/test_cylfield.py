@@ -5,7 +5,6 @@ from cknlab.bubble import bubble_cylinder
 from cknlab.cylfield import (
     CylinderField,
     L_of_values,
-    MeasureRegion,
     PeriodicGrid,
     Radial,
     grad_cyl,
@@ -106,7 +105,7 @@ class TestIntegrateMu:
     def test_ball_volume(self, ps_n6, grid_default):
         f = CylinderField(grid_default, Radial(), np.ones(2048), ps_n6)
         R = 10.0
-        got = integrate_mu(f, MeasureRegion(grid_default.r_min, R))
+        got = integrate_mu(f, r_hi=R)
         expected = sphere_area(3) * R**ps_n6.n / ps_n6.n
         assert abs(got / expected - 1.0) < 1e-6
 
@@ -133,7 +132,19 @@ class TestIntegrateMu:
     def test_region_validation(self, ps_n6, grid_small):
         f = CylinderField(grid_small, Radial(), np.ones(512), ps_n6)
         with pytest.raises(RegionOutsideGrid):
-            integrate_mu(f, MeasureRegion(grid_small.r_min / 10, 1.0))
+            integrate_mu(f, grid_small.r_min / 10, 1.0)
+
+    def test_one_region_rule(self, ps_n6, grid_default):
+        # integrate_uniform alone judges the grid ends, in ln r: an r_hi within
+        # its tolerance integrates to the grid end, an r_lo past it is refused
+        g = grid_default
+        f = CylinderField(g, Radial(), np.exp(-g.nodes), ps_n6)
+        assert integrate_mu(f, r_hi=g.r_max * (1 + 3e-12)) == integrate_mu(f)
+        with pytest.raises(RegionOutsideGrid):
+            integrate_mu(f, g.r_min * (1 - 1e-9))
+        for r_lo, r_hi in [(2.0, 1.0), (0.0, 1.0)]:
+            with pytest.raises(ValueError):
+                integrate_mu(f, r_lo, r_hi)
 
 
 class TestResidualEqW:

@@ -2,8 +2,8 @@
 
 The benchmark checks every operation's output bytes against
 perfbench/reference_digests.json; this runs one operation of each in-process
-workload, and the cli-cold commands with the most library code behind them,
-through the benchmark's own code, so a change that moves a report byte fails
+workload, and each of the six cli-cold commands (verify at seed 1), through
+the benchmark's own code, so a change that moves a report byte fails
 the tests too.  perfbench/ is only read.
 """
 
@@ -33,7 +33,7 @@ def test_seed_1_matches_reference_digests(worker, workload):
     assert worker.check(workload, "seed=1", streams, passed, worker.load_refs()) is None
 
 
-@pytest.mark.parametrize("key", ["shoot", "spectrum", "verify:seed=1"])
+@pytest.mark.parametrize("key", ["shoot", "spectrum", "verify:seed=1", "params", "scan", "bubble"])
 def test_cli_cold_matches_reference_digests(worker, key, tmp_path):
     streams, passed, _ = worker.run_cli_op(key, str(tmp_path))
     assert worker.check("cli-cold", key, streams, passed, worker.load_refs()) is None

@@ -10,7 +10,6 @@ from cknlab.bubble import bubble_cylinder
 from cknlab.cylfield import (
     CylinderField,
     L_of_values,
-    MeasureRegion,
     PeriodicGrid,
     Radial,
     integrate_mu,
@@ -22,6 +21,7 @@ from cknlab.errors import (
     NotSuperharmonic,
     RangeViolation,
     RegimeViolation,
+    RegionOutsideGrid,
 )
 from cknlab.estimates import (
     finite_energy_chain,
@@ -76,7 +76,7 @@ class TestCutoff:
             integrand = (np.abs(cut.eta_prime(s)) ** (ps.n - 1.0)
                          * cut.eta(s) ** (4.0 - ps.n + 1.0))
             f = CylinderField(g, Radial(), integrand, ps)
-            vals.append(integrate_mu(f, MeasureRegion(R, 2 * R)))
+            vals.append(integrate_mu(f, R, 2 * R))
         slope = fit_loglog(np.array(R_list), np.array(vals))
         assert abs(slope - 1.0) < 0.05
 
@@ -108,6 +108,12 @@ class TestIntIneqSides:
         pf = pressure_of(bubble_cylinder(ps, grid_default))
         with pytest.raises(RegimeViolation):
             int_ineq_sides(pf, [make_cutoff(8.0)])
+
+    def test_cutoff_support_past_the_grid_is_refused(self, ps_n6, grid_default):
+        pf = pressure_of(bubble_cylinder(ps_n6, grid_default))
+        int_ineq_sides(pf, [make_cutoff(grid_default.r_max / 2.0)])  # 2R is the grid end
+        with pytest.raises(RegionOutsideGrid):
+            int_ineq_sides(pf, [make_cutoff(8.0), make_cutoff(0.6 * grid_default.r_max)])
 
     def test_bochner_k_once_for_all_cutoffs(self, ps_n6, grid_default, monkeypatch):
         pf = pressure_of(bubble_cylinder(ps_n6, grid_default))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cknlab.cylfield import CylinderField, Radial, integrate_mu
 from cknlab.errors import GridTooCoarse, RegionOutsideGrid
 from cknlab.grids import (
     RadialGrid,
@@ -16,7 +17,6 @@ from cknlab.grids import (
     d_dx,
     d_ds,
     fd_weights,
-    integrate_measure_radial,
     integrate_uniform,
     radial_derivs,
     sphere_area,
@@ -108,6 +108,11 @@ class TestDerivatives:
             assert rel.max() < 1e-4
 
 
+def _radial_measure(profile, g, ps, r_lo=None, r_hi=None):
+    """int profile(s) s^(n-1) ds over (r_lo, r_hi): integrate_mu without the sphere."""
+    return integrate_mu(CylinderField(g, Radial(), profile, ps), r_lo, r_hi) / sphere_area(ps.d)
+
+
 class TestQuadrature:
     def test_exact_for_cubics_with_offgrid_endpoints(self):
         g = RadialGrid(1e-2, 1e2, 64)
@@ -122,20 +127,20 @@ class TestQuadrature:
             got = integrate_uniform(F, g.log_step, x[0], a, b)
             assert abs(got - exact(a, b)) < 1e-12 * max(1.0, abs(exact(a, b)))
 
-    def test_measure_full_ball(self, grid_default):
+    def test_measure_full_ball(self, grid_default, ps_n6):
         # int_0^R s^(n-1) ds = R^n / n, origin truncation negligible
         g = grid_default
-        n = 6.0
-        got = integrate_measure_radial(np.ones(g.count), g, n, g.r_min, 10.0)
+        n = ps_n6.n
+        got = _radial_measure(np.ones(g.count), g, ps_n6, r_hi=10.0)
         assert abs(got - 10.0**n / n) < 1e-6 * 10.0**n / n
 
-    def test_power_law_closed_forms(self, grid_default):
+    def test_power_law_closed_forms(self, grid_default, ps_n6):
         # f = s^(1-n) cancels the measure weight exactly; f = s^-n leaves 1/s
         g = grid_default
-        n = 6.0
-        got_flat = integrate_measure_radial(g.nodes ** (1.0 - n), g, n, 1.0, 2.0)
+        n = ps_n6.n
+        got_flat = _radial_measure(g.nodes ** (1.0 - n), g, ps_n6, 1.0, 2.0)
         assert abs(got_flat - 1.0) < 1e-10
-        got_log = integrate_measure_radial(g.nodes ** (-n), g, n, 1.0, 2.0)
+        got_log = _radial_measure(g.nodes ** (-n), g, ps_n6, 1.0, 2.0)
         assert abs(got_log - math.log(2.0)) < 1e-10
 
     def test_region_outside_grid(self):
@@ -147,13 +152,13 @@ class TestQuadrature:
     @settings(max_examples=50)
     @given(st.lists(st.floats(min_value=0.0, max_value=5.0), min_size=64, max_size=64),
            st.floats(min_value=0.01, max_value=4.0))
-    def test_linear_and_monotone(self, samples, shift):
+    def test_linear_and_monotone(self, ps_sobolev3, samples, shift):
         g = RadialGrid(1e-1, 1e1, 64)
         f = np.asarray(samples)
         gf = f + shift  # g >= f pointwise
-        i_f = integrate_measure_radial(f, g, 3.0, g.r_min, g.r_max)
-        i_g = integrate_measure_radial(gf, g, 3.0, g.r_min, g.r_max)
-        i_shift = integrate_measure_radial(np.full(64, shift), g, 3.0, g.r_min, g.r_max)
+        i_f = _radial_measure(f, g, ps_sobolev3)
+        i_g = _radial_measure(gf, g, ps_sobolev3)
+        i_shift = _radial_measure(np.full(64, shift), g, ps_sobolev3)
         assert i_g >= i_f
         assert abs(i_g - (i_f + i_shift)) < 1e-9 * max(1.0, abs(i_g))
 

@@ -244,7 +244,7 @@ def fields(draw, reps, positive=False):
 
 
 class TestStencilsBitwise:
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60, deadline=None)
     @given(fields(ANGULAR_REPS), st.sampled_from([1e-3, 0.0123, 1.0]))
     def test_axis0_derivatives(self, drawn, h):
         grid, _, _, v = drawn
@@ -254,13 +254,13 @@ class TestStencilsBitwise:
         for got, want in zip(grids.radial_derivs(v, grid), ref_radial_derivs(v, grid)):
             assert same_bits(got, want)
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60, deadline=None)
     @given(fields(ANGULAR_REPS))
     def test_L_kernel(self, drawn):
         grid, angular, ps, v = drawn
         assert same_bits(L_of_values(v, grid, angular, ps), ref_L_of_values(v, grid, angular, ps))
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40, deadline=None)
     @given(fields([PeriodicGrid(9), PeriodicGrid(16)]))
     def test_theta_spectrum(self, drawn):
         _, angular, _, v = drawn
@@ -279,7 +279,7 @@ class TestStencilsBitwise:
 
 
 class TestPressureBitwise:
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60, deadline=None)
     @given(fields(ANGULAR_REPS, positive=True))
     def test_pressure_caches_and_bochner(self, drawn):
         grid, angular, ps, v = drawn
@@ -300,7 +300,7 @@ class TestPressureBitwise:
             rows = [ref_circle_margin(P[i], g1[i], g2[i], ps) for i in range(grid.count)]
             assert same_bits(sphere_margins(pf.P.values, pf.thetaP, pf.lap_thetaP, ps), rows)
 
-    @settings(max_examples=5, deadline=None, derandomize=True)
+    @settings(max_examples=5, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_sphere_margin_on_one_circle(self, seed):
         # the identities suite stacks its circle profiles and checks them in one
@@ -324,7 +324,7 @@ class TestPressureBitwise:
             rows = sphere_margins(pf.P.values, pf.thetaP, pf.lap_thetaP, PS2)
             assert same_bits(rows, np.full(16, batch[0]))
 
-    @settings(max_examples=20, deadline=None, derandomize=True)
+    @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(16, 40), st.sampled_from([9, 16, 31]))
     def test_log_field(self, seed, count, size):
         coeffs = random_log_field_coeffs(np.random.default_rng(seed))

@@ -23,7 +23,7 @@ def _path_point(draw):
     return path_params(d, n, alpha)
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
+@settings(max_examples=400, deadline=None)
 @given(ps=_path_point(), k=st.integers(min_value=0, max_value=3))
 @example(ps=path_params(2, 2.01, 1.0), k=0)  # p = 402, the largest exponent sampled
 def test_sector_potential_is_the_scaled_poschl_teller_well(ps, k):

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from cknlab.bubble import bubble_cylinder, pressure_amplitude
-from cknlab.cylfield import CylinderField, L_of_values, MeasureRegion, PeriodicGrid, Radial
+from cknlab.cylfield import CylinderField, L_of_values, PeriodicGrid, Radial
 from cknlab import pressure
 from cknlab.errors import NonPositiveSample
 from cknlab.fitting import fit_loglog
@@ -273,16 +273,16 @@ class TestRigidityDefect:
     def test_defect_additive_over_regions(self, ps_n6):
         g = RadialGrid(1e-1, 1e1, 512)
         pf = radial_pressure_field(ps_n6, g, g.nodes + 0.2 * g.nodes**2)
-        total = rigidity_defect(pf, MeasureRegion(0.2, 8.0))
-        left = rigidity_defect(pf, MeasureRegion(0.2, 1.3))
-        right = rigidity_defect(pf, MeasureRegion(1.3, 8.0))
+        total = rigidity_defect(pf, 0.2, 8.0)
+        left = rigidity_defect(pf, 0.2, 1.3)
+        right = rigidity_defect(pf, 1.3, 8.0)
         assert abs(total - (left + right)) < 1e-10 * max(1.0, abs(total))
 
     def test_radial_linear_defect_quadrature_oracle(self, ps_n6):
         # P = s on (1, 2): int P^(1-n) k dmu = (n-1)/n a^4 |S^2| int_1^2 s^-2 ds
         g = RadialGrid(1e-1, 1e1, 2048)
         pf = radial_pressure_field(ps_n6, g, g.nodes.copy())
-        got = rigidity_defect(pf, MeasureRegion(1.0, 2.0))
+        got = rigidity_defect(pf, 1.0, 2.0)
         n, alpha = ps_n6.n, ps_n6.alpha
         oracle, _ = quad(lambda s: s ** (1.0 - n) * (n - 1.0) / n * alpha**4
                          / s**2 * s ** (n - 1.0), 1.0, 2.0)

@@ -314,7 +314,7 @@ class TestScipyForwarders:
         assert np.array_equal(ours.t, ref.t) and np.array_equal(ours.y, ref.y)
         assert abs(ours.y[0, -1] - np.exp(-2.0)) < 1e-9
 
-    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @settings(max_examples=1000, deadline=None)
     @given(data=st.data())
     def test_minimize_scalar_matches_scipy(self, data):
         name = data.draw(st.sampled_from(sorted(_OBJECTIVES)))

@@ -205,7 +205,7 @@ class TestInertiaSign:
         alpha_star = fs_crossing(d, n).alpha_star_numeric
         assert alpha_star.hex() == _eigenvalue_bisection(d, n).hex()
 
-    @settings(max_examples=100, deadline=None, derandomize=True)
+    @settings(max_examples=100, deadline=None)
     @given(data=st.data(), k=st.integers(min_value=0, max_value=3),
            N=st.sampled_from([64, 400, 2000]))
     def test_inertia_is_the_eigenvalue_sign(self, data, k, N):
