@@ -5,8 +5,11 @@ flag: each subcommand declares only the flags its command reads, with their
 types, defaults and required checks, and the command functions read the parsed
 namespace.  ``--config FILE`` supplies ``key=value`` lines as flags placed
 right after the command name, so they are checked like typed flags and
-explicit flags win.  Outputs are CSV or JSON plot data (no rendering);
-identical configurations with the same seed produce byte-identical reports.
+explicit flags win.  ``verify`` runs each suite at the one configuration its
+tolerances were set for: a suite's resolution is a keyword of
+``verify.run_<suite>_suite``, not a flag.  Outputs are CSV or JSON plot data
+(no rendering); identical configurations with the same seed produce
+byte-identical reports.
 Exit codes: 0 pass, 1 contract failure, 2 invalid input (with the reason on
 stderr).
 """
@@ -20,7 +23,7 @@ import sys
 # Modules, not names: each stays lazy (cknlab/__init__.py) until a command reads
 # it, and building the parser reads nothing from a module that imports numpy.
 from . import bubble, radial_ode, spectral, verify
-from .errors import AdmissibilityError, CknLabError, EmptyScan
+from .errors import AdmissibilityError, CknLabError
 from .params import ALPHA_BRACKET, REGIME_HEADER, alpha_bracket, derive_params, regime_row
 # ordered_map stays bound here for the perfbench tracer tests, which patch it.
 from .reporting import csv_text, json_text, ordered_map, write_text  # noqa: F401
@@ -32,28 +35,22 @@ EXIT_INVALID_INPUT = 2
 #: Largest regime map `scan` builds; the row count is checked before any row.
 SCAN_MAX_ROWS = 100_000
 
-#: Most float64 samples in one array (32 MB; 16x the default identities
-#: field); size flags are checked against it before anything is allocated.
+#: Most float64 samples in one array (32 MB); size flags are checked against it
+#: before anything is allocated.
 MAX_SAMPLES = 2**22
 
-#: Most eigensolver nodes one `spectrum` command or suite solves: its table or zero
-#: modes plus each crossing's sign tests, of --grid nodes each (90 000 by default at
-#: --d 3 --n 6, where the crossing makes 18, and 108 000 for the suite).
+#: Most eigensolver nodes one `spectrum` command solves: its table plus the
+#: crossing's sign tests, of --grid nodes each (90 000 by default at --d 3 --n 6,
+#: where the crossing makes 18).
 SPECTRUM_MAX_NODES = 2**24
 
-#: Most field samples one identities suite builds, --fields random fields on its
-#: finest grid: the default 8 fields at any size MAX_SAMPLES admits (127 fields
-#: at the default 1025 x 256).
-IDENTITIES_MAX_SAMPLES = 8 * MAX_SAMPLES
-
-#: suite -> {verify flag the suite reads: keyword of verify.run_<suite>_suite}.
-#: None marks a flag read here and not passed on; --a --b --d together give
+#: suite -> the verify flags it reads besides --seed; --a --b --d together give
 #: rigidity's one parameter triple.
 SUITE_FLAGS = {
-    "identities": {"fields": "n_fields", "refine": "levels", "angular": "angular_size"},
-    "estimates": {"grid": "grid_count", "format": None},
-    "rigidity": {"a": None, "b": None, "d": None},
-    "spectrum": {"grid": "N"},
+    "identities": (),
+    "estimates": ("format",),
+    "rigidity": ("a", "b", "d"),
+    "spectrum": (),
 }
 
 
@@ -111,9 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--b", type=float, required=required)
         p.add_argument("--d", type=int, required=required)
 
-    def count(text: str) -> int:   # --angular: verify's floor, read on use, not at build time
-        return _count_at_least(verify.MIN_ANGULAR_SIZE)(text)
-
     def intervals(text: str) -> int:   # spectrum --grid: the eigensolver's floor, read on use
         return _count_at_least(spectral.MIN_SECTOR_INTERVALS, MAX_SAMPLES)(text)
 
@@ -154,24 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=tuple(SUITE_FLAGS), required=True)
     p.add_argument("--seed", type=int)   # default verify.DEFAULT_SEED, read by cmd_verify
     p.add_argument("--format", choices=("csv", "json"), help="estimates only (default json)")
-    p.add_argument("--fields", type=_count_at_least(1), help="random fields (identities)")
-    p.add_argument("--refine", type=_count_at_least(2), help="refinement levels (identities)")
-    p.add_argument("--angular", type=count, help="angular node count (identities)")
-    p.add_argument("--grid", type=_count_at_least(1),
-                   help="radial node count (estimates, spectrum)")
     weights(p, required=False)  # rigidity: one (a, b, d) triple
     return parser
-
-
-def _spectrum_work(command: str, nodes: int, why: str, brackets, N: int) -> str | None:
-    """The refusal when `nodes` plus a crossing of N-node sign tests per bracket pass the cap."""
-    solves = sum(spectral.fs_crossing_solves(lo, hi) for lo, hi in brackets)
-    total = nodes + solves * N
-    if total <= SPECTRUM_MAX_NODES:
-        return None
-    whose = "the crossing's" if len(brackets) == 1 else f"the {len(brackets)} crossings'"
-    return (f"{command} solves at most {SPECTRUM_MAX_NODES} nodes: {why}, and {whose} "
-            f"{solves} solves x --grid {N} give {solves * N} more ({total} in all)")
 
 
 def _invalid(reason: str) -> int:
@@ -200,7 +178,8 @@ def cmd_scan(args) -> int:
                         "narrow --a-min/--a-max or widen --a-step")
     count = int(round(span)) + 1
     if count <= 0:
-        raise EmptyScan("empty a range")
+        return _invalid(f"scan has no rows: --a-min {args.a_min} to --a-max {args.a_max} "
+                        f"in steps of --a-step {step}")
     a_values = (args.a_min + i * step for i in range(count))
     rows = [regime_row(a, a + args.b_offset, args.d) for a in a_values]
     write_text(csv_text(REGIME_HEADER, rows), args.out)
@@ -253,10 +232,12 @@ def cmd_spectrum(args) -> int:
             source = flag if given is not None else f"--n {n!r}"
             return _invalid(f"{source} gives an inadmissible path end alpha = {alpha!r}: {exc}")
     table = args.alpha_count * (args.k_max + 1) * N
-    why = (f"--alpha-count {args.alpha_count} x (--k-max {args.k_max} + 1) x --grid {N} "
-           f"gives {table} table nodes")
-    if refusal := _spectrum_work("spectrum", table, why, [(a_lo, a_hi)], N):
-        return _invalid(refusal)
+    solves = spectral.fs_crossing_solves(a_lo, a_hi)
+    if table + solves * N > SPECTRUM_MAX_NODES:
+        return _invalid(f"spectrum solves at most {SPECTRUM_MAX_NODES} nodes: --alpha-count "
+                        f"{args.alpha_count} x (--k-max {args.k_max} + 1) x --grid {N} gives "
+                        f"{table} table nodes, and the crossing's {solves} solves x --grid {N} "
+                        f"give {solves * N} more ({table + solves * N} in all)")
     import numpy as np
     rows = spectral.spectrum_table(d, n, np.linspace(a_lo, a_hi, args.alpha_count),
                                    args.k_max, N)
@@ -267,43 +248,16 @@ def cmd_spectrum(args) -> int:
 
 def cmd_verify(args) -> int:
     reads = SUITE_FLAGS[args.suite]
-    given = [f for f in ("format", "fields", "refine", "angular", "grid", "a", "b", "d")
-             if getattr(args, f) is not None]
-    unread = [f"--{f}" for f in given if f not in reads]
+    unread = [f"--{f}" for f in ("format", "a", "b", "d")
+              if getattr(args, f) is not None and f not in reads]
     if unread:
         return _invalid(f"--suite {args.suite} does not read {' '.join(unread)}")
-    if args.grid is not None:   # the floor of the suite's grid, which argparse cannot know
-        low = verify.ESTIMATES_MIN_GRID if args.suite == "estimates" else verify.SPECTRUM_MIN_GRID
-        if args.grid < low:
-            return _invalid(f"--suite {args.suite} needs --grid of at least {low}: got {args.grid}")
-    kwargs = {reads[f]: getattr(args, f) for f in given if reads[f]}
-    if args.suite == "identities":
-        refine = args.refine or verify.IDENTITY_LEVELS
-        angular = args.angular or verify.IDENTITY_ANGULAR
-        samples = verify.identities_field_samples(refine, angular)
-        sizing = f"--refine {refine} --angular {angular}"
-        fields = args.fields or verify.IDENTITY_FIELDS
-    else:  # spectrum's widest operator is converged_lowest_eigenvalue's largest grid
-        widest = max(spectral.CONVERGED_GRID_FACTORS) if args.suite == "spectrum" else 1
-        samples = widest * (args.grid or 0)
-        sizing = f"--grid {args.grid}"
-    if samples > MAX_SAMPLES:
-        return _invalid(f"--suite {args.suite} builds arrays of at most {MAX_SAMPLES} samples: "
-                        f"{sizing} gives {samples}")
-    if args.suite == "identities" and fields * samples > IDENTITIES_MAX_SAMPLES:
-        return _invalid(f"--suite identities builds at most {IDENTITIES_MAX_SAMPLES} field "
-                        f"samples: --fields {fields} {sizing} gives {fields * samples}")
-    if args.suite == "spectrum" and args.grid:  # each zero mode is one converged eigenvalue
-        N, modes = args.grid, len(verify.SPECTRUM_ZERO_MODE_PARAMS)
-        per_mode = sum(spectral.CONVERGED_GRID_FACTORS)
-        why = f"{modes} zero modes x {per_mode} x --grid {N} give {modes * per_mode * N} nodes"
-        brackets = [alpha_bracket(d, n) for d, n in verify.SPECTRUM_CROSSING_PAIRS]
-        if refusal := _spectrum_work("--suite spectrum", modes * per_mode * N, why, brackets, N):
-            return _invalid(refusal)
-    if args.suite == "rigidity" and given:
-        if len(given) < 3:
+    kwargs = {}
+    triple = (args.a, args.b, args.d)
+    if triple != (None, None, None):   # rigidity's one parameter triple
+        if None in triple:
             return _invalid("--suite rigidity takes --a --b --d together")
-        kwargs["param_triples"] = ((args.a, args.b, args.d),)
+        kwargs["param_triples"] = (triple,)
     # Looked up at call time, so a rebinding of the verify module (tracing) applies.
     seed = verify.DEFAULT_SEED if args.seed is None else args.seed
     report = getattr(verify, f"run_{args.suite}_suite")(seed=seed, **kwargs)

@@ -84,7 +84,3 @@ class ConvergenceFailure(CknLabError):
 
 class NoSignChange(CknLabError):
     """Bisection bracket does not contain a sign change."""
-
-
-class EmptyScan(CknLabError):
-    """Parameter scan produced no rows."""

@@ -61,20 +61,16 @@ LOW_DIM_PARAMS = {                              # n in (2, 4) needs d = 2
 SPECTRUM_ZERO_MODE_PARAMS = ((-0.5, 0.0, 3), (-0.4, 0.1, 2), (-0.25, 0.15, 3))
 SPECTRUM_CROSSING_PAIRS = ((3, 6.0), (2, 4.0))
 
-# Contract tolerances that no caller varies, and the suite grid floors they set.
+# Contract tolerances that no caller varies.
 IDENTITY_ORDER_FLOOR = 3.8      # identities: least fitted convergence order
 SPHERE_FIELDS = 100             # identities: random circle profiles of the sphere check
 SPHERE_MARGIN_TOL = 1e-8        # identities: sphere inequality margin
 ZERO_MODE_TOL = 1e-6            # spectrum: |translation zero-mode eigenvalue|
 CROSSING_GAP_TOL = 0.01         # spectrum: relative gap to the closed-form threshold
-SPECTRUM_MIN_GRID = 182         # spectrum: least --grid (by scan) meeting ZERO_MODE_TOL
-ESTIMATES_MIN_GRID = 686        # estimates: least --grid (by scan) passing every check
 
-# Highest harmonic of the sphere check's circle profiles, and the fewest angular
-# nodes that represent it: degree K needs 2K + 1 equispaced samples and aliases on
-# fewer (on one node every theta-derivative vanishes and the identities hold vacuously).
+# Highest harmonic of the sphere check's circle profiles: degree K needs 2K + 1
+# equispaced angular nodes and aliases on fewer.
 CIRCLE_MAX_HARMONIC = 4
-MIN_ANGULAR_SIZE = 2 * CIRCLE_MAX_HARMONIC + 1
 
 
 def interior_max(values: np.ndarray, grid: RadialGrid, frac: float = 0.06) -> float:
@@ -190,11 +186,6 @@ IDENTITY_FIELDS = 8      # random fields of run_identities_suite
 IDENTITY_LEVELS = 3      # refinement levels of run_identities_suite
 IDENTITY_ANGULAR = 256   # angular nodes of run_identities_suite
 IDENTITY_BASE = 257      # radial nodes of the coarsest random-field grid
-
-
-def identities_field_samples(levels: int, angular_size: int) -> int:
-    """Samples of the largest array `run_identities_suite` builds: a field on its finest grid."""
-    return _refinement_sizes(levels, IDENTITY_BASE)[-1] * angular_size
 
 
 def run_identities_suite(

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import math
@@ -139,12 +140,18 @@ class TestSpectrumCommand:
         assert len(lines) == 1 + 3 * 2
 
 
+@pytest.fixture
+def two_field_identities(monkeypatch):
+    """The identities suite on 2 random fields: cmd_verify looks the suite up at call time."""
+    monkeypatch.setattr(cknlab.verify, "run_identities_suite",
+                        functools.partial(cknlab.verify.run_identities_suite, n_fields=2))
+
+
 class TestVerifyCommand:
-    def test_small_identities_suite_passes(self, capsys, tmp_path):
+    def test_small_identities_suite_passes(self, capsys, tmp_path, two_field_identities):
         out_path = tmp_path / "report.json"
         code, _, _ = run_cli(
-            capsys, "verify", "--suite", "identities", "--fields", "2",
-            "--out", str(out_path),
+            capsys, "verify", "--suite", "identities", "--out", str(out_path),
         )
         assert code == 0
         report = json.loads(out_path.read_text())
@@ -181,12 +188,11 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "params", "--config", str(cfg))
         assert code == 2 and "argument --d: invalid int value" in err
 
-    def test_byte_identical_reports(self, capsys, tmp_path):
+    def test_byte_identical_reports(self, capsys, tmp_path, two_field_identities):
         paths = [tmp_path / "r1.json", tmp_path / "r2.json"]
         for p in paths:
             code, _, _ = run_cli(
-                capsys, "verify", "--suite", "identities", "--fields", "2",
-                "--seed", "7", "--out", str(p),
+                capsys, "verify", "--suite", "identities", "--seed", "7", "--out", str(p),
             )
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
@@ -194,15 +200,19 @@ class TestVerifyCommand:
 
 @pytest.mark.parametrize("argv, reason", [
     (["scan", "--d", "3", "--a-min", "-1", "--a-max", "0", "--a-step", "0"], "--a-step"),
+    (["scan", "--d", "3", "--a-min", "1", "--a-max", "0"],
+     "scan has no rows: --a-min 1.0 to --a-max 0.0 in steps of --a-step 0.01"),
+    (["scan", "--d", "3", "--a-min", "0", "--a-max", "1", "--a-step", "-0.1"],
+     "scan has no rows: --a-min 0.0 to --a-max 1.0 in steps of --a-step -0.1"),
     (["spectrum", "--d", "3", "--n", "1"], "--n > 1"),
     (["params", "--a", "0", "--b", "0", "--d", "3", "--seed", "5"],
      "unrecognized arguments: --seed"),
     (["params", "--a", "0", "--b", "0", "--d", "3.5"], "argument --d: invalid"),
-    (["verify", "--suite", "identities", "--fields", "0"], "argument --fields"),
-    (["verify", "--suite", "identities", "--refine", "1"], "argument --refine"),
     (["scan", "--d", "3", "--a-min", "-1.2", "--a-max", "0.4", "--a-step", "1e-9"],
      "at most 100000 rows"),
-    (["verify", "--suite", "spectrum", "--fields", "3"], "does not read --fields"),
+    (["verify", "--suite", "spectrum", "--format", "csv"], "does not read --format"),
+    (["verify", "--suite", "identities", "--a", "0", "--b", "0", "--d", "3"],
+     "does not read --a --b --d"),
     (["params", "--config", "RUN_CFG"], "unrecognized arguments: --seed=5"),
     (["spectrum", "--d", "3", "--n", "inf"], "finite --n > 1"),
     (["bubble", "--a", "-0.5", "--b", "0", "--d", "3", "--grid", "0"], "argument --grid"),
@@ -213,7 +223,6 @@ class TestVerifyCommand:
      "--r-min <= --r-max"),
     (["shoot", "--a", "-0.5", "--b", "0", "--d", "3", "--w0", "2", "--s-max", "-1"],
      "argument --s-max"),
-    (["verify", "--suite", "identities", "--angular", "8"], "argument --angular"),
     (["shoot", "--a", "-0.5", "--b", "0", "--d", "3", "--w0", "2", "--s-max", "1e-9"],
      "argument --s-max"),
     (["shoot", "--a", "-0.5", "--b", "0", "--d", "3", "--w0", "inf"], "argument --w0"),
@@ -236,14 +245,10 @@ class TestVerifyCommand:
     (["verify", "--suite", "rigidity", "--a", "-0.5", "--b", "0.499", "--d", "3"],
      "overflows double precision"),
     # size flags: refused before any array is allocated
-    (["verify", "--suite", "identities", "--refine", "12"], "--refine 12 --angular 256"),
-    (["verify", "--suite", "identities", "--angular", "20000"], "--refine 3 --angular 20000"),
     (["bubble", "--a", "-0.5", "--b", "0", "--d", "3", "--grid", "4194305"],
      "argument --grid: must be at most 4194304"),
-    (["verify", "--suite", "estimates", "--grid", "4194305"], "--grid 4194305"),
     (["spectrum", "--d", "3", "--n", "6", "--grid", "4194305"],
      "argument --grid: must be at most 4194304"),
-    (["verify", "--suite", "spectrum", "--grid", "1398102"], "--grid 1398102 gives 4194306"),
     # series start: w0^(p-1) overflows at p ~ 333
     (["shoot", "--a", "-0.0626", "--b", "-0.0566", "--d", "2", "--w0", "10"],
      "w0^(p-1)/(2 n alpha^2) overflows double precision"),
@@ -258,25 +263,16 @@ class TestVerifyCommand:
      "inadmissible parameters: the bubble amplitude c0 needs p > 2"),
     (["verify", "--suite", "rigidity", "--a", "-0.3", "--b", "0.7", "--d", "2"],
      "inadmissible parameters: the bubble amplitude c0 needs p > 2"),
-    # grid floors, named by the flag that sets them: the eigensolver's for `spectrum`,
-    # and for each suite the least grid at which its tolerances can pass
+    # the eigensolver's grid floor, named by the flag that sets it
     (["spectrum", "--d", "3", "--n", "6", "--grid", "10"], "argument --grid: must be at least 64"),
-    (["verify", "--suite", "spectrum", "--grid", "64"],
-     "--suite spectrum needs --grid of at least 182: got 64"),
-    (["verify", "--suite", "estimates", "--grid", "16"],
-     "--suite estimates needs --grid of at least 686: got 16"),
     # lambda^kappa = (1e300)^5.5 overflows in the scaled profile
     (["bubble", "--a", "-5", "--b", "-4.5", "--d", "3", "--lam", "1e300", "--grid", "2"],
-     "lambda^kappa c0 overflows double precision"),    # work caps: refused before any solve or field
+     "lambda^kappa c0 overflows double precision"),
+    # work caps: refused before any solve
     (["spectrum", "--d", "3", "--n", "6", "--alpha-count", "8193", "--k-max", "0",
       "--grid", "2048"], "--alpha-count 8193 x (--k-max 0 + 1) x --grid 2048 gives 16779264"),
     (["spectrum", "--d", "3", "--n", "6", "--k-max", "1000000"], "--k-max 1000000"),
     (["spectrum", "--d", "3", "--n", "6", "--alpha-count", "10000000"], "--alpha-count 10000000"),
-    (["verify", "--suite", "identities", "--fields", "128"],
-     "--fields 128 --refine 3 --angular 256 gives 33587200"),
-    (["verify", "--suite", "identities", "--fields", "16", "--refine", "6"],
-     "--fields 16 --refine 6 --angular 256 gives 33558528"),
-    (["verify", "--suite", "identities", "--fields", "1000000000"], "at most 33554432 field"),
     # p = 16: the two-term series is below zero at s0, so TouchesZero could never fire
     (["shoot", "--a", "-1", "--b", "-0.875", "--d", "2", "--w0", "12.8"],
      "series start w(1e-06) = -168.293 is not above the touch floor"),
@@ -290,6 +286,11 @@ class TestVerifyCommand:
      "--alpha-max gives an inadmissible path end alpha = 1e+200: requires p strictly inside"),
     (["spectrum", "--d", "3", "--n", "1e300"],
      "--n 1e+300 gives an inadmissible path end alpha = 9.899494936611666e-151: requires p"),
+    # verify takes no resolution flag: each suite runs at the one configuration
+    # its tolerances were set for
+    *((["verify", "--suite", suite, flag, "64"], f"unrecognized arguments: {flag} 64")
+      for suite in ("identities", "estimates", "rigidity", "spectrum")
+      for flag in ("--fields", "--refine", "--angular", "--grid")),
 ])
 def test_bad_input_exits_2_with_reason(argv, reason, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
@@ -299,26 +300,6 @@ def test_bad_input_exits_2_with_reason(argv, reason, tmp_path, capsys):
     assert code == 2
     assert reason in err
     assert "Traceback" not in err
-
-
-SUITE_GRID_FLOORS = {"spectrum": "SPECTRUM_MIN_GRID", "estimates": "ESTIMATES_MIN_GRID"}
-
-
-@pytest.mark.parametrize("suite", SUITE_GRID_FLOORS)
-def test_suite_passes_at_its_grid_floor(suite, capsys):
-    floor = getattr(cknlab.verify, SUITE_GRID_FLOORS[suite])
-    code, _, err = run_cli(capsys, "verify", "--suite", suite, "--grid", str(floor))
-    assert code == 0, err
-
-
-@pytest.mark.parametrize("suite", SUITE_GRID_FLOORS)
-def test_grid_below_the_suite_floor_is_refused(suite, capsys):
-    # one node under the floor is bad input (exit 2), not a contract failure
-    floor = getattr(cknlab.verify, SUITE_GRID_FLOORS[suite])
-    code, _, err = run_cli(capsys, "verify", "--suite", suite, "--grid", str(floor - 1))
-    assert code == 2
-    assert err.splitlines()[-1] == (f"--suite {suite} needs --grid of at least {floor}: "
-                                    f"got {floor - 1}")
 
 
 def test_spectrum_cap_counts_the_crossing(monkeypatch, capsys):
@@ -335,28 +316,6 @@ def test_spectrum_cap_counts_the_crossing(monkeypatch, capsys):
             "the crossing's 18 solves x --grid 4194304 give 75497472 more (79691776 in all)") in err
 
 
-@pytest.mark.parametrize("grid, refused", [(310689, False), (310690, True)])
-def test_spectrum_suite_cap_counts_zero_modes_and_crossings(monkeypatch, capsys, grid, refused):
-    # 3 zero modes of 6 x --grid nodes and 2 crossings of 18 sign tests each:
-    # 54 x --grid, so 310689 fits 2^24 and 310690 does not
-    class Solved(Exception):
-        pass
-
-    def solved(*args, **kwargs):
-        raise Solved
-
-    monkeypatch.setattr(cknlab.verify, "run_spectrum_suite", solved)
-    if not refused:
-        with pytest.raises(Solved):
-            main(["verify", "--suite", "spectrum", "--grid", str(grid)])
-        return
-    code, _, err = run_cli(capsys, "verify", "--suite", "spectrum", "--grid", str(grid))
-    assert code == 2
-    assert ("--suite spectrum solves at most 16777216 nodes: 3 zero modes x 6 x --grid 310690 "
-            "give 5592420 nodes, and the 2 crossings' 36 solves x --grid 310690 give 11184840 "
-            "more (16777260 in all)") in err
-
-
 def test_module_entry_point_exits_2_with_reason():
     # `python -m cknlab.cli` hands main's exit code to the process
     src = str(Path(cknlab.__file__).resolve().parent.parent)
@@ -368,11 +327,30 @@ def test_module_entry_point_exits_2_with_reason():
     assert "Traceback" not in proc.stderr
 
 
-def test_angular_grid_above_the_floor_is_judged_not_refused(capsys):
-    # 9 nodes represent the suite's fields; the order fit then fails honestly.
-    code, _, err = run_cli(capsys, "verify", "--suite", "identities", "--angular", "9",
-                           "--fields", "1", "--refine", "2")
-    assert code == 1 and "contract failure" in err
+def _readme_command_lines():
+    """The ``ckn-lab`` lines of README's first fenced block under ``## Command line``.
+
+    Backslash continuations are joined and ``#`` comments dropped; each line
+    comes back as its argv after ``ckn-lab``.
+    """
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text().split("## Command line", 1)[1].split("```", 2)[1]
+    words = (line.split("#", 1)[0].split() for line in block.replace("\\\n", " ").splitlines())
+    return [argv[1:] for argv in words if argv[:1] == ["ckn-lab"]]
+
+
+@pytest.mark.parametrize("argv", _readme_command_lines(), ids=" ".join)
+def test_readme_command_lines_parse(argv, capsys):
+    # parsed, not run: a flag the README names and the parser lacks exits 2
+    try:
+        cknlab.cli.build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"ckn-lab {' '.join(argv)}: {capsys.readouterr().err}")
+
+
+def test_readme_lists_every_command():
+    commands = {argv[0] for argv in _readme_command_lines()}
+    assert commands == {"params", "scan", "bubble", "shoot", "spectrum", "verify"}
 
 
 SCIPY_PROBE = """
@@ -441,7 +419,7 @@ COMMAND_MODULES = {
     "bubble": (["--a", "-0.5", "--b", "0", "--d", "3", "--grid", "5"], _BUBBLE),
     "shoot": (["--a", "-0.5", "--b", "0", "--d", "3", "--w0", "2.5"], _BUBBLE + ["radial_ode"]),
     "spectrum": (["--d", "3", "--n", "6", "--grid", "200"], _BUBBLE + ["spectral"]),
-    "verify": (["--suite", "spectrum", "--grid", "200"],
+    "verify": (["--suite", "spectrum"],
                _BUBBLE + ["estimates", "fitting", "pressure", "radial_ode", "spectral",
                           "verify"]),
 }
@@ -570,12 +548,11 @@ def test_argv_fuzz_exits_with_a_code(argv):
 
 @st.composite
 def _large_count_argv(draw):
-    """A spectrum or verify invocation with one or more counts past every cap.
+    """A spectrum invocation with one or more counts past its work cap.
 
-    Each drawn large count alone exceeds its cap whatever the other flags are:
-    a table or --fields count above 2^25, a spectrum --grid whose crossing
-    (18 sign tests at --d 3 --n 6) passes 2^24 nodes, a suite --grid whose 54
-    node-solves do, and an estimates --grid above MAX_SAMPLES.
+    Each drawn large count alone exceeds the cap whatever the other flags are:
+    a table count above 2^25, or a --grid whose crossing (18 sign tests at
+    --d 3 --n 6) passes 2^24 nodes.
     """
     def large(low):
         return st.integers(min_value=low, max_value=10**30).map(str)
@@ -585,17 +562,8 @@ def _large_count_argv(draw):
         return st.integers(min_value=low, max_value=low + 63).map(str)
 
     cap = cknlab.cli.SPECTRUM_MAX_NODES
-    target = draw(st.sampled_from(["spectrum", "spectrum suite", "identities", "estimates"]))
-    if target == "spectrum":
-        lows = {"--alpha-count": 2 * cap, "--k-max": 2 * cap, "--grid": cap // 18 + 1}
-        argv = ["spectrum", "--d", "3", "--n", "6"]
-    elif target == "spectrum suite":
-        lows, argv = {"--grid": cap // 54 + 1}, ["verify", "--suite", "spectrum"]
-    elif target == "identities":
-        lows, argv = {"--fields": 2 * cap}, ["verify", "--suite", "identities"]
-    else:
-        lows = {"--grid": cknlab.cli.MAX_SAMPLES + 1}
-        argv = ["verify", "--suite", "estimates"]
+    lows = {"--alpha-count": 2 * cap, "--k-max": 2 * cap, "--grid": cap // 18 + 1}
+    argv = ["spectrum", "--d", "3", "--n", "6"]
     flags = draw(st.lists(st.sampled_from(sorted(lows)), min_size=1, unique=True))
     for flag in sorted(lows):
         if flag in flags:
@@ -607,23 +575,19 @@ def _large_count_argv(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_large_count_argv())
-@example((["verify", "--suite", "spectrum", "--grid", "310690"], ["--grid"]))
 @example((["spectrum", "--d", "3", "--n", "6", "--alpha-count", "33554432", "--grid", "64",
            "--k-max", "0"], ["--alpha-count"]))
 def test_large_counts_are_refused_before_any_solve(case):
     # every refusal exits 2 and its reason, the last line of stderr, names a drawn
-    # flag (argparse's usage line above it lists every flag); a solve or suite run
-    # fails the test
+    # flag (argparse's usage line above it lists every flag); a solve fails the test
     argv, flags = case
 
     def never(*args, **kwargs):
         raise AssertionError(f"{argv} ran work past the caps")
 
     with pytest.MonkeyPatch.context() as m:
-        for module, name in [(cknlab.spectral, "spectrum_table"), (cknlab.spectral, "fs_crossing"),
-                             *((cknlab.verify, f"run_{suite}_suite") for suite in
-                               ("identities", "estimates", "rigidity", "spectrum"))]:
-            m.setattr(module, name, never)
+        m.setattr(cknlab.spectral, "spectrum_table", never)
+        m.setattr(cknlab.spectral, "fs_crossing", never)
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)

@@ -31,8 +31,8 @@ from cknlab.pressure import (
     sphere_margins,
 )
 from cknlab.verify import (
+    CIRCLE_MAX_HARMONIC,
     IDENTITY_BASE,
-    MIN_ANGULAR_SIZE,
     SPHERE_FIELDS,
     _refinement_sizes,
     evaluate_log_field,
@@ -429,7 +429,8 @@ class TestPressureFieldArrays:
                 return original(values, h)
 
             monkeypatch.setattr(grids, name, recording)
-        report = run_identities_suite(n_fields=1, levels=levels, angular_size=MIN_ANGULAR_SIZE)
+        report = run_identities_suite(n_fields=1, levels=levels,
+                                      angular_size=2 * CIRCLE_MAX_HARMONIC + 1)
         assert report["checks"][-1]["identity"] == "sphere_inequality_margin"
         counts = set(_refinement_sizes(levels, IDENTITY_BASE)) | set(_refinement_sizes(levels, 97))
         assert SPHERE_FIELDS not in counts

@@ -5,14 +5,27 @@ hypothesis draws over the admissible space rather than at hand-picked
 triples.
 """
 
+import math
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
+from cknlab.bubble import bubble_cylinder
+from cknlab.estimates import low_dim_chain
+from cknlab.fitting import fit_loglog
+from cknlab.grids import RadialGrid
+from cknlab.params import felli_schneider_threshold
+from cknlab.pressure import pressure_of
 from cknlab.spectral import path_params, sector_potential, sphere_eigenvalue
 
 EPS = float(np.finfo(float).eps)
 T_NODES = np.linspace(-30.0, 30.0, 241)
+
+# The estimates suite's low_dim_chain configuration: its wide grid and radii.
+CHAIN_GRID = RadialGrid(1e-3, 1e4, 2561)
+CHAIN_RADII = 128.0 * 2.0 ** np.arange(6)
 
 
 @st.composite
@@ -37,3 +50,35 @@ def test_sector_potential_is_the_scaled_poschl_teller_well(ps, k):
     scale = alpha2 * (((n - 2.0) / 2.0) ** 2 + depth) + lam_k
     got = sector_potential(ps, k, T_NODES)
     assert np.max(np.abs(got - expected)) <= max(1e-14, (ps.p_exp - 2.0) * EPS) * scale
+
+
+def _growth_integral(n: float, R: float) -> float:
+    """int_(r_min, R) s^(n+1) (1+s^2)^(1-n) ds, by quad in log s on the suite's r_min."""
+    def integrand(t):
+        s = math.exp(t)
+        return s ** (n + 2.0) * (1.0 + s * s) ** (1.0 - n)
+    value, _ = quad(integrand, math.log(CHAIN_GRID.r_min), math.log(R),
+                    epsabs=0.0, epsrel=1e-13, limit=200)
+    return value
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.floats(min_value=2.01, max_value=3.99),
+       fraction=st.floats(min_value=0.05, max_value=0.95))
+@example(n=2.01, fraction=0.5)
+@example(n=3.5, fraction=0.5)
+@example(n=3.9, fraction=0.5)
+@example(n=3.99, fraction=0.5)
+def test_low_dim_chain_fits_equal_the_finite_radius_closed_form(n, fraction):
+    # On the bubble P = A (1+s^2), so P^(1-n) |DP|^2 dmu = |S^(d-1)| 4 alpha^2 A^(3-n)
+    # s^(n+1) (1+s^2)^(1-n) ds, and the constant drops out of a log-log slope: the
+    # fitted exponents are those of the integrals over (r_min, R) and, over R^2,
+    # (r_min, 2R).  Nothing here compares them with the R -> infinity rate 4 - n.
+    ps = path_params(2, n, fraction * felli_schneider_threshold(2, n))
+    assert ps.is_symmetric
+    chain = low_dim_chain(pressure_of(bubble_cylinder(ps, CHAIN_GRID)), R_list=CHAIN_RADII)
+    growth = fit_loglog(CHAIN_RADII, [_growth_integral(ps.n, R) for R in CHAIN_RADII])
+    decay = fit_loglog(CHAIN_RADII, [_growth_integral(ps.n, 2.0 * R) / R**2
+                                     for R in CHAIN_RADII])
+    assert abs(chain.grad_integral_growth - growth) <= 1e-11
+    assert abs(chain.defect_decay - decay) <= 1e-11
