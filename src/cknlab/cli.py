@@ -66,6 +66,17 @@ def _count_at_least(low: int, most: float = math.inf):
     return count
 
 
+def _finite(text: str) -> float:
+    """argparse type for a finite float."""
+    try:
+        number = float(text)
+    except ValueError:
+        number = math.nan
+    if not math.isfinite(number):
+        raise argparse.ArgumentTypeError(f"must be a finite number: got {text}")
+    return number
+
+
 def _finite_above(low: float):
     """argparse type for a finite float above ``low``."""
     def value(text: str) -> float:
@@ -115,10 +126,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("scan", cmd_scan, "regime map over a weight range")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--a-min", type=float, required=True)
-    p.add_argument("--a-max", type=float, required=True)
-    p.add_argument("--a-step", type=float, default=0.01)
-    p.add_argument("--b-offset", type=float, default=0.0, help="scan along b = a + offset")
+    p.add_argument("--a-min", type=_finite, required=True)
+    p.add_argument("--a-max", type=_finite, required=True)
+    p.add_argument("--a-step", type=_finite, default=0.01)
+    p.add_argument("--b-offset", type=_finite, default=0.0, help="scan along b = a + offset")
 
     p = command("bubble", cmd_bubble, "emit (r, u(r)) of the explicit extremal")
     weights(p)

@@ -154,6 +154,22 @@ class RadialGrid:
         object.__setattr__(self, "x_nodes", x)
         object.__setattr__(self, "log_step", (x[-1] - x[0]) / (self.count - 1))
 
+    def rows(self, lo: int, hi: int) -> "RadialGrid":
+        """Nodes lo..hi-1 as a grid of their own.
+
+        The nodes are sliced from this grid and the log step is this grid's,
+        so every sample and stencil on the window keeps the bits it has on the
+        whole grid; spacing the window anew with linspace would not.  A window
+        may be shorter than MIN_RADIAL_NODES; the stencils still need
+        MIN_STENCIL_NODES.
+        """
+        sub = object.__new__(RadialGrid)
+        s, x = self.nodes[lo:hi], self.x_nodes[lo:hi]
+        for name, value in (("r_min", float(s[0])), ("r_max", float(s[-1])), ("count", len(s)),
+                            ("nodes", s), ("x_nodes", x), ("log_step", self.log_step)):
+            object.__setattr__(sub, name, value)
+        return sub
+
     def column(self, values: np.ndarray) -> np.ndarray:
         """Broadcast helper: nodes shaped to match `values` along axis 0."""
         s = self.nodes

@@ -73,19 +73,28 @@ CROSSING_GAP_TOL = 0.01         # spectrum: relative gap to the closed-form thre
 CIRCLE_MAX_HARMONIC = 4
 
 
-def interior_max(values: np.ndarray, grid: RadialGrid, frac: float = 0.06) -> float:
-    """Max |values| over a fixed physical window, four nodes clear of each end.
+def interior_rows(grid: RadialGrid, frac: float = 0.06) -> range:
+    """Rows whose log-radius lies in a fixed physical window, four nodes clear of each end.
 
-    Refinement studies compare this across grids, so the window is tied to
-    the domain, not the node count.
+    The window drops ``frac`` of the log span at each end.  Refinement studies
+    compare residuals across grids, so it is tied to the domain, not the node
+    count.  The nodes increase, so the rows are contiguous.
     """
     x = grid.x_nodes
     span = x[-1] - x[0]
-    lo, hi = x[0] + frac * span, x[-1] - frac * span
-    mask = (x >= lo) & (x <= hi)
-    mask[:4] = False
-    mask[len(x) - 4:] = False
-    return float(np.max(np.abs(values[mask])))
+    lo = int(np.searchsorted(x, x[0] + frac * span, side="left"))
+    hi = int(np.searchsorted(x, x[-1] - frac * span, side="right"))
+    return range(max(lo, 4), min(hi, len(x) - 4))
+
+
+def interior_max(values: np.ndarray, grid: RadialGrid, frac: float = 0.06) -> float:
+    """Max |values| over the rows of ``interior_rows(grid, frac)``.
+
+    Only these rows are read, so a caller may compute just them and their
+    stencils' reach (see `bochner_residual`).
+    """
+    rows = interior_rows(grid, frac)
+    return float(np.max(np.abs(values[rows.start:rows.stop])))
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +196,41 @@ IDENTITY_LEVELS = 3      # refinement levels of run_identities_suite
 IDENTITY_ANGULAR = 256   # angular nodes of run_identities_suite
 IDENTITY_BASE = 257      # radial nodes of the coarsest random-field grid
 
+# Rows a slab carries beyond the rows it reports on: k[P] nests two 5-point
+# radial stencils (d/dr of L P, L of |DP|^2), each reaching 2 rows, so a
+# one-sided edge closure at a slab cut reaches no further than 4 rows in.
+SLAB_HALO = 4
+# Bytes of one float array over the reported rows of a slab: 128 rows at 256
+# angles.  Below that the per-slab Python work (which holds the GIL) shows.
+SLAB_BYTES = 256 * 1024
+
+
+def _slabs(rows: range, angular_size: int) -> list[range]:
+    """``rows`` cut into near-equal contiguous slabs of at most SLAB_BYTES per float array."""
+    height = max(1, SLAB_BYTES // (8 * angular_size))
+    count = -(-len(rows) // height)
+    edges = [rows.start + len(rows) * i // count for i in range(count + 1)]
+    return [range(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
+def bochner_residual(target: np.ndarray, grid: RadialGrid, angular: PeriodicGrid,
+                     ps: ParamSet) -> float:
+    """interior_max(bochner_decomposition(pf).total() - bochner_k(pf), grid, frac=0.1)
+    for the pressure field pf of samples ``target``, bit for bit, a slab at a time.
+
+    Each slab's rows are computed on a window of the grid that reaches SLAB_HALO
+    rows further on each side (clipped at the grid's ends), so the rows it
+    reports are the whole grid's; the rows outside ``interior_rows`` are never
+    computed.  Only a slab's arrays are alive at once.
+    """
+    worst = []
+    for slab in _slabs(interior_rows(grid, frac=0.1), angular.size):
+        lo, hi = max(slab.start - SLAB_HALO, 0), min(slab.stop + SLAB_HALO, grid.count)
+        pf = pressure_field_from_target(target[lo:hi], grid.rows(lo, hi), angular, ps)
+        diff = bochner_decomposition(pf).total().values - bochner_k(pf).values
+        worst.append(np.max(np.abs(diff[slab.start - lo:slab.stop - lo])))
+    return float(np.max(worst))
+
 
 def run_identities_suite(
     seed: int = DEFAULT_SEED,
@@ -217,12 +261,8 @@ def run_identities_suite(
         # Each coarser grid's nodes are every 2^j-th node of the finest grid,
         # bit for bit, so one evaluation on the finest grid serves every level.
         finest = evaluate_log_field(coeffs, grids[-1], angular, ps2).values
-        errs = []
-        for j, g in enumerate(grids):
-            target = finest[::2 ** (len(grids) - 1 - j)]
-            pf = pressure_field_from_target(target, g, angular, ps2)
-            diff = bochner_decomposition(pf).total().values - bochner_k(pf).values
-            errs.append(interior_max(diff, g, frac=0.1))
+        errs = [bochner_residual(finest[::2 ** (len(grids) - 1 - j)], g, angular, ps2)
+                for j, g in enumerate(grids)]
         return errs, fit_loglog(h_values, errs)
 
     field_results = ordered_map(decomposition_orders, all_coeffs)

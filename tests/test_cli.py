@@ -200,6 +200,21 @@ class TestVerifyCommand:
 
 @pytest.mark.parametrize("argv, reason", [
     (["scan", "--d", "3", "--a-min", "-1", "--a-max", "0", "--a-step", "0"], "--a-step"),
+    # non-finite scan bounds, step and offset, each named with its value
+    (["scan", "--d", "3", "--a-min", "nan", "--a-max", "1"],
+     "argument --a-min: must be a finite number: got nan"),
+    (["scan", "--d", "3", "--a-min=-inf", "--a-max", "0"],
+     "argument --a-min: must be a finite number: got -inf"),
+    (["scan", "--d", "3", "--a-min", "0", "--a-max", "nan"],
+     "argument --a-max: must be a finite number: got nan"),
+    (["scan", "--d", "3", "--a-min", "0", "--a-max", "1", "--a-step", "nan"],
+     "argument --a-step: must be a finite number: got nan"),
+    (["scan", "--d", "3", "--a-min", "0", "--a-max", "0.1", "--b-offset", "nan"],
+     "argument --b-offset: must be a finite number: got nan"),
+    (["scan", "--d", "3", "--a-min", "0", "--a-max", "0.1", "--b-offset", "inf"],
+     "argument --b-offset: must be a finite number: got inf"),
+    (["scan", "--d", "3", "--a-min", "zero", "--a-max", "1"],
+     "argument --a-min: must be a finite number: got zero"),
     (["scan", "--d", "3", "--a-min", "1", "--a-max", "0"],
      "scan has no rows: --a-min 1.0 to --a-max 0.0 in steps of --a-step 0.01"),
     (["scan", "--d", "3", "--a-min", "0", "--a-max", "1", "--a-step", "-0.1"],

@@ -6,7 +6,8 @@ inequality, the form that checked one circle at a time.  They are the oracles:
 every float operation of the rewrite must happen in the same order, so the
 outputs agree in ``tobytes()``, signed zeros included.  The file also pins
 the field ownership rule, the read-only arrays a PressureField is built with
-and shares, and the nested refinement grids that `run_identities_suite` slices.
+and shares, the nested refinement grids that `run_identities_suite` slices, and
+the row slabs it computes each refinement level in.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cknlab import grids, pressure
+from cknlab import grids, pressure, verify
 from cknlab.cylfield import (
     CylinderField,
     L_of_values,
@@ -33,8 +34,8 @@ from cknlab.pressure import (
 from cknlab.verify import (
     CIRCLE_MAX_HARMONIC,
     IDENTITY_BASE,
-    SPHERE_FIELDS,
     _refinement_sizes,
+    bochner_residual,
     evaluate_log_field,
     pressure_field_from_target,
     random_circle_profile,
@@ -202,6 +203,15 @@ def ref_evaluate_log_field(coeffs, grid, angular):
             ang = ccos[i, k] * np.cos(k * th) + csin[i, k] * np.sin(k * th)
             g += radial[:, None] * ang[None, :]
     return np.exp(g)
+
+
+def ref_interior_max(values, grid, frac):
+    x = grid.x_nodes
+    span = x[-1] - x[0]
+    mask = (x >= x[0] + frac * span) & (x <= x[-1] - frac * span)
+    mask[:4] = False
+    mask[len(x) - 4:] = False
+    return float(np.max(np.abs(values[mask])))
 
 
 def same_bits(a, b):
@@ -417,24 +427,95 @@ class TestPressureFieldArrays:
                     a *= 2.0
 
     def test_identities_sphere_check_takes_no_radial_derivative(self, monkeypatch):
-        # every radial stencil pass of the suite is on one of its refinement
-        # grids; the sphere check's batch of circle profiles takes none
-        levels = 2
-        lengths = []
+        # the suite's radial stencil passes all come before the sphere check,
+        # whose batch of circle profiles takes none
+        events = []
         for name in ("d_dx", "d2_dx2"):
             original = getattr(grids, name)
 
-            def recording(values, h, original=original):
-                lengths.append(values.shape[0])
+            def recording(values, h, original=original, name=name):
+                events.append(name)
                 return original(values, h)
 
             monkeypatch.setattr(grids, name, recording)
-        report = run_identities_suite(n_fields=1, levels=levels,
+        profile = verify.random_circle_profile
+
+        def sphere_phase(rng, size):
+            events.append("random_circle_profile")
+            return profile(rng, size)
+
+        monkeypatch.setattr(verify, "random_circle_profile", sphere_phase)
+        report = run_identities_suite(n_fields=1, levels=2,
                                       angular_size=2 * CIRCLE_MAX_HARMONIC + 1)
         assert report["checks"][-1]["identity"] == "sphere_inequality_margin"
-        counts = set(_refinement_sizes(levels, IDENTITY_BASE)) | set(_refinement_sizes(levels, 97))
-        assert SPHERE_FIELDS not in counts
-        assert lengths and set(lengths) <= counts
+        start = events.index("random_circle_profile")
+        assert {"d_dx", "d2_dx2"} <= set(events[:start])
+        assert set(events[start:]) == {"random_circle_profile"}
+
+
+class TestSlabsBitwise:
+    """`bochner_residual` computes a refinement level slab by slab; each level's
+    value is the whole grid's interior_max of the Bochner difference, bit for bit."""
+
+    @pytest.mark.parametrize("angular_size", [9, 16])
+    @pytest.mark.parametrize("levels", [2, 3, 4])
+    def test_slab_max_is_the_whole_level(self, levels, angular_size, monkeypatch):
+        sizes = _refinement_sizes(levels, IDENTITY_BASE)
+        nested = [RadialGrid(1e-3, 1e3, n) for n in sizes]
+        angular = PeriodicGrid(angular_size)
+        coeffs = random_log_field_coeffs(np.random.default_rng(10 * levels + angular_size))
+        finest = evaluate_log_field(coeffs, nested[-1], angular, PS2).values
+        default_budget = verify.SLAB_BYTES
+        for j, g in enumerate(nested):
+            target = finest[::2 ** (levels - 1 - j)]
+            pf = pressure_field_from_target(target, g, angular, PS2)
+            diff = bochner_decomposition(pf).total().values - bochner_k(pf).values
+            whole = ref_interior_max(diff, g, frac=0.1)
+            # one window row per slab on the coarsest level, ragged slabs of
+            # at most 37 rows above it, then the default budget
+            height = 1 if j == 0 else 37
+            for budget in (8 * angular_size * height, default_budget):
+                monkeypatch.setattr(verify, "SLAB_BYTES", budget)
+                slab_max = bochner_residual(target, g, angular, PS2)
+                assert np.float64(slab_max).tobytes() == np.float64(whole).tobytes()
+
+    def test_slabs_split_the_window_evenly(self, monkeypatch):
+        window = range(26, 231)                    # 205 rows
+        monkeypatch.setattr(verify, "SLAB_BYTES", 8 * 16 * 64)
+        slabs = verify._slabs(window, 16)          # 4 slabs of at most 64 rows
+        assert [len(s) for s in slabs] == [51, 51, 51, 52]
+        assert slabs[0].start == 26 and slabs[-1].stop == 231
+        assert all(a.stop == b.start for a, b in zip(slabs, slabs[1:]))
+        monkeypatch.setattr(verify, "SLAB_BYTES", 8)
+        assert [len(s) for s in verify._slabs(window, 16)] == [1] * 205
+        monkeypatch.undo()     # at most 128 rows at 256 angles: the 1025-node window
+        assert [len(s) for s in verify._slabs(range(103, 922), 256)] == [117] * 7
+
+    def test_rows_keep_the_parent_node_bits(self):
+        parent = RadialGrid(1e-3, 1e3, 1025)
+        for lo, hi in ((0, 9), (98, 926), (1016, 1025)):
+            sub = parent.rows(lo, hi)
+            assert sub.count == hi - lo
+            assert same_bits(sub.nodes, parent.nodes[lo:hi])
+            assert same_bits(sub.x_nodes, parent.x_nodes[lo:hi])
+            assert same_bits(np.float64(sub.log_step), np.float64(parent.log_step))
+            assert not sub.nodes.flags.writeable and not sub.x_nodes.flags.writeable
+
+    @pytest.mark.parametrize("frac", [0.0, 0.06, 0.1, 0.45])
+    @pytest.mark.parametrize("count", [16, 257, 1025])
+    def test_interior_rows_are_the_mask(self, count, frac):
+        grid = RadialGrid(1e-3, 1e3, count)
+        values = np.random.default_rng(count).standard_normal(count)
+        rows = verify.interior_rows(grid, frac)
+        mask = np.zeros(count, dtype=bool)
+        mask[rows.start:rows.stop] = True
+        x = grid.x_nodes
+        span = x[-1] - x[0]
+        expected = (x >= x[0] + frac * span) & (x <= x[-1] - frac * span)
+        expected[:4] = expected[count - 4:] = False
+        assert np.array_equal(mask, expected)
+        if rows:
+            assert verify.interior_max(values, grid, frac) == ref_interior_max(values, grid, frac)
 
 
 @pytest.mark.parametrize("levels", range(2, 8))

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,20 @@ class TestSuites:
         rep = run_identities_suite(n_fields=1)
         assert not rep["pass"]
         assert rep["first_failure"] == "bochner_decomposition_vs_definition"
+
+
+def test_identities_suite_memory_is_bounded():
+    # Each refinement level is computed in row slabs, so the arrays alive at
+    # once are one slab's plus the finest grid's field samples (about 6 MiB);
+    # whole-level arrays took 29 MiB.  One field runs serially, so the peak is
+    # the same on every run.
+    tracemalloc.start()
+    try:
+        run_identities_suite(n_fields=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 class TestDeterminism:
