@@ -6,8 +6,8 @@ types, defaults and required checks, and the command functions read the parsed
 namespace.  ``--config FILE`` supplies ``key=value`` lines as flags placed
 right after the command name, so they are checked like typed flags and
 explicit flags win.  ``verify`` runs each suite at the one configuration its
-tolerances were set for: a suite's resolution is a keyword of
-``verify.run_<suite>_suite``, not a flag.  Outputs are CSV or JSON plot data
+tolerances were set for: a suite's resolution is a constant of ``verify``,
+not a flag.  Outputs are CSV or JSON plot data
 (no rendering); identical configurations with the same seed produce
 byte-identical reports.
 Exit codes: 0 pass, 1 contract failure, 2 invalid input (with the reason on
@@ -88,6 +88,7 @@ def _finite_above(low: float):
 
 
 _positive_finite = _finite_above(0.0)
+_dimension = _count_at_least(2)   # the ambient dimension d
 
 
 def _s_max(text: str) -> float:
@@ -115,9 +116,9 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     def weights(p, required=True):
-        p.add_argument("--a", type=float, required=required)
-        p.add_argument("--b", type=float, required=required)
-        p.add_argument("--d", type=int, required=required)
+        p.add_argument("--a", type=_finite, required=required)
+        p.add_argument("--b", type=_finite, required=required)
+        p.add_argument("--d", type=_dimension, required=required)
 
     def intervals(text: str) -> int:   # spectrum --grid: the eigensolver's floor, read on use
         return _count_at_least(spectral.MIN_SECTOR_INTERVALS, MAX_SAMPLES)(text)
@@ -125,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     weights(command("params", cmd_params, "derive and print a ParamSet"))
 
     p = command("scan", cmd_scan, "regime map over a weight range")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_dimension, required=True)
     p.add_argument("--a-min", type=_finite, required=True)
     p.add_argument("--a-max", type=_finite, required=True)
     p.add_argument("--a-step", type=_finite, default=0.01)
@@ -145,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-max", type=_s_max, default=1e3)
 
     p = command("spectrum", cmd_spectrum, "sector eigenvalues and threshold crossing")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_dimension, required=True)
     p.add_argument("--n", type=float, required=True, help="intrinsic dimension of the path")
     p.add_argument("--alpha-min", type=_positive_finite,
                    help=f"default {ALPHA_BRACKET[0]:g} x the closed-form threshold")

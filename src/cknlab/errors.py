@@ -30,10 +30,6 @@ class AmplitudeOverflow(CknLabError):
     """The bubble amplitude, or a closed-form value built on it, exceeds double precision."""
 
 
-class ScaleUnderflow(CknLabError):
-    """A positive normalizer underflows to 0 in double precision."""
-
-
 class NonPositiveSample(CknLabError):
     """A consumer that requires a positive field received one that is not."""
 

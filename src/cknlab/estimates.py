@@ -42,7 +42,6 @@ class Cutoff:
     """Quintic smoothstep cutoff: 1 on [0, R], 0 on [2R, inf), |eta'| <= C/R."""
 
     R: float
-    s_power: float
     c_profile: ClassVar[float] = 15.0 / 8.0  # sup |eta'| * R for the quintic smoothstep
 
     def eta(self, r):
@@ -58,17 +57,15 @@ class Cutoff:
         return np.where(inside, -30.0 * tc**2 * (1.0 - tc) ** 2 / self.R, 0.0)
 
 
-def make_cutoff(R: float, s_power: float = 2.0) -> Cutoff:
+def make_cutoff(R: float) -> Cutoff:
     if not R > 0:
         raise ValueError("cutoff radius must be positive")
-    if s_power < 2.0:
-        raise ValueError("cutoff exponent s must be >= 2")
-    return Cutoff(R=float(R), s_power=float(s_power))
+    return Cutoff(R=float(R))
 
 
 @dataclass(frozen=True)
 class IntIneqSides:
-    lhs: float           # int P^(1-n) k[P] eta^s dmu
+    lhs: float           # int P^(1-n) k[P] eta^2 dmu
     rhs_weighted: float  # int P^(1-n) |DP|^2 |eta'|^2 dmu
 
 
@@ -91,9 +88,9 @@ def int_ineq_sides(pf: PressureField, cutoffs: list[Cutoff]) -> list[IntIneqSide
     grad = pressure_weight(pf.P.values, ps.n) * pf.DP2
     sides = []
     for cut in cutoffs:
-        eta_s = cut.eta(s) ** cut.s_power
+        eta2 = cut.eta(s) ** 2.0
         etap2 = cut.eta_prime(s) ** 2
-        lhs = integrate_mu(pf.field(defect * eta_s), r_hi=2.0 * cut.R)
+        lhs = integrate_mu(pf.field(defect * eta2), r_hi=2.0 * cut.R)
         rhs = integrate_mu(pf.field(grad * etap2), cut.R, 2.0 * cut.R)
         sides.append(IntIneqSides(lhs=lhs, rhs_weighted=rhs))
     return sides

@@ -160,69 +160,3 @@ def regime_row(a: float, b: float, d: int) -> tuple:
         nan = float("nan")
         return (a, b, nan, nan, nan, nan, "excluded")
     return (a, b, ps.p_exp, ps.alpha, ps.n, ps.fs_threshold, ps.regime.value)
-
-
-@dataclass(frozen=True)
-class DecayThresholds:
-    """Cylinder-variable decay exponents gating the classification results.
-
-    sigma_star: a solution bounded by C r^sigma with sigma < sigma_star is
-        rigid for n >= 4 (infinite for n <= 4: no decay needed there).
-    finite_energy_sigma: -(n-2)/2, the cylinder form of the Euclidean
-        threshold rate |x|^(-(d-2-2a)/2) below which radial solutions have
-        finite energy.
-    """
-
-    sigma_star: float
-    finite_energy_sigma: float
-
-
-def decay_thresholds(ps: ParamSet) -> DecayThresholds:
-    n = ps.n
-    if n <= 4.0:
-        sigma_star = math.inf
-    else:
-        sigma_star = -(n - 2.0) * (n - 6.0) / (2.0 * (n - 4.0))
-    return DecayThresholds(
-        sigma_star=sigma_star,
-        finite_energy_sigma=-(n - 2.0) / 2.0,
-    )
-
-
-#: Rigidity results, named by their hypotheses.
-TAG_LOW_DIM = "low_dim"            # 2 < n < 4, no decay or energy hypothesis
-TAG_DECAY = "decay"                # n >= 4 plus pointwise decay sigma < sigma_star
-TAG_FINITE_ENERGY = "finite_energy"  # solution in the energy space
-TAG_NATURAL_DECAY = "natural_decay"  # decay at the finite-energy threshold rate
-TAG_BOUNDED = "bounded"            # bounded solutions, 2 < n <= 6
-
-
-def applicable_results(
-    ps: ParamSet,
-    observed_sigma: float | None = None,
-    finite_energy: bool = False,
-) -> list[str]:
-    """Which classification results have their hypotheses satisfied.
-
-    ``observed_sigma`` is the certified cylinder-variable envelope exponent:
-    the caller asserts w(r, theta) <= C r^sigma outside a compact set
-    (equivalently u(x) <= C |x|^(sigma * alpha)).  Boundedness with no decay
-    is asserted by passing exactly 0.0.  All results additionally require the
-    symmetric regime and p strictly inside (2, 2*).
-    """
-    if not (ps.is_symmetric and ps.strictly_subcritical):
-        return []
-    thr = decay_thresholds(ps)
-    n = ps.n
-    tags = []
-    if 2.0 < n < 4.0:
-        tags.append(TAG_LOW_DIM)
-    if n >= 4.0 and observed_sigma is not None and observed_sigma < thr.sigma_star:
-        tags.append(TAG_DECAY)
-    if finite_energy:
-        tags.append(TAG_FINITE_ENERGY)
-    if observed_sigma is not None and observed_sigma <= thr.finite_energy_sigma:
-        tags.append(TAG_NATURAL_DECAY)
-    if 2.0 < n <= 6.0 and observed_sigma is not None and observed_sigma == 0.0:
-        tags.append(TAG_BOUNDED)
-    return tags

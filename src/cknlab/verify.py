@@ -232,12 +232,7 @@ def bochner_residual(target: np.ndarray, grid: RadialGrid, angular: PeriodicGrid
     return float(np.max(worst))
 
 
-def run_identities_suite(
-    seed: int = DEFAULT_SEED,
-    n_fields: int = IDENTITY_FIELDS,
-    levels: int = IDENTITY_LEVELS,
-    angular_size: int = IDENTITY_ANGULAR,
-) -> dict:
+def run_identities_suite(seed: int = DEFAULT_SEED, n_fields: int = IDENTITY_FIELDS) -> dict:
     """Pointwise identity battery on seeded random fields and bubbles.
 
     * Bochner decomposition sum == definition of k[P] at 4th order (d = 2).
@@ -250,10 +245,10 @@ def run_identities_suite(
     rng = np.random.default_rng(seed)
     report = SuiteReport(suite="identities", seed=seed)
     ps2 = derive_params(*D2_IDENTITY_PARAMS)
-    sizes = _refinement_sizes(levels, IDENTITY_BASE)
+    sizes = _refinement_sizes(IDENTITY_LEVELS, IDENTITY_BASE)
     grids = [RadialGrid(1e-3, 1e3, n) for n in sizes]
     h_values = [g.log_step for g in grids]
-    angular = PeriodicGrid(angular_size)
+    angular = PeriodicGrid(IDENTITY_ANGULAR)
 
     all_coeffs = [random_log_field_coeffs(rng) for _ in range(n_fields)]
 
@@ -282,7 +277,7 @@ def run_identities_suite(
     # the solution identities has a small prefactor; the refinement triple
     # stays coarse enough to sit in the truncation-dominated regime (the
     # float64 sample-rounding floor grows like eps/h^2 under refinement).
-    bubble_sizes = _refinement_sizes(levels, 97)
+    bubble_sizes = _refinement_sizes(IDENTITY_LEVELS, 97)
     bubble_grids = [RadialGrid(1e-3, 1e3, nn) for nn in bubble_sizes]
     bubble_h = [g.log_step for g in bubble_grids]
     for triple in ((-0.5, 0.0, 3), D2_IDENTITY_PARAMS):
@@ -313,7 +308,7 @@ def run_identities_suite(
 
     # One circle per profile, all checked in one batch: a field with a circle
     # profile at every radius is read at one radius.
-    profiles = np.stack([random_circle_profile(rng, angular_size)
+    profiles = np.stack([random_circle_profile(rng, IDENTITY_ANGULAR)
                          for _ in range(SPHERE_FIELDS)])
     P = pressure_values(source_of_pressure(profiles, ps2.n), ps2.n)
     min_margin = float(sphere_margins(P, *angular.theta_pair(P), ps2).min())
@@ -339,11 +334,11 @@ def _param_label(ps: ParamSet) -> str:
     return f"a={ps.a};b={ps.b};d={ps.d}"
 
 
-def run_estimates_suite(seed: int = DEFAULT_SEED, grid_count: int = 2048) -> tuple[dict, list]:
+def run_estimates_suite(seed: int = DEFAULT_SEED) -> tuple[dict, list]:
     """Growth-law battery on bubble inputs; returns (report, rows under ESTIMATES_HEADER)."""
     report = SuiteReport(suite="estimates", seed=seed)
     rows = []
-    grid = RadialGrid(1e-3, 1e3, grid_count)
+    grid = RadialGrid(1e-3, 1e3, 2048)
 
     # comparison lower bound + extremal tail rate
     for triple in SWEEP_PARAMS_3:
@@ -447,7 +442,7 @@ def run_estimates_suite(seed: int = DEFAULT_SEED, grid_count: int = 2048) -> tup
     psh = derive_params(-0.5, 0.0, 3)
     pfh = pressure_of(bubble_cylinder(psh, grid))
     R_cut = np.array([8.0, 16.0, 32.0, 64.0, 128.0, 256.0])
-    sides = int_ineq_sides(pfh, [make_cutoff(R, s_power=2.0) for R in R_cut])
+    sides = int_ineq_sides(pfh, [make_cutoff(R) for R in R_cut])
     lhs_vals = [side.lhs for side in sides]
     rhs_vals = [side.rhs_weighted for side in sides]
     rhs_slope = fit_loglog(R_cut, rhs_vals)
@@ -493,12 +488,12 @@ def run_rigidity_suite(seed: int = DEFAULT_SEED, param_triples=SWEEP_PARAMS_3) -
 # spectrum suite
 # ---------------------------------------------------------------------------
 
-def run_spectrum_suite(seed: int = DEFAULT_SEED, N: int = 2000) -> dict:
+def run_spectrum_suite(seed: int = DEFAULT_SEED) -> dict:
     """Zero-mode oracle plus threshold crossings against the closed form."""
     report = SuiteReport(suite="spectrum", seed=seed)
     for triple in SPECTRUM_ZERO_MODE_PARAMS:
         ps = derive_params(*triple)
-        est = zero_mode_eigenvalue(ps, N=N)
+        est = zero_mode_eigenvalue(ps)
         report.add({
             "name": "zero_mode",
             "param_set": ps.to_dict(),
@@ -507,7 +502,7 @@ def run_spectrum_suite(seed: int = DEFAULT_SEED, N: int = 2000) -> dict:
             "pass": abs(est.value) < ZERO_MODE_TOL,
         })
     for d, n in SPECTRUM_CROSSING_PAIRS:
-        crossing = fs_crossing(d, n, N=N)
+        crossing = fs_crossing(d, n)
         report.add({
             "name": "threshold_crossing",
             **crossing.to_dict(),

@@ -14,10 +14,6 @@ from cknlab.bubble import (
     bubble_cylinder_values,
     cylinder_amplitude,
     make_bubble,
-    pressure_amplitude,
-    residual_euclidean,
-    residual_eq_w_closed_form,
-    residual_scale,
 )
 from cknlab.estimates import (
     finite_energy_chain,
@@ -37,6 +33,13 @@ from cknlab.verify import (
     SWEEP_PARAMS_3,
     WEAK_ENERGY_PARAMS,
     run_identities_suite,
+)
+
+from test_oracles import (
+    pressure_amplitude,
+    residual_euclidean,
+    residual_eq_w_closed_form,
+    residual_scale,
 )
 
 FIVE_TRIPLES = [

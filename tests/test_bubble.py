@@ -6,23 +6,26 @@ import pytest
 
 from cknlab.bubble import (
     bubble_cylinder,
-    bubble_cylinder_derivatives,
     bubble_cylinder_values,
-    bubble_derivatives,
     cylinder_amplitude,
     eval_bubble,
     make_bubble,
-    pressure_amplitude,
-    residual_euclidean,
-    residual_eq_w_closed_form,
-    residual_scale,
 )
-from cknlab.errors import AmplitudeOverflow, ScaleUnderflow, SubcriticalRange
+from cknlab.errors import AmplitudeOverflow, SubcriticalRange
 from cknlab.fitting import fit_loglog
 from cknlab.grids import RadialGrid
 from cknlab.params import derive_params
 
 from conftest import FIVE_TRIPLES
+from test_oracles import (
+    ScaleUnderflow,
+    bubble_cylinder_derivatives,
+    bubble_derivatives,
+    pressure_amplitude,
+    residual_euclidean,
+    residual_eq_w_closed_form,
+    residual_scale,
+)
 
 
 class TestEvalBubble:

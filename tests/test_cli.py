@@ -186,7 +186,7 @@ class TestVerifyCommand:
         assert isinstance(obj["a"], float) and obj["d"] == 4   # --a is a float flag
         cfg.write_text("a=0\nb=0\nd=3.5\n")
         code, _, err = run_cli(capsys, "params", "--config", str(cfg))
-        assert code == 2 and "argument --d: invalid int value" in err
+        assert code == 2 and "argument --d: invalid count value: '3.5'" in err
 
     def test_byte_identical_reports(self, capsys, tmp_path, two_field_identities):
         paths = [tmp_path / "r1.json", tmp_path / "r2.json"]
@@ -223,6 +223,26 @@ class TestVerifyCommand:
     (["params", "--a", "0", "--b", "0", "--d", "3", "--seed", "5"],
      "unrecognized arguments: --seed"),
     (["params", "--a", "0", "--b", "0", "--d", "3.5"], "argument --d: invalid"),
+    # --d, --a and --b are checked when the command line is parsed, each named
+    (["spectrum", "--d", "1", "--n", "6"], "argument --d: must be at least 2: got 1"),
+    (["spectrum", "--d", "0", "--n", "6"], "argument --d: must be at least 2: got 0"),
+    (["spectrum", "--d=-3", "--n", "6"], "argument --d: must be at least 2: got -3"),
+    (["params", "--a", "0", "--b", "0", "--d", "1"], "argument --d: must be at least 2: got 1"),
+    (["scan", "--d", "1", "--a-min", "0", "--a-max", "1"],
+     "argument --d: must be at least 2: got 1"),
+    (["bubble", "--a", "-0.5", "--b", "0", "--d", "1"], "argument --d: must be at least 2: got 1"),
+    (["shoot", "--a", "-0.5", "--b", "0", "--d", "1", "--w0", "2"],
+     "argument --d: must be at least 2: got 1"),
+    (["verify", "--suite", "rigidity", "--a", "-0.5", "--b", "0", "--d", "1"],
+     "argument --d: must be at least 2: got 1"),
+    (["params", "--a", "nan", "--b", "0", "--d", "3"],
+     "argument --a: must be a finite number: got nan"),
+    (["params", "--a", "0", "--b", "inf", "--d", "3"],
+     "argument --b: must be a finite number: got inf"),
+    (["verify", "--suite", "rigidity", "--a", "nan", "--b", "0", "--d", "3"],
+     "argument --a: must be a finite number: got nan"),
+    (["bubble", "--a", "zero", "--b", "0", "--d", "3"],
+     "argument --a: must be a finite number: got zero"),
     (["scan", "--d", "3", "--a-min", "-1.2", "--a-max", "0.4", "--a-step", "1e-9"],
      "at most 100000 rows"),
     (["verify", "--suite", "spectrum", "--format", "csv"], "does not read --format"),

@@ -54,10 +54,9 @@ class TestCutoff:
         assert abs(abs(cut.eta_prime(6.0)) - 15.0 / 8.0 / 4.0) < 1e-15
 
     @settings(max_examples=50)
-    @given(st.floats(min_value=0.1, max_value=100.0),
-           st.floats(min_value=2.0, max_value=8.0))
-    def test_profile_bounds(self, R, s_power):
-        cut = make_cutoff(R, s_power)
+    @given(st.floats(min_value=0.1, max_value=100.0))
+    def test_profile_bounds(self, R):
+        cut = make_cutoff(R)
         r = np.linspace(0.0, 3 * R, 301)
         eta = cut.eta(r)
         assert np.all((0.0 <= eta) & (eta <= 1.0))
@@ -65,13 +64,13 @@ class TestCutoff:
         assert np.max(np.abs(cut.eta_prime(r))) * R <= cut.c_profile + 1e-12
 
     def test_gradient_power_integral_linear_in_R(self, ps_d2):
-        # int |eta'|^(n-1) eta^(s-n+1) dmu over (R, 2R) <= C R for 2 < n < 4
+        # int |eta'|^(n-1) eta^(s-n+1) dmu over (R, 2R) <= C R for 2 < n < 4, at s = 4
         ps = derive_params(-0.3, -0.3 + 1.0 / 3.0, 2)  # n = 3
         g = RadialGrid(1e-3, 1e3, 4096)
         vals = []
         R_list = [8.0, 16.0, 32.0, 64.0, 128.0]
         for R in R_list:
-            cut = make_cutoff(R, s_power=4.0)
+            cut = make_cutoff(R)
             s = g.nodes
             integrand = (np.abs(cut.eta_prime(s)) ** (ps.n - 1.0)
                          * cut.eta(s) ** (4.0 - ps.n + 1.0))
@@ -83,8 +82,6 @@ class TestCutoff:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             make_cutoff(-1.0)
-        with pytest.raises(ValueError):
-            make_cutoff(1.0, s_power=1.0)
 
 
 class TestIntIneqSides:

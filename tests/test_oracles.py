@@ -2,7 +2,8 @@
 
 Every property here is a closed form or a theorem, checked by derandomized
 hypothesis draws over the admissible space rather than at hand-picked
-triples.
+triples.  The analytic bubble residuals below are the oracles other test
+modules import (``from test_oracles import ...``): no command runs them.
 """
 
 import math
@@ -12,11 +13,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from cknlab.bubble import bubble_cylinder
+from cknlab.bubble import (BubbleSpec, _scaled_amplitude, bubble_cylinder, cylinder_amplitude,
+                           eval_bubble)
+from cknlab.cylfield import L_kernel
+from cknlab.errors import AmplitudeOverflow, CknLabError
 from cknlab.estimates import low_dim_chain
 from cknlab.fitting import fit_loglog
 from cknlab.grids import RadialGrid
-from cknlab.params import felli_schneider_threshold
+from cknlab.params import ParamSet, felli_schneider_threshold
 from cknlab.pressure import pressure_of
 from cknlab.spectral import path_params, sector_potential, sphere_eigenvalue
 
@@ -26,6 +30,120 @@ T_NODES = np.linspace(-30.0, 30.0, 241)
 # The estimates suite's low_dim_chain configuration: its wide grid and radii.
 CHAIN_GRID = RadialGrid(1e-3, 1e4, 2561)
 CHAIN_RADII = 128.0 * 2.0 ** np.arange(6)
+
+
+class ScaleUnderflow(CknLabError):
+    """A positive normalizer underflows to 0 in double precision."""
+
+
+def bubble_derivatives(spec: BubbleSpec, radius):
+    """(u, u', u'') of the scaled profile, from the closed form.
+
+    Where 1 + (lambda r)^q rounds to (lambda r)^q the profile is its tail
+    u = lambda^kappa c0 (lambda r)^(-2 kappa) (e q = 2 kappa), whose derivatives
+    -2 kappa u / r and 2 kappa (2 kappa + 1) u / r^2 are taken from u, so they
+    stay in double range where lambda r, lambda^2 or a power of lambda r does not.
+    """
+    ps = spec.ps
+    r = np.asarray(radius, dtype=float)
+    q = (ps.p_exp - 2.0) * ps.kappa
+    e = 2.0 / (ps.p_exp - 2.0)
+    lam = spec.lam
+    amp = _scaled_amplitude(spec)
+    u = np.array(eval_bubble(spec, r), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rr = lam * r
+        rr_q = rr**q
+        g = 1.0 + rr_q
+        du = -amp * e * q * rr ** (q - 1.0) * g ** (-e - 1.0) * lam
+        d2u = (
+            -amp * e * q * (q - 1.0) * rr ** (q - 2.0) * g ** (-e - 1.0)
+            + amp * e * (e + 1.0) * q**2 * rr ** (2.0 * q - 2.0) * g ** (-e - 2.0)
+        ) * np.float64(lam) ** 2
+    du, d2u = np.array(du, dtype=float), np.array(d2u, dtype=float)
+    tail = g == rr_q
+    two_k = 2.0 * ps.kappa
+    du[tail] = -two_k * u[tail] / r[tail]
+    d2u[tail] = two_k * (two_k + 1.0) * u[tail] / r[tail] ** 2
+    if not (np.isfinite(du).all() and np.isfinite(d2u).all()):
+        raise AmplitudeOverflow(
+            f"u' or u'' of the scaled profile overflows double precision at "
+            f"lambda = {lam:.6g} (kappa = {ps.kappa:.6g})"
+        )
+    return u, du, d2u
+
+
+def _source_term(ps: ParamSet, r: np.ndarray, u) -> np.ndarray:
+    """|x|^(-bp) u^(p-1); entries where a factor leaves double range go through logs."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.asarray(r ** (-ps.b * ps.p_exp) * np.asarray(u) ** (ps.p_exp - 1.0))
+    bad = ~np.isfinite(out) | (out == 0.0)
+    if bad.any():  # r^(-bp) overflowed, or u^(p-1) underflowed to 0 (the product is > 0)
+        out = np.array(out, dtype=float)
+        rb, ub = np.broadcast_arrays(r, u)
+        with np.errstate(divide="ignore"):  # log(0) = -inf, whose exp is the 0 sought
+            out[bad] = np.exp(-ps.b * ps.p_exp * np.log(rb[bad])
+                              + (ps.p_exp - 1.0) * np.log(ub[bad]))
+    return out
+
+
+def residual_euclidean(spec: BubbleSpec, radius):
+    """div(|x|^(-2a) grad u) + |x|^(-bp) u^(p-1), analytic, signed.
+
+    For radial u the divergence term is r^(-2a) (u'' + (d-1-2a) u'/r).
+    """
+    ps = spec.ps
+    r = np.asarray(radius, dtype=float)
+    u, du, d2u = bubble_derivatives(spec, r)
+    div_term = r ** (-2.0 * ps.a) * (d2u + (ps.d - 1.0 - 2.0 * ps.a) * du / r)
+    out = div_term + _source_term(ps, r, u)
+    return out if out.shape else float(out)
+
+
+def residual_scale(spec: BubbleSpec, radius):
+    """Natural normalizer |x|^(-bp) u^(p-1) for relative residuals."""
+    ps = spec.ps
+    r = np.asarray(radius, dtype=float)
+    out = _source_term(ps, r, eval_bubble(spec, r))
+    lost = out == 0.0
+    if lost.any():  # the scale is positive: 0 means it left double range
+        raise ScaleUnderflow(
+            f"the residual scale |x|^(-bp) u^(p-1) underflows double precision at "
+            f"r = {float(r[lost].flat[0]):.6g}"
+        )
+    return out if out.shape else float(out)
+
+
+def bubble_cylinder_derivatives(ps: ParamSet, s, lam: float = 1.0):
+    """(w, w', w'') of the cylinder bubble from the closed form."""
+    s = np.asarray(s, dtype=float)
+    c0 = cylinder_amplitude(ps)
+    mu = lam**ps.alpha
+    m = (ps.n - 2.0) / 2.0
+    g = 1.0 / mu + mu * s**2
+    w = c0 * g ** (-m)
+    dw = -2.0 * m * mu * c0 * s * g ** (-m - 1.0)
+    d2w = (-2.0 * m * mu * c0 * g ** (-m - 1.0)
+           + 4.0 * m * (m + 1.0) * mu**2 * c0 * s**2 * g ** (-m - 2.0))
+    return w, dw, d2w
+
+
+def residual_eq_w_closed_form(ps: ParamSet, s, lam: float = 1.0):
+    """L w + w^(p-1) for the scaled cylinder bubble, all analytic.
+
+    The finite-difference residual has a float64 noise floor where the
+    profile flattens (curvature information sits below sample rounding);
+    this closed-form route isolates formula errors at ~1e-12.
+    """
+    s = np.asarray(s, dtype=float)
+    w, dw, d2w = bubble_cylinder_derivatives(ps, s, lam)
+    return L_kernel(dw, d2w, None, s, ps) + w ** (ps.p_exp - 1.0)
+
+
+
+def pressure_amplitude(ps: ParamSet) -> float:
+    """A = (n-1) c0^(-2/(n-2)); the bubble's pressure is exactly A (1+s^2)."""
+    return (ps.n - 1.0) * cylinder_amplitude(ps) ** (-2.0 / (ps.n - 2.0))
 
 
 @st.composite

@@ -9,12 +9,7 @@ from hypothesis import strategies as st
 
 from cknlab.bubble import cylinder_amplitude
 from cknlab.errors import AmplitudeOverflow, ConstraintAB, ConstraintAC, SubcriticalRange
-from cknlab.params import (
-    Regime,
-    applicable_results,
-    decay_thresholds,
-    derive_params,
-)
+from cknlab.params import Regime, derive_params
 from cknlab.reporting import json_text
 
 
@@ -160,57 +155,3 @@ class TestSerialization:
     def test_infinite_n_serializes(self):
         obj = json.loads(json_text(derive_params(-1.0, 0.0, 3).to_dict()))
         assert obj["n"] == "inf"
-
-
-class TestDecayThresholds:
-    def test_n6_bounded_suffices(self):
-        thr = decay_thresholds(derive_params(-0.5, 0.0, 3))
-        assert thr.sigma_star == 0.0
-        assert thr.finite_energy_sigma == -2.0
-
-    def test_n8_hand_value(self):
-        ps = derive_params(-0.7, -0.075, 3)  # n = 8
-        thr = decay_thresholds(ps)
-        assert abs(thr.sigma_star - (-1.5)) < 1e-12
-        assert abs(thr.finite_energy_sigma - (-3.0)) < 1e-12
-        assert thr.sigma_star > thr.finite_energy_sigma
-
-    def test_low_n_needs_no_decay(self):
-        thr = decay_thresholds(derive_params(0.0, 0.0, 3))  # n = 3
-        assert math.isinf(thr.sigma_star)
-
-    def test_blowup_toward_four(self):
-        ps = derive_params(-0.3, -0.3 + 1 - 4 / 4.001, 4)  # n just above 4
-        assert decay_thresholds(ps).sigma_star > 100.0
-
-    @settings(max_examples=100)
-    @given(st.floats(min_value=4.01, max_value=50.0))
-    def test_strictly_above_finite_energy_rate(self, n):
-        sigma_star = -(n - 2) * (n - 6) / (2 * (n - 4))
-        assert sigma_star > -(n - 2) / 2
-
-
-class TestApplicableResults:
-    def test_low_dim_only(self):
-        ps = derive_params(-0.3, -0.3 + 1.0 / 3.0, 2)  # n = 3, d = 2
-        assert applicable_results(ps, observed_sigma=None) == ["low_dim"]
-
-    def test_decay_only_at_n6(self, ps_n6):
-        assert applicable_results(ps_n6, observed_sigma=-0.1) == ["decay"]
-
-    def test_symmetry_breaking_empty(self):
-        ps = derive_params(-1.0, -1.0 / 3.0, 2)  # n = 6, alpha = 0.5 > threshold
-        assert ps.regime is Regime.SYMMETRY_BREAKING
-        assert applicable_results(ps, observed_sigma=0.0, finite_energy=True) == []
-
-    def test_bounded_fires_at_sigma_zero(self, ps_n6):
-        assert applicable_results(ps_n6, observed_sigma=0.0) == ["bounded"]
-
-    def test_strong_decay_stacks_results(self):
-        ps = derive_params(-0.7, -0.075, 3)  # n = 8
-        tags = applicable_results(ps, observed_sigma=-3.5, finite_energy=True)
-        assert tags == ["decay", "finite_energy", "natural_decay"]
-
-    def test_critical_exponent_edge_excluded(self):
-        ps = derive_params(0.0, 0.0, 3)  # p = 2*, theorems need the open range
-        assert applicable_results(ps, observed_sigma=0.0, finite_energy=True) == []

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from cknlab.bubble import bubble_cylinder, pressure_amplitude
+from cknlab.bubble import bubble_cylinder
 from cknlab.cylfield import CylinderField, L_of_values, PeriodicGrid, Radial
 from cknlab import pressure
 from cknlab.errors import NonPositiveSample
@@ -25,6 +25,8 @@ from cknlab.verify import (
     pressure_field_from_target,
     random_log_field_coeffs,
 )
+
+from test_oracles import pressure_amplitude
 
 
 def radial_pressure_field(ps, grid, target):

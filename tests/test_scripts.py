@@ -1,4 +1,8 @@
-"""Smoke runs of the experiment scripts in scripts/, each in a fresh interpreter."""
+"""Smoke runs of the experiment scripts in scripts/, each in a fresh interpreter.
+
+Each runs under ``-W error::RuntimeWarning``, the warning rule pyproject sets
+for in-process tests.
+"""
 
 import os
 import subprocess
@@ -12,6 +16,7 @@ from cknlab.cli import main
 
 SRC = Path(cknlab.__file__).resolve().parent.parent
 SCRIPTS = SRC.parent / "scripts"
+PYTHON = [sys.executable, "-W", "error::RuntimeWarning"]
 
 REGIME_FILES = [f"regime_d3_offset{o}.csv" for o in ("0", "0.2", "0.4", "0.5", "0.6", "0.8")]
 THRESHOLD_FILES = ["spectrum_d3_n6.csv", "spectrum_d2_n4.csv", "spectrum_d4_n8.csv",
@@ -27,7 +32,7 @@ THRESHOLD_FILES = ["spectrum_d3_n6.csv", "spectrum_d2_n4.csv", "spectrum_d4_n8.c
 def test_script_runs_and_writes_its_outputs(script, args, files, printed, tmp_path):
     argv = [str(tmp_path) if arg == "OUT" else arg for arg in args]
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, str(SCRIPTS / script), *argv], env=env,
+    proc = subprocess.run([*PYTHON, str(SCRIPTS / script), *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert printed in proc.stdout
@@ -38,7 +43,7 @@ def test_script_runs_and_writes_its_outputs(script, args, files, printed, tmp_pa
 def test_threshold_study_table_matches_the_spectrum_command(tmp_path):
     # one owner of the (alpha, k, eigenvalue) table and the default alpha bracket
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, str(SCRIPTS / "run_threshold_study.py"),
+    proc = subprocess.run([*PYTHON, str(SCRIPTS / "run_threshold_study.py"),
                            str(tmp_path)], env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr

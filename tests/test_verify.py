@@ -45,7 +45,7 @@ class TestSuites:
         assert all(c["matched"] == "10/10" and c["tol"] == 1e-6 for c in rep["checks"])
 
     def test_spectrum_suite(self):
-        rep = run_spectrum_suite(N=1200)
+        rep = run_spectrum_suite()
         assert rep["pass"]
         gaps = [c["relative_gap"] for c in rep["checks"]
                 if c["name"] == "threshold_crossing"]
