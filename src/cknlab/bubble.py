@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cylfield import CylinderField, Radial
-from .errors import AmplitudeOverflow, SubcriticalRange
+from .errors import AdmissibilityError, CknLabError
 from .grids import RadialGrid
 from .params import ParamSet
 
@@ -39,11 +39,11 @@ class BubbleSpec:
 def _amplitude_power(base: float, ps: ParamSet) -> float:
     """base^(1/(p-2)), the bubble amplitude c0, refused at p <= 2 and where it overflows."""
     if not ps.p_exp > 2.0:
-        raise SubcriticalRange(f"the bubble amplitude c0 needs p > 2 (got p = {ps.p_exp})")
+        raise AdmissibilityError(f"the bubble amplitude c0 needs p > 2 (got p = {ps.p_exp})")
     try:
         return base ** (1.0 / (ps.p_exp - 2.0))
     except OverflowError:
-        raise AmplitudeOverflow(
+        raise CknLabError(
             f"the bubble amplitude c0 = {base:.6g}^(1/(p-2)) overflows double "
             f"precision at n = {ps.n:.6g} (p = {ps.p_exp:.6g})"
         ) from None
@@ -56,7 +56,7 @@ def cylinder_amplitude(ps: ParamSet) -> float:
 
 def make_bubble(ps: ParamSet, lam: float = 1.0) -> BubbleSpec:
     if not ps.p_exp > 2.0:
-        raise SubcriticalRange(
+        raise AdmissibilityError(
             f"the explicit profile degenerates at p = 2 (got p = {ps.p_exp})"
         )
     c0 = _amplitude_power(ps.d * (ps.p_exp - 2.0) * ps.kappa**2 / (1.0 + ps.a - ps.b), ps)
@@ -70,7 +70,7 @@ def _scaled_amplitude(spec: BubbleSpec) -> float:
     except OverflowError:
         amp = math.inf
     if not math.isfinite(amp):
-        raise AmplitudeOverflow(
+        raise CknLabError(
             f"the scaled amplitude lambda^kappa c0 overflows double precision at "
             f"lambda = {spec.lam:.6g} (kappa = {spec.ps.kappa:.6g})"
         )

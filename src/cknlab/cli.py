@@ -3,15 +3,13 @@
 Commands: params, scan, bubble, shoot, spectrum, verify.  argparse owns every
 flag: each subcommand declares only the flags its command reads, with their
 types, defaults and required checks, and the command functions read the parsed
-namespace.  ``--config FILE`` supplies ``key=value`` lines as flags placed
-right after the command name, so they are checked like typed flags and
-explicit flags win.  ``verify`` runs each suite at the one configuration its
+namespace.  ``verify`` runs each suite at the one configuration its
 tolerances were set for: a suite's resolution is a constant of ``verify``,
-not a flag.  Outputs are CSV or JSON plot data
-(no rendering); identical configurations with the same seed produce
-byte-identical reports.
+not a flag.  Outputs are CSV or JSON plot data (no rendering); identical
+configurations with the same seed produce byte-identical reports.
 Exit codes: 0 pass, 1 contract failure, 2 invalid input (with the reason on
-stderr).
+stderr).  An error a suite raises at its fixed configuration is a contract
+failure; one raised on the parameter triple the user gave is invalid input.
 """
 
 from __future__ import annotations
@@ -112,7 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.set_defaults(run=run)
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--config", help="key=value config file (explicit flags win)")
         return p
 
     def weights(p, required=True):
@@ -272,7 +269,13 @@ def cmd_verify(args) -> int:
         kwargs["param_triples"] = (triple,)
     # Looked up at call time, so a rebinding of the verify module (tracing) applies.
     seed = verify.DEFAULT_SEED if args.seed is None else args.seed
-    report = getattr(verify, f"run_{args.suite}_suite")(seed=seed, **kwargs)
+    try:
+        report = getattr(verify, f"run_{args.suite}_suite")(seed=seed, **kwargs)
+    except CknLabError as exc:
+        if kwargs:   # raised on the user's triple: main reports it as invalid input
+            raise
+        print(f"contract failure: {exc}", file=sys.stderr)
+        return EXIT_CONTRACT_FAILURE
     if args.suite == "estimates":
         report, rows = report
     text = csv_text(verify.ESTIMATES_HEADER, rows) if args.format == "csv" else json_text(report)
@@ -284,38 +287,11 @@ def cmd_verify(args) -> int:
     return EXIT_PASS
 
 
-def _with_config(argv: list[str]) -> list[str]:
-    """argv with the ``key=value`` lines of ``--config FILE`` as flags after the command.
-
-    Blank lines and #-comments are skipped.  Flags given on the command line
-    come later in argv, so they win.
-    """
-    pre = argparse.ArgumentParser(prog="ckn-lab", add_help=False, allow_abbrev=False)
-    pre.add_argument("--config")
-    path = pre.parse_known_args(argv)[0].config
-    if path is None:
-        return argv
-    flags = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, val = line.partition("=")
-            if not sep:
-                raise ValueError(f"malformed config line: {line!r}")
-            flags.append(f"--{key.strip().replace('_', '-')}={val.strip()}")
-    return argv[:1] + flags + argv[1:]
-
-
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(_with_config(argv))
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse printed the reason (or --help)
         return exc.code
-    except (ValueError, OSError) as exc:  # unreadable or malformed --config file
-        return _invalid(f"error: {exc}")
     try:
         return args.run(args)
     except AdmissibilityError as exc:

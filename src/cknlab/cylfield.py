@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveSample, UnsupportedAngularRep
+from .errors import CknLabError
 from .grids import RadialGrid, d_ds, integrate_uniform, radial_derivs, sphere_area
 from .params import ParamSet
 
@@ -63,7 +63,7 @@ class PeriodicGrid(_AngularCalculus):
 
     def sample_shape(self, grid, d):
         if d != 2:
-            raise UnsupportedAngularRep("PeriodicGrid fields require d = 2")
+            raise CknLabError("PeriodicGrid fields require d = 2")
         return (grid.count, self.size)
 
     def grad_theta(self, values):
@@ -156,7 +156,7 @@ class CylinderField:
     def require_positive(self, who: str) -> None:
         low = float(self.values.min())
         if low <= 0.0:
-            raise NonPositiveSample(f"{who} requires a positive field (min sample {low})")
+            raise CknLabError(f"{who} requires a positive field (min sample {low})")
 
 
 def grad_cyl(w: CylinderField) -> CylinderField:

@@ -16,18 +16,11 @@ origin truncation controlled by the integrands' integrability at 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
 from .cylfield import CylinderField, L_kernel, grad_cyl, integrate_mu
-from .errors import (
-    BadExponent,
-    NotFiniteEnergy,
-    NotSuperharmonic,
-    RangeViolation,
-    RegimeViolation,
-)
+from .errors import CknLabError, NotFiniteEnergy
 from .fitting import fit_loglog
 from .grids import radial_derivs
 from .pressure import (PressureField, defect_density, pressure_of, pressure_weight,
@@ -39,10 +32,9 @@ ENERGY_STABILITY_TOL = 1e-6        # relative energy change allowed under r_max 
 
 @dataclass(frozen=True)
 class Cutoff:
-    """Quintic smoothstep cutoff: 1 on [0, R], 0 on [2R, inf), |eta'| <= C/R."""
+    """Quintic smoothstep cutoff: 1 on [0, R], 0 on [2R, inf), |eta'| <= 15/(8R)."""
 
     R: float
-    c_profile: ClassVar[float] = 15.0 / 8.0  # sup |eta'| * R for the quintic smoothstep
 
     def eta(self, r):
         t = np.clip((2.0 * self.R - np.asarray(r, dtype=float)) / self.R, 0.0, 1.0)
@@ -75,11 +67,11 @@ def int_ineq_sides(pf: PressureField, cutoffs: list[Cutoff]) -> list[IntIneqSide
     The densities P^(1-n) k[P] and P^(1-n) |DP|^2 are computed once for all
     cutoffs.  The sign guarantee needs the symmetric regime; the constant C
     is existential and only reported empirically by callers.  A cutoff whose
-    support (0, 2R) runs past the grid raises RegionOutsideGrid.
+    support (0, 2R) runs past the grid raises CknLabError.
     """
     ps = pf.params
     if not ps.is_symmetric:
-        raise RegimeViolation(
+        raise CknLabError(
             f"alpha = {ps.alpha} exceeds threshold {ps.fs_threshold}; "
             "sign guarantee lost"
         )
@@ -127,7 +119,7 @@ def superharmonic_lower_bound(w: CylinderField, rho: float) -> SuperharmonicBoun
     scale = float(np.max(magnitude[idx:]))
     excess = float(np.max(Lw[idx:]))
     if excess > SUPERHARMONIC_GATE_REL_TOL * scale:
-        raise NotSuperharmonic(
+        raise CknLabError(
             f"max L w = {excess:.3e} exceeds {SUPERHARMONIC_GATE_REL_TOL:.1e} "
             f"x scale {scale:.3e}"
         )
@@ -160,7 +152,7 @@ def weak_energy(w: CylinderField, t: float) -> WeakEnergyResult:
     beta = -(n-2) t / 2 for -2 < t < -1 and -(n-2)(1+t) for t <= -2.
     """
     if t >= -1.0:
-        raise BadExponent(f"weak energy estimate needs t < -1, got t = {t}")
+        raise CknLabError(f"weak energy estimate needs t < -1, got t = {t}")
     w.require_positive("weak_energy")
     ps = w.params
     n = ps.n
@@ -197,9 +189,9 @@ def low_dim_chain(pf: PressureField, R_list) -> LowDimChainResult:
     """
     ps = pf.params
     if not (2.0 < ps.n < 4.0):
-        raise RangeViolation(f"chain requires 2 < n < 4, got n = {ps.n}")
+        raise CknLabError(f"chain requires 2 < n < 4, got n = {ps.n}")
     if not ps.is_symmetric:
-        raise RegimeViolation("chain requires the symmetric regime")
+        raise CknLabError("chain requires the symmetric regime")
     R_list = np.asarray(R_list, dtype=float)
     density = pf.field(pressure_weight(pf.P.values, ps.n) * pf.DP2)
     G = lambda R: integrate_mu(density, r_hi=R)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import GridTooCoarse, RegionOutsideGrid
+from .errors import CknLabError
 
 
 def sphere_area(d: int) -> float:
@@ -93,7 +93,7 @@ def _apply_stencil_axis0(values: np.ndarray, interior, edge0, edge1, h: float, m
     v = np.asarray(values, dtype=float)
     npts = v.shape[0]
     if npts < MIN_STENCIL_NODES:
-        raise GridTooCoarse(f"need >= {MIN_STENCIL_NODES} radial nodes, got {npts}")
+        raise CknLabError(f"need >= {MIN_STENCIL_NODES} radial nodes, got {npts}")
     out = np.zeros_like(v)
     c = interior
     center = v[2:-2]
@@ -145,7 +145,7 @@ class RadialGrid:
         if not (self.r_min > 0 and self.r_max > self.r_min):
             raise ValueError("need 0 < r_min < r_max")
         if self.count < MIN_RADIAL_NODES:
-            raise GridTooCoarse(f"RadialGrid requires count >= {MIN_RADIAL_NODES}")
+            raise CknLabError(f"RadialGrid requires count >= {MIN_RADIAL_NODES}")
         x = np.linspace(math.log(self.r_min), math.log(self.r_max), self.count)
         s = np.exp(x)
         s.flags.writeable = False
@@ -246,12 +246,12 @@ def integrate_uniform(F: np.ndarray, h: float, x0: float, x_lo: float, x_hi: flo
     F = np.asarray(F, dtype=float)
     npts = F.shape[0]
     if npts < 4:
-        raise GridTooCoarse(f"integrate_uniform needs >= 4 nodes for its cubic cells, got {npts}")
+        raise CknLabError(f"integrate_uniform needs >= 4 nodes for its cubic cells, got {npts}")
     ncell = npts - 1
     x_end = x0 + ncell * h
     eps = 1e-12 * max(abs(x0), abs(x_end), 1.0)
     if x_lo < x0 - eps or x_hi > x_end + eps:
-        raise RegionOutsideGrid(
+        raise CknLabError(
             f"region [{x_lo}, {x_hi}] outside grid [{x0}, {x_end}] (log coords)"
         )
     if x_hi <= x_lo:

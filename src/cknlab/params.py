@@ -15,7 +15,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import AdmissibilityError, ConstraintAB, ConstraintAC, SubcriticalRange
+from .errors import AdmissibilityError
 
 #: Relative tolerance for internal consistency checks of derived quantities.
 REL_TOL = 1e-12
@@ -83,7 +83,7 @@ def derive_params(a: float, b: float, d: int, strict_subcritical: bool = False) 
     """Derive the full ParamSet for weights (a, b) in ambient dimension d.
 
     With ``strict_subcritical`` the endpoint exponents p = 2 (b = a+1) and
-    p = 2* (a = b, d >= 3) are rejected with SubcriticalRange; by default
+    p = 2* (a = b, d >= 3) are rejected with AdmissibilityError; by default
     they are admissible-for-parameters and it is up to the caller to demand
     strictness where an operation needs p in the open range.
     """
@@ -99,16 +99,16 @@ def derive_params(a: float, b: float, d: int, strict_subcritical: bool = False) 
     a_c = (d - 2) / 2.0
     if d >= 3:
         if not (a <= b <= a + 1):
-            raise ConstraintAB(
+            raise AdmissibilityError(
                 f"requires a <= b <= a+1 for d >= 3: got a = {a}, b = {b}"
             )
     else:
         if not (a < b <= a + 1):
-            raise ConstraintAB(
+            raise AdmissibilityError(
                 f"requires a < b <= a+1 for d = 2: got a = {a}, b = {b}"
             )
     if a >= a_c:
-        raise ConstraintAC(
+        raise AdmissibilityError(
             f"requires a < a_c = (d-2)/2: got a = {a}, a_c = {a_c}"
         )
 
@@ -122,7 +122,7 @@ def derive_params(a: float, b: float, d: int, strict_subcritical: bool = False) 
     else:
         n = d / one_ab
         if n <= 2.0:  # only at d = 2, where b - a vanished in rounding 1+a-b
-            raise ConstraintAB(
+            raise AdmissibilityError(
                 f"b - a = {b - a!r} is below the resolution of 1 + a - b = "
                 f"{one_ab!r} at d = 2, so n = d/(1+a-b) is not above 2: "
                 f"got a = {a}, b = {b}"
@@ -143,8 +143,8 @@ def derive_params(a: float, b: float, d: int, strict_subcritical: bool = False) 
         n=n, fs_threshold=fs_threshold, regime=regime, kappa=kappa,
     )
     if strict_subcritical and not ps.strictly_subcritical:
-        raise SubcriticalRange(f"requires p strictly inside (2, 2*): got p = {p}"
-                               + (f", 2* = {2.0 * d / (d - 2)}" if d >= 3 else ""))
+        raise AdmissibilityError(f"requires p strictly inside (2, 2*): got p = {p}"
+                                 + (f", 2* = {2.0 * d / (d - 2)}" if d >= 3 else ""))
     return ps
 
 

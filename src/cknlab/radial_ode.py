@@ -30,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bubble import bubble_cylinder_values, cylinder_amplitude
-from .errors import (AmplitudeOverflow, ConvergenceFailure, NotDecaying, StepFailure,
-                     SubcriticalRange)
+from .errors import AdmissibilityError, CknLabError
 from .params import ParamSet
 
 TOUCH_FACTOR = 1e-12    # TouchesZero when w < 1e-12 * w0
@@ -165,7 +164,7 @@ def series_start(ps: ParamSet, w0: float, s: float) -> tuple[float, float]:
     except OverflowError:
         c2 = -math.inf
     if math.isinf(c2):
-        raise AmplitudeOverflow(
+        raise CknLabError(
             f"the series coefficient w0^(p-1)/(2 n alpha^2) overflows double "
             f"precision at w0 = {w0:.6g} (p = {ps.p_exp:.6g})"
         )
@@ -192,7 +191,7 @@ def decay_horizon(ps: ParamSet, w0: float) -> float:
     try:
         s_nominal = 10.0 ** (DECAY_DECADES / (ps.n - 2.0)) / family_scale(ps, w0)
     except (OverflowError, ZeroDivisionError):  # mu = (w0/c0)^(2/(n-2)) underflows to 0
-        raise AmplitudeOverflow(
+        raise CknLabError(
             f"the decay horizon 10^({DECAY_DECADES:g}/(n-2))/mu overflows double "
             f"precision at n = {ps.n:.6g}, w0 = {w0:.6g}"
         ) from None
@@ -315,7 +314,7 @@ class _Dop853:
         return w + h * bw, v + h * bv
 
     def step(self) -> None:
-        """One accepted step; `StepFailure` where the step falls below its floor."""
+        """One accepted step; CknLabError where the step falls below its floor."""
         rhs, K, rtol, atol = self.rhs, self.K_flat, self.rtol, self.atol
         t, w, v = self.t, self.w, self.v
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
@@ -324,7 +323,7 @@ class _Dop853:
         step_rejected = False
         while True:
             if h_abs < min_step:
-                raise StepFailure("integrator failed: Required step size is less "
+                raise CknLabError("integrator failed: Required step size is less "
                                   "than spacing between numbers.")
             t_new = min(t + h_abs, self.t_bound)
             h = t_new - t
@@ -358,7 +357,7 @@ def shoot(
     """Integrate the radial cylinder equation from a series start at SERIES_START.
 
     ``s_max = None`` uses the amplitude-aware horizon of `decay_horizon`.  A
-    series start at or below ``TOUCH_FACTOR * w0`` raises AmplitudeOverflow.
+    series start at or below ``TOUCH_FACTOR * w0`` raises CknLabError.
     Integration ends at ``s_max`` or where ``w`` falls to ``TOUCH_FACTOR * w0``
     (TouchesZero).  Every sample before that crossing has the bits of
     `solve_ivp`'s.  The crossing comes from the same stepper: the length of
@@ -370,7 +369,7 @@ def shoot(
     if not w0 > 0:
         raise ValueError("w0 must be positive")
     if not ps.p_exp > 2.0:
-        raise SubcriticalRange("shooting needs p > 2")
+        raise AdmissibilityError("shooting needs p > 2")
     if s_max is None:
         s_max = decay_horizon(ps, w0)
     elif not (s_max > SERIES_START and math.log(s_max) > math.log(SERIES_START)):
@@ -386,8 +385,8 @@ def shoot(
     w_start, wp_start = series_start(ps, w0, s0)
     floor = TOUCH_FACTOR * w0
     if not w_start > floor:  # the TouchesZero crossing could never fire
-        raise AmplitudeOverflow(f"the series start w({s0:g}) = {w_start:.6g} is not above the "
-                                f"touch floor {floor:.6g} at w0 = {w0:.6g} (p = {ps.p_exp:.6g})")
+        raise CknLabError(f"the series start w({s0:g}) = {w_start:.6g} is not above the "
+                          f"touch floor {floor:.6g} at w0 = {w0:.6g} (p = {ps.p_exp:.6g})")
     t0, t1 = math.log(s0), math.log(s_max)
     ts, ws, vs = [t0], [w_start], [s0 * wp_start]
     # scipy floors rtol at 100 eps (with a warning)
@@ -432,7 +431,7 @@ def match_bubble(profile: RadialProfile) -> BubbleMatch:
     the mean squared log-deviation and reports the sup relative error.
     """
     if profile.classification is not Classification.DECAYS_LIKE_BUBBLE:
-        raise NotDecaying(f"profile classified {profile.classification.value}")
+        raise CknLabError(f"profile classified {profile.classification.value}")
     ps = profile.ps
     mu0 = family_scale(ps, profile.w0)
     s, w = profile.s, profile.w
@@ -448,7 +447,7 @@ def match_bubble(profile: RadialProfile) -> BubbleMatch:
     try:
         res = minimize_scalar(objective, bracket, xtol=1e-14)
     except ValueError as exc:  # the family scale mu0 is not the bracket's lowest point
-        raise ConvergenceFailure(
+        raise CknLabError(
             f"the scale fit at w0 = {profile.w0:.6g} has no Brent bracket on log mu = "
             f"({bracket[0]:.6g}, {bracket[1]:.6g}, {bracket[2]:.6g}): {exc}"
         ) from None

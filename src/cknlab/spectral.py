@@ -31,14 +31,14 @@ from importlib.machinery import EXTENSION_SUFFIXES
 import numpy as np
 
 from .bubble import cylinder_amplitude
-from .errors import AdmissibilityError, ConvergenceFailure, NoSignChange
+from .errors import AdmissibilityError, CknLabError
 from .params import ParamSet, alpha_bracket, derive_params, felli_schneider_threshold
 
 BISECT_TOL = 1e-5  # width of the final alpha bracket in fs_crossing
 #: Fewest grid intervals of a SectorOperator.
 MIN_SECTOR_INTERVALS = 64
-#: Grids of `converged_lowest_eigenvalue` in units of its N: N, 2N on T, 3N on 1.5 T.
-CONVERGED_GRID_FACTORS = (1, 2, 3)
+#: Grid intervals of `converged_lowest_eigenvalue`: N, 2N on T and 3N on 1.5 T, at N = 2000.
+CONVERGED_GRIDS = (2000, 4000, 6000)
 
 #: Columns of the rows `spectrum_table` returns.
 SPECTRUM_HEADER = ["alpha", "k", "lowest_eigenvalue"]
@@ -185,7 +185,7 @@ def lowest_eigenvalue(op: SectorOperator) -> float:
     """Smallest eigenvalue of the discretized operator (single resolution)."""
     out = lowest_tridiagonal_eigenvalue(*op.tridiagonal())
     if not math.isfinite(out):
-        raise ConvergenceFailure("eigensolver returned a non-finite value")
+        raise CknLabError("eigensolver returned a non-finite value")
     return out
 
 
@@ -195,11 +195,10 @@ class EigenvalueEstimate:
     uncertainty: float  # |step refinement| / 3 + |domain extension| shifts
 
 
-def converged_lowest_eigenvalue(ps: ParamSet, k: int, N: int = 2000,
-                                parity: str = "full") -> EigenvalueEstimate:
+def converged_lowest_eigenvalue(ps: ParamSet, k: int, parity: str = "full") -> EigenvalueEstimate:
     """Lowest eigenvalue extrapolated over N (h^2 Richardson) and probed in T."""
     T = default_domain(ps)
-    n1, n2, n3 = (f * N for f in CONVERGED_GRID_FACTORS)
+    n1, n2, n3 = CONVERGED_GRIDS
     e1 = lowest_eigenvalue(build_sector_operator(ps, k, T, n1, parity))
     e2 = lowest_eigenvalue(build_sector_operator(ps, k, T, n2, parity))
     # same grid step as e2 on the wider domain, isolating the truncation error
@@ -209,9 +208,9 @@ def converged_lowest_eigenvalue(ps: ParamSet, k: int, N: int = 2000,
     return EigenvalueEstimate(value=value, uncertainty=unc)
 
 
-def zero_mode_eigenvalue(ps: ParamSet, N: int = 2000) -> EigenvalueEstimate:
+def zero_mode_eigenvalue(ps: ParamSet) -> EigenvalueEstimate:
     """The translation zero mode: lowest odd-parity k = 0 eigenvalue (= 0 exactly)."""
-    return converged_lowest_eigenvalue(ps, k=0, N=N, parity="odd")
+    return converged_lowest_eigenvalue(ps, k=0, parity="odd")
 
 
 def path_params(d: int, n: float, alpha: float) -> ParamSet:
@@ -269,7 +268,7 @@ def fs_crossing(d: int, n: float, alpha_range: tuple[float, float] | None = None
     """Bisect the k = 1 bottom-eigenvalue sign change along a fixed-(d, n) path.
 
     Positive eigenvalue (stable radial extremal) below the threshold,
-    negative above; NoSignChange when the bracket excludes the crossing or
+    negative above; CknLabError when the bracket excludes the crossing or
     the whole path is inadmissible (e.g. n = d sits on the p = 2* edge).
     Each of its `fs_crossing_solves` signs is the inertia of an N-node operator;
     only a bracket without a crossing solves for the end eigenvalues it reports.
@@ -281,7 +280,7 @@ def fs_crossing(d: int, n: float, alpha_range: tuple[float, float] | None = None
         try:
             ps = path_params(d, n, alpha)
         except AdmissibilityError as exc:
-            raise NoSignChange(
+            raise CknLabError(
                 f"path (d={d}, n={n}) is not strictly admissible at alpha={alpha}: {exc}"
             ) from exc
         return build_sector_operator(ps, k=1, N=N)
@@ -291,7 +290,7 @@ def fs_crossing(d: int, n: float, alpha_range: tuple[float, float] | None = None
 
     if not (stable(lo) and not stable(hi)):
         f_lo, f_hi = lowest_eigenvalue(operator(lo)), lowest_eigenvalue(operator(hi))
-        raise NoSignChange(
+        raise CknLabError(
             f"no stable-to-unstable crossing in alpha bracket ({lo}, {hi}): "
             f"eigenvalues ({f_lo:.3e}, {f_hi:.3e})"
         )

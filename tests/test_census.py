@@ -5,6 +5,10 @@ perfbench/tests) refers to it outside the name's own definition: a loaded
 name, an attribute, an import alias, or a string that spells it as a dotted
 path (perfbench's tracer and ``getattr(verify, f"run_{suite}_suite")`` bind
 names by string).  Code that only the tests read belongs in the tests.
+
+Likewise every exception class but the base CknLabError is named by some
+``except`` clause in src/ or scripts/: a class that is only raised tells a
+caller nothing its message does not, so it is raised as its base instead.
 """
 
 import ast
@@ -77,8 +81,26 @@ def _unread_names():
     return sorted(f"{module}.{name}" for module, name, _ in definitions if name not in read)
 
 
+def _uncaught_error_classes():
+    """Classes of errors.py, bar CknLabError, that no except clause in src/ or scripts/ names."""
+    errors = ast.parse((SRC / "errors.py").read_text())
+    classes = [node.name for node in errors.body if isinstance(node, ast.ClassDef)]
+    caught = set()
+    for top in CALLERS[:2]:   # src/ and scripts/
+        for path in sorted(top.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                    caught.update(name for sub in ast.walk(node.type)
+                                  for name in _references(sub))
+    return [name for name in classes if name != "CknLabError" and name not in caught]
+
+
 def test_every_src_name_is_read_outside_the_tests():
     assert _unread_names() == []
+
+
+def test_every_error_class_but_the_base_is_caught_by_type():
+    assert _uncaught_error_classes() == []
 
 
 def test_the_census_sees_every_kind_of_reference():

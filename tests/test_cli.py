@@ -169,25 +169,6 @@ class TestVerifyCommand:
         assert lines[0] == "lemma,params,R,lhs,rhs,fitted_exponent,bound,pass"
         assert len(lines) > 10
 
-    def test_config_file_with_flag_override(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("a=0.0\nb=0.0\nd=3\n")
-        code, out, _ = run_cli(capsys, "params", "--config", str(cfg),
-                               "--d", "4")  # flag wins over file
-        assert code == 0
-        assert json.loads(out)["d"] == 4
-
-    def test_config_file_supplies_required_flags_typed_by_the_flag(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("# Sobolev d = 4\na = 0\nb=0\nd=4\n")
-        code, out, _ = run_cli(capsys, "params", "--config", str(cfg))
-        assert code == 0
-        obj = json.loads(out)
-        assert isinstance(obj["a"], float) and obj["d"] == 4   # --a is a float flag
-        cfg.write_text("a=0\nb=0\nd=3.5\n")
-        code, _, err = run_cli(capsys, "params", "--config", str(cfg))
-        assert code == 2 and "argument --d: invalid count value: '3.5'" in err
-
     def test_byte_identical_reports(self, capsys, tmp_path, two_field_identities):
         paths = [tmp_path / "r1.json", tmp_path / "r2.json"]
         for p in paths:
@@ -248,7 +229,8 @@ class TestVerifyCommand:
     (["verify", "--suite", "spectrum", "--format", "csv"], "does not read --format"),
     (["verify", "--suite", "identities", "--a", "0", "--b", "0", "--d", "3"],
      "does not read --a --b --d"),
-    (["params", "--config", "RUN_CFG"], "unrecognized arguments: --seed=5"),
+    (["params", "--a", "-0.5", "--b", "0", "--d", "3", "--config", "x"],
+     "unrecognized arguments: --config"),
     (["spectrum", "--d", "3", "--n", "inf"], "finite --n > 1"),
     (["bubble", "--a", "-0.5", "--b", "0", "--d", "3", "--grid", "0"], "argument --grid"),
     (["verify", "--suite", "rigidity", "--a", "-0.5"], "--a --b --d together"),
@@ -327,14 +309,23 @@ class TestVerifyCommand:
       for suite in ("identities", "estimates", "rigidity", "spectrum")
       for flag in ("--fields", "--refine", "--angular", "--grid")),
 ])
-def test_bad_input_exits_2_with_reason(argv, reason, tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("a=0.0\nb=0.0\nd=3\nseed=5\n")   # seed: a flag params does not read
-    argv = [str(cfg) if arg == "RUN_CFG" else arg for arg in argv]
+def test_bad_input_exits_2_with_reason(argv, reason, capsys):
     code, _, err = run_cli(capsys, *argv)  # an escaping exception fails the test
     assert code == 2
     assert reason in err
     assert "Traceback" not in err
+
+
+def test_an_error_in_a_suite_at_its_fixed_configuration_is_a_contract_failure(monkeypatch,
+                                                                              capsys):
+    # lambda_k = k (k + d - 1) moves the k = 1 threshold out of the suite's alpha
+    # bracket: the program is wrong, not the command line
+    monkeypatch.setattr(cknlab.spectral, "sphere_eigenvalue",
+                        lambda k, d: float(k * (k + d - 1)))
+    code, out, err = run_cli(capsys, "verify", "--suite", "spectrum")
+    assert code == 1
+    assert err.startswith("contract failure: no stable-to-unstable crossing in alpha bracket")
+    assert out == ""
 
 
 def test_spectrum_cap_counts_the_crossing(monkeypatch, capsys):

@@ -12,7 +12,7 @@ from cknlab.cylfield import (
     theta_derivative,
     theta_nodes,
 )
-from cknlab.errors import RegionOutsideGrid
+from cknlab.errors import CknLabError
 from cknlab.grids import RadialGrid, sphere_area
 from cknlab.params import derive_params
 from cknlab.reporting import csv_text
@@ -131,7 +131,7 @@ class TestIntegrateMu:
 
     def test_region_validation(self, ps_n6, grid_small):
         f = CylinderField(grid_small, Radial(), np.ones(512), ps_n6)
-        with pytest.raises(RegionOutsideGrid):
+        with pytest.raises(CknLabError, match="outside grid"):
             integrate_mu(f, grid_small.r_min / 10, 1.0)
 
     def test_one_region_rule(self, ps_n6, grid_default):
@@ -140,7 +140,7 @@ class TestIntegrateMu:
         g = grid_default
         f = CylinderField(g, Radial(), np.exp(-g.nodes), ps_n6)
         assert integrate_mu(f, r_hi=g.r_max * (1 + 3e-12)) == integrate_mu(f)
-        with pytest.raises(RegionOutsideGrid):
+        with pytest.raises(CknLabError, match="outside grid"):
             integrate_mu(f, g.r_min * (1 - 1e-9))
         for r_lo, r_hi in [(2.0, 1.0), (0.0, 1.0)]:
             with pytest.raises(ValueError):

@@ -15,14 +15,7 @@ from cknlab.cylfield import (
     integrate_mu,
     theta_nodes,
 )
-from cknlab.errors import (
-    BadExponent,
-    NotFiniteEnergy,
-    NotSuperharmonic,
-    RangeViolation,
-    RegimeViolation,
-    RegionOutsideGrid,
-)
+from cknlab.errors import CknLabError, NotFiniteEnergy
 from cknlab.estimates import (
     finite_energy_chain,
     int_ineq_sides,
@@ -35,6 +28,8 @@ from cknlab.fitting import fit_loglog
 from cknlab.grids import RadialGrid
 from cknlab.params import derive_params
 from cknlab.pressure import pressure_of
+
+C_PROFILE = 15.0 / 8.0  # sup |eta'| * R for the quintic smoothstep
 
 
 class TestCutoff:
@@ -49,7 +44,7 @@ class TestCutoff:
         cut = make_cutoff(4.0)
         r = np.linspace(0.01, 10.0, 20001)
         sup = np.max(np.abs(cut.eta_prime(r)))
-        assert abs(sup - cut.c_profile / cut.R) < 1e-6
+        assert abs(sup - C_PROFILE / cut.R) < 1e-6
         # attained at r = 1.5 R
         assert abs(abs(cut.eta_prime(6.0)) - 15.0 / 8.0 / 4.0) < 1e-15
 
@@ -61,7 +56,7 @@ class TestCutoff:
         eta = cut.eta(r)
         assert np.all((0.0 <= eta) & (eta <= 1.0))
         assert np.all(cut.eta_prime(r) <= 0.0)
-        assert np.max(np.abs(cut.eta_prime(r))) * R <= cut.c_profile + 1e-12
+        assert np.max(np.abs(cut.eta_prime(r))) * R <= C_PROFILE + 1e-12
 
     def test_gradient_power_integral_linear_in_R(self, ps_d2):
         # int |eta'|^(n-1) eta^(s-n+1) dmu over (R, 2R) <= C R for 2 < n < 4, at s = 4
@@ -103,13 +98,13 @@ class TestIntIneqSides:
     def test_regime_gate(self, grid_default):
         ps = derive_params(-1.0, -1.0 / 3.0, 2)  # symmetry breaking
         pf = pressure_of(bubble_cylinder(ps, grid_default))
-        with pytest.raises(RegimeViolation):
+        with pytest.raises(CknLabError, match="sign guarantee lost"):
             int_ineq_sides(pf, [make_cutoff(8.0)])
 
     def test_cutoff_support_past_the_grid_is_refused(self, ps_n6, grid_default):
         pf = pressure_of(bubble_cylinder(ps_n6, grid_default))
         int_ineq_sides(pf, [make_cutoff(grid_default.r_max / 2.0)])  # 2R is the grid end
-        with pytest.raises(RegionOutsideGrid):
+        with pytest.raises(CknLabError, match="outside grid"):
             int_ineq_sides(pf, [make_cutoff(8.0), make_cutoff(0.6 * grid_default.r_max)])
 
     def test_bochner_k_once_for_all_cutoffs(self, ps_n6, grid_default, monkeypatch):
@@ -155,7 +150,7 @@ class TestSuperharmonicBound:
 
     def test_subharmonic_rejected(self, ps_n6, grid_small):
         w = CylinderField(grid_small, Radial(), grid_small.nodes**2, ps_n6)
-        with pytest.raises(NotSuperharmonic):
+        with pytest.raises(CknLabError, match="max L w = .* exceeds"):
             superharmonic_lower_bound(w, rho=1.0)
 
     def test_angular_term_counts_in_the_gate(self, ps_d2):
@@ -166,7 +161,7 @@ class TestSuperharmonicBound:
         vals = g.nodes[:, None] ** (2.0 - ps_d2.n) * (1.0 + 0.5 * np.cos(theta_nodes(ang)))
         w = CylinderField(g, ang, vals, ps_d2)
         assert np.max(L_of_values(vals, g, ang, ps_d2)[g.nodes >= 1.0]) > 0.49
-        with pytest.raises(NotSuperharmonic):
+        with pytest.raises(CknLabError, match="max L w = .* exceeds"):
             superharmonic_lower_bound(w, rho=1.0)
 
     def test_periodic_bubble_matches_radial(self, ps_d2):
@@ -182,7 +177,7 @@ class TestSuperharmonicBound:
 class TestWeakEnergy:
     def test_exponent_gate(self, ps_n6, grid_default):
         w = bubble_cylinder(ps_n6, grid_default)
-        with pytest.raises(BadExponent):
+        with pytest.raises(CknLabError, match="needs t < -1"):
             weak_energy(w, t=-1.0)
 
     def test_log_growth_case(self, ps_n6, grid_default):
@@ -234,7 +229,7 @@ class TestLowDimChain:
 
     def test_range_gate(self, ps_n6, grid_default):
         pf = pressure_of(bubble_cylinder(ps_n6, grid_default))
-        with pytest.raises(RangeViolation):
+        with pytest.raises(CknLabError, match="chain requires 2 < n < 4"):
             low_dim_chain(pf, R_list=128.0 * 2.0 ** np.arange(6))
 
 

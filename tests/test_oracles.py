@@ -16,7 +16,7 @@ from scipy.integrate import quad
 from cknlab.bubble import (BubbleSpec, _scaled_amplitude, bubble_cylinder, cylinder_amplitude,
                            eval_bubble)
 from cknlab.cylfield import L_kernel
-from cknlab.errors import AmplitudeOverflow, CknLabError
+from cknlab.errors import CknLabError
 from cknlab.estimates import low_dim_chain
 from cknlab.fitting import fit_loglog
 from cknlab.grids import RadialGrid
@@ -66,7 +66,7 @@ def bubble_derivatives(spec: BubbleSpec, radius):
     du[tail] = -two_k * u[tail] / r[tail]
     d2u[tail] = two_k * (two_k + 1.0) * u[tail] / r[tail] ** 2
     if not (np.isfinite(du).all() and np.isfinite(d2u).all()):
-        raise AmplitudeOverflow(
+        raise CknLabError(
             f"u' or u'' of the scaled profile overflows double precision at "
             f"lambda = {lam:.6g} (kappa = {ps.kappa:.6g})"
         )

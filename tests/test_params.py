@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cknlab.bubble import cylinder_amplitude
-from cknlab.errors import AmplitudeOverflow, ConstraintAB, ConstraintAC, SubcriticalRange
+from cknlab.errors import AdmissibilityError, CknLabError
 from cknlab.params import Regime, derive_params
 from cknlab.reporting import json_text
 
@@ -46,17 +46,17 @@ class TestDeriveParams:
         assert ps.kappa == 1.0
 
     def test_a_equal_ac_rejected(self):
-        with pytest.raises(ConstraintAC):
+        with pytest.raises(AdmissibilityError, match="requires a < a_c"):
             derive_params(0.5, 0.6, 3)
 
     def test_d2_requires_strict_ab(self):
-        with pytest.raises(ConstraintAB):
+        with pytest.raises(AdmissibilityError, match="requires a < b <= a\\+1 for d = 2"):
             derive_params(0.0, 0.0, 2)
 
     def test_b_out_of_range(self):
-        with pytest.raises(ConstraintAB):
+        with pytest.raises(AdmissibilityError, match="requires a <= b <= a\\+1 for d >= 3"):
             derive_params(0.0, 1.5, 4)
-        with pytest.raises(ConstraintAB):
+        with pytest.raises(AdmissibilityError, match="requires a <= b <= a\\+1 for d >= 3"):
             derive_params(0.0, -0.1, 4)
 
     def test_d_below_two(self):
@@ -70,13 +70,13 @@ class TestDeriveParams:
 
     def test_numpy_scalars_derive_python_floats(self):
         # a numpy scalar would carry into p, n and alpha, where an overflow
-        # becomes inf with a RuntimeWarning instead of AmplitudeOverflow
+        # becomes inf with a RuntimeWarning instead of the named overflow
         ps = derive_params(np.float64(0.2719), np.float64(0.2719 + 0.99496), np.int64(6))
         assert ps == derive_params(0.2719, 0.2719 + 0.99496, 6)
         assert all(type(x) is float for x in (ps.a, ps.b, ps.p_exp, ps.alpha, ps.n))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(AmplitudeOverflow):
+            with pytest.raises(CknLabError, match="the bubble amplitude c0 = .* overflows"):
                 cylinder_amplitude(derive_params(np.float64(0.2719), 0.2719 + 0.99496, 6))
 
     def test_hardy_edge_p2(self):
@@ -84,13 +84,13 @@ class TestDeriveParams:
         assert ps.p_exp == 2.0
         assert math.isinf(ps.n)
         assert ps.alpha == 0.0
-        with pytest.raises(SubcriticalRange):
+        with pytest.raises(AdmissibilityError, match="requires p strictly inside"):
             derive_params(-1.0, 0.0, 3, strict_subcritical=True)
 
     def test_critical_edge_p2star(self):
         ps = derive_params(0.0, 0.0, 3)
         assert ps.p_exp == 6.0
-        with pytest.raises(SubcriticalRange):
+        with pytest.raises(AdmissibilityError, match="requires p strictly inside"):
             derive_params(0.0, 0.0, 3, strict_subcritical=True)
 
     def test_d2_has_no_upper_endpoint(self):

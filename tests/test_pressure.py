@@ -5,7 +5,7 @@ from scipy.integrate import quad
 from cknlab.bubble import bubble_cylinder
 from cknlab.cylfield import CylinderField, L_of_values, PeriodicGrid, Radial
 from cknlab import pressure
-from cknlab.errors import NonPositiveSample
+from cknlab.errors import CknLabError
 from cknlab.fitting import fit_loglog
 from cknlab.grids import RadialGrid, sphere_area
 from cknlab.params import derive_params
@@ -60,7 +60,7 @@ class TestPressureOf:
     def test_positivity_gate(self, ps_n6, grid_small):
         vals = np.ones(grid_small.count)
         vals[3] = -1.0
-        with pytest.raises(NonPositiveSample):
+        with pytest.raises(CknLabError, match="requires a positive field"):
             pressure_of(CylinderField(grid_small, Radial(), vals, ps_n6))
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from cknlab import radial_ode
 from cknlab.bubble import bubble_cylinder_values, cylinder_amplitude
-from cknlab.errors import AmplitudeOverflow, ConvergenceFailure, NotDecaying, SubcriticalRange
+from cknlab.errors import AdmissibilityError, CknLabError
 from cknlab.fitting import fit_loglog
 from cknlab.params import derive_params
 from cknlab.radial_ode import (
@@ -89,9 +89,9 @@ class TestShoot:
         ps = derive_params(-0.5, -0.5 + 1.0 - 2.0 / 2.017, 2)
         w0 = 1e-3 * cylinder_amplitude(ps)
         assert radial_ode.family_scale(ps, w0) == 0.0
-        with pytest.raises(AmplitudeOverflow, match="decay horizon"):
+        with pytest.raises(CknLabError, match="decay horizon"):
             decay_horizon(ps, w0)
-        with pytest.raises(AmplitudeOverflow, match="decay horizon"):
+        with pytest.raises(CknLabError, match="decay horizon"):
             shoot(ps, w0)
 
     def test_touch_guard_ends_integration_at_numeric_floor(self, ps_n6):
@@ -106,12 +106,12 @@ class TestShoot:
             shoot(ps_n6, -1.0)
 
     def test_rejects_p2_edge(self):
-        with pytest.raises(SubcriticalRange):
+        with pytest.raises(AdmissibilityError, match="shooting needs p > 2"):
             shoot(derive_params(-1.0, 0.0, 3), 1.0)
 
     def test_sweep_rejects_p2_edge(self):
         # b - a = 1: the sweep's amplitude grid reads c0, which has no value at p = 2
-        with pytest.raises(SubcriticalRange):
+        with pytest.raises(AdmissibilityError, match="the bubble amplitude c0 needs p > 2"):
             radial_rigidity_sweep(derive_params(0.0, 1.0, 3))
 
 
@@ -178,7 +178,7 @@ def _assert_same_shot(ps, w0, s_max, rtol):
     s0 = radial_ode.SERIES_START
     w_start = series_start(ps, w0, s0)[0]
     if not w_start > radial_ode.TOUCH_FACTOR * w0:
-        with pytest.raises(AmplitudeOverflow,
+        with pytest.raises(CknLabError,
                            match=re.escape(f"series start w({s0:g}) = {w_start:.6g} ")):
             shoot(ps, w0, s_max=s_max, rtol=rtol)
         return None
@@ -266,7 +266,7 @@ class TestMatchBubble:
             ps=profile.ps, w0=profile.w0, s=profile.s, w=profile.w,
             w_prime=profile.w_prime, classification=Classification.TOUCHES_ZERO,
         )
-        with pytest.raises(NotDecaying):
+        with pytest.raises(CknLabError, match="profile classified TouchesZero"):
             match_bubble(broken)
 
     def test_bracket_without_a_low_middle_is_a_named_failure(self, ps_n6):
@@ -274,8 +274,8 @@ class TestMatchBubble:
         # the bracket log mu0 +- log 4 is lowest at its left end
         c0 = cylinder_amplitude(ps_n6)
         profile = dataclasses.replace(shoot(ps_n6, c0), w0=1e4 * c0)
-        with pytest.raises(ConvergenceFailure, match=r"w0 = 60000 .*\(3\.21888, 4\.60517, "
-                                                     r"5\.99146\).*f\(xb\) < f\(xa\)"):
+        with pytest.raises(CknLabError, match=r"w0 = 60000 .*\(3\.21888, 4\.60517, "
+                                              r"5\.99146\).*f\(xb\) < f\(xa\)"):
             match_bubble(profile)
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cknlab import spectral
 from cknlab.bubble import cylinder_amplitude
-from cknlab.errors import AdmissibilityError, NoSignChange
+from cknlab.errors import AdmissibilityError, CknLabError
 from cknlab.fitting import fit_loglog
 from cknlab.params import alpha_bracket, derive_params, felli_schneider_threshold
 from cknlab.spectral import (
@@ -153,12 +153,12 @@ class TestFsCrossing:
 
     def test_critical_boundary_path_has_no_crossing(self):
         # n = d forces a = b, the p = 2* edge: path inadmissible
-        with pytest.raises(NoSignChange):
+        with pytest.raises(CknLabError, match="is not strictly admissible"):
             fs_crossing(3, 3.0)
 
     def test_bracket_without_crossing(self):
         # the text reports both end eigenvalues, solved on this failure path only
-        with pytest.raises(NoSignChange) as exc:
+        with pytest.raises(CknLabError) as exc:
             fs_crossing(3, 6.0, alpha_range=(0.3, 0.5))
         assert str(exc.value) == ("no stable-to-unstable crossing in alpha bracket (0.3, 0.5): "
                                   "eigenvalues (1.550e+00, 7.500e-01)")
