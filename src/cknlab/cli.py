@@ -155,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("verify", cmd_verify, "run a verification suite")
     p.add_argument("--suite", choices=tuple(SUITE_FLAGS), required=True)
-    p.add_argument("--seed", type=int)   # default verify.DEFAULT_SEED, read by cmd_verify
+    p.add_argument("--seed", type=_count_at_least(0))   # default verify.DEFAULT_SEED
     p.add_argument("--format", choices=("csv", "json"), help="estimates only (default json)")
     weights(p, required=False)  # rigidity: one (a, b, d) triple
     return parser

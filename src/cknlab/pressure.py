@@ -19,7 +19,10 @@ is checked row by row by `sphere_margins`.
 
 `pressure_of` builds a `PressureField`: P with P', P'', grad_theta P,
 Lap_theta P, L P and |DP|^2, each computed once and read-only.  The routines
-below read these arrays and never take those derivatives again.
+below read these arrays and never take those derivatives again.  The
+diagnostics return sample arrays; a `CylinderField` is built only where
+samples enter (P itself, whose construction checks that w^(-2/(n-2)) stayed
+finite) and where an integrand meets `integrate_mu`, through `pf.field`.
 
 Non-solution inputs are always accepted: every routine is a diagnostic, not
 a validator.  L, and the divergence in the same weighted radial form
@@ -29,8 +32,6 @@ angular representation, Radial (none) or PeriodicGrid (spectral on S^1).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,7 +112,7 @@ def pressure_weight(P: np.ndarray, n: float) -> np.ndarray:
     return P ** (1.0 - n)
 
 
-def residual_eq_P(pf: PressureField) -> CylinderField:
+def residual_eq_P(pf: PressureField) -> np.ndarray:
     """L P - 2(n-1)^2/(n-2) P^(-1) - (n/2) |DP|^2 P^(-1).
 
     Zero at grid scale when the source field solves the cylinder equation;
@@ -119,11 +120,10 @@ def residual_eq_P(pf: PressureField) -> CylinderField:
     """
     n = pf.params.n
     Pinv = 1.0 / pf.P.values
-    res = pf.LP - 2.0 * (n - 1.0) ** 2 / (n - 2.0) * Pinv - 0.5 * n * pf.DP2 * Pinv
-    return pf.field(res)
+    return pf.LP - 2.0 * (n - 1.0) ** 2 / (n - 2.0) * Pinv - 0.5 * n * pf.DP2 * Pinv
 
 
-def bochner_k(pf: PressureField) -> CylinderField:
+def bochner_k(pf: PressureField) -> np.ndarray:
     """k[P] = 1/2 L |DP|^2 - <DP, D L P> - (1/n) (L P)^2."""
     ps = pf.params
     out = L_of_values(pf.DP2, pf.grid, pf.P.angular, ps)
@@ -140,12 +140,12 @@ def bochner_k(pf: PressureField) -> CylinderField:
     np.square(pf.LP, out=scratch)
     scratch /= ps.n
     out -= scratch
-    return pf.field(out)
+    return out
 
 
 def defect_density(pf: PressureField) -> np.ndarray:
     """P^(1-n) k[P], the integrand of the rigidity defect."""
-    return pressure_weight(pf.P.values, pf.params.n) * bochner_k(pf).values
+    return pressure_weight(pf.P.values, pf.params.n) * bochner_k(pf)
 
 
 def _sphere_k(g1: np.ndarray, g2: np.ndarray, n: float, alpha: float) -> np.ndarray:
@@ -168,24 +168,13 @@ def _sphere_k(g1: np.ndarray, g2: np.ndarray, n: float, alpha: float) -> np.ndar
     return out
 
 
-@dataclass(frozen=True)
-class BochnerDecomposition:
-    term_radial_hessian: CylinderField
-    term_mixed: CylinderField
-    term_sphere: CylinderField
+def bochner_decomposition(pf: PressureField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three summands (radial_hessian, mixed, sphere) whose sum reproduces k[P]
+    pointwise:
 
-    def total(self) -> CylinderField:
-        out = self.term_radial_hessian.values + self.term_mixed.values
-        out += self.term_sphere.values
-        return self.term_radial_hessian.with_values(out)
-
-
-def bochner_decomposition(pf: PressureField) -> BochnerDecomposition:
-    """The three summands whose sum reproduces k[P] pointwise.
-
-    term_radial_hessian = (n-1)/n alpha^4 |P'' - P'/r - Lap_theta P/(alpha^2 (n-1) r^2)|^2
-    term_mixed          = 2 alpha^2 r^-2 |grad_theta P' - grad_theta P / r|^2
-    term_sphere         = r^-4 k_S[P]
+    radial_hessian = (n-1)/n alpha^4 |P'' - P'/r - Lap_theta P/(alpha^2 (n-1) r^2)|^2
+    mixed          = 2 alpha^2 r^-2 |grad_theta P' - grad_theta P / r|^2
+    sphere         = r^-4 k_S[P]
     """
     ps = pf.params
     n = ps.n
@@ -197,7 +186,7 @@ def bochner_decomposition(pf: PressureField) -> BochnerDecomposition:
     np.square(t1, out=t1)
     t1 *= (n - 1.0) / n * ps.alpha**4
     if pf.thetaP is None:
-        t2 = t3 = np.zeros_like(t1)
+        t2, t3 = np.zeros_like(t1), np.zeros_like(t1)
     else:
         t2 = d_ds(pf.thetaP, pf.grid)    # d/dr grad_theta P
         t2 -= pf.thetaP / s
@@ -205,11 +194,7 @@ def bochner_decomposition(pf: PressureField) -> BochnerDecomposition:
         t2 *= 2.0 * ps.alpha**2 / s**2
         t3 = _sphere_k(pf.thetaP, pf.lap_thetaP, n, ps.alpha)
         t3 /= s**4
-    return BochnerDecomposition(
-        term_radial_hessian=pf.field(t1),
-        term_mixed=pf.field(t2),
-        term_sphere=pf.field(t3),
-    )
+    return t1, t2, t3
 
 
 def sphere_margins(P: np.ndarray, g1: np.ndarray, g2: np.ndarray, ps) -> np.ndarray:
@@ -244,14 +229,14 @@ def obata_vector(pf: PressureField) -> tuple[np.ndarray, np.ndarray | None]:
     return v_r, v_t
 
 
-def divergence_form_residual(pf: PressureField) -> CylinderField:
+def divergence_form_residual(pf: PressureField) -> np.ndarray:
     """P^(1-n) k[P] - D_i V_i with V the Obata vector field.
 
     Vanishes at discretization order for solution inputs; reported (never an
     error) for arbitrary smooth positive P.
     """
     v_r, v_t = obata_vector(pf)
-    return pf.field(defect_density(pf) - weighted_divergence(pf, v_r, v_t))
+    return defect_density(pf) - weighted_divergence(pf, v_r, v_t)
 
 
 def rigidity_defect(pf: PressureField, r_lo: float | None = None,
@@ -266,15 +251,10 @@ def rigidity_defect(pf: PressureField, r_lo: float | None = None,
 
 def rigidity_defect_breakdown(pf: PressureField) -> dict[str, float]:
     """Defect over the whole grid split along the pointwise decomposition."""
-    dec = bochner_decomposition(pf)
     weight = pressure_weight(pf.P.values, pf.params.n)
     out = {}
-    for name, term in (
-        ("radial_hessian", dec.term_radial_hessian),
-        ("mixed", dec.term_mixed),
-        ("sphere", dec.term_sphere),
-    ):
-        out[name] = integrate_mu(pf.field(weight * term.values))
+    for name, term in zip(("radial_hessian", "mixed", "sphere"), bochner_decomposition(pf)):
+        out[name] = integrate_mu(pf.field(weight * term))
     out["total_from_terms"] = sum(out.values())
     out["total"] = rigidity_defect(pf)
     return out

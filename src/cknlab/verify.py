@@ -215,8 +215,9 @@ def _slabs(rows: range, angular_size: int) -> list[range]:
 
 def bochner_residual(target: np.ndarray, grid: RadialGrid, angular: PeriodicGrid,
                      ps: ParamSet) -> float:
-    """interior_max(bochner_decomposition(pf).total() - bochner_k(pf), grid, frac=0.1)
-    for the pressure field pf of samples ``target``, bit for bit, a slab at a time.
+    """interior_max(radial_hessian + mixed + sphere - bochner_k(pf), grid, frac=0.1),
+    with the three terms of bochner_decomposition(pf), for the pressure field pf
+    of samples ``target``, bit for bit, a slab at a time.
 
     Each slab's rows are computed on a window of the grid that reaches SLAB_HALO
     rows further on each side (clipped at the grid's ends), so the rows it
@@ -227,7 +228,11 @@ def bochner_residual(target: np.ndarray, grid: RadialGrid, angular: PeriodicGrid
     for slab in _slabs(interior_rows(grid, frac=0.1), angular.size):
         lo, hi = max(slab.start - SLAB_HALO, 0), min(slab.stop + SLAB_HALO, grid.count)
         pf = pressure_field_from_target(target[lo:hi], grid.rows(lo, hi), angular, ps)
-        diff = bochner_decomposition(pf).total().values - bochner_k(pf).values
+        diff, mixed, sphere = bochner_decomposition(pf)
+        diff += mixed
+        diff += sphere
+        del mixed, sphere   # only the sum stays alive while k[P] is computed
+        diff -= bochner_k(pf)
         worst.append(np.max(np.abs(diff[slab.start - lo:slab.stop - lo])))
     return float(np.max(worst))
 
@@ -285,8 +290,8 @@ def run_identities_suite(seed: int = DEFAULT_SEED, n_fields: int = IDENTITY_FIEL
         div_errs, prs_errs = [], []
         for g in bubble_grids:
             pf = pressure_of(bubble_cylinder(ps, g))
-            div_errs.append(interior_max(divergence_form_residual(pf).values, g, frac=0.1))
-            prs_errs.append(interior_max(residual_eq_P(pf).values, g, frac=0.1))
+            div_errs.append(interior_max(divergence_form_residual(pf), g, frac=0.1))
+            prs_errs.append(interior_max(residual_eq_P(pf), g, frac=0.1))
         o_div = fit_loglog(bubble_h, div_errs)
         o_prs = fit_loglog(bubble_h, prs_errs)
         report.add({

@@ -303,6 +303,9 @@ class TestVerifyCommand:
      "--alpha-max gives an inadmissible path end alpha = 1e+200: requires p strictly inside"),
     (["spectrum", "--d", "3", "--n", "1e300"],
      "--n 1e+300 gives an inadmissible path end alpha = 9.899494936611666e-151: requires p"),
+    # a negative seed is refused by argparse, by flag, before any suite runs
+    *((["verify", "--suite", suite, "--seed", "-1"], "argument --seed: must be at least 0: got -1")
+      for suite in ("identities", "estimates", "rigidity", "spectrum")),
     # verify takes no resolution flag: each suite runs at the one configuration
     # its tolerances were set for
     *((["verify", "--suite", suite, flag, "64"], f"unrecognized arguments: {flag} 64")

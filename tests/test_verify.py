@@ -8,6 +8,9 @@ import numpy as np
 
 import cknlab
 from cknlab import verify
+from cknlab.cylfield import CylinderField, PeriodicGrid
+from cknlab.grids import RadialGrid
+from cknlab.params import derive_params
 from cknlab.reporting import csv_text, json_text, ordered_map
 from cknlab.verify import (
     run_estimates_suite,
@@ -70,6 +73,28 @@ def test_identities_suite_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20
+
+
+def test_bochner_residual_builds_two_fields_per_slab(monkeypatch):
+    # Each construction is a full isfinite pass.  A slab builds its source
+    # field w and the pressure P; k[P] and the decomposition terms stay arrays.
+    built = []
+    post_init = CylinderField.__post_init__
+
+    def counted(field):
+        built.append(field)
+        post_init(field)
+
+    grid = RadialGrid(1e-3, 1e3, 1025)
+    angular = PeriodicGrid(verify.IDENTITY_ANGULAR)
+    ps = derive_params(*verify.D2_IDENTITY_PARAMS)
+    coeffs = verify.random_log_field_coeffs(np.random.default_rng(1))
+    target = verify.evaluate_log_field(coeffs, grid, angular, ps).values
+    monkeypatch.setattr(CylinderField, "__post_init__", counted)
+    verify.bochner_residual(target, grid, angular, ps)
+    slabs = len(verify._slabs(verify.interior_rows(grid, frac=0.1), angular.size))
+    assert slabs > 1
+    assert len(built) <= 2 * slabs
 
 
 class TestDeterminism:
