@@ -159,13 +159,18 @@ class CylinderField:
             raise CknLabError(f"{who} requires a positive field (min sample {low})")
 
 
-def grad_cyl(w: CylinderField) -> CylinderField:
-    """|D w|^2 for the cylinder gradient D w = (alpha w', grad_theta w / r)."""
+def grad_sq(w: CylinderField) -> np.ndarray:
+    """Samples of |D w|^2 for the cylinder gradient D w = (alpha w', grad_theta w / r)."""
     radial = w.params.alpha * d_ds(w.values, w.grid)
     g = w.angular.grad_theta(w.values)
     if g is None:
-        return w.with_values(radial**2)
-    return w.with_values(radial**2 + (g / w.grid.column(w.values)) ** 2)
+        return radial**2
+    return radial**2 + (g / w.grid.column(w.values)) ** 2
+
+
+def grad_cyl(w: CylinderField) -> CylinderField:
+    """|D w|^2 as a field, for integrals against dmu."""
+    return w.with_values(grad_sq(w))
 
 
 def integrate_mu(f: CylinderField, r_lo: float | None = None,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cylfield import CylinderField, L_kernel, grad_cyl, integrate_mu
+from .cylfield import CylinderField, L_kernel, grad_cyl, grad_sq, integrate_mu
 from .errors import CknLabError, NotFiniteEnergy
 from .fitting import fit_loglog
 from .grids import radial_derivs
@@ -160,7 +160,7 @@ def weak_energy(w: CylinderField, t: float) -> WeakEnergyResult:
     R_list = _dyadic_radii(grid.r_max / 2.0)
     beta = -(n - 2.0) * t / 2.0 if t > -2.0 else -(n - 2.0) * (1.0 + t)
     fa = w.with_values(w.values ** (ps.p_exp + t))
-    fb = w.with_values(w.values**t * grad_cyl(w).values)
+    fb = w.with_values(w.values**t * grad_sq(w))
     va = np.array([integrate_mu(fa, r_hi=R) for R in R_list])
     vb = np.array([integrate_mu(fb, r_hi=R) for R in R_list])
     ea = fit_loglog(R_list, va)

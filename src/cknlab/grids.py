@@ -86,38 +86,46 @@ def _apply_stencil_axis0(values: np.ndarray, interior, edge0, edge1, h: float, m
     differences from the evaluation node: rounding error then scales with the
     local variation instead of the field magnitude, which matters where a
     field is nearly constant (e.g. any profile flattening toward the origin).
-    The interior terms go through one scratch buffer (ufunc ``out=``), in the
-    order of the plain ``out += c_j * (v_j - v_center)`` sum; the four edge
-    rows are small and keep that plain form.
+    The interior terms are summed in place (ufunc ``out=``), in the order of
+    the plain ``out += c_j * (v_j - v_center)`` sum from zeros; the four edge
+    rows take that sum together, in a few whole-window operations.
     """
     v = np.asarray(values, dtype=float)
     npts = v.shape[0]
     if npts < MIN_STENCIL_NODES:
         raise CknLabError(f"need >= {MIN_STENCIL_NODES} radial nodes, got {npts}")
-    out = np.zeros_like(v)
+    out = np.empty_like(v)
     c = interior
     center = v[2:-2]
     acc = out[2:-2]
+    # The first term is formed in place and added to +0.0, the sum's start
+    # (which turns a -0.0 term to +0.0); the others go through the buffer.
+    np.subtract(v[:npts - 4], center, out=acc)
+    np.multiply(acc, c[0], out=acc)
+    np.add(acc, 0.0, out=acc)
     buf = np.empty_like(center)
-    for off, cj in ((-2, c[0]), (-1, c[1]), (1, c[3]), (2, c[4])):
+    for off, cj in ((-1, c[1]), (1, c[3]), (2, c[4])):
         np.subtract(v[2 + off:npts - 2 + off], center, out=buf)
         np.multiply(buf, cj, out=buf)
         np.add(acc, buf, out=acc)
 
-    def edge_value(weights, window, eval_idx):
-        acc = np.zeros_like(window[0])
-        for j, wj in enumerate(weights):
-            if j != eval_idx:
-                acc = acc + wj * (window[j] - window[eval_idx])
-        return acc
-
+    # The four edge rows at once: rows 0 and 1 from the first ne nodes, rows
+    # -1 and -2 from the last ne nodes read backwards (a mirror, which flips
+    # the sign of an odd derivative).  terms[e, k, j] = w_kj (v_j - v_k) is
+    # term j of row k at end e, and its own node's term is +0.0.  Adding the
+    # terms in j order then gives the sum of the terms j != k from +0.0,
+    # signed zeros included: the +0.0 term comes first or second, so a -0.0
+    # first term reads +0.0 after the second add, as it does in that sum.
     ne = len(edge0)
-    out[0] = edge_value(edge0, v[:ne], 0)
-    out[1] = edge_value(edge1, v[:ne], 1)
-    sign = -1.0 if m % 2 else 1.0
-    rev = v[::-1]
-    out[-1] = sign * edge_value(edge0, rev[:ne], 0)
-    out[-2] = sign * edge_value(edge1, rev[:ne], 1)
+    ends = np.stack((v[:ne], v[::-1][:ne]))
+    terms = ends[:, None] - ends[:, :2, None]
+    terms *= np.stack((edge0, edge1)).reshape((1, 2, ne) + (1,) * (v.ndim - 1))
+    terms[:, 0, 0] = terms[:, 1, 1] = 0.0
+    rows = terms[:, :, 0]
+    for j in range(1, ne):
+        rows += terms[:, :, j]
+    out[:2] = rows[0]
+    out[:-3:-1] = (-1.0 if m % 2 else 1.0) * rows[1]
     out /= h**m
     return out
 

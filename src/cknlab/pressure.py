@@ -182,14 +182,16 @@ def bochner_decomposition(pf: PressureField) -> tuple[np.ndarray, np.ndarray, np
     t1 = pf.dP / s
     np.subtract(pf.d2P, t1, out=t1)      # the radial deficit
     if pf.lap_thetaP is not None:
-        t1 -= pf.lap_thetaP / (ps.alpha**2 * (n - 1.0) * s**2)
+        scratch = pf.lap_thetaP / (ps.alpha**2 * (n - 1.0) * s**2)
+        t1 -= scratch
     np.square(t1, out=t1)
     t1 *= (n - 1.0) / n * ps.alpha**4
     if pf.thetaP is None:
         t2, t3 = np.zeros_like(t1), np.zeros_like(t1)
     else:
         t2 = d_ds(pf.thetaP, pf.grid)    # d/dr grad_theta P
-        t2 -= pf.thetaP / s
+        t2 -= np.divide(pf.thetaP, s, out=scratch)
+        del scratch
         np.square(t2, out=t2)
         t2 *= 2.0 * ps.alpha**2 / s**2
         t3 = _sphere_k(pf.thetaP, pf.lap_thetaP, n, ps.alpha)

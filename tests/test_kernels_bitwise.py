@@ -6,8 +6,8 @@ inequality, the form that checked one circle at a time.  They are the oracles:
 every float operation of the rewrite must happen in the same order, so the
 outputs agree in ``tobytes()``, signed zeros included.  The file also pins
 the field ownership rule, the read-only arrays a PressureField is built with
-and shares, the nested refinement grids that `run_identities_suite` slices, and
-the row slabs it computes each refinement level in.
+and shares, the nested refinement grids of `run_identities_suite`, and the row
+slabs it evaluates and computes each refinement level in.
 """
 
 import numpy as np
@@ -36,6 +36,7 @@ from cknlab.verify import (
     _refinement_sizes,
     bochner_residual,
     evaluate_log_field,
+    log_field_table,
     pressure_field_from_target,
     random_circle_profile,
     random_log_field_coeffs,
@@ -452,8 +453,9 @@ class TestPressureFieldArrays:
 
 
 class TestSlabsBitwise:
-    """`bochner_residual` computes a refinement level slab by slab; each level's
-    value is the whole grid's interior_max of the Bochner difference, bit for bit."""
+    """`bochner_residual` computes a refinement level slab by slab, each slab
+    evaluating the field on its own rows; each level's value is the whole
+    grid's interior_max of the Bochner difference, bit for bit."""
 
     @pytest.mark.parametrize("angular_size", [9, 16])
     @pytest.mark.parametrize("levels", [2, 3, 4])
@@ -462,6 +464,7 @@ class TestSlabsBitwise:
         nested = [RadialGrid(1e-3, 1e3, n) for n in sizes]
         angular = PeriodicGrid(angular_size)
         coeffs = random_log_field_coeffs(np.random.default_rng(10 * levels + angular_size))
+        table = log_field_table(coeffs, angular)
         finest = evaluate_log_field(coeffs, nested[-1], angular, PS2).values
         default_budget = verify.SLAB_BYTES
         for j, g in enumerate(nested):
@@ -475,8 +478,35 @@ class TestSlabsBitwise:
             height = 1 if j == 0 else 37
             for budget in (8 * angular_size * height, default_budget):
                 monkeypatch.setattr(verify, "SLAB_BYTES", budget)
-                slab_max = bochner_residual(target, g, angular, PS2)
+                slab_max = bochner_residual(table, g, angular, PS2)
                 assert np.float64(slab_max).tobytes() == np.float64(whole).tobytes()
+
+    @pytest.mark.parametrize("levels", [2, 3, 4])
+    def test_each_slab_evaluates_the_levels_rows(self, levels, monkeypatch):
+        sizes = _refinement_sizes(levels, IDENTITY_BASE)
+        angular = PeriodicGrid(16)
+        coeffs = random_log_field_coeffs(np.random.default_rng(levels))
+        table = log_field_table(coeffs, angular)
+        windows = []
+        rows_of = verify.log_field_rows
+
+        def recording(table, grid, lo, hi):
+            rows = rows_of(table, grid, lo, hi)
+            windows.append((lo, hi, rows.copy()))
+            return rows
+
+        monkeypatch.setattr(verify, "log_field_rows", recording)
+        monkeypatch.setattr(verify, "SLAB_BYTES", 8 * 16 * 37)
+        for n in sizes:
+            g = RadialGrid(1e-3, 1e3, n)
+            whole = evaluate_log_field(coeffs, g, angular, PS2).values
+            windows.clear()
+            bochner_residual(table, g, angular, PS2)
+            slabs = verify._slabs(verify.interior_rows(g, frac=0.1), angular.size)
+            assert len(windows) == len(slabs) > 1
+            for (lo, hi, rows), slab in zip(windows, slabs):
+                assert (lo, hi) == (slab.start - verify.SLAB_HALO, slab.stop + verify.SLAB_HALO)
+                assert same_bits(rows, whole[lo:hi])
 
     def test_slabs_split_the_window_evenly(self, monkeypatch):
         window = range(26, 231)                    # 205 rows
@@ -519,7 +549,8 @@ class TestSlabsBitwise:
 
 @pytest.mark.parametrize("levels", range(2, 8))
 def test_refinement_grids_are_nested_bitwise(levels):
-    # run_identities_suite evaluates each field on its finest grid and slices it
+    # bochner_residual evaluates each level on that level's own grid; its rows
+    # are the finest grid's rows sliced, so every level samples one function
     sizes = _refinement_sizes(levels, IDENTITY_BASE)
     nested = [RadialGrid(1e-3, 1e3, n) for n in sizes]
     finest = nested[-1]

@@ -67,6 +67,40 @@ def bochner_square_term_off(original):
     return lambda pf: original(pf) - 1e-3 * pf.LP**2 / pf.params.n
 
 
+def obata_one_over_n_minus_1(original):
+    # 1/n -> 1/(n - 1) in the Obata vector's (1/n) P^(1-n) L P D P
+    def vector(pf):
+        v_r, v_t = original(pf)
+        n = pf.params.n
+        shift = (1.0 / n - 1.0 / (n - 1.0)) * pressure.pressure_weight(pf.P.values, n) * pf.LP
+        return v_r + shift * pf.dP, None if v_t is None else v_t + shift * pf.thetaP
+    return vector
+
+
+def residual_constant_off(original):
+    # the constant 2 (n - 1)^2 / (n - 2) of residual_eq_P taken (1 + 1e-3) times
+    def residual(pf):
+        n = pf.params.n
+        return original(pf) - 1e-3 * 2.0 * (n - 1.0) ** 2 / (n - 2.0) / pf.P.values
+    return residual
+
+
+def bochner_radial_inner_off(original):
+    # the radial part alpha^2 P' (L P)' of <DP, D L P> in k[P] taken (1 + 1e-3) times
+    return lambda pf: original(pf) - 1e-3 * pf.params.alpha**2 * pf.dP * grids.d_ds(pf.LP, pf.grid)
+
+
+def decomposition_term_off(index):
+    # one of (radial_hessian, mixed, sphere) taken (1 + 1e-3) times
+    def mutation(original):
+        def terms(pf):
+            out = list(original(pf))
+            out[index] = (1.0 + 1e-3) * out[index]
+            return tuple(out)
+        return terms
+    return mutation
+
+
 def sphere_coefficient_d(original):
     # (d - 1)/(n - 1) -> d/(n - 1) in the sphere inequality's coefficient
     def margins(P, g1, g2, ps):
@@ -124,7 +158,7 @@ def zero_rigidity_defect(original):
 
 def gradient_times_1_5(original):
     # |D w|^2 -> 1.5 |D w|^2
-    return lambda w: w.with_values(1.5 * original(w).values)
+    return lambda w: 1.5 * original(w)
 
 
 def weak_energy_beta_up(original):
@@ -165,6 +199,19 @@ MATRIX = [
                  ("bochner_decomposition_vs_definition",
                   "divergence_identity_bubble", "divergence_identity_bubble"),
                  id="bochner_k-LP-square-1e-3"),
+    pytest.param(pressure, "obata_vector", obata_one_over_n_minus_1, "identities",
+                 ("divergence_identity_bubble",) * 2,
+                 id="obata-one-over-n-minus-1"),
+    pytest.param(pressure, "residual_eq_P", residual_constant_off, "identities",
+                 ("pressure_equation_bubble",) * 2,
+                 id="residual-eq-P-constant-1e-3"),
+    pytest.param(pressure, "bochner_k", bochner_radial_inner_off, "identities",
+                 ("bochner_decomposition_vs_definition",),
+                 id="bochner_k-radial-inner-1e-3"),
+    *(pytest.param(pressure, "bochner_decomposition", decomposition_term_off(i), "identities",
+                   ("bochner_decomposition_vs_definition",),
+                   id=f"decomposition-{term}-1e-3")
+      for i, term in enumerate(("radial-hessian", "mixed", "sphere"))),
     pytest.param(pressure, "sphere_margins", sphere_coefficient_d, "identities",
                  ("sphere_inequality_margin",),
                  id="sphere-coefficient-d-over-n-1",
@@ -203,7 +250,7 @@ MATRIX = [
     pytest.param(pressure, "rigidity_defect", zero_rigidity_defect, "estimates",
                  ("finite_energy_chain",),
                  id="rigidity-defect-zero", marks=survives(ZERO_DEFECT)),
-    pytest.param(cylfield, "grad_cyl", gradient_times_1_5, "estimates",
+    pytest.param(cylfield, "grad_sq", gradient_times_1_5, "estimates",
                  ("weak_energy",),
                  id="gradient-square-1.5", marks=survives(ONE_SIDED)),
     pytest.param(estimates, "weak_energy", weak_energy_beta_up, "estimates",

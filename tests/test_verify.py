@@ -75,9 +75,31 @@ def test_identities_suite_memory_is_bounded():
     assert peak < 10 * 2**20
 
 
-def test_bochner_residual_builds_two_fields_per_slab(monkeypatch):
-    # Each construction is a full isfinite pass.  A slab builds its source
-    # field w and the pressure P; k[P] and the decomposition terms stay arrays.
+def test_identity_field_peak_is_slab_sized():
+    # One field's Bochner check evaluates each refinement level slab by slab on
+    # that level's grid, so its traced peak is one slab's arrays.  A slab-sized
+    # array has the tallest slab's rows plus both halos; evaluating the finest
+    # level whole and slicing it peaked at 23.9 of them.
+    ps = derive_params(*verify.D2_IDENTITY_PARAMS)
+    angular = PeriodicGrid(verify.IDENTITY_ANGULAR)
+    sizes = verify._refinement_sizes(verify.IDENTITY_LEVELS, verify.IDENTITY_BASE)
+    grids = [RadialGrid(1e-3, 1e3, n) for n in sizes]
+    coeffs = verify.random_log_field_coeffs(np.random.default_rng(1))
+    height = verify.SLAB_BYTES // (8 * angular.size) + 2 * verify.SLAB_HALO
+    slab_array = 8 * angular.size * height
+    tracemalloc.start()
+    try:
+        table = verify.log_field_table(coeffs, angular)
+        for g in grids:
+            verify.bochner_residual(table, g, angular, ps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * slab_array
+
+
+def count_fields(monkeypatch) -> list:
+    """The CylinderField constructions from here on, each a full isfinite pass."""
     built = []
     post_init = CylinderField.__post_init__
 
@@ -85,16 +107,31 @@ def test_bochner_residual_builds_two_fields_per_slab(monkeypatch):
         built.append(field)
         post_init(field)
 
+    monkeypatch.setattr(CylinderField, "__post_init__", counted)
+    return built
+
+
+def test_bochner_residual_builds_two_fields_per_slab(monkeypatch):
+    # A slab builds its source field w and the pressure P; k[P] and the
+    # decomposition terms stay arrays.
     grid = RadialGrid(1e-3, 1e3, 1025)
     angular = PeriodicGrid(verify.IDENTITY_ANGULAR)
     ps = derive_params(*verify.D2_IDENTITY_PARAMS)
     coeffs = verify.random_log_field_coeffs(np.random.default_rng(1))
-    target = verify.evaluate_log_field(coeffs, grid, angular, ps).values
-    monkeypatch.setattr(CylinderField, "__post_init__", counted)
-    verify.bochner_residual(target, grid, angular, ps)
+    table = verify.log_field_table(coeffs, angular)
+    built = count_fields(monkeypatch)
+    verify.bochner_residual(table, grid, angular, ps)
     slabs = len(verify._slabs(verify.interior_rows(grid, frac=0.1), angular.size))
     assert slabs > 1
     assert len(built) <= 2 * slabs
+
+
+def test_estimates_suite_builds_48_fields(monkeypatch):
+    # weak_energy reads |Dw|^2 as samples (cylfield.grad_sq), so each of its six
+    # calls builds only its two integrands; a |Dw|^2 field made it 54.
+    built = count_fields(monkeypatch)
+    run_estimates_suite()
+    assert len(built) == 48
 
 
 class TestDeterminism:
