@@ -62,10 +62,10 @@ class TestSuites:
 
 
 def test_identities_suite_memory_is_bounded():
-    # Each refinement level is computed in row slabs, so the arrays alive at
-    # once are one slab's plus the finest grid's field samples (about 6 MiB);
-    # whole-level arrays took 29 MiB.  One field runs serially, so the peak is
-    # the same on every run.
+    # Each refinement level is computed in row slabs that evaluate their own
+    # rows of the field, so the arrays alive at once are about two slabs'
+    # (4.5 MiB); whole-level arrays took 29 MiB.  One field runs serially, so
+    # the peak is the same on every run.
     tracemalloc.start()
     try:
         run_identities_suite(n_fields=1)
@@ -79,7 +79,7 @@ def test_identity_field_peak_is_slab_sized():
     # One field's Bochner check evaluates each refinement level slab by slab on
     # that level's grid, so its traced peak is one slab's arrays.  A slab-sized
     # array has the tallest slab's rows plus both halos; evaluating the finest
-    # level whole and slicing it peaked at 23.9 of them.
+    # level whole and slicing it peaked at 23.4 of them.
     ps = derive_params(*verify.D2_IDENTITY_PARAMS)
     angular = PeriodicGrid(verify.IDENTITY_ANGULAR)
     sizes = verify._refinement_sizes(verify.IDENTITY_LEVELS, verify.IDENTITY_BASE)
