@@ -54,10 +54,9 @@ class RadialProfile:
     classification: Classification
 
 
-# `shoot` does not call solve_ivp.  It stays, importing scipy on first call
-# and returning scipy's result unchanged, because perfbench/tracer.py binds
-# `radial_ode.solve_ivp` by name (its install() fails without it) and
-# tests/test_radial_ode.py takes its shot through it as the bitwise oracle.
+# `shoot` does not call solve_ivp, and scipy comes only with the `test` extra.  It stays
+# because perfbench/tracer.py binds `radial_ode.solve_ivp` by name (its install() fails
+# without it), and tests/test_radial_ode.py takes its shot through it as the oracle.
 def solve_ivp(*args, **kwargs):
     from scipy.integrate import solve_ivp
     return solve_ivp(*args, **kwargs)

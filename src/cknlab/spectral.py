@@ -15,18 +15,17 @@ zero is the module's built-in correctness oracle.  The full k = 0 ground
 state sits at -alpha^2 (n-1) (the potential is an exactly solvable sech^2
 well), so the k = 1 bottom eigenvalue -alpha^2 (n-1) + (d-1) changes sign
 precisely at alpha = sqrt((d-1)/(n-1)); locating that crossing numerically
-against the closed form is the headline check.
+against the closed form is the headline check.  Eigenvalues are LAPACK
+dstebz's, from the OpenBLAS numpy already maps: the module loads no scipy.
 """
 
 from __future__ import annotations
 
-import importlib.util
+import ctypes
 import math
 import os
-import sys
-import threading
 from dataclasses import asdict, dataclass
-from importlib.machinery import EXTENSION_SUFFIXES
+from functools import cache
 
 import numpy as np
 
@@ -120,49 +119,51 @@ def build_sector_operator(ps: ParamSet, k: int, T: float | None = None,
                           N=int(N), parity=parity)
 
 
-_FLAPACK = "scipy.linalg._flapack"
-_flapack_lock = threading.Lock()
+#: The directory of numpy's wheel that holds the OpenBLAS numpy's extensions link.
+NUMPY_LIBS = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
 
 
-def _dstebz():
-    """LAPACK dstebz from scipy's compiled ``_flapack`` extension.
-
-    The extension is loaded by file path and registered under its own name,
-    so the `scipy.linalg` package (about 0.2 s and 28 MB over numpy) is not
-    imported; a later ``import scipy.linalg`` finds and shares the module.
-    There is no fallback: if scipy moves the extension this raises.
-    """
-    with _flapack_lock:
-        module = sys.modules.get(_FLAPACK)
-        if module is None:
-            linalg_dir = os.path.join(
-                importlib.util.find_spec("scipy").submodule_search_locations[0], "linalg")
-            paths = [os.path.join(linalg_dir, "_flapack" + suffix)
-                     for suffix in EXTENSION_SUFFIXES]
-            path = next((p for p in paths if os.path.exists(p)), None)
-            if path is None:
-                raise ImportError(f"no scipy LAPACK extension among {paths}")
-            spec = importlib.util.spec_from_file_location(_FLAPACK, path)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            sys.modules[_FLAPACK] = module
-    return module.dstebz
+@cache
+def _dstebz(libs: str):
+    """LAPACK dstebz from the ILP64 OpenBLAS in `libs`, which numpy has mapped already."""
+    try:
+        name = next(f for f in os.listdir(libs) if f.startswith("libscipy_openblas64_"))
+        dstebz = ctypes.CDLL(os.path.join(libs, name)).scipy_dstebz_64_
+    except (StopIteration, OSError, AttributeError) as exc:
+        raise CknLabError(f"no LAPACK dstebz: searched {libs} for scipy_dstebz_64_ in "
+                          "libscipy_openblas64_*") from exc
+    i64, f64 = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
+    arr = ctypes.c_void_p
+    # RANGE ORDER; N VL VU IL IU ABSTOL; D E M NSPLIT W IBLOCK ISPLIT WORK IWORK INFO; 2 lengths
+    dstebz.argtypes = [ctypes.c_char_p] * 2 + [i64, f64, f64, i64, i64, f64] + [
+        arr, arr, i64, i64, arr, arr, arr, arr, arr, i64] + [ctypes.c_size_t] * 2
+    dstebz.restype = None
+    return dstebz
 
 
 def lowest_tridiagonal_eigenvalue(diag, off) -> float:
     """Smallest eigenvalue of the symmetric tridiagonal matrix (diag, off), n >= 2.
 
-    The call ``scipy.linalg.eigvalsh_tridiagonal(diag, off, select="i",
-    select_range=(0, 0))`` makes: bisection by dstebz (range 'I', il = iu = 1,
-    abstol 0, order 'E') with scipy's finiteness check and LAPACK info rule.
+    The bits of ``scipy.linalg.eigvalsh_tridiagonal(diag, off, select="i",
+    select_range=(0, 0))``: bisection by LAPACK dstebz (Kahan, 1966; range 'I',
+    il = iu = 1, abstol 0, order 'E') from numpy's own OpenBLAS, with scipy's
+    finiteness check and LAPACK info rule.
     """
-    diag = np.asarray_chkfinite(diag)
-    off = np.asarray_chkfinite(off)
-    _, w, _, _, info = _dstebz()(diag, off, 2, 0.0, 1.0, 1, 1, 0.0, "E")
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of internal dstebz")
-    if info > 0:
-        raise np.linalg.LinAlgError(f"dstebz did not converge (LAPACK info={info})")
+    diag, off = (np.asarray_chkfinite(x, np.float64, "C") for x in (diag, off))
+    n = diag.size
+    if diag.ndim != 1 or n < 2 or off.shape != (n - 1,):   # LAPACK reads what n says
+        raise ValueError(f"need shapes (n >= 2,) and (n - 1,): got {diag.shape}, {off.shape}")
+    w, iblock, isplit = np.empty(n), np.empty(n, np.int64), np.empty(n, np.int64)
+    work, iwork = np.empty(4 * n), np.empty(3 * n, np.int64)
+    i64, f64 = ctypes.c_int64, ctypes.c_double
+    m, nsplit, info = i64(), i64(), i64()
+    _dstebz(NUMPY_LIBS)(b"I", b"E", i64(n), f64(0.0), f64(1.0), i64(1), i64(1), f64(0.0),
+                        diag.ctypes.data, off.ctypes.data, m, nsplit,
+                        *(a.ctypes.data for a in (w, iblock, isplit, work, iwork)), info, 1, 1)
+    if info.value < 0:
+        raise ValueError(f"illegal value in argument {-info.value} of internal dstebz")
+    if info.value > 0:
+        raise np.linalg.LinAlgError(f"dstebz did not converge (LAPACK info={info.value})")
     return float(w[0])
 
 

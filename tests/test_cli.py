@@ -382,14 +382,23 @@ def test_readme_lists_every_command():
     assert commands == {"params", "scan", "bubble", "shoot", "spectrum", "verify"}
 
 
-SCIPY_PROBE = """
+COMMANDS_PROBE = """
 import contextlib, io, json, sys
+
+class RefuseScipy:
+    # a meta-path finder that plays an install without the test extra
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+
+if sys.argv[1] == "refuse":
+    sys.meta_path.insert(0, RefuseScipy())
 import cknlab.cli
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
-loaded = {"import": scipy_modules()}
+out = {"import": [None, "", scipy_modules()]}
 for name, argv in (("params", ["params", "--a", "-0.5", "--b", "0", "--d", "3"]),
                    ("scan", ["scan", "--d", "3", "--a-min", "-1", "--a-max", "0",
                              "--a-step", "0.25"]),
@@ -400,27 +409,39 @@ for name, argv in (("params", ["params", "--a", "-0.5", "--b", "0", "--d", "3"])
                    ("verify rigidity", ["verify", "--suite", "rigidity"]),
                    ("spectrum", ["spectrum", "--d", "3", "--n", "6"]),
                    ("verify spectrum", ["verify", "--suite", "spectrum"])):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cknlab.cli.main(argv) == 0
-    loaded[name] = scipy_modules()
-print(json.dumps(loaded))
+    with contextlib.redirect_stdout(io.StringIO()) as text:
+        code = cknlab.cli.main(argv)
+    out[name] = [code, text.getvalue(), scipy_modules()]
+print(json.dumps(out))
 """
 
 
-def test_params_scan_bubble_never_import_scipy():
-    # the Brent fit of the rigidity suite and the TouchesZero crossing of a shot
-    # are the lab's own, and eigenvalues take LAPACK dstebz from scipy's compiled
-    # _flapack extension alone: no scipy package (scipy, scipy.linalg,
-    # scipy.optimize, scipy.integrate) is imported
+def _run_commands_probe(mode: str) -> dict:
+    """{command: [exit code, stdout, scipy modules loaded so far]} from one fresh interpreter."""
     src = str(Path(cknlab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE], env=env,
+    proc = subprocess.run([sys.executable, "-c", COMMANDS_PROBE, mode], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    lapack = ["scipy.linalg._flapack"]
-    assert json.loads(proc.stdout) == {"import": [], "params": [], "scan": [], "bubble": [],
-                                       "shoot": [], "shoot --w0 100": [], "verify rigidity": [],
-                                       "spectrum": lapack, "verify spectrum": lapack}
+    return json.loads(proc.stdout)
+
+
+@pytest.fixture(scope="module")
+def unrestricted_commands():
+    return _run_commands_probe("allow")
+
+
+def test_no_command_loads_a_scipy_module(unrestricted_commands):
+    # the Brent fit of the rigidity suite, the TouchesZero crossing of a shot and
+    # LAPACK dstebz from numpy's own OpenBLAS are all that the six commands need
+    assert {name: got[2] for name, got in unrestricted_commands.items()} == dict.fromkeys(
+        unrestricted_commands, [])
+    assert all(got[0] == 0 for name, got in unrestricted_commands.items() if name != "import")
+
+
+def test_every_command_runs_where_scipy_cannot_be_imported(unrestricted_commands):
+    # an install without the test extra: every command exits 0 with the same bytes
+    assert _run_commands_probe("refuse") == unrestricted_commands
 
 
 CLOSURE_PROBE = """
@@ -482,52 +503,47 @@ def test_module_entry_point_runs_clean_under_warnings_as_errors():
     assert json.loads(proc.stdout)["n"] == 6.0
 
 
-LOAD_ORDER_PROBE = """
-import json, sys
-import numpy as np
+MAPS_PROBE = """
+import json
 from cknlab.params import derive_params
-from cknlab.spectral import build_sector_operator, lowest_eigenvalue, sector_potential
+from cknlab.spectral import build_sector_operator, lowest_eigenvalue
+
+def shared_objects():
+    with open("/proc/self/maps") as maps:
+        fields = (line.split(None, 5) for line in maps)
+        return {f[5].strip() for f in fields if len(f) == 6 and f[4] != "0" and ".so" in f[5]}
 
 op = build_sector_operator(derive_params(-0.5, 0.0, 3), k=1, N=400)
-ours = lowest_eigenvalue(op) if sys.argv[1] == "lab-first" else None
-import scipy.linalg, scipy.linalg.lapack, scipy.optimize
-
-t, h = op.interior_nodes()
-diag = 2.0 * op.ps.alpha**2 / h**2 + sector_potential(op.ps, op.k, t)
-off = np.full(len(t) - 1, -op.ps.alpha**2 / h**2)
-dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-out = {
-    "dstebz": scipy.linalg.lapack.dstebz(diag, off, 2, 0.0, 1.0, 1, 1, 0.0, "E")[1][0].hex(),
-    "eigh": [v.hex() for v in scipy.linalg.eigh(dense, eigvals_only=True)[:3].tolist()],
-    "tridiagonal": scipy.linalg.eigvalsh_tridiagonal(
-        diag, off, select="i", select_range=(0, 0))[0].hex(),
-    "brent": scipy.optimize.minimize_scalar(lambda x: (x - 0.3) ** 2,
-                                            bracket=(0.0, 0.5, 2.0)).x.hex(),
-    "shared": scipy.linalg.lapack._flapack is sys.modules["scipy.linalg._flapack"],
-}
-if ours is None:
-    ours = lowest_eigenvalue(op)
-out["lab"] = ours.hex()
-print(json.dumps(out))
+before = shared_objects()
+ours = lowest_eigenvalue(op)
+mapped = sorted(shared_objects() - before)
+import scipy.linalg
+ref = scipy.linalg.eigvalsh_tridiagonal(*op.tridiagonal(), select="i", select_range=(0, 0))
+print(json.dumps({"mapped": mapped, "lab": ours.hex(), "scipy": float(ref[0]).hex()}))
 """
 
 
-def test_lapack_loaded_first_serves_a_later_scipy_import():
-    # lowest_eigenvalue loads scipy's _flapack by path; scipy.linalg and
-    # scipy.optimize imported afterwards share it and give the bits they give
-    # when scipy.linalg is imported first
+def test_first_eigenvalue_maps_no_new_shared_object():
+    # dstebz comes from the OpenBLAS that numpy mapped on import, and scipy,
+    # imported afterwards, gives the same bits
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("no /proc/self/maps on this platform")
     src = str(Path(cknlab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    runs = {}
-    for order in ("lab-first", "scipy-first"):
-        proc = subprocess.run([sys.executable, "-c", LOAD_ORDER_PROBE, order], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        runs[order] = json.loads(proc.stdout)
-    assert runs["lab-first"] == runs["scipy-first"]
-    assert runs["lab-first"]["shared"] is True
-    assert runs["lab-first"]["lab"] == runs["lab-first"]["dstebz"] == \
-        runs["lab-first"]["tridiagonal"]
+    proc = subprocess.run([sys.executable, "-c", MAPS_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["mapped"] == []
+    assert got["lab"] == got["scipy"]
+
+
+def test_spectrum_without_lapack_exits_2_with_the_searched_path(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cknlab.spectral, "NUMPY_LIBS", str(tmp_path))
+    code, out, err = run_cli(capsys, "spectrum", "--d", "3", "--n", "6")
+    assert code == 2 and out == ""
+    assert f"no LAPACK dstebz: searched {tmp_path}" in err
+    assert "Traceback" not in err
 
 
 def _ulp_gaps(a: float):

@@ -317,3 +317,20 @@ def test_lowest_tridiagonal_eigenvalue_refuses_non_finite_as_scipy(bad, where):
     with pytest.raises(ValueError) as ref:
         _scipy_lowest(diag, off)
     assert str(ours.value) == str(ref.value)
+
+
+def test_lowest_tridiagonal_eigenvalue_names_the_path_it_searched(monkeypatch, tmp_path):
+    # no fallback: without numpy's OpenBLAS there is no eigenvalue
+    monkeypatch.setattr(spectral, "NUMPY_LIBS", str(tmp_path))
+    with pytest.raises(CknLabError, match=f"no LAPACK dstebz: searched {tmp_path} for"):
+        lowest_tridiagonal_eigenvalue([2.0, 2.0], [-1.0])
+
+
+@pytest.mark.parametrize("diag, off", [
+    (np.ones(5), np.ones(3)), (np.ones(5), np.ones(5)), (np.ones(1), np.ones(0)),
+    (np.ones((2, 3)), np.ones(2)),
+])
+def test_lowest_tridiagonal_eigenvalue_refuses_mismatched_shapes(diag, off):
+    # LAPACK reads as many entries as n says, so a short off-diagonal must not reach it
+    with pytest.raises(ValueError, match=r"need shapes \(n >= 2,\) and \(n - 1,\)"):
+        lowest_tridiagonal_eigenvalue(diag, off)
