@@ -16,21 +16,20 @@ state sits at -alpha^2 (n-1) (the potential is an exactly solvable sech^2
 well), so the k = 1 bottom eigenvalue -alpha^2 (n-1) + (d-1) changes sign
 precisely at alpha = sqrt((d-1)/(n-1)); locating that crossing numerically
 against the closed form is the headline check.  Eigenvalues are LAPACK
-dstebz's, from the OpenBLAS numpy already maps: the module loads no scipy.
+dstebz's, from the OpenBLAS numpy's linalg links: the module loads no scipy.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
-import os
 from dataclasses import asdict, dataclass
 from functools import cache
 
 import numpy as np
 
 from .bubble import cylinder_amplitude
-from .errors import AdmissibilityError, CknLabError
+from .errors import AdmissibilityError, CknLabError, LapackNotFound
 from .params import ParamSet, alpha_bracket, derive_params, felli_schneider_threshold
 
 BISECT_TOL = 1e-5  # width of the final alpha bracket in fs_crossing
@@ -38,6 +37,7 @@ BISECT_TOL = 1e-5  # width of the final alpha bracket in fs_crossing
 MIN_SECTOR_INTERVALS = 64
 #: Grid intervals of `converged_lowest_eigenvalue`: N, 2N on T and 3N on 1.5 T, at N = 2000.
 CONVERGED_GRIDS = (2000, 4000, 6000)
+_LAPACK_HOST = np.linalg._umath_linalg.__file__
 
 #: Columns of the rows `spectrum_table` returns.
 SPECTRUM_HEADER = ["alpha", "k", "lowest_eigenvalue"]
@@ -119,19 +119,13 @@ def build_sector_operator(ps: ParamSet, k: int, T: float | None = None,
                           N=int(N), parity=parity)
 
 
-#: The directory of numpy's wheel that holds the OpenBLAS numpy's extensions link.
-NUMPY_LIBS = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-
-
 @cache
-def _dstebz(libs: str):
-    """LAPACK dstebz from the ILP64 OpenBLAS in `libs`, which numpy has mapped already."""
+def _dstebz():
+    """dstebz by dlsym in _LAPACK_HOST and what it links: numpy's ILP64 scipy-openblas."""
     try:
-        name = next(f for f in os.listdir(libs) if f.startswith("libscipy_openblas64_"))
-        dstebz = ctypes.CDLL(os.path.join(libs, name)).scipy_dstebz_64_
-    except (StopIteration, OSError, AttributeError) as exc:
-        raise CknLabError(f"no LAPACK dstebz: searched {libs} for scipy_dstebz_64_ in "
-                          "libscipy_openblas64_*") from exc
+        dstebz = ctypes.CDLL(_LAPACK_HOST).scipy_dstebz_64_
+    except (OSError, AttributeError):   # chained as the context of the raise
+        raise LapackNotFound(f"no LAPACK dstebz: searched {_LAPACK_HOST} for scipy_dstebz_64_")
     i64, f64 = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
     arr = ctypes.c_void_p
     # RANGE ORDER; N VL VU IL IU ABSTOL; D E M NSPLIT W IBLOCK ISPLIT WORK IWORK INFO; 2 lengths
@@ -147,7 +141,7 @@ def lowest_tridiagonal_eigenvalue(diag, off) -> float:
     The bits of ``scipy.linalg.eigvalsh_tridiagonal(diag, off, select="i",
     select_range=(0, 0))``: bisection by LAPACK dstebz (Kahan, 1966; range 'I',
     il = iu = 1, abstol 0, order 'E') from numpy's own OpenBLAS, with scipy's
-    finiteness check and LAPACK info rule.
+    finiteness check and info rule; LapackNotFound where numpy's linalg links none.
     """
     diag, off = (np.asarray_chkfinite(x, np.float64, "C") for x in (diag, off))
     n = diag.size
@@ -157,9 +151,9 @@ def lowest_tridiagonal_eigenvalue(diag, off) -> float:
     work, iwork = np.empty(4 * n), np.empty(3 * n, np.int64)
     i64, f64 = ctypes.c_int64, ctypes.c_double
     m, nsplit, info = i64(), i64(), i64()
-    _dstebz(NUMPY_LIBS)(b"I", b"E", i64(n), f64(0.0), f64(1.0), i64(1), i64(1), f64(0.0),
-                        diag.ctypes.data, off.ctypes.data, m, nsplit,
-                        *(a.ctypes.data for a in (w, iblock, isplit, work, iwork)), info, 1, 1)
+    _dstebz()(b"I", b"E", i64(n), f64(0.0), f64(1.0), i64(1), i64(1), f64(0.0),
+              diag.ctypes.data, off.ctypes.data, m, nsplit,
+              *(a.ctypes.data for a in (w, iblock, isplit, work, iwork)), info, 1, 1)
     if info.value < 0:
         raise ValueError(f"illegal value in argument {-info.value} of internal dstebz")
     if info.value > 0:

@@ -1,7 +1,10 @@
+import _ctypes
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from cknlab import spectral
 from cknlab.grids import RadialGrid
 from cknlab.params import derive_params
 
@@ -56,3 +59,19 @@ def grid_small():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240601)
+
+
+@pytest.fixture(params=["missing file", "no symbol"])
+def without_lapack(request, monkeypatch, tmp_path):
+    """A numpy whose linalg links no scipy_dstebz_64_: the searched path is a file
+    that does not exist, or a shared object without the symbol (Python's _ctypes)."""
+    if request.param == "missing file":
+        host = str(tmp_path / "absent.so")
+    elif getattr(_ctypes, "__file__", None) is None:
+        pytest.skip("_ctypes is built into this interpreter")
+    else:
+        host = _ctypes.__file__
+    monkeypatch.setattr(spectral, "_LAPACK_HOST", host)
+    spectral._dstebz.cache_clear()   # a lookup made before the patch would serve the test
+    yield host
+    spectral._dstebz.cache_clear()

@@ -538,12 +538,19 @@ def test_first_eigenvalue_maps_no_new_shared_object():
     assert got["lab"] == got["scipy"]
 
 
-def test_spectrum_without_lapack_exits_2_with_the_searched_path(capsys, monkeypatch, tmp_path):
-    monkeypatch.setattr(cknlab.spectral, "NUMPY_LIBS", str(tmp_path))
+def test_spectrum_without_lapack_exits_2_with_the_searched_path(capsys, without_lapack):
     code, out, err = run_cli(capsys, "spectrum", "--d", "3", "--n", "6")
     assert code == 2 and out == ""
-    assert f"no LAPACK dstebz: searched {tmp_path}" in err
+    assert f"error: no LAPACK dstebz: searched {without_lapack}" in err
     assert "Traceback" not in err
+
+
+def test_verify_spectrum_without_lapack_exits_2_not_as_a_contract_failure(capsys, without_lapack):
+    # the install lacks a library; the Felli-Schneider contract was never judged
+    code, out, err = run_cli(capsys, "verify", "--suite", "spectrum")
+    assert code == 2 and out == ""
+    assert f"error: no LAPACK dstebz: searched {without_lapack}" in err
+    assert "contract failure" not in err and "Traceback" not in err
 
 
 def _ulp_gaps(a: float):

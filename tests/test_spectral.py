@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cknlab import spectral
 from cknlab.bubble import cylinder_amplitude
-from cknlab.errors import AdmissibilityError, CknLabError
+from cknlab.errors import AdmissibilityError, CknLabError, LapackNotFound
 from cknlab.fitting import fit_loglog
 from cknlab.params import alpha_bracket, derive_params, felli_schneider_threshold
 from cknlab.spectral import (
@@ -320,10 +320,11 @@ def test_lowest_tridiagonal_eigenvalue_refuses_non_finite_as_scipy(bad, where):
     assert str(ours.value) == str(ref.value)
 
 
-def test_lowest_tridiagonal_eigenvalue_names_the_path_it_searched(monkeypatch, tmp_path):
-    # no fallback: without numpy's OpenBLAS there is no eigenvalue
-    monkeypatch.setattr(spectral, "NUMPY_LIBS", str(tmp_path))
-    with pytest.raises(CknLabError, match=re.escape(f"no LAPACK dstebz: searched {tmp_path} for")):
+def test_lowest_tridiagonal_eigenvalue_names_the_path_it_searched(without_lapack):
+    # no fallback: without numpy's scipy-openblas64 there is no eigenvalue
+    assert issubclass(LapackNotFound, CknLabError)
+    with pytest.raises(LapackNotFound, match=re.escape(
+            f"no LAPACK dstebz: searched {without_lapack} for scipy_dstebz_64_")):
         lowest_tridiagonal_eigenvalue([2.0, 2.0], [-1.0])
 
 
