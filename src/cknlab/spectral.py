@@ -37,7 +37,7 @@ BISECT_TOL = 1e-5  # width of the final alpha bracket in fs_crossing
 MIN_SECTOR_INTERVALS = 64
 #: Grid intervals of `converged_lowest_eigenvalue`: N, 2N on T and 3N on 1.5 T, at N = 2000.
 CONVERGED_GRIDS = (2000, 4000, 6000)
-_LAPACK_HOST = np.linalg._umath_linalg.__file__
+_LAPACK_HOST = np.linalg._umath_linalg.__file__   # numpy's LAPACK caller; see _dstebz
 
 #: Columns of the rows `spectrum_table` returns.
 SPECTRUM_HEADER = ["alpha", "k", "lowest_eigenvalue"]
@@ -124,7 +124,7 @@ def _dstebz():
     """dstebz by dlsym in _LAPACK_HOST and what it links: numpy's ILP64 scipy-openblas."""
     try:
         dstebz = ctypes.CDLL(_LAPACK_HOST).scipy_dstebz_64_
-    except (OSError, AttributeError):   # chained as the context of the raise
+    except (OSError, AttributeError):   # the cause stays as the raise's __context__
         raise LapackNotFound(f"no LAPACK dstebz: searched {_LAPACK_HOST} for scipy_dstebz_64_")
     i64, f64 = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
     arr = ctypes.c_void_p
