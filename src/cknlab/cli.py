@@ -7,9 +7,9 @@ namespace.  ``verify`` runs each suite at the one configuration its
 tolerances were set for: a suite's resolution is a constant of ``verify``,
 not a flag.  Outputs are CSV or JSON plot data (no rendering); identical
 configurations with the same seed produce byte-identical reports.
-Exit codes: 0 pass, 1 contract failure, 2 invalid input or no LAPACK dstebz (the
-reason on stderr).  An error a suite raises at its fixed configuration is a
-contract failure; one raised on the parameter triple the user gave is invalid input.
+Exit codes: 0 pass, 1 contract failure, 2 invalid input or an OSError such as no
+LAPACK dstebz (the reason on stderr).  A CknLabError a suite raises at its fixed
+configuration is a contract failure; on the user's parameter triple, invalid input.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import sys
 # Modules, not names: each stays lazy (cknlab/__init__.py) until a command reads
 # it, and building the parser reads nothing from a module that imports numpy.
 from . import bubble, radial_ode, spectral, verify
-from .errors import AdmissibilityError, CknLabError, LapackNotFound
+from .errors import AdmissibilityError, CknLabError
 from .params import ALPHA_BRACKET, REGIME_HEADER, alpha_bracket, derive_params, regime_row
 # ordered_map stays bound here for the perfbench tracer tests, which patch it.
 from .reporting import csv_text, json_text, ordered_map, write_text  # noqa: F401
@@ -271,8 +271,6 @@ def cmd_verify(args) -> int:
     seed = verify.DEFAULT_SEED if args.seed is None else args.seed
     try:
         report = getattr(verify, f"run_{args.suite}_suite")(seed=seed, **kwargs)
-    except LapackNotFound:   # the install, not the suite: main reports it with exit 2
-        raise
     except CknLabError as exc:
         if kwargs:   # raised on the user's triple: main reports it as invalid input
             raise

@@ -5,8 +5,8 @@ its message names which.  AdmissibilityError is a parameter triple (a, b, d)
 outside the admissible set, which the CLI reports as inadmissible input and
 ``spectral.fs_crossing`` as a bracket without a crossing.  NotFiniteEnergy is
 an energy integral the estimates suite records as not certified rather than
-failing on; LapackNotFound a numpy that links no LAPACK dstebz.  The CLI exits 2
-on LapackNotFound or an error from what the user typed, and 1 on one a suite raises.
+failing on.  A numpy without LAPACK dstebz raises OSError, as ``ctypes.CDLL`` does.
+The CLI exits 2 on it or an error from what the user typed, 1 on one a suite raises.
 """
 
 
@@ -20,7 +20,3 @@ class AdmissibilityError(CknLabError, ValueError):
 
 class NotFiniteEnergy(CknLabError):
     """Energy integral not certified finite on the grid."""
-
-
-class LapackNotFound(CknLabError):
-    """No scipy_dstebz_64_ in the libraries numpy's linalg extension links."""

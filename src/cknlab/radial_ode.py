@@ -160,7 +160,7 @@ def series_start(ps: ParamSet, w0: float, s: float) -> tuple[float, float]:
     """Two-term series value and derivative near the singular point."""
     try:
         c2 = -(w0 ** (ps.p_exp - 1.0)) / (2.0 * ps.n * ps.alpha**2)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):   # alpha^2 may underflow to 0
         c2 = -math.inf
     if math.isinf(c2):
         raise CknLabError(
@@ -365,8 +365,8 @@ def shoot(
     the shortest probe with ``w`` at or below the floor.
     """
     w0 = float(w0)
-    if not w0 > 0:
-        raise ValueError("w0 must be positive")
+    if not 1e-20 * w0 > 0:   # 1e-20 w0 is the stepper's absolute tolerance, a divisor
+        raise ValueError(f"w0 must be positive, with 1e-20 w0 above 0: got {w0!r}")
     if not ps.p_exp > 2.0:
         raise AdmissibilityError("shooting needs p > 2")
     if s_max is None:
@@ -443,6 +443,12 @@ def match_bubble(profile: RadialProfile) -> BubbleMatch:
 
     span = math.log(4.0)
     bracket = (math.log(mu0) - span, math.log(mu0), math.log(mu0) + span)
+    # at small alpha the scale underflows to 0 (a division by it follows) or overflows exp
+    lo, hi = bracket[0] / ps.alpha, bracket[2] / ps.alpha
+    if not math.log(np.finfo(float).tiny) <= lo < hi <= math.log(np.finfo(float).max):
+        raise CknLabError(
+            f"the scale fit at w0 = {profile.w0:.6g} leaves double range: its scale lambda = "
+            f"exp(log mu / alpha) spans exp({lo:.6g}) to exp({hi:.6g}) at alpha = {ps.alpha:.6g}")
     try:
         res = minimize_scalar(objective, bracket, xtol=1e-14)
     except ValueError as exc:  # the family scale mu0 is not the bracket's lowest point

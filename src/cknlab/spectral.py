@@ -29,7 +29,7 @@ from functools import cache
 import numpy as np
 
 from .bubble import cylinder_amplitude
-from .errors import AdmissibilityError, CknLabError, LapackNotFound
+from .errors import AdmissibilityError, CknLabError
 from .params import ParamSet, alpha_bracket, derive_params, felli_schneider_threshold
 
 BISECT_TOL = 1e-5  # width of the final alpha bracket in fs_crossing
@@ -125,7 +125,7 @@ def _dstebz():
     try:
         dstebz = ctypes.CDLL(_LAPACK_HOST).scipy_dstebz_64_
     except (OSError, AttributeError):   # the cause stays as the raise's __context__
-        raise LapackNotFound(f"no LAPACK dstebz: searched {_LAPACK_HOST} for scipy_dstebz_64_")
+        raise OSError(f"no LAPACK dstebz: searched {_LAPACK_HOST} for scipy_dstebz_64_")
     i64, f64 = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
     arr = ctypes.c_void_p
     # RANGE ORDER; N VL VU IL IU ABSTOL; D E M NSPLIT W IBLOCK ISPLIT WORK IWORK INFO; 2 lengths
@@ -141,7 +141,7 @@ def lowest_tridiagonal_eigenvalue(diag, off) -> float:
     The bits of ``scipy.linalg.eigvalsh_tridiagonal(diag, off, select="i",
     select_range=(0, 0))``: bisection by LAPACK dstebz (Kahan, 1966; range 'I',
     il = iu = 1, abstol 0, order 'E') from numpy's own OpenBLAS, with scipy's
-    finiteness check and info rule; LapackNotFound where numpy's linalg links none.
+    finiteness check and info rule; OSError where numpy's linalg links none.
     """
     diag, off = (np.asarray_chkfinite(x, np.float64, "C") for x in (diag, off))
     n = diag.size

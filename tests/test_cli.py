@@ -553,16 +553,33 @@ def test_verify_spectrum_without_lapack_exits_2_not_as_a_contract_failure(capsys
     assert "contract failure" not in err and "Traceback" not in err
 
 
+def test_rigidity_at_a_vanishing_alpha_exits_2_naming_the_scale(capsys):
+    # alpha = 2.06e-7: the scale fit's lambda = exp(log mu / alpha) leaves double range
+    code, out, err = run_cli(capsys, "verify", "--suite", "rigidity", "--a", "1.4999990620495156",
+                             "--b", "2.0502081466006272", "--d", "5")
+    assert code == 2 and out == ""
+    assert "error: the scale fit at w0 = " in err
+    assert "its scale lambda = exp(log mu / alpha) spans exp(" in err
+    assert err.rstrip().endswith("at alpha = 2.05775e-07")
+    assert "contract failure" not in err and "Traceback" not in err
+
+
 def _ulp_gaps(a: float):
     """b - a at the edges of the weight range: 0, a few ulps of a, 1 and 1 - ulp."""
     ulp = math.ulp(a) if a else math.ulp(1.0)
     return st.sampled_from([0.0, ulp, 2.0 * ulp, 1.0 - math.ulp(1.0), 1.0])
 
 
+def _log_uniform(low: float, high: float):
+    """10^e for e uniform in [low, high]."""
+    return st.floats(min_value=low, max_value=high).map(lambda e: 10.0 ** e)
+
+
 @st.composite
-def _fuzz_argv(draw):
-    d = draw(st.integers(min_value=2, max_value=6))
-    command = draw(st.sampled_from(["params", "spectrum", "bubble"]))
+def _fuzz_argv(draw, command):
+    """One invocation of ``command``.  A signed value is passed as ``--flag=value``:
+    argparse takes ``-1e-05`` after a flag for an option."""
+    d = draw(st.integers(min_value=2, max_value=7 if command == "verify" else 6))
     if command == "spectrum":
         n = draw(st.one_of(
             st.floats(min_value=1.0, max_value=1e6),
@@ -575,27 +592,52 @@ def _fuzz_argv(draw):
             lo = draw(st.floats(min_value=1e-3, max_value=10.0))
             argv += ["--alpha-min", repr(lo), "--alpha-max", repr(lo * 2.0)]
         return argv
-    a = draw(st.one_of(st.floats(min_value=-3.0, max_value=(d - 2) / 2.0),
-                       st.sampled_from([-0.5, -0.1, 0.0, (d - 2) / 2.0])))
+    if command == "scan":
+        a_min = draw(st.floats(min_value=-3.0, max_value=3.0))
+        a_max = a_min + draw(st.floats(min_value=-1.0, max_value=1.0))
+        step = draw(st.one_of(
+            st.floats(min_value=-1.0, max_value=1.0),
+            st.builds(lambda sign, size: sign * size, st.sampled_from([-1.0, 1.0]),
+                      _log_uniform(-320.0, -4.0)),
+        ))
+        return ["scan", "--d", str(d), f"--a-min={a_min!r}", f"--a-max={a_max!r}",
+                f"--a-step={step!r}", f"--b-offset={draw(st.floats(0.0, 1.0))!r}"]
+    a_c = (d - 2) / 2.0   # alpha -> 0 as a -> a_c
+    a = draw(st.one_of(st.floats(min_value=-3.0, max_value=a_c),
+                       st.sampled_from([-0.5, -0.1, 0.0, a_c, math.nextafter(a_c, -math.inf)]),
+                       _log_uniform(-16.0, 0.0).map(lambda gap: a_c - gap)))
     b = a + draw(st.one_of(_ulp_gaps(a), st.floats(min_value=0.0, max_value=1.0)))
-    argv = [command, "--a", repr(a), "--b", repr(b), "--d", str(d)]
+    weights = [f"--a={a!r}", f"--b={b!r}", "--d", str(d)]
+    if command == "verify":
+        return ["verify", "--suite", "rigidity", *weights]
+    argv = [command, *weights]
     if command == "bubble":
         argv += ["--grid", str(draw(st.integers(min_value=1, max_value=8)))]
+    if command == "shoot":
+        argv += ["--w0", repr(draw(_log_uniform(-30.0, 30.0))),
+                 "--s-max", repr(draw(_log_uniform(-7.0, 6.0)))]
     return argv
 
 
 @settings(max_examples=40, deadline=None)
-@given(_fuzz_argv())
-@example(["params", "--a", "-0.5", "--b", "-0.49999999999999994", "--d", "2"])
-@example(["spectrum", "--d", "3", "--n", "1000", "--grid", "64", "--alpha-count", "1"])
-@example(["bubble", "--a", "-0.5", "--b", "0", "--d", "3", "--lam", "1e306", "--grid", "4",
-          "--r-max", "1e3"])
-def test_argv_fuzz_exits_with_a_code(argv):
-    # Every invocation ends in an exit code (0 output, 1 contract failure, 2
-    # refused with a reason); no exception escapes cli.main.
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
-    assert code in (0, 1, 2), argv
+@given(st.tuples(*(_fuzz_argv(command) for command in
+                   ("params", "scan", "bubble", "shoot", "spectrum", "verify"))))
+@example([["params", "--a", "-0.5", "--b", "-0.49999999999999994", "--d", "2"]])
+@example([["spectrum", "--d", "3", "--n", "1000", "--grid", "64", "--alpha-count", "1"]])
+@example([["bubble", "--a", "-0.5", "--b", "0", "--d", "3", "--lam", "1e306", "--grid", "4",
+           "--r-max", "1e3"]])
+@example([["verify", "--suite", "rigidity", "--a", "1.4999990620495156",
+           "--b", "2.0502081466006272", "--d", "5"]])
+@example([["verify", "--suite", "rigidity", "--a", "2.4999999999999996",
+           "--b", "3.3366304577280093", "--d", "7"]])
+@example([["shoot", "--a=-5e-324", "--b=0.6957103159070795", "--d", "2", "--w0", "1"]])
+def test_argv_fuzz_exits_with_a_code(argvs):
+    # Every invocation of each of the six commands ends in an exit code (0 output,
+    # 1 contract failure, 2 refused with a reason); no exception escapes cli.main.
+    for argv in argvs:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
 
 
 @st.composite

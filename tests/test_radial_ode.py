@@ -105,6 +105,17 @@ class TestShoot:
         with pytest.raises(ValueError):
             shoot(ps_n6, -1.0)
 
+    def test_rejects_an_amplitude_whose_absolute_tolerance_underflows(self, ps_n6):
+        # the stepper divides by its absolute tolerance 1e-20 w0, which is 0 here
+        with pytest.raises(ValueError, match=r"with 1e-20 w0 above 0: got 1e-305"):
+            shoot(ps_n6, 1e-305)
+
+    def test_series_refused_where_alpha_squared_underflows(self):
+        ps = derive_params(-1e-200, 0.5, 2)   # alpha ~ 1e-200, alpha^2 = 0
+        assert ps.alpha > 0.0 and ps.alpha**2 == 0.0
+        with pytest.raises(CknLabError, match=r"w0\^\(p-1\)/\(2 n alpha\^2\) overflows"):
+            shoot(ps, 1.0, s_max=10.0)
+
     def test_rejects_p2_edge(self):
         with pytest.raises(AdmissibilityError, match="shooting needs p > 2"):
             shoot(derive_params(-1.0, 0.0, 3), 1.0)
@@ -277,6 +288,16 @@ class TestMatchBubble:
         with pytest.raises(CknLabError, match=r"w0 = 60000 .*\(3\.21888, 4\.60517, "
                                               r"5\.99146\).*f\(xb\) < f\(xa\)"):
             match_bubble(profile)
+
+    def test_scale_outside_double_range_is_a_named_failure(self, ps_n6):
+        # at alpha = 1e-7 the scale exp(log mu / alpha) overflows over the whole
+        # bracket; math.exp would raise OverflowError, not a named failure
+        profile = shoot(ps_n6, cylinder_amplitude(ps_n6))
+        tiny = dataclasses.replace(profile, ps=dataclasses.replace(ps_n6, alpha=1e-7))
+        with pytest.raises(CknLabError, match=r"w0 = 6 leaves double range: its scale lambda = "
+                                              r"exp\(log mu / alpha\) spans exp\(1\.40387e\+08\) "
+                                              r"to exp\(1\.68112e\+08\) at alpha = 1e-07"):
+            match_bubble(tiny)
 
 
 class TestSweep:
