@@ -37,16 +37,19 @@ class BubbleSpec:
 
 
 def _amplitude_power(base: float, ps: ParamSet) -> float:
-    """base^(1/(p-2)), the bubble amplitude c0, refused at p <= 2 and where it overflows."""
+    """base^(1/(p-2)), the bubble amplitude c0, refused at p <= 2 and where it
+    overflows or underflows to 0."""
     if not ps.p_exp > 2.0:
         raise AdmissibilityError(f"the bubble amplitude c0 needs p > 2 (got p = {ps.p_exp})")
     try:
-        return base ** (1.0 / (ps.p_exp - 2.0))
+        c0 = base ** (1.0 / (ps.p_exp - 2.0))
     except OverflowError:
-        raise CknLabError(
-            f"the bubble amplitude c0 = {base:.6g}^(1/(p-2)) overflows double "
-            f"precision at n = {ps.n:.6g} (p = {ps.p_exp:.6g})"
-        ) from None
+        c0 = math.inf
+    if not 0.0 < c0 < math.inf:
+        fate = "overflows" if c0 else "underflows to 0 in"
+        raise CknLabError(f"the bubble amplitude c0 = {base:.6g}^(1/(p-2)) {fate} double "
+                          f"precision at n = {ps.n:.6g} (p = {ps.p_exp:.6g})")
+    return c0
 
 
 def cylinder_amplitude(ps: ParamSet) -> float:

@@ -28,6 +28,9 @@ from .pressure import (PressureField, defect_density, pressure_of, pressure_weig
 
 SUPERHARMONIC_GATE_REL_TOL = 1e-6  # L w <= 0 gate, relative to the size of L's terms
 ENERGY_STABILITY_TOL = 1e-6        # relative energy change allowed under r_max halving
+COMPARISON_RADIUS = 1.0            # inner sphere r = rho of the superharmonic comparison bound
+#: Radii of the low-dimension chain: dyadic from 128, its fit window on a grid to r = 1e4.
+LOW_DIM_RADII = 128.0 * 2.0 ** np.arange(6)
 
 
 @dataclass(frozen=True)
@@ -95,8 +98,9 @@ class SuperharmonicBound:
     rho: float         # rho snapped to the nearest grid node
 
 
-def superharmonic_lower_bound(w: CylinderField, rho: float) -> SuperharmonicBound:
-    """Comparison bound w >= A r^(2-n) on (rho, r_max) for L-superharmonic w.
+def superharmonic_lower_bound(w: CylinderField) -> SuperharmonicBound:
+    """Comparison bound w >= A r^(2-n) on (rho, r_max) for L-superharmonic w,
+    with rho = COMPARISON_RADIUS.
 
     A is the inner-boundary sphere minimum rho^(n-2) min_{r=rho} w (the
     comparison-principle choice; the infimum over the whole outer region
@@ -108,7 +112,7 @@ def superharmonic_lower_bound(w: CylinderField, rho: float) -> SuperharmonicBoun
     ps = w.params
     grid = w.grid
     n = ps.n
-    idx = int(np.argmin(np.abs(grid.x_nodes - np.log(rho))))
+    idx = int(np.argmin(np.abs(grid.x_nodes - np.log(COMPARISON_RADIUS))))
     rho_eff = float(grid.nodes[idx])
 
     s = grid.column(w.values)
@@ -179,10 +183,10 @@ class LowDimChainResult:
     closes: bool               # growth < 2, so the R^-2 limit closes
 
 
-def low_dim_chain(pf: PressureField, R_list) -> LowDimChainResult:
+def low_dim_chain(pf: PressureField) -> LowDimChainResult:
     """Defect-closure chain for 2 < n < 4 (no decay or energy hypotheses).
 
-    Measures, at the radii R_list, the growth of the pressure-gradient
+    Measures, at the radii LOW_DIM_RADII, the growth of the pressure-gradient
     integral (the extremal's own rate is R^(4-n)) and the decay of the
     induced defect bound R^-2 G(2R); the chain closes whenever the growth
     exponent is < 2.
@@ -192,7 +196,7 @@ def low_dim_chain(pf: PressureField, R_list) -> LowDimChainResult:
         raise CknLabError(f"chain requires 2 < n < 4, got n = {ps.n}")
     if not ps.is_symmetric:
         raise CknLabError("chain requires the symmetric regime")
-    R_list = np.asarray(R_list, dtype=float)
+    R_list = LOW_DIM_RADII.copy()   # the result's own array, not the shared constant
     density = pf.field(pressure_weight(pf.P.values, ps.n) * pf.DP2)
     G = lambda R: integrate_mu(density, r_hi=R)
     grad_values = np.array([G(R) for R in R_list])

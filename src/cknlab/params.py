@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import AdmissibilityError
@@ -85,7 +86,8 @@ def derive_params(a: float, b: float, d: int, strict_subcritical: bool = False) 
     With ``strict_subcritical`` the endpoint exponents p = 2 (b = a+1) and
     p = 2* (a = b, d >= 3) are rejected with AdmissibilityError; by default
     they are admissible-for-parameters and it is up to the caller to demand
-    strictness where an operation needs p in the open range.
+    strictness where an operation needs p in the open range.  Off the p = 2
+    edge, an alpha whose square is not a positive normal double is refused.
     """
     a, b = float(a), float(b)  # numpy scalars would turn overflow into inf
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -129,6 +131,11 @@ def derive_params(a: float, b: float, d: int, strict_subcritical: bool = False) 
             )
         p = 2.0 * d / (d - 2.0 + 2.0 * (b - a))
         alpha = one_ab * kappa / (kappa + b)
+        if not alpha**2 >= sys.float_info.min:   # alpha^2 divides the radial equation
+            raise AdmissibilityError(
+                f"alpha = {alpha!r} has a square below the smallest normal double "
+                f"{sys.float_info.min!r}: got a = {a}, b = {b}, d = {d}"
+            )
         fs_threshold = felli_schneider_threshold(d, n)
         # scaled by 2/(n-2), the condition number of 2n/(n-2), large as p -> inf at d = 2
         p_check = 2.0 * n / (n - 2.0)

@@ -241,14 +241,13 @@ def divergence_form_residual(pf: PressureField) -> np.ndarray:
     return defect_density(pf) - weighted_divergence(pf, v_r, v_t)
 
 
-def rigidity_defect(pf: PressureField, r_lo: float | None = None,
-                    r_hi: float | None = None) -> float:
-    """int P^(1-n) k[P] dmu over (r_lo, r_hi), by default the whole grid.
+def rigidity_defect(pf: PressureField) -> float:
+    """int P^(1-n) k[P] dmu over the whole grid.
 
     Nonnegative (within quadrature tolerance) for solution inputs in the
     symmetric regime; zero exactly on the extremal family.
     """
-    return integrate_mu(pf.field(defect_density(pf)), r_lo, r_hi)
+    return integrate_mu(pf.field(defect_density(pf)))
 
 
 def rigidity_defect_breakdown(pf: PressureField) -> dict[str, float]:

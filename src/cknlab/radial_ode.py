@@ -36,6 +36,7 @@ from .params import ParamSet
 TOUCH_FACTOR = 1e-12    # TouchesZero when w < 1e-12 * w0
 SERIES_START = 1e-6
 MATCH_TOL = 1e-6        # a sweep's shot matches when its sup relative error is below this
+MAX_SHOT_STEPS = 100_000  # DOP853 steps a shot may take; the suites' shots take at most ~200
 EPS = float(np.finfo(float).eps)
 
 
@@ -160,7 +161,7 @@ def series_start(ps: ParamSet, w0: float, s: float) -> tuple[float, float]:
     """Two-term series value and derivative near the singular point."""
     try:
         c2 = -(w0 ** (ps.p_exp - 1.0)) / (2.0 * ps.n * ps.alpha**2)
-    except (OverflowError, ZeroDivisionError):   # alpha^2 may underflow to 0
+    except OverflowError:
         c2 = -math.inf
     if math.isinf(c2):
         raise CknLabError(
@@ -392,6 +393,11 @@ def shoot(
     stepper = _Dop853(rhs, t0, ws[0], vs[0], t1, max(rtol, 100 * EPS), 1e-20 * w0)
     cls = Classification.DECAYS_LIKE_BUBBLE
     while True:  # one step even at t0 == t1, where solve_ivp repeats the start
+        if len(ts) > MAX_SHOT_STEPS:   # ts holds the start and one sample per step
+            raise CknLabError(
+                f"the shot at w0 = {w0:.6g} reached its ceiling of {MAX_SHOT_STEPS} steps at "
+                f"s = {math.exp(stepper.t):.6g}, short of s_max = {s_max:.6g} "
+                f"(alpha = {ps.alpha:.6g})")
         stepper.step()
         t, w, v = stepper.t, stepper.w, stepper.v
         if ws[-1] - floor >= 0 >= w - floor:  # find_active_events, direction -1
@@ -423,6 +429,26 @@ class BubbleMatch:
     sup_rel_error: float
 
 
+def scale_bracket(ps: ParamSet, w0: float) -> tuple[float, float, float]:
+    """Brent bracket on log mu of the scale fit at amplitude w0: log mu0 and log(4) either
+    side, mu0 = `family_scale`.  CknLabError where the scale lambda = mu^(1/alpha) of
+    the bracket leaves double range: at small alpha it underflows to 0 (a division by
+    it follows) or overflows exp."""
+    try:
+        log_mu0 = math.log(family_scale(ps, w0))
+    except (OverflowError, ValueError):   # mu0 overflows, or underflows to 0
+        raise CknLabError(f"the family scale mu0 = (w0/c0)^(2/(n-2)) leaves double range "
+                          f"at n = {ps.n:.6g}, w0 = {w0:.6g}") from None
+    span = math.log(4.0)
+    bracket = (log_mu0 - span, log_mu0, log_mu0 + span)
+    lo, hi = bracket[0] / ps.alpha, bracket[2] / ps.alpha
+    if not math.log(np.finfo(float).tiny) <= lo < hi <= math.log(np.finfo(float).max):
+        raise CknLabError(
+            f"the scale fit at w0 = {w0:.6g} leaves double range: its scale lambda = "
+            f"exp(log mu / alpha) spans exp({lo:.6g}) to exp({hi:.6g}) at alpha = {ps.alpha:.6g}")
+    return bracket
+
+
 def match_bubble(profile: RadialProfile) -> BubbleMatch:
     """Least-squares fit of the scaling parameter over the extremal family.
 
@@ -432,7 +458,7 @@ def match_bubble(profile: RadialProfile) -> BubbleMatch:
     if profile.classification is not Classification.DECAYS_LIKE_BUBBLE:
         raise CknLabError(f"profile classified {profile.classification.value}")
     ps = profile.ps
-    mu0 = family_scale(ps, profile.w0)
+    bracket = scale_bracket(ps, profile.w0)
     s, w = profile.s, profile.w
     log_w = np.log(w)
 
@@ -441,14 +467,6 @@ def match_bubble(profile: RadialProfile) -> BubbleMatch:
         diff = log_w - np.log(model)
         return float(np.mean(diff**2))
 
-    span = math.log(4.0)
-    bracket = (math.log(mu0) - span, math.log(mu0), math.log(mu0) + span)
-    # at small alpha the scale underflows to 0 (a division by it follows) or overflows exp
-    lo, hi = bracket[0] / ps.alpha, bracket[2] / ps.alpha
-    if not math.log(np.finfo(float).tiny) <= lo < hi <= math.log(np.finfo(float).max):
-        raise CknLabError(
-            f"the scale fit at w0 = {profile.w0:.6g} leaves double range: its scale lambda = "
-            f"exp(log mu / alpha) spans exp({lo:.6g}) to exp({hi:.6g}) at alpha = {ps.alpha:.6g}")
     try:
         res = minimize_scalar(objective, bracket, xtol=1e-14)
     except ValueError as exc:  # the family scale mu0 is not the bracket's lowest point
@@ -503,13 +521,17 @@ def radial_rigidity_sweep(ps: ParamSet, w0_grid=None) -> SweepReport:
     ``w0_grid = None`` takes ten amplitudes c0 * 10^[-0.5, 0.5].  A shot
     matches when its sup relative error is below MATCH_TOL.  Radial rigidity
     is blind to the angular regime, so the sweep runs in either regime and
-    simply records the flag in the report.
+    simply records the flag in the report.  An amplitude that `scale_bracket`
+    refuses raises CknLabError before any shot.
     """
     c0 = cylinder_amplitude(ps)
     if w0_grid is None:
         w0_grid = c0 * np.logspace(-0.5, 0.5, 10)
+    w0_grid = np.asarray(w0_grid, dtype=float)
+    for w0 in w0_grid:
+        scale_bracket(ps, float(w0))
     entries = []
-    for w0 in np.asarray(w0_grid, dtype=float):
+    for w0 in w0_grid:
         profile = shoot(ps, float(w0))
         decays = profile.classification is Classification.DECAYS_LIKE_BUBBLE
         m = match_bubble(profile) if decays else BubbleMatch(None, None)

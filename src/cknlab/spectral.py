@@ -25,6 +25,7 @@ import ctypes
 import math
 from dataclasses import asdict, dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,41 +71,12 @@ def sector_potential(ps: ParamSet, k: int, t):
     return ps.alpha**2 * Lambda**2 + lam_k - (ps.p_exp - 1.0) * v ** (ps.p_exp - 2.0)
 
 
-@dataclass(frozen=True)
-class SectorOperator:
-    """Symmetric tridiagonal discretization of H_k on a truncated line.
+class SectorOperator(NamedTuple):
+    """Symmetric tridiagonal discretization of H_k on N intervals of a truncated line."""
 
-    parity "full": Dirichlet problem on (-T, T).
-    parity "odd":  Dirichlet at 0 and T, i.e. H_k restricted to odd modes;
-                   this is where the translation zero mode lives for k = 0.
-    """
-
-    ps: ParamSet
-    k: int
-    T: float
+    diag: np.ndarray
+    off: np.ndarray
     N: int
-    parity: str = "full"
-
-    def __post_init__(self):
-        if self.parity not in ("full", "odd"):
-            raise ValueError("parity must be 'full' or 'odd'")
-        if self.N < MIN_SECTOR_INTERVALS:
-            raise ValueError(f"need N >= {MIN_SECTOR_INTERVALS} grid intervals")
-
-    def interior_nodes(self) -> tuple[np.ndarray, float]:
-        if self.parity == "odd":
-            h = self.T / self.N
-            t = h * np.arange(1, self.N)
-        else:
-            h = 2.0 * self.T / self.N
-            t = -self.T + h * np.arange(1, self.N)
-        return t, h
-
-    def tridiagonal(self) -> tuple[np.ndarray, np.ndarray]:
-        """Diagonal and off-diagonal of the discretized operator."""
-        t, h = self.interior_nodes()
-        diag = 2.0 * self.ps.alpha**2 / h**2 + sector_potential(self.ps, self.k, t)
-        return diag, np.full(len(t) - 1, -self.ps.alpha**2 / h**2)
 
 
 def default_domain(ps: ParamSet) -> float:
@@ -115,8 +87,26 @@ def default_domain(ps: ParamSet) -> float:
 
 def build_sector_operator(ps: ParamSet, k: int, T: float | None = None,
                           N: int = 2000, parity: str = "full") -> SectorOperator:
-    return SectorOperator(ps=ps, k=int(k), T=float(T if T is not None else default_domain(ps)),
-                          N=int(N), parity=parity)
+    """H_k on the N - 1 interior nodes of a grid of N intervals (T: default_domain).
+
+    parity "full": Dirichlet problem on (-T, T).
+    parity "odd":  Dirichlet at 0 and T, i.e. H_k restricted to odd modes;
+                   this is where the translation zero mode lives for k = 0.
+    """
+    if parity not in ("full", "odd"):
+        raise ValueError("parity must be 'full' or 'odd'")
+    N = int(N)
+    if N < MIN_SECTOR_INTERVALS:
+        raise ValueError(f"need N >= {MIN_SECTOR_INTERVALS} grid intervals")
+    T = float(T if T is not None else default_domain(ps))
+    if parity == "odd":
+        h = T / N
+        t = h * np.arange(1, N)
+    else:
+        h = 2.0 * T / N
+        t = -T + h * np.arange(1, N)
+    diag = 2.0 * ps.alpha**2 / h**2 + sector_potential(ps, int(k), t)
+    return SectorOperator(diag, np.full(N - 2, -ps.alpha**2 / h**2), N)
 
 
 @cache
@@ -178,7 +168,7 @@ def tridiagonal_is_positive(diag, off) -> bool:
 
 def lowest_eigenvalue(op: SectorOperator) -> float:
     """Smallest eigenvalue of the discretized operator (single resolution)."""
-    out = lowest_tridiagonal_eigenvalue(*op.tridiagonal())
+    out = lowest_tridiagonal_eigenvalue(op.diag, op.off)
     if not math.isfinite(out):
         raise CknLabError("eigensolver returned a non-finite value")
     return out
@@ -281,7 +271,8 @@ def fs_crossing(d: int, n: float, alpha_range: tuple[float, float] | None = None
         return build_sector_operator(ps, k=1, N=N)
 
     def stable(alpha: float) -> bool:
-        return tridiagonal_is_positive(*operator(alpha).tridiagonal())
+        op = operator(alpha)
+        return tridiagonal_is_positive(op.diag, op.off)
 
     if not (stable(lo) and not stable(hi)):
         f_lo, f_hi = lowest_eigenvalue(operator(lo)), lowest_eigenvalue(operator(hi))

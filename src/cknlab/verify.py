@@ -63,6 +63,7 @@ SPECTRUM_CROSSING_PAIRS = ((3, 6.0), (2, 4.0))
 
 # Contract tolerances that no caller varies.
 IDENTITY_ORDER_FLOOR = 3.8      # identities: least fitted convergence order
+INTERIOR_FRAC = 0.1             # identities: log span dropped at each end of the residual window
 SPHERE_FIELDS = 100             # identities: random circle profiles of the sphere check
 SPHERE_MARGIN_TOL = 1e-8        # identities: sphere inequality margin
 ZERO_MODE_TOL = 1e-6            # spectrum: |translation zero-mode eigenvalue|
@@ -73,27 +74,27 @@ CROSSING_GAP_TOL = 0.01         # spectrum: relative gap to the closed-form thre
 CIRCLE_MAX_HARMONIC = 4
 
 
-def interior_rows(grid: RadialGrid, frac: float = 0.06) -> range:
+def interior_rows(grid: RadialGrid) -> range:
     """Rows whose log-radius lies in a fixed physical window, four nodes clear of each end.
 
-    The window drops ``frac`` of the log span at each end.  Refinement studies
+    The window drops ``INTERIOR_FRAC`` of the log span at each end.  Refinement studies
     compare residuals across grids, so it is tied to the domain, not the node
     count.  The nodes increase, so the rows are contiguous.
     """
     x = grid.x_nodes
     span = x[-1] - x[0]
-    lo = int(np.searchsorted(x, x[0] + frac * span, side="left"))
-    hi = int(np.searchsorted(x, x[-1] - frac * span, side="right"))
+    lo = int(np.searchsorted(x, x[0] + INTERIOR_FRAC * span, side="left"))
+    hi = int(np.searchsorted(x, x[-1] - INTERIOR_FRAC * span, side="right"))
     return range(max(lo, 4), min(hi, len(x) - 4))
 
 
-def interior_max(values: np.ndarray, grid: RadialGrid, frac: float = 0.06) -> float:
-    """Max |values| over the rows of ``interior_rows(grid, frac)``.
+def interior_max(values: np.ndarray, grid: RadialGrid) -> float:
+    """Max |values| over the rows of ``interior_rows(grid)``.
 
     Only these rows are read, so a caller may compute just them and their
     stencils' reach (see `bochner_residual`).
     """
-    rows = interior_rows(grid, frac)
+    rows = interior_rows(grid)
     return float(np.max(np.abs(values[rows.start:rows.stop])))
 
 
@@ -239,7 +240,7 @@ def _slabs(rows: range, angular_size: int) -> list[range]:
 
 def bochner_residual(table: np.ndarray, grid: RadialGrid, angular: PeriodicGrid,
                      ps: ParamSet) -> float:
-    """interior_max(radial_hessian + mixed + sphere - bochner_k(pf), grid, frac=0.1),
+    """interior_max(radial_hessian + mixed + sphere - bochner_k(pf), grid),
     with the three terms of bochner_decomposition(pf), for the pressure field pf
     whose samples are the log field with angular factors ``table`` on ``grid``,
     bit for bit, a slab at a time.
@@ -254,7 +255,7 @@ def bochner_residual(table: np.ndarray, grid: RadialGrid, angular: PeriodicGrid,
     back to the system and faulted in again for the next slab.
     """
     worst = []
-    for slab in _slabs(interior_rows(grid, frac=0.1), angular.size):
+    for slab in _slabs(interior_rows(grid), angular.size):
         lo, hi = max(slab.start - SLAB_HALO, 0), min(slab.stop + SLAB_HALO, grid.count)
         pf = pressure_field_from_target(log_field_rows(table, grid, lo, hi),
                                         grid.rows(lo, hi), angular, ps)
@@ -319,8 +320,8 @@ def run_identities_suite(seed: int = DEFAULT_SEED, n_fields: int = IDENTITY_FIEL
         div_errs, prs_errs = [], []
         for g in bubble_grids:
             pf = pressure_of(bubble_cylinder(ps, g))
-            div_errs.append(interior_max(divergence_form_residual(pf), g, frac=0.1))
-            prs_errs.append(interior_max(residual_eq_P(pf), g, frac=0.1))
+            div_errs.append(interior_max(divergence_form_residual(pf), g))
+            prs_errs.append(interior_max(residual_eq_P(pf), g))
         o_div = fit_loglog(bubble_h, div_errs)
         o_prs = fit_loglog(bubble_h, prs_errs)
         report.add({
@@ -378,7 +379,7 @@ def run_estimates_suite(seed: int = DEFAULT_SEED) -> tuple[dict, list]:
     for triple in SWEEP_PARAMS_3:
         ps = derive_params(*triple)
         w = bubble_cylinder(ps, grid)
-        bound = superharmonic_lower_bound(w, rho=1.0)
+        bound = superharmonic_lower_bound(w)
         tail = (grid.nodes >= 1e2)
         slope = fit_loglog(grid.nodes[tail], w.values[tail])
         ok = bound.min_margin >= -1e-10 and abs(slope - (2.0 - ps.n)) <= 1e-3
@@ -417,11 +418,10 @@ def run_estimates_suite(seed: int = DEFAULT_SEED) -> tuple[dict, list]:
 
     # low intrinsic dimension chain (wide grid so the fit window is asymptotic)
     wide = RadialGrid(1e-3, 1e4, 2561)
-    R_list = 128.0 * 2.0 ** np.arange(6)
     for n_target, triple in LOW_DIM_PARAMS.items():
         ps = derive_params(*triple)
         pf = pressure_of(bubble_cylinder(ps, wide))
-        chain = low_dim_chain(pf, R_list=R_list)
+        chain = low_dim_chain(pf)
         expected = 4.0 - ps.n
         ok = abs(chain.grad_integral_growth - expected) <= 0.05 and chain.closes
         report.add({

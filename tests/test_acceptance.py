@@ -168,7 +168,7 @@ def test_criterion_6_estimates():
     for trip in SWEEP_PARAMS_3:
         ps = derive_params(*trip)
         w = bubble_cylinder(ps, grid)
-        bound = superharmonic_lower_bound(w, rho=1.0)
+        bound = superharmonic_lower_bound(w)
         worst_margin = min(worst_margin, bound.min_margin)
         tail = grid.nodes >= 1e2
         slope = fit_loglog(grid.nodes[tail], w.values[tail])
@@ -190,8 +190,7 @@ def test_criterion_6_estimates():
     growth = {}
     for n_t, trip in LOW_DIM_PARAMS.items():
         ps = derive_params(*trip)
-        chain = low_dim_chain(pressure_of(bubble_cylinder(ps, wide)),
-                              R_list=128.0 * 2.0 ** np.arange(6))
+        chain = low_dim_chain(pressure_of(bubble_cylinder(ps, wide)))
         growth[n_t] = chain.grad_integral_growth
         if abs(chain.grad_integral_growth - (4.0 - n_t)) > 0.05 or not chain.closes:
             fails.append(f"low-dim chain n={n_t}")

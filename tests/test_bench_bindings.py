@@ -2,12 +2,14 @@
 
 perfbench/tracer.py wraps each name in its TARGETS wherever a cknlab module
 binds it, and perfbench/probes.py calls module attributes by name.  A change
-that removes or renames one of them would otherwise first fail inside a
-benchmark run.  perfbench/ is only read.
+that removes or renames one of them, or changes how probes.py calls it, would
+otherwise first fail inside a benchmark run.  perfbench/ is only read.
 """
 
 import ast
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -65,3 +67,11 @@ def test_probe_names_are_bound():
     missing = [(mod, attr) for mod, attr in names
                if not hasattr(importlib.import_module(mod), attr)]
     assert missing == []
+
+
+def test_probes_run():
+    # -B: the run writes no bytecode into the tree
+    run = subprocess.run([sys.executable, "-B", str(BENCH / "probes.py"), "--seed", "1"],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert "probe.lowest_eigenvalue_s" in json.loads(run.stdout)

@@ -82,6 +82,13 @@ class TestScanCommand:
         rows = out.splitlines()[1:]
         assert rows and all(r.endswith("excluded") for r in rows)
 
+    def test_alpha_whose_square_is_not_normal_excluded(self, capsys):
+        code, out, _ = run_cli(capsys, "scan", "--d", "2", "--a-min=-5e-324", "--a-max=-5e-324",
+                               "--b-offset", "0.6957103159070795")
+        assert code == 0
+        rows = out.splitlines()[1:]
+        assert len(rows) == 1 and rows[0].endswith(",nan,nan,nan,nan,excluded")
+
     def test_single_point_boundary(self, capsys):
         code, out, _ = run_cli(
             capsys, "scan", "--d", "5", "--a-min", "0", "--a-max", "0",
@@ -261,6 +268,9 @@ class TestVerifyCommand:
      "overflows double precision"),
     (["verify", "--suite", "rigidity", "--a", "-0.5", "--b", "0.499", "--d", "3"],
      "overflows double precision"),
+    # c0 = (alpha^2 n (n-2))^(1/(p-2)) underflows to 0 at n = 722
+    (["bubble", "--a", "1.996517906340888", "--b", "2.988210939956442", "--d", "6", "--grid", "3"],
+     "the bubble amplitude c0 = 4.86346e-05^(1/(p-2)) underflows to 0 in double precision"),
     # size flags: refused before any array is allocated
     (["bubble", "--a", "-0.5", "--b", "0", "--d", "3", "--grid", "4194305"],
      "argument --grid: must be at most 4194304"),
@@ -275,6 +285,12 @@ class TestVerifyCommand:
     # decay horizon 10^(5/(n-2)) overflows at n ~ 2.01
     (["verify", "--suite", "rigidity", "--a", "-0.5", "--b", "-0.495", "--d", "2"],
      "decay horizon"),
+    # alpha = 0 off the p = 2 edge: kappa = 5e-324 rounds alpha to 0
+    (["params", "--a=-5e-324", "--b=0.6957103159070795", "--d", "2"],
+     "inadmissible parameters: alpha = 0.0 has a square below the smallest normal double"),
+    # alpha = 9.2e-16: the scale fit is refused before the first shot (850k steps)
+    (["verify", "--suite", "rigidity", "--a=0.9999999999999805", "--b=1.9102589678976916",
+      "--d", "4"], "its scale lambda = exp(log mu / alpha) spans exp("),
     # p = 2 edge (b - a = 1): the bubble amplitude c0 = base^(1/(p-2)) has no value
     (["verify", "--suite", "rigidity", "--a", "0", "--b", "1", "--d", "3"],
      "inadmissible parameters: the bubble amplitude c0 needs p > 2"),
@@ -518,7 +534,7 @@ before = shared_objects()
 ours = lowest_eigenvalue(op)
 mapped = sorted(shared_objects() - before)
 import scipy.linalg
-ref = scipy.linalg.eigvalsh_tridiagonal(*op.tridiagonal(), select="i", select_range=(0, 0))
+ref = scipy.linalg.eigvalsh_tridiagonal(op.diag, op.off, select="i", select_range=(0, 0))
 print(json.dumps({"mapped": mapped, "lab": ours.hex(), "scipy": float(ref[0]).hex()}))
 """
 
@@ -562,6 +578,17 @@ def test_rigidity_at_a_vanishing_alpha_exits_2_naming_the_scale(capsys):
     assert "its scale lambda = exp(log mu / alpha) spans exp(" in err
     assert err.rstrip().endswith("at alpha = 2.05775e-07")
     assert "contract failure" not in err and "Traceback" not in err
+
+
+def test_shot_past_its_step_ceiling_exits_2_naming_it(monkeypatch, capsys):
+    # alpha = 9.2e-16: this shot takes 851 410 steps without the ceiling
+    monkeypatch.setattr(cknlab.radial_ode, "MAX_SHOT_STEPS", 1000)
+    code, out, err = run_cli(capsys, "shoot", "--a=0.9999999999999805",
+                             "--b=1.9102589678976916", "--d", "4", "--w0", "2.01291e-286")
+    assert code == 2 and out == ""
+    assert "error: the shot at w0 = 2.01291e-286 reached its ceiling of 1000 steps" in err
+    assert err.rstrip().endswith("(alpha = 9.17956e-16)")
+    assert "Traceback" not in err
 
 
 def _ulp_gaps(a: float):
@@ -631,6 +658,7 @@ def _fuzz_argv(draw, command):
 @example([["verify", "--suite", "rigidity", "--a", "2.4999999999999996",
            "--b", "3.3366304577280093", "--d", "7"]])
 @example([["shoot", "--a=-5e-324", "--b=0.6957103159070795", "--d", "2", "--w0", "1"]])
+@example([["verify", "--suite", "rigidity", "--a=-0.1", "--b=0.8999999999999998", "--d", "2"]])
 def test_argv_fuzz_exits_with_a_code(argvs):
     # Every invocation of each of the six commands ends in an exit code (0 output,
     # 1 contract failure, 2 refused with a reason); no exception escapes cli.main.

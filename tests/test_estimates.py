@@ -130,7 +130,7 @@ class TestSuperharmonicBound:
         # odd count puts a node exactly at s = 1
         g = RadialGrid(1e-2, 1e2, 2049)
         w = bubble_cylinder(ps_sobolev3, g)
-        bound = superharmonic_lower_bound(w, rho=1.0)
+        bound = superharmonic_lower_bound(w)
         assert abs(bound.rho - 1.0) < 1e-12
         assert abs(bound.A - 3.0**0.25 / math.sqrt(2.0)) < 1e-12
         assert bound.min_margin >= -1e-10
@@ -138,20 +138,20 @@ class TestSuperharmonicBound:
     def test_exact_harmonic_equality_case(self, ps_n6):
         g = RadialGrid(1e-2, 1e2, 2049)
         w = CylinderField(g, Radial(), g.nodes ** (2.0 - ps_n6.n), ps_n6)
-        bound = superharmonic_lower_bound(w, rho=1.0)
+        bound = superharmonic_lower_bound(w)
         assert abs(bound.A - 1.0) < 1e-12
         assert abs(bound.min_margin) < 1e-10
 
     def test_harmonic_plus_bubble_still_superharmonic(self, ps_n6, grid_default):
         w = bubble_cylinder(ps_n6, grid_default)
         vals = w.values + 0.1 * grid_default.nodes ** (2.0 - ps_n6.n)
-        bound = superharmonic_lower_bound(w.with_values(vals), rho=1.0)
+        bound = superharmonic_lower_bound(w.with_values(vals))
         assert bound.min_margin >= -1e-10
 
     def test_subharmonic_rejected(self, ps_n6, grid_small):
         w = CylinderField(grid_small, Radial(), grid_small.nodes**2, ps_n6)
         with pytest.raises(CknLabError, match="max L w = .* exceeds"):
-            superharmonic_lower_bound(w, rho=1.0)
+            superharmonic_lower_bound(w)
 
     def test_angular_term_counts_in_the_gate(self, ps_d2):
         # w = r^(2-n) (1 + cos(theta)/2): radially harmonic, but
@@ -162,15 +162,14 @@ class TestSuperharmonicBound:
         w = CylinderField(g, ang, vals, ps_d2)
         assert np.max(L_of_values(vals, g, ang, ps_d2)[g.nodes >= 1.0]) > 0.49
         with pytest.raises(CknLabError, match="max L w = .* exceeds"):
-            superharmonic_lower_bound(w, rho=1.0)
+            superharmonic_lower_bound(w)
 
     def test_periodic_bubble_matches_radial(self, ps_d2):
         g = RadialGrid(1e-2, 1e2, 1025)
         w = bubble_cylinder(ps_d2, g)
         vals = np.broadcast_to(w.values[:, None], (g.count, 64))
-        radial = superharmonic_lower_bound(w, rho=1.0)
-        periodic = superharmonic_lower_bound(CylinderField(g, PeriodicGrid(64), vals, ps_d2),
-                                             rho=1.0)
+        radial = superharmonic_lower_bound(w)
+        periodic = superharmonic_lower_bound(CylinderField(g, PeriodicGrid(64), vals, ps_d2))
         assert (periodic.A, periodic.min_margin) == (radial.A, radial.min_margin)
 
 
@@ -222,7 +221,7 @@ class TestLowDimChain:
         ps = derive_params(*triple)
         assert abs(ps.n - n) < 1e-12
         pf = pressure_of(bubble_cylinder(ps, self.wide_grid()))
-        chain = low_dim_chain(pf, R_list=128.0 * 2.0 ** np.arange(6))
+        chain = low_dim_chain(pf)
         assert abs(chain.grad_integral_growth - (4.0 - n)) <= 0.05
         assert chain.closes
         assert chain.defect_decay < 0.0
@@ -230,7 +229,7 @@ class TestLowDimChain:
     def test_range_gate(self, ps_n6, grid_default):
         pf = pressure_of(bubble_cylinder(ps_n6, grid_default))
         with pytest.raises(CknLabError, match="chain requires 2 < n < 4"):
-            low_dim_chain(pf, R_list=128.0 * 2.0 ** np.arange(6))
+            low_dim_chain(pf)
 
 
 class TestFiniteEnergyChain:

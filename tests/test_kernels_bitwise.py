@@ -502,7 +502,7 @@ class TestSlabsBitwise:
             whole = evaluate_log_field(coeffs, g, angular, PS2).values
             windows.clear()
             bochner_residual(table, g, angular, PS2)
-            slabs = verify._slabs(verify.interior_rows(g, frac=0.1), angular.size)
+            slabs = verify._slabs(verify.interior_rows(g), angular.size)
             assert len(windows) == len(slabs) > 1
             for (lo, hi, rows), slab in zip(windows, slabs):
                 assert (lo, hi) == (slab.start - verify.SLAB_HALO, slab.stop + verify.SLAB_HALO)
@@ -530,12 +530,12 @@ class TestSlabsBitwise:
             assert same_bits(np.float64(sub.log_step), np.float64(parent.log_step))
             assert not sub.nodes.flags.writeable and not sub.x_nodes.flags.writeable
 
-    @pytest.mark.parametrize("frac", [0.0, 0.06, 0.1, 0.45])
     @pytest.mark.parametrize("count", [16, 257, 1025])
-    def test_interior_rows_are_the_mask(self, count, frac):
+    def test_interior_rows_are_the_mask(self, count):
+        frac = verify.INTERIOR_FRAC
         grid = RadialGrid(1e-3, 1e3, count)
         values = np.random.default_rng(count).standard_normal(count)
-        rows = verify.interior_rows(grid, frac)
+        rows = verify.interior_rows(grid)
         mask = np.zeros(count, dtype=bool)
         mask[rows.start:rows.stop] = True
         x = grid.x_nodes
@@ -544,7 +544,7 @@ class TestSlabsBitwise:
         expected[:4] = expected[count - 4:] = False
         assert np.array_equal(mask, expected)
         if rows:
-            assert verify.interior_max(values, grid, frac) == ref_interior_max(values, grid, frac)
+            assert verify.interior_max(values, grid) == ref_interior_max(values, grid, frac)
 
 
 @pytest.mark.parametrize("levels", range(2, 8))

@@ -162,8 +162,8 @@ def shoot_p_up(original):
 
 def comparison_constant_up(original):
     # the comparison constant A = rho^(n-2) min_{r=rho} w taken (1 + 1e-6) times
-    def bound(w, rho):
-        res = original(w, rho)
+    def bound(w):
+        res = original(w)
         A = (1.0 + 1e-6) * res.A
         tail = w.grid.nodes >= res.rho
         margin = w.values[tail] - A * w.grid.nodes[tail] ** (2.0 - w.params.n)

@@ -194,7 +194,7 @@ def test_low_dim_chain_fits_equal_the_finite_radius_closed_form(n, fraction):
     # (r_min, 2R).  Nothing here compares them with the R -> infinity rate 4 - n.
     ps = path_params(2, n, fraction * felli_schneider_threshold(2, n))
     assert ps.is_symmetric
-    chain = low_dim_chain(pressure_of(bubble_cylinder(ps, CHAIN_GRID)), R_list=CHAIN_RADII)
+    chain = low_dim_chain(pressure_of(bubble_cylinder(ps, CHAIN_GRID)))
     growth = fit_loglog(CHAIN_RADII, [_growth_integral(ps.n, R) for R in CHAIN_RADII])
     decay = fit_loglog(CHAIN_RADII, [_growth_integral(ps.n, 2.0 * R) / R**2
                                      for R in CHAIN_RADII])

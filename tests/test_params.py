@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -96,6 +97,16 @@ class TestDeriveParams:
     def test_d2_has_no_upper_endpoint(self):
         ps = derive_params(-0.3, 0.2, 2, strict_subcritical=True)
         assert ps.p_exp == 4.0
+
+    # alpha = kappa (1+a-b)/(kappa+b) with kappa = -a at d = 2: alpha^2 is 0 or subnormal
+    @pytest.mark.parametrize("a, b", [(-5e-324, 0.6957103159070795), (-1e-200, 0.5),
+                                      (-1e-154, 0.5)])
+    def test_alpha_whose_square_is_not_normal_refused(self, a, b):
+        with pytest.raises(AdmissibilityError, match="has a square below the smallest normal"):
+            derive_params(a, b, 2)
+
+    def test_alpha_whose_square_is_normal_admitted(self):
+        assert derive_params(-1e-153, 0.5, 2).alpha ** 2 >= sys.float_info.min
 
     def test_d2_near_the_p_infinity_edge(self):
         # b - a -> 0 with d = 2 sends p and n/(n-2) to infinity: 2n/(n-2) then

@@ -110,11 +110,15 @@ class TestShoot:
         with pytest.raises(ValueError, match=r"with 1e-20 w0 above 0: got 1e-305"):
             shoot(ps_n6, 1e-305)
 
-    def test_series_refused_where_alpha_squared_underflows(self):
-        ps = derive_params(-1e-200, 0.5, 2)   # alpha ~ 1e-200, alpha^2 = 0
-        assert ps.alpha > 0.0 and ps.alpha**2 == 0.0
-        with pytest.raises(CknLabError, match=r"w0\^\(p-1\)/\(2 n alpha\^2\) overflows"):
-            shoot(ps, 1.0, s_max=10.0)
+    def test_step_ceiling_is_a_named_failure(self, ps_n6, monkeypatch):
+        c0 = cylinder_amplitude(ps_n6)
+        steps = len(shoot(ps_n6, c0).s) - 1
+        monkeypatch.setattr(radial_ode, "MAX_SHOT_STEPS", steps - 1)
+        with pytest.raises(CknLabError, match=rf"w0 = 6 reached its ceiling of {steps - 1} "
+                                              r"steps at s = .*\(alpha = 0\.5\)"):
+            shoot(ps_n6, c0)
+        monkeypatch.setattr(radial_ode, "MAX_SHOT_STEPS", steps)
+        assert len(shoot(ps_n6, c0).s) == steps + 1   # a shot of exactly the ceiling ends
 
     def test_rejects_p2_edge(self):
         with pytest.raises(AdmissibilityError, match="shooting needs p > 2"):
@@ -317,6 +321,17 @@ class TestSweep:
                                        * np.array([0.5, 1.0, 2.0]))
         assert report.regime == "SymmetryBreaking"
         assert report.all_matched
+
+    def test_unfittable_scale_refused_before_any_shot(self, monkeypatch):
+        # alpha = 9.2e-16: at every amplitude the scale exp(log mu / alpha) leaves
+        # double range, and the first shot alone took 850k steps before the fit said so
+        def no_shot(*args, **kwargs):
+            raise AssertionError("the sweep shot before it checked the scales")
+
+        monkeypatch.setattr(radial_ode, "shoot", no_shot)
+        ps = derive_params(0.9999999999999805, 1.9102589678976916, 4)
+        with pytest.raises(CknLabError, match=r"its scale lambda = exp\(log mu / alpha\) spans"):
+            radial_rigidity_sweep(ps)
 
     def test_report_dict_shape(self, ps_n6):
         report = radial_rigidity_sweep(ps_n6, w0_grid=[cylinder_amplitude(ps_n6)])

@@ -195,7 +195,7 @@ _CROSSINGS = [(3, 6.0, float.fromhex("0x1.43d0d4ff5ab92p-1")),
 
 def _assert_inertia_is_the_eigenvalue_sign(d, n, alpha, k, N):
     op = build_sector_operator(path_params(d, n, alpha), k, N=N)
-    assert tridiagonal_is_positive(*op.tridiagonal()) == (lowest_eigenvalue(op) > 0.0)
+    assert tridiagonal_is_positive(op.diag, op.off) == (lowest_eigenvalue(op) > 0.0)
 
 
 class TestInertiaSign:

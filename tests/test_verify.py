@@ -121,7 +121,7 @@ def test_bochner_residual_builds_two_fields_per_slab(monkeypatch):
     table = verify.log_field_table(coeffs, angular)
     built = count_fields(monkeypatch)
     verify.bochner_residual(table, grid, angular, ps)
-    slabs = len(verify._slabs(verify.interior_rows(grid, frac=0.1), angular.size))
+    slabs = len(verify._slabs(verify.interior_rows(grid), angular.size))
     assert slabs > 1
     assert len(built) <= 2 * slabs
 
