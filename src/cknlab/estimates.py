@@ -78,9 +78,9 @@ def int_ineq_sides(pf: PressureField, cutoffs: list[Cutoff]) -> list[IntIneqSide
             f"alpha = {ps.alpha} exceeds threshold {ps.fs_threshold}; "
             "sign guarantee lost"
         )
-    s = pf.grid.column(pf.P.values)
+    s = pf.grid.column(pf.P)
     defect = defect_density(pf)
-    grad = pressure_weight(pf.P.values, ps.n) * pf.DP2
+    grad = pressure_weight(pf.P, ps.n) * pf.DP2
     sides = []
     for cut in cutoffs:
         eta2 = cut.eta(s) ** 2.0
@@ -197,7 +197,7 @@ def low_dim_chain(pf: PressureField) -> LowDimChainResult:
     if not ps.is_symmetric:
         raise CknLabError("chain requires the symmetric regime")
     R_list = LOW_DIM_RADII.copy()   # the result's own array, not the shared constant
-    density = pf.field(pressure_weight(pf.P.values, ps.n) * pf.DP2)
+    density = pf.field(pressure_weight(pf.P, ps.n) * pf.DP2)
     G = lambda R: integrate_mu(density, r_hi=R)
     grad_values = np.array([G(R) for R in R_list])
     bound_values = np.array([G(2.0 * R) / R**2 for R in R_list])

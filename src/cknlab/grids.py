@@ -9,6 +9,10 @@ so one uniform-grid toolbox (5/6-point stencils, cell-wise cubic composite
 quadrature) serves every operation.  Stencil weights are generated with the
 standard divided-difference recursion rather than hardcoded tables.
 
+Every kernel that makes arrays as large as its input takes a keyword-only
+``ws``: a `Workspace` whose buffers it writes into, or None (the default) to
+allocate.  The same ufuncs run either way, so the bits are the same.
+
 The quadrature takes the complete cells of a region in one np.vecdot (numpy
 2) and adds them left to right with np.cumsum, with the bits of a per-cell
 np.dot loop.  Whole and cut cells share one set of Lagrange-cubic
@@ -20,12 +24,56 @@ forms f e^(n x) and hands it the region in x.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CknLabError
+
+
+class Workspace:
+    """Buffers of ``nbytes`` each, reused by a run of same-sized array computations.
+
+    `empty` returns the leading bytes of a buffer, shaped, in place of a fresh
+    np.empty.  A buffer is busy exactly while an array viewing it is alive:
+    numpy makes the buffer itself the base of every view of it, views of views
+    included, so its reference count tells: a free buffer's reads as that of a
+    probe no view holds.  Arrays taken here therefore live and die as
+    allocated ones would, and a computation that runs again at the same or a
+    smaller size takes no new buffer after its first run.
+    """
+
+    def __init__(self, nbytes: int):
+        self.nbytes = nbytes
+        self._buffers = []
+        self._free = _reference_counts([np.empty(1, np.uint8)])[0]   # a buffer no view holds
+
+    def empty(self, shape: tuple, dtype=float) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        size = math.prod(shape) * dtype.itemsize
+        if size > self.nbytes:
+            raise ValueError(f"an array of {size} bytes exceeds the workspace's {self.nbytes}")
+        counts = _reference_counts(self._buffers)
+        if self._free in counts:
+            buf = self._buffers[counts.index(self._free)]
+        else:
+            buf = np.empty(self.nbytes, np.uint8)
+            self._buffers.append(buf)
+        return buf[:size].view(dtype).reshape(shape)
+
+
+def _reference_counts(buffers: list) -> list[int]:
+    """sys.getrefcount of each of ``buffers``.  Which references besides the
+    list's the count includes is the interpreter's choice (it may borrow a
+    local's), so a count is compared only with another read here."""
+    return [sys.getrefcount(buf) for buf in buffers]
+
+
+def scratch(ws: Workspace | None, shape: tuple, dtype=float) -> np.ndarray:
+    """An uninitialized array from ``ws``, or a new one when ``ws`` is None."""
+    return np.empty(shape, dtype) if ws is None else ws.empty(shape, dtype)
 
 
 def sphere_area(d: int) -> float:
@@ -79,7 +127,8 @@ MIN_STENCIL_NODES = 8
 MIN_RADIAL_NODES = 16
 
 
-def _apply_stencil_axis0(values: np.ndarray, interior, edge0, edge1, h: float, m: int):
+def _apply_stencil_axis0(values: np.ndarray, interior, edge0, edge1, h: float, m: int,
+                         ws: Workspace | None = None):
     """4th-order derivative along axis 0 of a uniform grid with step h.
 
     Derivative stencils have zero coefficient sum, so they are applied to
@@ -94,7 +143,7 @@ def _apply_stencil_axis0(values: np.ndarray, interior, edge0, edge1, h: float, m
     npts = v.shape[0]
     if npts < MIN_STENCIL_NODES:
         raise CknLabError(f"need >= {MIN_STENCIL_NODES} radial nodes, got {npts}")
-    out = np.empty_like(v)
+    out = scratch(ws, v.shape)
     c = interior
     center = v[2:-2]
     acc = out[2:-2]
@@ -103,7 +152,7 @@ def _apply_stencil_axis0(values: np.ndarray, interior, edge0, edge1, h: float, m
     np.subtract(v[:npts - 4], center, out=acc)
     np.multiply(acc, c[0], out=acc)
     np.add(acc, 0.0, out=acc)
-    buf = np.empty_like(center)
+    buf = scratch(ws, center.shape)
     for off, cj in ((-1, c[1]), (1, c[3]), (2, c[4])):
         np.subtract(v[2 + off:npts - 2 + off], center, out=buf)
         np.multiply(buf, cj, out=buf)
@@ -130,12 +179,12 @@ def _apply_stencil_axis0(values: np.ndarray, interior, edge0, edge1, h: float, m
     return out
 
 
-def d_dx(values: np.ndarray, h: float) -> np.ndarray:
-    return _apply_stencil_axis0(values, _D1_INT, _D1_EDGE0, _D1_EDGE1, h, 1)
+def d_dx(values: np.ndarray, h: float, *, ws: Workspace | None = None) -> np.ndarray:
+    return _apply_stencil_axis0(values, _D1_INT, _D1_EDGE0, _D1_EDGE1, h, 1, ws)
 
 
-def d2_dx2(values: np.ndarray, h: float) -> np.ndarray:
-    return _apply_stencil_axis0(values, _D2_INT, _D2_EDGE0, _D2_EDGE1, h, 2)
+def d2_dx2(values: np.ndarray, h: float, *, ws: Workspace | None = None) -> np.ndarray:
+    return _apply_stencil_axis0(values, _D2_INT, _D2_EDGE0, _D2_EDGE1, h, 2, ws)
 
 
 @dataclass(frozen=True)
@@ -184,18 +233,19 @@ class RadialGrid:
         return s if values.ndim == 1 else s[:, None]
 
 
-def d_ds(values: np.ndarray, grid: RadialGrid) -> np.ndarray:
+def d_ds(values: np.ndarray, grid: RadialGrid, *, ws: Workspace | None = None) -> np.ndarray:
     """First radial derivative on the log grid."""
-    out = d_dx(values, grid.log_step)
+    out = d_dx(values, grid.log_step, ws=ws)
     out /= grid.column(out)
     return out
 
 
-def radial_derivs(values: np.ndarray, grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
+def radial_derivs(values: np.ndarray, grid: RadialGrid, *,
+                  ws: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(w', w'') on the log grid from one shared d/dx pass."""
-    dx = d_dx(values, grid.log_step)
+    dx = d_dx(values, grid.log_step, ws=ws)
     s = grid.column(dx)
-    d2 = d2_dx2(values, grid.log_step)
+    d2 = d2_dx2(values, grid.log_step, ws=ws)
     d2 -= dx
     d2 /= s**2
     dx /= s

@@ -92,7 +92,11 @@ def derive_params(a: float, b: float, d: int, strict_subcritical: bool = False) 
     a, b = float(a), float(b)  # numpy scalars would turn overflow into inf
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("a and b must be finite")
-    if not float(d).is_integer():
+    try:
+        integral = float(d).is_integer()
+    except OverflowError:   # an int past the largest double; d enters float arithmetic
+        raise ValueError(f"ambient dimension d is too large for a double: got {d}") from None
+    if not integral:
         raise ValueError(f"ambient dimension d must be an integer: got {d}")
     d = int(d)
     if d < 2:

@@ -23,6 +23,9 @@ below read these arrays and never take those derivatives again.  The
 diagnostics return sample arrays; a `CylinderField` is built only where
 samples enter (P itself, whose construction checks that w^(-2/(n-2)) stayed
 finite) and where an integrand meets `integrate_mu`, through `pf.field`.
+`pressure_derivatives` computes these arrays from samples of P, and a
+`PressureDerivatives` holds them without P; with a workspace ``ws`` (`grids.Workspace`) they, k[P] and the Bochner terms are
+written into its buffers.
 
 Non-solution inputs are always accepted: every routine is a diagnostic, not
 a validator.  L, and the divergence in the same weighted radial form
@@ -36,27 +39,34 @@ from __future__ import annotations
 import numpy as np
 
 from .cylfield import (
+    AngularRep,
     CylinderField,
     L_kernel,
     L_of_values,
     integrate_mu,
     theta_derivative,
 )
-from .grids import d_ds, radial_derivs
+from .grids import RadialGrid, Workspace, d_ds, radial_derivs, scratch
+from .params import ParamSet
 
 
-class PressureField:
-    """Pressure P = (n-1) w^(-2/(n-2)) with its derivatives, built by `pressure_of`.
+class PressureDerivatives:
+    """The derivatives of samples of a pressure P on ``grid``, in the order
+    `pressure_derivatives` returns them: all that k[P], its decomposition and
+    the weighted divergence read.
 
     Every array is read-only; thetaP and lap_thetaP are None for Radial fields.
     """
 
-    __slots__ = ("P", "thetaP", "lap_thetaP", "dP", "d2P", "LP", "DP2", "__weakref__")
+    __slots__ = ("grid", "angular", "params", "thetaP", "lap_thetaP", "dP", "d2P", "LP", "DP2",
+                 "__weakref__")
 
-    def __init__(self, P: CylinderField, thetaP: np.ndarray | None,
-                 lap_thetaP: np.ndarray | None, dP: np.ndarray, d2P: np.ndarray,
-                 LP: np.ndarray, DP2: np.ndarray):
-        self.P = P
+    def __init__(self, grid: RadialGrid, angular: AngularRep, params: ParamSet,
+                 thetaP: np.ndarray | None, lap_thetaP: np.ndarray | None, dP: np.ndarray,
+                 d2P: np.ndarray, LP: np.ndarray, DP2: np.ndarray):
+        self.grid = grid
+        self.angular = angular
+        self.params = params
         self.thetaP = thetaP            # grad_theta P
         self.lap_thetaP = lap_thetaP    # Lap_theta P
         self.dP = dP                    # P'
@@ -68,43 +78,53 @@ class PressureField:
                 a.flags.writeable = False
 
     @property
-    def grid(self):
-        return self.P.grid
-
-    @property
-    def params(self):
-        return self.P.params
-
-    @property
     def s(self):
-        return self.grid.column(self.P.values)
+        return self.grid.column(self.dP)
 
     def field(self, values: np.ndarray) -> CylinderField:
-        return self.P.with_values(values)
+        return CylinderField(self.grid, self.angular, values, self.params)
 
 
-def pressure_values(w: np.ndarray, n: float) -> np.ndarray:
-    """P = (n-1) w^(-2/(n-2)), sample by sample."""
-    vals = w ** (-2.0 / (n - 2.0))
+class PressureField(PressureDerivatives):
+    """The pressure P = (n-1) w^(-2/(n-2)), read-only samples, with its
+    derivatives (the arguments of PressureDerivatives), as `pressure_of` builds it."""
+
+    __slots__ = ("P",)
+
+    def __init__(self, P: np.ndarray, *derivatives):
+        super().__init__(*derivatives)
+        self.P = P
+        P.flags.writeable = False
+
+
+def pressure_values(w: np.ndarray, n: float, *, out: np.ndarray | None = None) -> np.ndarray:
+    """P = (n-1) w^(-2/(n-2)), sample by sample, into ``out`` (``w`` itself may be it)."""
+    vals = np.power(w, -2.0 / (n - 2.0), out=out)
     vals *= n - 1.0
     return vals
 
 
-def pressure_of(w: CylinderField) -> PressureField:
-    w.require_positive("pressure_of")
-    ps = w.params
-    P = w.with_values(pressure_values(w.values, ps.n))
-    s = P.grid.column(P.values)
-    thetaP, lap_thetaP = w.angular.theta_pair(P.values)
-    dP, d2P = radial_derivs(P.values, P.grid)
-    LP = L_kernel(dP, d2P, lap_thetaP, s, ps)
-    DP2 = np.square(dP)
+def pressure_derivatives(P: np.ndarray, grid: RadialGrid, angular: AngularRep, ps: ParamSet, *,
+                         ws: Workspace | None = None) -> tuple:
+    """(thetaP, lap_thetaP, dP, d2P, LP, DP2) of samples ``P``, in PressureDerivatives' order."""
+    s = grid.column(P)
+    thetaP, lap_thetaP = angular.theta_pair(P, ws=ws)
+    dP, d2P = radial_derivs(P, grid, ws=ws)
+    LP = L_kernel(dP, d2P, lap_thetaP, s, ps, out=scratch(ws, dP.shape), ws=ws)
+    DP2 = np.square(dP, out=scratch(ws, dP.shape))
     DP2 *= ps.alpha**2
     if thetaP is not None:
-        theta2 = np.square(thetaP)
+        theta2 = np.square(thetaP, out=scratch(ws, thetaP.shape))
         theta2 /= s**2
         DP2 += theta2
-    return PressureField(P, thetaP, lap_thetaP, dP, d2P, LP, DP2)
+    return thetaP, lap_thetaP, dP, d2P, LP, DP2
+
+
+def pressure_of(w: CylinderField) -> PressureField:
+    w.require_positive("pressure_of")
+    P = w.with_values(pressure_values(w.values, w.params.n)).values
+    return PressureField(P, w.grid, w.angular, w.params,
+                         *pressure_derivatives(P, w.grid, w.angular, w.params))
 
 
 def pressure_weight(P: np.ndarray, n: float) -> np.ndarray:
@@ -119,56 +139,60 @@ def residual_eq_P(pf: PressureField) -> np.ndarray:
     otherwise a diagnostic of how far it is from doing so.
     """
     n = pf.params.n
-    Pinv = 1.0 / pf.P.values
+    Pinv = 1.0 / pf.P
     return pf.LP - 2.0 * (n - 1.0) ** 2 / (n - 2.0) * Pinv - 0.5 * n * pf.DP2 * Pinv
 
 
-def bochner_k(pf: PressureField) -> np.ndarray:
+def bochner_k(pf: PressureDerivatives, *, ws: Workspace | None = None) -> np.ndarray:
     """k[P] = 1/2 L |DP|^2 - <DP, D L P> - (1/n) (L P)^2."""
     ps = pf.params
-    out = L_of_values(pf.DP2, pf.grid, pf.P.angular, ps)
+    out = L_of_values(pf.DP2, pf.grid, pf.angular, ps, ws=ws)
     out *= 0.5
-    scratch = d_ds(pf.LP, pf.grid)
-    inner = ps.alpha**2 * pf.dP
-    inner *= scratch
-    grad_LP = pf.P.angular.grad_theta(pf.LP)
+    inner = d_ds(pf.LP, pf.grid, ws=ws)
+    inner *= np.multiply(pf.dP, ps.alpha**2, out=scratch(ws, inner.shape))
+    grad_LP = pf.angular.grad_theta(pf.LP, ws=ws)
     if grad_LP is not None:
         grad_LP *= pf.thetaP
         grad_LP /= pf.s**2
         inner += grad_LP
     out -= inner
-    np.square(pf.LP, out=scratch)
-    scratch /= ps.n
-    out -= scratch
+    np.square(pf.LP, out=inner)
+    inner /= ps.n
+    out -= inner
     return out
 
 
 def defect_density(pf: PressureField) -> np.ndarray:
     """P^(1-n) k[P], the integrand of the rigidity defect."""
-    return pressure_weight(pf.P.values, pf.params.n) * bochner_k(pf)
+    return pressure_weight(pf.P, pf.params.n) * bochner_k(pf)
 
 
-def _sphere_k(g1: np.ndarray, g2: np.ndarray, n: float, alpha: float) -> np.ndarray:
+def _sphere_k(g1: np.ndarray, g2: np.ndarray, n: float, alpha: float, *,
+              ws: Workspace | None = None) -> np.ndarray:
     """k_S[P] from grad_theta P and Lap_theta P, row by row (rows are circles):
 
     k_S = 1/2 Lap_theta |grad_theta P|^2 - grad_theta P . grad_theta Lap_theta P
           - (Lap_theta P)^2/(n-1) - (n-2) alpha^2 |grad_theta P|^2.
+
+    |grad_theta P|^2 is squared again for the last term rather than kept, so it
+    is not alive while grad_theta Lap_theta P is transformed.
     """
-    g1_sq = g1**2
-    out = theta_derivative(g1_sq, 2)
+    out = theta_derivative(np.square(g1, out=scratch(ws, g1.shape)), 2, ws=ws)
     out *= 0.5
-    scratch = theta_derivative(g2, 1)
-    scratch *= g1
-    out -= scratch
-    np.square(g2, out=scratch)
-    scratch /= n - 1.0
-    out -= scratch
-    g1_sq *= (n - 2.0) * alpha**2
-    out -= g1_sq
+    term = theta_derivative(g2, 1, ws=ws)
+    term *= g1
+    out -= term
+    np.square(g2, out=term)
+    term /= n - 1.0
+    out -= term
+    np.square(g1, out=term)
+    term *= (n - 2.0) * alpha**2
+    out -= term
     return out
 
 
-def bochner_decomposition(pf: PressureField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def bochner_decomposition(pf: PressureDerivatives, *, ws: Workspace | None = None
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The three summands (radial_hessian, mixed, sphere) whose sum reproduces k[P]
     pointwise:
 
@@ -179,22 +203,24 @@ def bochner_decomposition(pf: PressureField) -> tuple[np.ndarray, np.ndarray, np
     ps = pf.params
     n = ps.n
     s = pf.s
-    t1 = pf.dP / s
+    t1 = np.divide(pf.dP, s, out=scratch(ws, pf.dP.shape))
     np.subtract(pf.d2P, t1, out=t1)      # the radial deficit
     if pf.lap_thetaP is not None:
-        scratch = pf.lap_thetaP / (ps.alpha**2 * (n - 1.0) * s**2)
-        t1 -= scratch
+        term = np.divide(pf.lap_thetaP, ps.alpha**2 * (n - 1.0) * s**2,
+                         out=scratch(ws, t1.shape))
+        t1 -= term
     np.square(t1, out=t1)
     t1 *= (n - 1.0) / n * ps.alpha**4
     if pf.thetaP is None:
-        t2, t3 = np.zeros_like(t1), np.zeros_like(t1)
+        t2, t3 = scratch(ws, t1.shape), scratch(ws, t1.shape)
+        t2[...] = t3[...] = 0.0
     else:
-        t2 = d_ds(pf.thetaP, pf.grid)    # d/dr grad_theta P
-        t2 -= np.divide(pf.thetaP, s, out=scratch)
-        del scratch
+        t2 = d_ds(pf.thetaP, pf.grid, ws=ws)    # d/dr grad_theta P
+        t2 -= np.divide(pf.thetaP, s, out=term)
+        del term
         np.square(t2, out=t2)
         t2 *= 2.0 * ps.alpha**2 / s**2
-        t3 = _sphere_k(pf.thetaP, pf.lap_thetaP, n, ps.alpha)
+        t3 = _sphere_k(pf.thetaP, pf.lap_thetaP, n, ps.alpha, ws=ws)
         t3 /= s**4
     return t1, t2, t3
 
@@ -210,13 +236,13 @@ def sphere_margins(P: np.ndarray, g1: np.ndarray, g2: np.ndarray, ps) -> np.ndar
     return lhs - coeff * np.mean(weight * g1**2, axis=1) * dtheta
 
 
-def weighted_divergence(pf: PressureField, v_radial: np.ndarray,
+def weighted_divergence(pf: PressureDerivatives, v_radial: np.ndarray,
                         v_theta: np.ndarray | None) -> np.ndarray:
     """D_i V_i in the same weighted form as L (no angular term where v_theta is None):
 
         alpha^2 (dV_r/dr + (n-1) V_r / r) + div_theta V_theta / r^2.
     """
-    div_theta = None if v_theta is None else pf.P.angular.grad_theta(v_theta)
+    div_theta = None if v_theta is None else pf.angular.grad_theta(v_theta)
     return L_kernel(v_radial, d_ds(v_radial, pf.grid), div_theta,
                     pf.grid.column(v_radial), pf.params)
 
@@ -224,9 +250,9 @@ def weighted_divergence(pf: PressureField, v_radial: np.ndarray,
 def obata_vector(pf: PressureField) -> tuple[np.ndarray, np.ndarray | None]:
     """Components (V_r, V_theta) of 1/2 P^(1-n) D|DP|^2 - (1/n) P^(1-n) LP DP."""
     n = pf.params.n
-    weight = pressure_weight(pf.P.values, n)
+    weight = pressure_weight(pf.P, n)
     v_r = weight * (0.5 * d_ds(pf.DP2, pf.grid) - pf.LP * pf.dP / n)
-    grad_G = pf.P.angular.grad_theta(pf.DP2)
+    grad_G = pf.angular.grad_theta(pf.DP2)
     v_t = None if grad_G is None else weight * (0.5 * grad_G - pf.LP * pf.thetaP / n)
     return v_r, v_t
 
@@ -252,7 +278,7 @@ def rigidity_defect(pf: PressureField) -> float:
 
 def rigidity_defect_breakdown(pf: PressureField) -> dict[str, float]:
     """Defect over the whole grid split along the pointwise decomposition."""
-    weight = pressure_weight(pf.P.values, pf.params.n)
+    weight = pressure_weight(pf.P, pf.params.n)
     out = {}
     for name, term in zip(("radial_hessian", "mixed", "sphere"), bochner_decomposition(pf)):
         out[name] = integrate_mu(pf.field(weight * term))

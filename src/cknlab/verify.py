@@ -26,12 +26,14 @@ from .estimates import (
     weak_energy,
 )
 from .fitting import fit_loglog
-from .grids import RadialGrid
+from .grids import RadialGrid, Workspace, scratch
 from .params import ParamSet, derive_params
 from .pressure import (
+    PressureDerivatives,
     bochner_decomposition,
     bochner_k,
     divergence_form_residual,
+    pressure_derivatives,
     pressure_of,
     pressure_values,
     residual_eq_P,
@@ -123,7 +125,8 @@ def log_field_table(coeffs: dict, angular: PeriodicGrid) -> np.ndarray:
                      for i in range(ccos.shape[0])])
 
 
-def log_field_rows(table: np.ndarray, grid: RadialGrid, lo: int, hi: int) -> np.ndarray:
+def log_field_rows(table: np.ndarray, grid: RadialGrid, lo: int, hi: int, *,
+                   ws: Workspace | None = None) -> np.ndarray:
     """Rows lo..hi-1 of the log field with angular factors ``table`` on ``grid``.
 
     Every sample is computed on its own, the same way on any window, so the
@@ -136,9 +139,9 @@ def log_field_rows(table: np.ndarray, grid: RadialGrid, lo: int, hi: int) -> np.
     constant = np.zeros(table.shape[-1])
     for ang in table[0]:
         constant += ang
-    g = np.empty((hi - lo, table.shape[-1]))
+    g = scratch(ws, (hi - lo, table.shape[-1]))
     g[:] = constant
-    term = np.empty_like(g)
+    term = scratch(ws, g.shape)
     for i in range(1, len(table)):
         radial = xi**i
         for ang in table[i]:
@@ -173,15 +176,11 @@ def random_circle_profile(rng: np.random.Generator, size: int) -> np.ndarray:
     return prof
 
 
-def pressure_field_from_target(target: np.ndarray, grid: RadialGrid,
-                               angular: PeriodicGrid, ps: ParamSet):
-    """PressureField whose P equals `target` exactly (w inverted pointwise)."""
-    return pressure_of(CylinderField(grid, angular, source_of_pressure(target, ps.n), ps))
-
-
-def source_of_pressure(target: np.ndarray, n: float) -> np.ndarray:
-    """The w whose pressure is `target`: ((n-1)/P)^((n-2)/2), sample by sample."""
-    w = np.divide(n - 1.0, target)
+def source_of_pressure(target: np.ndarray, n: float, *,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """The w whose pressure is `target`: ((n-1)/P)^((n-2)/2), sample by sample,
+    into ``out`` (``target`` itself may be it)."""
+    w = np.divide(n - 1.0, target, out=out)
     w **= (n - 2.0) / 2.0
     return w
 
@@ -238,34 +237,61 @@ def _slabs(rows: range, angular_size: int) -> list[range]:
     return [range(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
+def _window(slab: range, grid: RadialGrid) -> tuple[int, int]:
+    """The rows lo..hi-1 a slab evaluates: SLAB_HALO more on each side, clipped at
+    the grid's ends."""
+    return max(slab.start - SLAB_HALO, 0), min(slab.stop + SLAB_HALO, grid.count)
+
+
+def slab_workspace(grids: list[RadialGrid], angular: PeriodicGrid) -> Workspace:
+    """A workspace for `bochner_residual` on each of ``grids``: each buffer holds the
+    tallest slab window's rows of samples, or of their angular spectra."""
+    rows = max(hi - lo for g in grids
+               for lo, hi in (_window(slab, g) for slab in _slabs(interior_rows(g), angular.size)))
+    return Workspace(rows * np.dtype(complex).itemsize * (angular.size // 2 + 1))
+
+
 def bochner_residual(table: np.ndarray, grid: RadialGrid, angular: PeriodicGrid,
-                     ps: ParamSet) -> float:
+                     ps: ParamSet, ws: Workspace) -> float:
     """interior_max(radial_hessian + mixed + sphere - bochner_k(pf), grid),
     with the three terms of bochner_decomposition(pf), for the pressure field pf
     whose samples are the log field with angular factors ``table`` on ``grid``,
     bit for bit, a slab at a time.
 
-    Each slab evaluates the field on a window of the grid that reaches
+    Each slab evaluates the field on its window of the grid, which reaches
     SLAB_HALO rows further on each side (clipped at the grid's ends), so the
     rows it reports are the whole grid's; the rows outside ``interior_rows``
-    are never computed, and no array spans the level.  A slab's pressure field
-    and difference stay alive until the next slab's replace them.  Freeing them
-    at the end of each slab lowered the traced peak by a quarter but raised the
-    page faults per identities operation by about 60%: the freed memory went
-    back to the system and faulted in again for the next slab.
+    are never computed, and no array spans the level.  Every array of a slab
+    is one of ``ws`` (`slab_workspace` of a list that holds ``grid``) and is
+    gone when the slab ends, so each slab writes into the buffers its
+    predecessor used.
     """
-    worst = []
-    for slab in _slabs(interior_rows(grid), angular.size):
-        lo, hi = max(slab.start - SLAB_HALO, 0), min(slab.stop + SLAB_HALO, grid.count)
-        pf = pressure_field_from_target(log_field_rows(table, grid, lo, hi),
-                                        grid.rows(lo, hi), angular, ps)
-        diff, mixed, sphere = bochner_decomposition(pf)
-        diff += mixed
-        diff += sphere
-        del mixed, sphere   # only the sum stays alive while k[P] is computed
-        diff -= bochner_k(pf)
-        worst.append(np.max(np.abs(diff[slab.start - lo:slab.stop - lo])))
-    return float(np.max(worst))
+    return float(np.max([_slab_residual(table, grid, angular, ps, slab, ws)
+                         for slab in _slabs(interior_rows(grid), angular.size)]))
+
+
+def _slab_residual(table: np.ndarray, grid: RadialGrid, angular: PeriodicGrid,
+                   ps: ParamSet, slab: range, ws: Workspace) -> np.float64:
+    """max |radial_hessian + mixed + sphere - k[P]| over the rows of ``slab``.
+
+    The field's rows are taken to their source w and back, in place, so P is
+    the pressure of a field as `pressure_of` would make it; only P's
+    derivatives are kept, so P's buffer serves the Bochner terms.
+    """
+    lo, hi = _window(slab, grid)
+    P = log_field_rows(table, grid, lo, hi, ws=ws)
+    pressure_values(source_of_pressure(P, ps.n, out=P), ps.n, out=P)
+    window = grid.rows(lo, hi)
+    pf = PressureDerivatives(window, angular, ps,
+                             *pressure_derivatives(P, window, angular, ps, ws=ws))
+    del P
+    diff, mixed, sphere = bochner_decomposition(pf, ws=ws)
+    diff += mixed
+    diff += sphere
+    del mixed, sphere   # only the sum stays alive while k[P] is computed
+    diff -= bochner_k(pf, ws=ws)
+    rows = diff[slab.start - lo:slab.stop - lo]
+    return np.max(np.abs(rows, out=rows))
 
 
 def run_identities_suite(seed: int = DEFAULT_SEED, n_fields: int = IDENTITY_FIELDS) -> dict:
@@ -290,9 +316,10 @@ def run_identities_suite(seed: int = DEFAULT_SEED, n_fields: int = IDENTITY_FIEL
 
     def decomposition_orders(coeffs):
         # Each level evaluates the field slab by slab on its own grid, with the
-        # angular factors shared by every level.
+        # angular factors and one workspace, made on this thread, shared by every level.
         table = log_field_table(coeffs, angular)
-        errs = [bochner_residual(table, g, angular, ps2) for g in grids]
+        ws = slab_workspace(grids, angular)
+        errs = [bochner_residual(table, g, angular, ps2, ws) for g in grids]
         return errs, fit_loglog(h_values, errs)
 
     field_results = ordered_map(decomposition_orders, all_coeffs)

@@ -109,11 +109,11 @@ def test_criterion_3_pressure_quadratic():
             continue
         g10 = RadialGrid(1e-3, 10.0, 2048)
         A = pressure_amplitude(ps)
-        P = pressure_of(bubble_cylinder(ps, g10)).P.values
+        P = pressure_of(bubble_cylinder(ps, g10)).P
         quad = A * (1.0 + g10.nodes**2)
         worst_A = max(worst_A, float(np.max(np.abs(P - quad)) / A))
         g_full = RadialGrid(1e-3, 1e3, 2048)
-        P_full = pressure_of(bubble_cylinder(ps, g_full)).P.values
+        P_full = pressure_of(bubble_cylinder(ps, g_full)).P
         quad_full = A * (1.0 + g_full.nodes**2)
         worst_rel = max(worst_rel, float(np.max(np.abs(P_full / quad_full - 1.0))))
     ok = worst_A < 1e-10 and worst_rel < 1e-10

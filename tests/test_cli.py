@@ -319,6 +319,13 @@ class TestVerifyCommand:
      "--alpha-max gives an inadmissible path end alpha = 1e+200: requires p strictly inside"),
     (["spectrum", "--d", "3", "--n", "1e300"],
      "--n 1e+300 gives an inadmissible path end alpha = 9.899494936611666e-151: requires p"),
+    # a d past the largest double is refused where it is converted, by every command
+    *((argv, "ambient dimension d is too large for a double: got 1111")
+      for argv in (["params", "--a", "0", "--b", "0.5", "--d", "1" * 400],
+                   ["scan", "--d", "1" * 400, "--a-min", "-1", "--a-max", "0"],
+                   ["bubble", "--a", "0", "--b", "0.5", "--d", "1" * 400],
+                   ["shoot", "--a", "0", "--b", "0.5", "--d", "1" * 400, "--w0", "1"],
+                   ["verify", "--suite", "rigidity", "--a", "0", "--b", "0.5", "--d", "1" * 400])),
     # a negative seed is refused by argparse, by flag, before any suite runs
     *((["verify", "--suite", suite, "--seed", "-1"], "argument --seed: must be at least 0: got -1")
       for suite in ("identities", "estimates", "rigidity", "spectrum")),
@@ -659,6 +666,7 @@ def _fuzz_argv(draw, command):
            "--b", "3.3366304577280093", "--d", "7"]])
 @example([["shoot", "--a=-5e-324", "--b=0.6957103159070795", "--d", "2", "--w0", "1"]])
 @example([["verify", "--suite", "rigidity", "--a=-0.1", "--b=0.8999999999999998", "--d", "2"]])
+@example([["params", "--a", "0", "--b", "0.5", "--d", "1" * 400]])
 def test_argv_fuzz_exits_with_a_code(argvs):
     # Every invocation of each of the six commands ends in an exit code (0 output,
     # 1 contract failure, 2 refused with a reason); no exception escapes cli.main.

@@ -9,6 +9,7 @@ from cknlab.cylfield import CylinderField, Radial, integrate_mu
 from cknlab.errors import CknLabError
 from cknlab.grids import (
     RadialGrid,
+    Workspace,
     _BASES,
     _CELL_FIRST,
     _CELL_INTERIOR,
@@ -27,6 +28,26 @@ def test_sphere_areas():
     assert abs(sphere_area(2) - 2 * math.pi) < 1e-14
     assert abs(sphere_area(3) - 4 * math.pi) < 1e-13
     assert abs(sphere_area(4) - 2 * math.pi**2) < 1e-13
+
+
+class TestWorkspace:
+    def test_a_buffer_is_busy_while_any_view_of_it_lives(self):
+        # buffers are told apart by id: a reference to one would keep it busy
+        ws = Workspace(800)
+        a = ws.empty((10, 10))
+        first = id(a.base)
+        rows = a[2:-2]
+        del a                               # a view of the array still holds its buffer
+        b = ws.empty((50,))
+        spectrum = ws.empty((3, 5), complex)
+        assert len({first, id(rows.base), id(b.base), id(spectrum.base)}) == 3
+        del rows, b, spectrum               # all free: the first buffer serves again
+        c = ws.empty((7, 13))
+        assert id(c.base) == first and c.flags.c_contiguous and c.flags.writeable
+
+    def test_an_array_larger_than_a_buffer_is_refused(self):
+        with pytest.raises(ValueError, match="exceeds the workspace's 800"):
+            Workspace(800).empty((101,))
 
 
 def test_fd_weights_reproduce_central_stencils():

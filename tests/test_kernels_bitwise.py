@@ -7,7 +7,8 @@ every float operation of the rewrite must happen in the same order, so the
 outputs agree in ``tobytes()``, signed zeros included.  The file also pins
 the field ownership rule, the read-only arrays a PressureField is built with
 and shares, the nested refinement grids of `run_identities_suite`, and the row
-slabs it evaluates and computes each refinement level in.
+slabs it evaluates and computes each refinement level in.  Every kernel that
+takes a workspace gives, in its buffers, the bits of its allocating call.
 """
 
 import numpy as np
@@ -18,16 +19,19 @@ from hypothesis import strategies as st
 from cknlab import grids, pressure, verify
 from cknlab.cylfield import (
     CylinderField,
+    L_kernel,
     L_of_values,
     PeriodicGrid,
     Radial,
     theta_derivative,
 )
-from cknlab.grids import RadialGrid
+from cknlab.grids import RadialGrid, Workspace
 from cknlab.params import derive_params
 from cknlab.pressure import (
+    PressureDerivatives,
     bochner_decomposition,
     bochner_k,
+    pressure_derivatives,
     pressure_of,
     sphere_margins,
 )
@@ -37,7 +41,6 @@ from cknlab.verify import (
     bochner_residual,
     evaluate_log_field,
     log_field_table,
-    pressure_field_from_target,
     random_circle_profile,
     random_log_field_coeffs,
     run_identities_suite,
@@ -214,6 +217,11 @@ def ref_interior_max(values, grid, frac):
     return float(np.max(np.abs(values[mask])))
 
 
+def pressure_field_from_target(target, grid, angular, ps):
+    """PressureField whose P equals `target` exactly (w inverted pointwise)."""
+    return pressure_of(CylinderField(grid, angular, source_of_pressure(target, ps.n), ps))
+
+
 def same_bits(a, b):
     if a is None or b is None:
         return a is None and b is None
@@ -295,7 +303,7 @@ class TestPressureBitwise:
         grid, angular, ps, v = drawn
         w = CylinderField(grid, angular, v, ps)
         pf, ref = pressure_of(w), ref_pressure_of(w)
-        assert same_bits(pf.P.values, ref["P"])
+        assert same_bits(pf.P, ref["P"])
         for name in ("thetaP", "lap_thetaP", "dP", "d2P", "LP", "DP2"):
             assert same_bits(getattr(pf, name), ref[name]), name
         assert same_bits(bochner_k(pf), ref_bochner_k(ref))
@@ -308,7 +316,7 @@ class TestPressureBitwise:
         if isinstance(angular, PeriodicGrid):
             P, g1, g2 = ref["P"], ref["thetaP"], ref["lap_thetaP"]
             rows = [ref_circle_margin(P[i], g1[i], g2[i], ps) for i in range(grid.count)]
-            assert same_bits(sphere_margins(pf.P.values, pf.thetaP, pf.lap_thetaP, ps), rows)
+            assert same_bits(sphere_margins(pf.P, pf.thetaP, pf.lap_thetaP, ps), rows)
 
     @settings(max_examples=5, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -331,7 +339,7 @@ class TestPressureBitwise:
             target = np.broadcast_to(profiles[0], (16, size)).copy()
             pf = pressure_field_from_target(target, RadialGrid(1e-1, 1e1, 16),
                                             PeriodicGrid(size), PS2)
-            rows = sphere_margins(pf.P.values, pf.thetaP, pf.lap_thetaP, PS2)
+            rows = sphere_margins(pf.P, pf.thetaP, pf.lap_thetaP, PS2)
             assert same_bits(rows, np.full(16, batch[0]))
 
     @settings(max_examples=20, deadline=None)
@@ -341,6 +349,124 @@ class TestPressureBitwise:
         grid, angular = RadialGrid(1e-3, 1e3, count), PeriodicGrid(size)
         got = evaluate_log_field(coeffs, grid, angular, PS2).values
         assert same_bits(got, ref_evaluate_log_field(coeffs, grid, angular))
+
+
+def nan_workspace(nbytes: int) -> Workspace:
+    """A workspace whose buffers of ``nbytes`` are NaN from an earlier use, so a
+    kernel that reads a sample it did not write shows it."""
+    ws = Workspace(nbytes)
+    held = [ws.empty((nbytes // 8,)) for _ in range(16)]
+    for a in held:
+        a.fill(np.nan)
+    return ws
+
+
+def same_results(got, want):
+    if isinstance(want, tuple):
+        return len(got) == len(want) and all(map(same_results, got, want))
+    return same_bits(got, want)
+
+
+def arrays_of(results):
+    if isinstance(results, tuple):
+        return [a for r in results for a in arrays_of(r)]
+    return [] if results is None else [results]
+
+
+def check_in_workspace(call, nbytes):
+    """call(ws) has the bits of call(None) in leading views of NaN-filled buffers
+    twice the size it needs, and again in the same buffers reused."""
+    want = call(None)
+    ws = nan_workspace(2 * nbytes)
+    for _ in range(2):
+        got = call(ws)
+        assert same_results(got, want)
+        # a workspace array views one of its byte buffers; an allocated one owns its data
+        assert all(a.base is not None and a.base.dtype == np.uint8 for a in arrays_of(got))
+        del got                 # its buffers serve the next call
+
+
+class TestWorkspaceBitwise:
+    """1-D and 2-D samples at odd and even heights (16..40) and angular sizes (9, 16):
+    a spectrum row of m angles takes 16 (m // 2 + 1) <= 2 * 8 m bytes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(fields(ANGULAR_REPS), st.sampled_from([1e-3, 0.0123, 1.0]))
+    def test_radial_and_angular_derivatives(self, drawn, h):
+        grid, angular, ps, v = drawn
+        nbytes = 2 * v.nbytes
+        check_in_workspace(lambda ws: grids.d_dx(v, h, ws=ws), nbytes)
+        check_in_workspace(lambda ws: grids.d2_dx2(v, h, ws=ws), nbytes)
+        check_in_workspace(lambda ws: grids.d_ds(v, grid, ws=ws), nbytes)
+        check_in_workspace(lambda ws: grids.radial_derivs(v, grid, ws=ws), nbytes)
+        check_in_workspace(lambda ws: angular.theta_pair(v, ws=ws), nbytes)
+        check_in_workspace(lambda ws: angular.grad_theta(v, ws=ws), nbytes)
+        check_in_workspace(lambda ws: angular.lap_theta(v, ws=ws), nbytes)
+        check_in_workspace(lambda ws: L_of_values(v, grid, angular, ps, ws=ws), nbytes)
+        if v.ndim == 2:
+            for order in (1, 2):
+                check_in_workspace(lambda ws: theta_derivative(v, order, ws=ws), nbytes)
+
+    @settings(max_examples=40, deadline=None)
+    @given(fields(ANGULAR_REPS))
+    def test_L_kernel_into_its_first_derivative(self, drawn):
+        grid, angular, ps, v = drawn
+        d1, d2 = grids.radial_derivs(v, grid)
+        lap, s = angular.lap_theta(v), grid.column(v)
+        want = L_kernel(d1, d2, lap, s, ps)
+        check_in_workspace(lambda ws: L_kernel(d1, d2, lap, s, ps,
+                                               out=grids.scratch(ws, d1.shape), ws=ws),
+                           2 * v.nbytes)
+        d1_out = d1.copy()
+        assert L_kernel(d1_out, d2, lap, s, ps, out=d1_out) is d1_out
+        assert same_bits(d1_out, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(fields(ANGULAR_REPS, positive=True))
+    def test_pressure_and_bochner(self, drawn):
+        grid, angular, ps, v = drawn
+        nbytes = 2 * v.nbytes
+        pf = pressure_of(CylinderField(grid, angular, v, ps))
+        check_in_workspace(lambda ws: pressure_derivatives(pf.P, grid, angular, ps, ws=ws),
+                           nbytes)
+        check_in_workspace(lambda ws: bochner_k(pf, ws=ws), nbytes)
+        check_in_workspace(lambda ws: bochner_decomposition(pf, ws=ws), nbytes)
+        if pf.thetaP is not None:
+            check_in_workspace(lambda ws: pressure._sphere_k(pf.thetaP, pf.lap_thetaP, ps.n,
+                                                             ps.alpha, ws=ws), nbytes)
+
+        def slab(ws):   # derivatives alone, all from the workspace, as a slab has them
+            derived = PressureDerivatives(grid, angular, ps,
+                                          *pressure_derivatives(pf.P, grid, angular, ps, ws=ws))
+            return bochner_decomposition(derived, ws=ws) + (bochner_k(derived, ws=ws),)
+
+        check_in_workspace(slab, nbytes)
+        assert same_results(slab(None), bochner_decomposition(pf) + (bochner_k(pf),))
+
+    @settings(max_examples=40, deadline=None)
+    @given(fields(ANGULAR_REPS, positive=True))
+    def test_pressure_round_trip_in_place(self, drawn):
+        _, _, ps, v = drawn
+        w = source_of_pressure(v, ps.n)
+        in_place = v.copy()
+        assert source_of_pressure(in_place, ps.n, out=in_place) is in_place
+        assert same_bits(in_place, w)
+        P = pressure.pressure_values(w, ps.n)
+        assert pressure.pressure_values(in_place, ps.n, out=in_place) is in_place
+        assert same_bits(in_place, P)
+        assert same_bits(P, (ps.n - 1.0) * w ** (-2.0 / (ps.n - 2.0)))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(16, 41), st.sampled_from([9, 16]),
+           st.data())
+    def test_log_field_rows(self, seed, count, size, data):
+        table = log_field_table(random_log_field_coeffs(np.random.default_rng(seed)),
+                                PeriodicGrid(size))
+        grid = RadialGrid(1e-3, 1e3, count)
+        lo = data.draw(st.integers(0, count - 1))
+        hi = data.draw(st.integers(lo + 1, count))
+        check_in_workspace(lambda ws: verify.log_field_rows(table, grid, lo, hi, ws=ws),
+                           8 * size * count)
 
 
 class TestFieldOwnership:
@@ -398,7 +524,7 @@ class TestPressureFieldArrays:
         for w in (self.periodic_field(), self.radial_field()):
             calls.clear()
             pf = pressure_of(w)
-            assert len(calls) == 1 and calls[0][1][0] is pf.P.values
+            assert len(calls) == 1 and calls[0][1][0] is pf.P
 
     def test_bochner_reads_the_field_arrays(self, monkeypatch):
         # k[P] and its decomposition differentiate |DP|^2, L P and grad_theta P
@@ -418,7 +544,7 @@ class TestPressureFieldArrays:
         for w in (self.periodic_field(), self.radial_field()):
             pf = pressure_of(w)
             arrays = [getattr(pf, name) for name in
-                      ("thetaP", "lap_thetaP", "dP", "d2P", "LP", "DP2")] + [pf.P.values]
+                      ("thetaP", "lap_thetaP", "dP", "d2P", "LP", "DP2")] + [pf.P]
             held = [a for a in arrays if a is not None]
             assert len(held) == (7 if isinstance(w.angular, PeriodicGrid) else 5)
             for a in held:
@@ -433,9 +559,9 @@ class TestPressureFieldArrays:
         for name in ("d_dx", "d2_dx2"):
             original = getattr(grids, name)
 
-            def recording(values, h, original=original, name=name):
+            def recording(values, h, original=original, name=name, **kwargs):
                 events.append(name)
-                return original(values, h)
+                return original(values, h, **kwargs)
 
             monkeypatch.setattr(grids, name, recording)
         profile = verify.random_circle_profile
@@ -478,7 +604,8 @@ class TestSlabsBitwise:
             height = 1 if j == 0 else 37
             for budget in (8 * angular_size * height, default_budget):
                 monkeypatch.setattr(verify, "SLAB_BYTES", budget)
-                slab_max = bochner_residual(table, g, angular, PS2)
+                slab_max = bochner_residual(table, g, angular, PS2,
+                                            verify.slab_workspace([g], angular))
                 assert np.float64(slab_max).tobytes() == np.float64(whole).tobytes()
 
     @pytest.mark.parametrize("levels", [2, 3, 4])
@@ -490,8 +617,8 @@ class TestSlabsBitwise:
         windows = []
         rows_of = verify.log_field_rows
 
-        def recording(table, grid, lo, hi):
-            rows = rows_of(table, grid, lo, hi)
+        def recording(table, grid, lo, hi, **kwargs):
+            rows = rows_of(table, grid, lo, hi, **kwargs)
             windows.append((lo, hi, rows.copy()))
             return rows
 
@@ -501,7 +628,7 @@ class TestSlabsBitwise:
             g = RadialGrid(1e-3, 1e3, n)
             whole = evaluate_log_field(coeffs, g, angular, PS2).values
             windows.clear()
-            bochner_residual(table, g, angular, PS2)
+            bochner_residual(table, g, angular, PS2, verify.slab_workspace([g], angular))
             slabs = verify._slabs(verify.interior_rows(g), angular.size)
             assert len(windows) == len(slabs) > 1
             for (lo, hi, rows), slab in zip(windows, slabs):

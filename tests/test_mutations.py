@@ -63,13 +63,13 @@ def patch(monkeypatch, module, name, replacement) -> None:
 def second_order_d_dx(original):
     # the 2nd-order central difference in place of the 5-point interior stencil
     central = np.array([0.0, -0.5, 0.0, 0.5, 0.0])
-    return lambda values, h: grids._apply_stencil_axis0(
-        values, central, grids._D1_EDGE0, grids._D1_EDGE1, h, 1)
+    return lambda values, h, ws=None: grids._apply_stencil_axis0(
+        values, central, grids._D1_EDGE0, grids._D1_EDGE1, h, 1, ws)
 
 
 def bochner_square_term_off(original):
     # (L P)^2 / n in k[P] taken (1 + 1e-3) times
-    return lambda pf: original(pf) - 1e-3 * pf.LP**2 / pf.params.n
+    return lambda pf, ws=None: original(pf, ws=ws) - 1e-3 * pf.LP**2 / pf.params.n
 
 
 def obata_one_over_n_minus_1(original):
@@ -77,7 +77,7 @@ def obata_one_over_n_minus_1(original):
     def vector(pf):
         v_r, v_t = original(pf)
         n = pf.params.n
-        shift = (1.0 / n - 1.0 / (n - 1.0)) * pressure.pressure_weight(pf.P.values, n) * pf.LP
+        shift = (1.0 / n - 1.0 / (n - 1.0)) * pressure.pressure_weight(pf.P, n) * pf.LP
         return v_r + shift * pf.dP, None if v_t is None else v_t + shift * pf.thetaP
     return vector
 
@@ -86,20 +86,21 @@ def residual_constant_off(original):
     # the constant 2 (n - 1)^2 / (n - 2) of residual_eq_P taken (1 + 1e-3) times
     def residual(pf):
         n = pf.params.n
-        return original(pf) - 1e-3 * 2.0 * (n - 1.0) ** 2 / (n - 2.0) / pf.P.values
+        return original(pf) - 1e-3 * 2.0 * (n - 1.0) ** 2 / (n - 2.0) / pf.P
     return residual
 
 
 def bochner_radial_inner_off(original):
     # the radial part alpha^2 P' (L P)' of <DP, D L P> in k[P] taken (1 + 1e-3) times
-    return lambda pf: original(pf) - 1e-3 * pf.params.alpha**2 * pf.dP * grids.d_ds(pf.LP, pf.grid)
+    return lambda pf, ws=None: (original(pf, ws=ws)
+                                - 1e-3 * pf.params.alpha**2 * pf.dP * grids.d_ds(pf.LP, pf.grid))
 
 
 def decomposition_term_off(index):
     # one of (radial_hessian, mixed, sphere) taken (1 + 1e-3) times
     def mutation(original):
-        def terms(pf):
-            out = list(original(pf))
+        def terms(pf, ws=None):
+            out = list(original(pf, ws=ws))
             out[index] = (1.0 + 1e-3) * out[index]
             return tuple(out)
         return terms
@@ -193,7 +194,7 @@ def weight_exponent_off(original):
 
 
 def zero_defect_density(original):
-    return lambda pf: np.zeros_like(pf.P.values)
+    return lambda pf: np.zeros_like(pf.P)
 
 
 def zero_rigidity_defect(original):

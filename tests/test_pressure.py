@@ -23,11 +23,10 @@ from cknlab.pressure import (
 from cknlab.verify import (
     evaluate_log_field,
     interior_max,
-    pressure_field_from_target,
     random_log_field_coeffs,
 )
 
-from test_kernels_bitwise import ref_interior_max
+from test_kernels_bitwise import pressure_field_from_target, ref_interior_max
 from test_oracles import pressure_amplitude
 
 
@@ -44,12 +43,12 @@ class TestPressureOf:
         A = pressure_amplitude(ps_sobolev3)
         assert abs(A - 2.0 * 3.0 ** (-0.5)) < 1e-15
         exact = A * (1.0 + s**2)
-        assert np.max(np.abs(pf.P.values / exact - 1.0)) < 1e-13
+        assert np.max(np.abs(pf.P / exact - 1.0)) < 1e-13
 
     def test_constant_field(self, ps_n6, grid_small):
         pf = pressure_of(CylinderField(grid_small, Radial(),
                                        np.ones(grid_small.count), ps_n6))
-        assert np.max(np.abs(pf.P.values - (ps_n6.n - 1.0))) < 1e-13
+        assert np.max(np.abs(pf.P - (ps_n6.n - 1.0))) < 1e-13
 
     def test_power_law_exponent_algebra(self, ps_n6, grid_small):
         # w = s^(2-n) gives P = (n-1) s^2
@@ -57,7 +56,7 @@ class TestPressureOf:
         pf = pressure_of(CylinderField(grid_small, Radial(),
                                        s ** (2.0 - ps_n6.n), ps_n6))
         exact = (ps_n6.n - 1.0) * s**2
-        assert np.max(np.abs(pf.P.values / exact - 1.0)) < 1e-13
+        assert np.max(np.abs(pf.P / exact - 1.0)) < 1e-13
 
     def test_positivity_gate(self, ps_n6, grid_small):
         vals = np.ones(grid_small.count)
@@ -76,7 +75,7 @@ class TestPressureOf:
             w = bubble_cylinder(ps_d2, g)
         pf = pressure_of(w)
         assert pf.LP.shape == w.values.shape
-        assert np.array_equal(pf.LP, L_of_values(pf.P.values, g, w.angular, ps_d2))
+        assert np.array_equal(pf.LP, L_of_values(pf.P, g, w.angular, ps_d2))
 
 
 class TestResidualEqP:
@@ -191,7 +190,7 @@ class TestSphereBochner:
 
     @staticmethod
     def margins(pf):
-        return sphere_margins(pf.P.values, pf.thetaP, pf.lap_thetaP, pf.params)
+        return sphere_margins(pf.P, pf.thetaP, pf.lap_thetaP, pf.params)
 
     def test_constant_in_theta_both_sides_zero(self, ps_d2):
         # both sides integrate theta-derivatives of P, which vanish
@@ -223,7 +222,7 @@ class TestSphereBochner:
         full = pressure._sphere_k(pf.thetaP, pf.lap_thetaP, n, alpha)
         margins = self.margins(pf)
         for i in (0, 17, 32, 63):
-            weight = pf.P.values[i] ** (1.0 - n)
+            weight = pf.P[i] ** (1.0 - n)
             lhs = float(np.mean(weight * full[i])) * 2.0 * np.pi
             coeff = (n - 2.0) * ((d - 1.0) / (n - 1.0) - alpha**2)
             rhs = coeff * float(np.mean(weight * pf.thetaP[i] ** 2)) * 2.0 * np.pi

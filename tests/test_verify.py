@@ -63,9 +63,8 @@ class TestSuites:
 
 def test_identities_suite_memory_is_bounded():
     # Each refinement level is computed in row slabs that evaluate their own
-    # rows of the field, so the arrays alive at once are about two slabs'
-    # (4.5 MiB); whole-level arrays took 29 MiB.  One field runs serially, so
-    # the peak is the same on every run.
+    # rows of the field into one workspace (3 MiB); whole-level arrays took
+    # 29 MiB.  One field runs serially, so the peak is the same on every run.
     tracemalloc.start()
     try:
         run_identities_suite(n_fields=1)
@@ -75,27 +74,52 @@ def test_identities_suite_memory_is_bounded():
     assert peak < 10 * 2**20
 
 
-def test_identity_field_peak_is_slab_sized():
-    # One field's Bochner check evaluates each refinement level slab by slab on
-    # that level's grid, so its traced peak is one slab's arrays.  A slab-sized
-    # array has the tallest slab's rows plus both halos; evaluating the finest
-    # level whole and slicing it peaked at 23.4 of them.
+def identity_field():
+    """(table, grids, angular, params) of one field of the identities suite's Bochner
+    check, and the bytes of a slab-sized array: the tallest slab's rows plus both halos."""
     ps = derive_params(*verify.D2_IDENTITY_PARAMS)
     angular = PeriodicGrid(verify.IDENTITY_ANGULAR)
     sizes = verify._refinement_sizes(verify.IDENTITY_LEVELS, verify.IDENTITY_BASE)
     grids = [RadialGrid(1e-3, 1e3, n) for n in sizes]
-    coeffs = verify.random_log_field_coeffs(np.random.default_rng(1))
+    table = verify.log_field_table(verify.random_log_field_coeffs(np.random.default_rng(1)),
+                                   angular)
     height = verify.SLAB_BYTES // (8 * angular.size) + 2 * verify.SLAB_HALO
-    slab_array = 8 * angular.size * height
+    return table, grids, angular, ps, 8 * angular.size * height
+
+
+def test_identity_field_peak_is_slab_sized():
+    # One field's Bochner check evaluates each refinement level slab by slab on
+    # that level's grid, into one workspace, as the suite does.  Its traced peak
+    # is that workspace: 11 buffers of the finest level's tallest window, which
+    # is shorter than a slab-sized array.  Evaluating the finest level whole and
+    # slicing it peaked at 23.4 slab-sized arrays, and fresh arrays for every
+    # slab at 16.8.
+    table, grids, angular, ps, slab_array = identity_field()
     tracemalloc.start()
     try:
-        table = verify.log_field_table(coeffs, angular)
+        ws = verify.slab_workspace(grids, angular)
         for g in grids:
-            verify.bochner_residual(table, g, angular, ps)
+            verify.bochner_residual(table, g, angular, ps, ws)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 20 * slab_array
+    assert peak < 12 * slab_array
+
+
+def test_a_later_slab_allocates_no_slab_sized_array():
+    # Once the workspace holds its buffers, every slab of every level writes
+    # into them: what the slabs allocate besides is small.
+    table, grids, angular, ps, slab_array = identity_field()
+    ws = verify.slab_workspace(grids, angular)
+    verify.bochner_residual(table, grids[-1], angular, ps, ws)
+    tracemalloc.start()
+    try:
+        for g in grids:
+            verify.bochner_residual(table, g, angular, ps, ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < slab_array
 
 
 def count_fields(monkeypatch) -> list:
@@ -111,19 +135,18 @@ def count_fields(monkeypatch) -> list:
     return built
 
 
-def test_bochner_residual_builds_two_fields_per_slab(monkeypatch):
-    # A slab builds its source field w and the pressure P; k[P] and the
-    # decomposition terms stay arrays.
+def test_bochner_residual_builds_no_field(monkeypatch):
+    # A slab's samples stay arrays of its workspace: a CylinderField would copy
+    # a view of it.
     grid = RadialGrid(1e-3, 1e3, 1025)
     angular = PeriodicGrid(verify.IDENTITY_ANGULAR)
     ps = derive_params(*verify.D2_IDENTITY_PARAMS)
     coeffs = verify.random_log_field_coeffs(np.random.default_rng(1))
     table = verify.log_field_table(coeffs, angular)
     built = count_fields(monkeypatch)
-    verify.bochner_residual(table, grid, angular, ps)
-    slabs = len(verify._slabs(verify.interior_rows(grid), angular.size))
-    assert slabs > 1
-    assert len(built) <= 2 * slabs
+    verify.bochner_residual(table, grid, angular, ps, verify.slab_workspace([grid], angular))
+    assert len(verify._slabs(verify.interior_rows(grid), angular.size)) > 1
+    assert built == []
 
 
 def test_estimates_suite_builds_48_fields(monkeypatch):
