@@ -22,28 +22,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CknLabError
-from .grids import (RadialGrid, Workspace, d_ds, integrate_uniform, radial_derivs, scratch,
-                    sphere_area)
+from .grids import RadialGrid, d_ds, integrate_uniform, radial_derivs, scratch, sphere_area
 from .params import ParamSet
 
 
 class _AngularCalculus:
     """Angular calculus on sample arrays (radius on axis 0), Radial by default.
 
-    ``None`` stands for a vanishing angular term, which callers skip.  ``ws``
-    is the workspace the derivatives are written into (see `grids.Workspace`).
+    ``None`` stands for a vanishing angular term, which callers skip.
     """
 
     def sample_shape(self, grid: RadialGrid, d: int) -> tuple:
         return (grid.count,)
 
-    def grad_theta(self, values: np.ndarray, *, ws: Workspace | None = None) -> np.ndarray | None:
+    def grad_theta(self, values: np.ndarray) -> np.ndarray | None:
         return None
 
-    def lap_theta(self, values: np.ndarray, *, ws: Workspace | None = None) -> np.ndarray | None:
+    def lap_theta(self, values: np.ndarray) -> np.ndarray | None:
         return None
 
-    def theta_pair(self, values: np.ndarray, *, ws: Workspace | None = None):
+    def theta_pair(self, values: np.ndarray):
         """(grad_theta, Lap_theta) for nonlinear work on pointwise samples."""
         return None, None
 
@@ -68,17 +66,17 @@ class PeriodicGrid(_AngularCalculus):
             raise CknLabError("PeriodicGrid fields require d = 2")
         return (grid.count, self.size)
 
-    def grad_theta(self, values, *, ws=None):
-        return theta_derivative(values, 1, ws=ws)
+    def grad_theta(self, values):
+        return theta_derivative(values, 1)
 
-    def lap_theta(self, values, *, ws=None):
-        return theta_derivative(values, 2, ws=ws)
+    def lap_theta(self, values):
+        return theta_derivative(values, 2)
 
-    def theta_pair(self, values, *, ws=None):
-        spec, m = _spectrum(values, ws), values.shape[1]
-        copy = scratch(ws, spec.shape, spec.dtype)
+    def theta_pair(self, values):
+        spec, m = _spectrum(values), values.shape[1]
+        copy = scratch(spec.shape, spec.dtype)
         copy[...] = spec
-        return _theta_from_spectrum(copy, m, 1, ws), _theta_from_spectrum(spec, m, 2, ws)
+        return _theta_from_spectrum(copy, m, 1), _theta_from_spectrum(spec, m, 2)
 
     def sphere_mean(self, values, d):
         return values.mean(axis=1), 2.0 * np.pi
@@ -91,53 +89,48 @@ def theta_nodes(angular: PeriodicGrid) -> np.ndarray:
     return np.linspace(0.0, 2.0 * np.pi, angular.size, endpoint=False)
 
 
-def _spectrum(values: np.ndarray, ws: Workspace | None) -> np.ndarray:
+def _spectrum(values: np.ndarray) -> np.ndarray:
     """rfft of each row (axis 1)."""
     shape = (values.shape[0], values.shape[1] // 2 + 1)
-    return np.fft.rfft(values, axis=1, out=scratch(ws, shape, complex))
+    return np.fft.rfft(values, axis=1, out=scratch(shape, complex))
 
 
-def _theta_from_spectrum(spec: np.ndarray, m: int, order: int,
-                         ws: Workspace | None) -> np.ndarray:
+def _theta_from_spectrum(spec: np.ndarray, m: int, order: int) -> np.ndarray:
     """Inverse transform of the order-th derivative; multiplies ``spec`` in place."""
     k = np.arange(spec.shape[1], dtype=float)
     mult = (1j * k) ** order
     if order % 2 == 1 and m % 2 == 0:
         mult[-1] = 0.0  # odd derivative of the unpaired Nyquist mode
     spec *= mult
-    return np.fft.irfft(spec, n=m, axis=1, out=scratch(ws, (spec.shape[0], m)))
+    return np.fft.irfft(spec, n=m, axis=1, out=scratch((spec.shape[0], m)))
 
 
-def theta_derivative(values: np.ndarray, order: int, *,
-                     ws: Workspace | None = None) -> np.ndarray:
+def theta_derivative(values: np.ndarray, order: int) -> np.ndarray:
     """Spectral angular derivative along axis 1 (periodic, d = 2)."""
-    return _theta_from_spectrum(_spectrum(values, ws), values.shape[1], order, ws)
+    return _theta_from_spectrum(_spectrum(values), values.shape[1], order)
 
 
 def L_kernel(d1: np.ndarray, d2: np.ndarray, lap_theta: np.ndarray | None,
-             s: np.ndarray, ps: ParamSet, *, out: np.ndarray | None = None,
-             ws: Workspace | None = None) -> np.ndarray:
+             s: np.ndarray, ps: ParamSet, *, out: np.ndarray | None = None) -> np.ndarray:
     """L from (w', w'', Lap_theta w): alpha^2 (w'' + (n-1) w'/r) + Lap_theta w / r^2.
 
     ``lap_theta`` None skips the angular term.  Given (V_r, V_r', div_theta V_theta)
     it is the weighted divergence D_i V_i.  L is written into ``out`` (which may
-    be ``d1`` itself), or a new array by default; Lap_theta w / r^2 is from ``ws``.
+    be ``d1`` itself), or a new array by default.
     """
     out = np.multiply(d1, ps.n - 1.0, out=out)
     out /= s
     out += d2
     out *= ps.alpha**2
     if lap_theta is not None:
-        out += np.divide(lap_theta, s**2, out=scratch(ws, lap_theta.shape))
+        out += np.divide(lap_theta, s**2, out=scratch(lap_theta.shape))
     return out
 
 
-def L_of_values(values: np.ndarray, grid: RadialGrid, angular: AngularRep, ps: ParamSet, *,
-                ws: Workspace | None = None):
+def L_of_values(values: np.ndarray, grid: RadialGrid, angular: AngularRep, ps: ParamSet):
     """L applied to a sample array."""
-    d1, d2 = radial_derivs(values, grid, ws=ws)
-    return L_kernel(d1, d2, angular.lap_theta(values, ws=ws), grid.column(values), ps,
-                    out=d1, ws=ws)
+    d1, d2 = radial_derivs(values, grid)
+    return L_kernel(d1, d2, angular.lap_theta(values), grid.column(values), ps, out=d1)
 
 
 @dataclass(frozen=True)

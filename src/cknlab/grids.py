@@ -9,9 +9,9 @@ so one uniform-grid toolbox (5/6-point stencils, cell-wise cubic composite
 quadrature) serves every operation.  Stencil weights are generated with the
 standard divided-difference recursion rather than hardcoded tables.
 
-Every kernel that makes arrays as large as its input takes a keyword-only
-``ws``: a `Workspace` whose buffers it writes into, or None (the default) to
-allocate.  The same ufuncs run either way, so the bits are the same.
+Every kernel takes its input-sized arrays from `scratch`: views of the
+buffers of the `Workspace` entered on the calling thread, or new arrays
+outside one.  The same ufuncs run either way, so the bits are the same.
 
 The quadrature takes the complete cells of a region in one np.vecdot (numpy
 2) and adds them left to right with np.cumsum, with the bits of a per-cell
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,13 +37,15 @@ from .errors import CknLabError
 class Workspace:
     """Buffers of ``nbytes`` each, reused by a run of same-sized array computations.
 
-    `empty` returns the leading bytes of a buffer, shaped, in place of a fresh
-    np.empty.  A buffer is busy exactly while an array viewing it is alive:
-    numpy makes the buffer itself the base of every view of it, views of views
-    included, so its reference count tells: a free buffer's reads as that of a
-    probe no view holds.  Arrays taken here therefore live and die as
+    ``with ws:`` makes it the calling thread's active workspace until the block
+    ends, and there `scratch` returns the leading bytes of one of its buffers,
+    shaped (`empty`).  A buffer is busy exactly while an array viewing it is
+    alive: numpy makes the buffer itself the base of every view of it, views of
+    views included, so its reference count tells: a free buffer's reads as that
+    of a probe no view holds.  Arrays taken here therefore live and die as
     allocated ones would, and a computation that runs again at the same or a
-    smaller size takes no new buffer after its first run.
+    smaller size takes no new buffer after its first run.  Counts are read
+    unlocked, so one workspace serves one thread at a time.
     """
 
     def __init__(self, nbytes: int):
@@ -63,6 +66,18 @@ class Workspace:
             self._buffers.append(buf)
         return buf[:size].view(dtype).reshape(shape)
 
+    def __enter__(self) -> Workspace:
+        _entered.stack = getattr(_entered, "stack", ()) + (self,)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _entered.stack = _entered.stack[:-1]
+
+
+# .stack: the workspaces entered on this thread, innermost last.  Thread-local,
+# not a context variable, which a thread started inside a scope may copy.
+_entered = threading.local()
+
 
 def _reference_counts(buffers: list) -> list[int]:
     """sys.getrefcount of each of ``buffers``.  Which references besides the
@@ -71,9 +86,10 @@ def _reference_counts(buffers: list) -> list[int]:
     return [sys.getrefcount(buf) for buf in buffers]
 
 
-def scratch(ws: Workspace | None, shape: tuple, dtype=float) -> np.ndarray:
-    """An uninitialized array from ``ws``, or a new one when ``ws`` is None."""
-    return np.empty(shape, dtype) if ws is None else ws.empty(shape, dtype)
+def scratch(shape: tuple, dtype=float) -> np.ndarray:
+    """An uninitialized array from the thread's active workspace, or a new one outside any."""
+    stack = getattr(_entered, "stack", ())
+    return stack[-1].empty(shape, dtype) if stack else np.empty(shape, dtype)
 
 
 def sphere_area(d: int) -> float:
@@ -127,8 +143,7 @@ MIN_STENCIL_NODES = 8
 MIN_RADIAL_NODES = 16
 
 
-def _apply_stencil_axis0(values: np.ndarray, interior, edge0, edge1, h: float, m: int,
-                         ws: Workspace | None = None):
+def _apply_stencil_axis0(values: np.ndarray, interior, edge0, edge1, h: float, m: int):
     """4th-order derivative along axis 0 of a uniform grid with step h.
 
     Derivative stencils have zero coefficient sum, so they are applied to
@@ -143,7 +158,7 @@ def _apply_stencil_axis0(values: np.ndarray, interior, edge0, edge1, h: float, m
     npts = v.shape[0]
     if npts < MIN_STENCIL_NODES:
         raise CknLabError(f"need >= {MIN_STENCIL_NODES} radial nodes, got {npts}")
-    out = scratch(ws, v.shape)
+    out = scratch(v.shape)
     c = interior
     center = v[2:-2]
     acc = out[2:-2]
@@ -152,7 +167,7 @@ def _apply_stencil_axis0(values: np.ndarray, interior, edge0, edge1, h: float, m
     np.subtract(v[:npts - 4], center, out=acc)
     np.multiply(acc, c[0], out=acc)
     np.add(acc, 0.0, out=acc)
-    buf = scratch(ws, center.shape)
+    buf = scratch(center.shape)
     for off, cj in ((-1, c[1]), (1, c[3]), (2, c[4])):
         np.subtract(v[2 + off:npts - 2 + off], center, out=buf)
         np.multiply(buf, cj, out=buf)
@@ -179,12 +194,12 @@ def _apply_stencil_axis0(values: np.ndarray, interior, edge0, edge1, h: float, m
     return out
 
 
-def d_dx(values: np.ndarray, h: float, *, ws: Workspace | None = None) -> np.ndarray:
-    return _apply_stencil_axis0(values, _D1_INT, _D1_EDGE0, _D1_EDGE1, h, 1, ws)
+def d_dx(values: np.ndarray, h: float) -> np.ndarray:
+    return _apply_stencil_axis0(values, _D1_INT, _D1_EDGE0, _D1_EDGE1, h, 1)
 
 
-def d2_dx2(values: np.ndarray, h: float, *, ws: Workspace | None = None) -> np.ndarray:
-    return _apply_stencil_axis0(values, _D2_INT, _D2_EDGE0, _D2_EDGE1, h, 2, ws)
+def d2_dx2(values: np.ndarray, h: float) -> np.ndarray:
+    return _apply_stencil_axis0(values, _D2_INT, _D2_EDGE0, _D2_EDGE1, h, 2)
 
 
 @dataclass(frozen=True)
@@ -233,19 +248,18 @@ class RadialGrid:
         return s if values.ndim == 1 else s[:, None]
 
 
-def d_ds(values: np.ndarray, grid: RadialGrid, *, ws: Workspace | None = None) -> np.ndarray:
+def d_ds(values: np.ndarray, grid: RadialGrid) -> np.ndarray:
     """First radial derivative on the log grid."""
-    out = d_dx(values, grid.log_step, ws=ws)
+    out = d_dx(values, grid.log_step)
     out /= grid.column(out)
     return out
 
 
-def radial_derivs(values: np.ndarray, grid: RadialGrid, *,
-                  ws: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
+def radial_derivs(values: np.ndarray, grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
     """(w', w'') on the log grid from one shared d/dx pass."""
-    dx = d_dx(values, grid.log_step, ws=ws)
+    dx = d_dx(values, grid.log_step)
     s = grid.column(dx)
-    d2 = d2_dx2(values, grid.log_step, ws=ws)
+    d2 = d2_dx2(values, grid.log_step)
     d2 -= dx
     d2 /= s**2
     dx /= s

@@ -87,7 +87,8 @@ def derive_params(a: float, b: float, d: int, strict_subcritical: bool = False) 
     p = 2* (a = b, d >= 3) are rejected with AdmissibilityError; by default
     they are admissible-for-parameters and it is up to the caller to demand
     strictness where an operation needs p in the open range.  Off the p = 2
-    edge, an alpha whose square is not a positive normal double is refused.
+    edge, an n or p that overflows a double is refused, as is an alpha whose
+    square is not a positive normal double.
     """
     a, b = float(a), float(b)  # numpy scalars would turn overflow into inf
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -105,18 +106,12 @@ def derive_params(a: float, b: float, d: int, strict_subcritical: bool = False) 
     a_c = (d - 2) / 2.0
     if d >= 3:
         if not (a <= b <= a + 1):
-            raise AdmissibilityError(
-                f"requires a <= b <= a+1 for d >= 3: got a = {a}, b = {b}"
-            )
+            raise AdmissibilityError(f"requires a <= b <= a+1 for d >= 3: got a = {a}, b = {b}")
     else:
         if not (a < b <= a + 1):
-            raise AdmissibilityError(
-                f"requires a < b <= a+1 for d = 2: got a = {a}, b = {b}"
-            )
+            raise AdmissibilityError(f"requires a < b <= a+1 for d = 2: got a = {a}, b = {b}")
     if a >= a_c:
-        raise AdmissibilityError(
-            f"requires a < a_c = (d-2)/2: got a = {a}, a_c = {a_c}"
-        )
+        raise AdmissibilityError(f"requires a < a_c = (d-2)/2: got a = {a}, a_c = {a_c}")
 
     kappa = a_c - a
     one_ab = 1.0 + a - b  # = d/n; zero exactly on the p = 2 edge
@@ -134,6 +129,8 @@ def derive_params(a: float, b: float, d: int, strict_subcritical: bool = False) 
                 f"got a = {a}, b = {b}"
             )
         p = 2.0 * d / (d - 2.0 + 2.0 * (b - a))
+        if not (math.isfinite(n) and math.isfinite(p)):
+            raise AdmissibilityError(f"n = {n!r} or p = {p!r} overflows a double: got d = {d}")
         alpha = one_ab * kappa / (kappa + b)
         if not alpha**2 >= sys.float_info.min:   # alpha^2 divides the radial equation
             raise AdmissibilityError(

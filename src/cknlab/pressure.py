@@ -24,8 +24,7 @@ diagnostics return sample arrays; a `CylinderField` is built only where
 samples enter (P itself, whose construction checks that w^(-2/(n-2)) stayed
 finite) and where an integrand meets `integrate_mu`, through `pf.field`.
 `pressure_derivatives` computes these arrays from samples of P, and a
-`PressureDerivatives` holds them without P; with a workspace ``ws`` (`grids.Workspace`) they, k[P] and the Bochner terms are
-written into its buffers.
+`PressureDerivatives` holds them without P.
 
 Non-solution inputs are always accepted: every routine is a diagnostic, not
 a validator.  L, and the divergence in the same weighted radial form
@@ -46,7 +45,7 @@ from .cylfield import (
     integrate_mu,
     theta_derivative,
 )
-from .grids import RadialGrid, Workspace, d_ds, radial_derivs, scratch
+from .grids import RadialGrid, d_ds, radial_derivs, scratch
 from .params import ParamSet
 
 
@@ -104,17 +103,17 @@ def pressure_values(w: np.ndarray, n: float, *, out: np.ndarray | None = None) -
     return vals
 
 
-def pressure_derivatives(P: np.ndarray, grid: RadialGrid, angular: AngularRep, ps: ParamSet, *,
-                         ws: Workspace | None = None) -> tuple:
+def pressure_derivatives(P: np.ndarray, grid: RadialGrid, angular: AngularRep,
+                         ps: ParamSet) -> tuple:
     """(thetaP, lap_thetaP, dP, d2P, LP, DP2) of samples ``P``, in PressureDerivatives' order."""
     s = grid.column(P)
-    thetaP, lap_thetaP = angular.theta_pair(P, ws=ws)
-    dP, d2P = radial_derivs(P, grid, ws=ws)
-    LP = L_kernel(dP, d2P, lap_thetaP, s, ps, out=scratch(ws, dP.shape), ws=ws)
-    DP2 = np.square(dP, out=scratch(ws, dP.shape))
+    thetaP, lap_thetaP = angular.theta_pair(P)
+    dP, d2P = radial_derivs(P, grid)
+    LP = L_kernel(dP, d2P, lap_thetaP, s, ps, out=scratch(dP.shape))
+    DP2 = np.square(dP, out=scratch(dP.shape))
     DP2 *= ps.alpha**2
     if thetaP is not None:
-        theta2 = np.square(thetaP, out=scratch(ws, thetaP.shape))
+        theta2 = np.square(thetaP, out=scratch(thetaP.shape))
         theta2 /= s**2
         DP2 += theta2
     return thetaP, lap_thetaP, dP, d2P, LP, DP2
@@ -143,14 +142,14 @@ def residual_eq_P(pf: PressureField) -> np.ndarray:
     return pf.LP - 2.0 * (n - 1.0) ** 2 / (n - 2.0) * Pinv - 0.5 * n * pf.DP2 * Pinv
 
 
-def bochner_k(pf: PressureDerivatives, *, ws: Workspace | None = None) -> np.ndarray:
+def bochner_k(pf: PressureDerivatives) -> np.ndarray:
     """k[P] = 1/2 L |DP|^2 - <DP, D L P> - (1/n) (L P)^2."""
     ps = pf.params
-    out = L_of_values(pf.DP2, pf.grid, pf.angular, ps, ws=ws)
+    out = L_of_values(pf.DP2, pf.grid, pf.angular, ps)
     out *= 0.5
-    inner = d_ds(pf.LP, pf.grid, ws=ws)
-    inner *= np.multiply(pf.dP, ps.alpha**2, out=scratch(ws, inner.shape))
-    grad_LP = pf.angular.grad_theta(pf.LP, ws=ws)
+    inner = d_ds(pf.LP, pf.grid)
+    inner *= np.multiply(pf.dP, ps.alpha**2, out=scratch(inner.shape))
+    grad_LP = pf.angular.grad_theta(pf.LP)
     if grad_LP is not None:
         grad_LP *= pf.thetaP
         grad_LP /= pf.s**2
@@ -167,8 +166,7 @@ def defect_density(pf: PressureField) -> np.ndarray:
     return pressure_weight(pf.P, pf.params.n) * bochner_k(pf)
 
 
-def _sphere_k(g1: np.ndarray, g2: np.ndarray, n: float, alpha: float, *,
-              ws: Workspace | None = None) -> np.ndarray:
+def _sphere_k(g1: np.ndarray, g2: np.ndarray, n: float, alpha: float) -> np.ndarray:
     """k_S[P] from grad_theta P and Lap_theta P, row by row (rows are circles):
 
     k_S = 1/2 Lap_theta |grad_theta P|^2 - grad_theta P . grad_theta Lap_theta P
@@ -177,9 +175,9 @@ def _sphere_k(g1: np.ndarray, g2: np.ndarray, n: float, alpha: float, *,
     |grad_theta P|^2 is squared again for the last term rather than kept, so it
     is not alive while grad_theta Lap_theta P is transformed.
     """
-    out = theta_derivative(np.square(g1, out=scratch(ws, g1.shape)), 2, ws=ws)
+    out = theta_derivative(np.square(g1, out=scratch(g1.shape)), 2)
     out *= 0.5
-    term = theta_derivative(g2, 1, ws=ws)
+    term = theta_derivative(g2, 1)
     term *= g1
     out -= term
     np.square(g2, out=term)
@@ -191,8 +189,7 @@ def _sphere_k(g1: np.ndarray, g2: np.ndarray, n: float, alpha: float, *,
     return out
 
 
-def bochner_decomposition(pf: PressureDerivatives, *, ws: Workspace | None = None
-                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def bochner_decomposition(pf: PressureDerivatives) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The three summands (radial_hessian, mixed, sphere) whose sum reproduces k[P]
     pointwise:
 
@@ -203,24 +200,24 @@ def bochner_decomposition(pf: PressureDerivatives, *, ws: Workspace | None = Non
     ps = pf.params
     n = ps.n
     s = pf.s
-    t1 = np.divide(pf.dP, s, out=scratch(ws, pf.dP.shape))
+    t1 = np.divide(pf.dP, s, out=scratch(pf.dP.shape))
     np.subtract(pf.d2P, t1, out=t1)      # the radial deficit
     if pf.lap_thetaP is not None:
         term = np.divide(pf.lap_thetaP, ps.alpha**2 * (n - 1.0) * s**2,
-                         out=scratch(ws, t1.shape))
+                         out=scratch(t1.shape))
         t1 -= term
     np.square(t1, out=t1)
     t1 *= (n - 1.0) / n * ps.alpha**4
     if pf.thetaP is None:
-        t2, t3 = scratch(ws, t1.shape), scratch(ws, t1.shape)
+        t2, t3 = scratch(t1.shape), scratch(t1.shape)
         t2[...] = t3[...] = 0.0
     else:
-        t2 = d_ds(pf.thetaP, pf.grid, ws=ws)    # d/dr grad_theta P
+        t2 = d_ds(pf.thetaP, pf.grid)    # d/dr grad_theta P
         t2 -= np.divide(pf.thetaP, s, out=term)
         del term
         np.square(t2, out=t2)
         t2 *= 2.0 * ps.alpha**2 / s**2
-        t3 = _sphere_k(pf.thetaP, pf.lap_thetaP, n, ps.alpha, ws=ws)
+        t3 = _sphere_k(pf.thetaP, pf.lap_thetaP, n, ps.alpha)
         t3 /= s**4
     return t1, t2, t3
 

@@ -125,8 +125,7 @@ def log_field_table(coeffs: dict, angular: PeriodicGrid) -> np.ndarray:
                      for i in range(ccos.shape[0])])
 
 
-def log_field_rows(table: np.ndarray, grid: RadialGrid, lo: int, hi: int, *,
-                   ws: Workspace | None = None) -> np.ndarray:
+def log_field_rows(table: np.ndarray, grid: RadialGrid, lo: int, hi: int) -> np.ndarray:
     """Rows lo..hi-1 of the log field with angular factors ``table`` on ``grid``.
 
     Every sample is computed on its own, the same way on any window, so the
@@ -139,9 +138,9 @@ def log_field_rows(table: np.ndarray, grid: RadialGrid, lo: int, hi: int, *,
     constant = np.zeros(table.shape[-1])
     for ang in table[0]:
         constant += ang
-    g = scratch(ws, (hi - lo, table.shape[-1]))
+    g = scratch((hi - lo, table.shape[-1]))
     g[:] = constant
-    term = scratch(ws, g.shape)
+    term = scratch(g.shape)
     for i in range(1, len(table)):
         radial = xi**i
         for ang in table[i]:
@@ -252,7 +251,7 @@ def slab_workspace(grids: list[RadialGrid], angular: PeriodicGrid) -> Workspace:
 
 
 def bochner_residual(table: np.ndarray, grid: RadialGrid, angular: PeriodicGrid,
-                     ps: ParamSet, ws: Workspace) -> float:
+                     ps: ParamSet) -> float:
     """interior_max(radial_hessian + mixed + sphere - bochner_k(pf), grid),
     with the three terms of bochner_decomposition(pf), for the pressure field pf
     whose samples are the log field with angular factors ``table`` on ``grid``,
@@ -261,17 +260,16 @@ def bochner_residual(table: np.ndarray, grid: RadialGrid, angular: PeriodicGrid,
     Each slab evaluates the field on its window of the grid, which reaches
     SLAB_HALO rows further on each side (clipped at the grid's ends), so the
     rows it reports are the whole grid's; the rows outside ``interior_rows``
-    are never computed, and no array spans the level.  Every array of a slab
-    is one of ``ws`` (`slab_workspace` of a list that holds ``grid``) and is
-    gone when the slab ends, so each slab writes into the buffers its
-    predecessor used.
+    are never computed, and no array spans the level.  A slab's arrays come
+    from `scratch` and are gone when it ends, so within the scope of a
+    `slab_workspace` of grids holding ``grid`` each slab reuses its predecessor's buffers.
     """
-    return float(np.max([_slab_residual(table, grid, angular, ps, slab, ws)
+    return float(np.max([_slab_residual(table, grid, angular, ps, slab)
                          for slab in _slabs(interior_rows(grid), angular.size)]))
 
 
 def _slab_residual(table: np.ndarray, grid: RadialGrid, angular: PeriodicGrid,
-                   ps: ParamSet, slab: range, ws: Workspace) -> np.float64:
+                   ps: ParamSet, slab: range) -> np.float64:
     """max |radial_hessian + mixed + sphere - k[P]| over the rows of ``slab``.
 
     The field's rows are taken to their source w and back, in place, so P is
@@ -279,17 +277,17 @@ def _slab_residual(table: np.ndarray, grid: RadialGrid, angular: PeriodicGrid,
     derivatives are kept, so P's buffer serves the Bochner terms.
     """
     lo, hi = _window(slab, grid)
-    P = log_field_rows(table, grid, lo, hi, ws=ws)
+    P = log_field_rows(table, grid, lo, hi)
     pressure_values(source_of_pressure(P, ps.n, out=P), ps.n, out=P)
     window = grid.rows(lo, hi)
     pf = PressureDerivatives(window, angular, ps,
-                             *pressure_derivatives(P, window, angular, ps, ws=ws))
+                             *pressure_derivatives(P, window, angular, ps))
     del P
-    diff, mixed, sphere = bochner_decomposition(pf, ws=ws)
+    diff, mixed, sphere = bochner_decomposition(pf)
     diff += mixed
     diff += sphere
     del mixed, sphere   # only the sum stays alive while k[P] is computed
-    diff -= bochner_k(pf, ws=ws)
+    diff -= bochner_k(pf)
     rows = diff[slab.start - lo:slab.stop - lo]
     return np.max(np.abs(rows, out=rows))
 
@@ -316,10 +314,10 @@ def run_identities_suite(seed: int = DEFAULT_SEED, n_fields: int = IDENTITY_FIEL
 
     def decomposition_orders(coeffs):
         # Each level evaluates the field slab by slab on its own grid, with the
-        # angular factors and one workspace, made on this thread, shared by every level.
+        # angular factors and one workspace, entered on this thread, shared by every level.
         table = log_field_table(coeffs, angular)
-        ws = slab_workspace(grids, angular)
-        errs = [bochner_residual(table, g, angular, ps2, ws) for g in grids]
+        with slab_workspace(grids, angular):
+            errs = [bochner_residual(table, g, angular, ps2) for g in grids]
         return errs, fit_loglog(h_values, errs)
 
     field_results = ordered_map(decomposition_orders, all_coeffs)

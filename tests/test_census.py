@@ -9,9 +9,14 @@ names by string).  Code that only the tests read belongs in the tests.
 Likewise every exception class but the base CknLabError is named by some
 ``except`` clause in src/ or scripts/: a class that is only raised tells a
 caller nothing its message does not, so it is raised as its base instead.
+
+And no function takes a ``ws``: where a kernel's arrays live is the scope
+`grids.Workspace` enters, not an argument each kernel passes on.
 """
 
 import ast
+import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -108,3 +113,25 @@ def test_the_census_sees_every_kind_of_reference():
     found = {name for node in ast.walk(tree) for name in _references(node)}
     assert {"a", "b", "y", "z", "f", "p", "q"} <= found
     assert "x" not in found and "not a name" not in found
+
+
+def _src_functions():
+    """(qualified name, function) for every function and method defined in src/cknlab."""
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module("cknlab" if path.stem == "__init__"
+                                         else f"cknlab.{path.stem}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).values() if inspect.isclass(obj) else [obj]
+            for member in members:
+                func = inspect.unwrap(getattr(member, "__func__", member))
+                if inspect.isfunction(func):
+                    yield f"{module.__name__}.{func.__qualname__}", func
+
+
+def test_no_src_function_takes_a_workspace_argument():
+    functions = dict(_src_functions())
+    assert "cknlab.grids.scratch" in functions and "cknlab.grids.Workspace.empty" in functions
+    assert [name for name, func in functions.items()
+            if "ws" in inspect.signature(func).parameters] == []

@@ -326,6 +326,11 @@ class TestVerifyCommand:
                    ["bubble", "--a", "0", "--b", "0.5", "--d", "1" * 400],
                    ["shoot", "--a", "0", "--b", "0.5", "--d", "1" * 400, "--w0", "1"],
                    ["verify", "--suite", "rigidity", "--a", "0", "--b", "0.5", "--d", "1" * 400])),
+    # a d that fits a double but overflows n and p, refused by derive_params
+    *((argv, "overflows a double: got d = 1000")
+      for argv in (["params", "--a", "0", "--b", "0.5", "--d", "1" + "0" * 308],
+                   ["bubble", "--a", "0", "--b", "0.5", "--d", "1" + "0" * 308, "--grid", "4"],
+                   ["shoot", "--a", "0", "--b", "0.5", "--d", "1" + "0" * 308, "--w0", "1"])),
     # a negative seed is refused by argparse, by flag, before any suite runs
     *((["verify", "--suite", suite, "--seed", "-1"], "argument --seed: must be at least 0: got -1")
       for suite in ("identities", "estimates", "rigidity", "spectrum")),
@@ -667,6 +672,8 @@ def _fuzz_argv(draw, command):
 @example([["shoot", "--a=-5e-324", "--b=0.6957103159070795", "--d", "2", "--w0", "1"]])
 @example([["verify", "--suite", "rigidity", "--a=-0.1", "--b=0.8999999999999998", "--d", "2"]])
 @example([["params", "--a", "0", "--b", "0.5", "--d", "1" * 400]])
+@example([["bubble", "--a", "0", "--b", "0.5", "--d", "1" + "0" * 308, "--grid", "4"]])
+@example([["verify", "--suite", "rigidity", "--a", "0", "--b", "0.5", "--d", "1" + "0" * 308]])
 def test_argv_fuzz_exits_with_a_code(argvs):
     # Every invocation of each of the six commands ends in an exit code (0 output,
     # 1 contract failure, 2 refused with a reason); no exception escapes cli.main.

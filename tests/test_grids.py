@@ -1,10 +1,12 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cknlab import reporting
 from cknlab.cylfield import CylinderField, Radial, integrate_mu
 from cknlab.errors import CknLabError
 from cknlab.grids import (
@@ -20,6 +22,7 @@ from cknlab.grids import (
     fd_weights,
     integrate_uniform,
     radial_derivs,
+    scratch,
     sphere_area,
 )
 
@@ -48,6 +51,42 @@ class TestWorkspace:
     def test_an_array_larger_than_a_buffer_is_refused(self):
         with pytest.raises(ValueError, match="exceeds the workspace's 800"):
             Workspace(800).empty((101,))
+
+    def test_outside_any_scope_scratch_allocates(self):
+        a = scratch((4, 5))
+        assert a.base is None and a.flags.owndata and a.shape == (4, 5)
+
+    def test_inside_a_scope_scratch_views_a_buffer_of_its_workspace(self):
+        ws = Workspace(800)
+        with ws as entered:
+            a = scratch((3, 5), complex)
+        assert entered is ws
+        assert a.shape == (3, 5) and a.dtype == complex
+        assert any(a.base is buf for buf in ws._buffers)
+
+    def test_a_nested_scope_restores_the_outer_one_on_exit_and_on_raise(self):
+        outer, inner = Workspace(800), Workspace(800)
+
+        def owner(a):
+            return next(ws for ws in (outer, inner) if any(a.base is b for b in ws._buffers))
+
+        with outer:
+            with inner:
+                assert owner(scratch((10,))) is inner
+            assert owner(scratch((10,))) is outer
+            with pytest.raises(RuntimeError), inner:
+                raise RuntimeError
+            assert owner(scratch((10,))) is outer
+        assert scratch((10,)).base is None
+
+    def test_pool_threads_do_not_see_the_callers_scope(self, monkeypatch):
+        monkeypatch.setattr(reporting.os, "cpu_count", lambda: 2)
+        caller = threading.get_ident()
+        with Workspace(800):
+            results = reporting.ordered_map(lambda _: (threading.get_ident(), scratch((10,))),
+                                            range(4))
+        assert all(thread != caller for thread, _ in results)
+        assert all(a.base is None and a.flags.owndata for _, a in results)
 
 
 def test_fd_weights_reproduce_central_stencils():

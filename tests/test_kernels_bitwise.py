@@ -374,12 +374,14 @@ def arrays_of(results):
 
 
 def check_in_workspace(call, nbytes):
-    """call(ws) has the bits of call(None) in leading views of NaN-filled buffers
-    twice the size it needs, and again in the same buffers reused."""
-    want = call(None)
+    """call() inside ``with ws:`` has the bits of call() outside any workspace, in
+    leading views of NaN-filled buffers twice the size it needs, and again in the
+    same buffers reused."""
+    want = call()
     ws = nan_workspace(2 * nbytes)
     for _ in range(2):
-        got = call(ws)
+        with ws:
+            got = call()
         assert same_results(got, want)
         # a workspace array views one of its byte buffers; an allocated one owns its data
         assert all(a.base is not None and a.base.dtype == np.uint8 for a in arrays_of(got))
@@ -395,17 +397,17 @@ class TestWorkspaceBitwise:
     def test_radial_and_angular_derivatives(self, drawn, h):
         grid, angular, ps, v = drawn
         nbytes = 2 * v.nbytes
-        check_in_workspace(lambda ws: grids.d_dx(v, h, ws=ws), nbytes)
-        check_in_workspace(lambda ws: grids.d2_dx2(v, h, ws=ws), nbytes)
-        check_in_workspace(lambda ws: grids.d_ds(v, grid, ws=ws), nbytes)
-        check_in_workspace(lambda ws: grids.radial_derivs(v, grid, ws=ws), nbytes)
-        check_in_workspace(lambda ws: angular.theta_pair(v, ws=ws), nbytes)
-        check_in_workspace(lambda ws: angular.grad_theta(v, ws=ws), nbytes)
-        check_in_workspace(lambda ws: angular.lap_theta(v, ws=ws), nbytes)
-        check_in_workspace(lambda ws: L_of_values(v, grid, angular, ps, ws=ws), nbytes)
+        check_in_workspace(lambda: grids.d_dx(v, h), nbytes)
+        check_in_workspace(lambda: grids.d2_dx2(v, h), nbytes)
+        check_in_workspace(lambda: grids.d_ds(v, grid), nbytes)
+        check_in_workspace(lambda: grids.radial_derivs(v, grid), nbytes)
+        check_in_workspace(lambda: angular.theta_pair(v), nbytes)
+        check_in_workspace(lambda: angular.grad_theta(v), nbytes)
+        check_in_workspace(lambda: angular.lap_theta(v), nbytes)
+        check_in_workspace(lambda: L_of_values(v, grid, angular, ps), nbytes)
         if v.ndim == 2:
             for order in (1, 2):
-                check_in_workspace(lambda ws: theta_derivative(v, order, ws=ws), nbytes)
+                check_in_workspace(lambda: theta_derivative(v, order), nbytes)
 
     @settings(max_examples=40, deadline=None)
     @given(fields(ANGULAR_REPS))
@@ -414,8 +416,7 @@ class TestWorkspaceBitwise:
         d1, d2 = grids.radial_derivs(v, grid)
         lap, s = angular.lap_theta(v), grid.column(v)
         want = L_kernel(d1, d2, lap, s, ps)
-        check_in_workspace(lambda ws: L_kernel(d1, d2, lap, s, ps,
-                                               out=grids.scratch(ws, d1.shape), ws=ws),
+        check_in_workspace(lambda: L_kernel(d1, d2, lap, s, ps, out=grids.scratch(d1.shape)),
                            2 * v.nbytes)
         d1_out = d1.copy()
         assert L_kernel(d1_out, d2, lap, s, ps, out=d1_out) is d1_out
@@ -427,21 +428,20 @@ class TestWorkspaceBitwise:
         grid, angular, ps, v = drawn
         nbytes = 2 * v.nbytes
         pf = pressure_of(CylinderField(grid, angular, v, ps))
-        check_in_workspace(lambda ws: pressure_derivatives(pf.P, grid, angular, ps, ws=ws),
-                           nbytes)
-        check_in_workspace(lambda ws: bochner_k(pf, ws=ws), nbytes)
-        check_in_workspace(lambda ws: bochner_decomposition(pf, ws=ws), nbytes)
+        check_in_workspace(lambda: pressure_derivatives(pf.P, grid, angular, ps), nbytes)
+        check_in_workspace(lambda: bochner_k(pf), nbytes)
+        check_in_workspace(lambda: bochner_decomposition(pf), nbytes)
         if pf.thetaP is not None:
-            check_in_workspace(lambda ws: pressure._sphere_k(pf.thetaP, pf.lap_thetaP, ps.n,
-                                                             ps.alpha, ws=ws), nbytes)
+            check_in_workspace(lambda: pressure._sphere_k(pf.thetaP, pf.lap_thetaP, ps.n,
+                                                          ps.alpha), nbytes)
 
-        def slab(ws):   # derivatives alone, all from the workspace, as a slab has them
+        def slab():   # derivatives alone, all from the workspace, as a slab has them
             derived = PressureDerivatives(grid, angular, ps,
-                                          *pressure_derivatives(pf.P, grid, angular, ps, ws=ws))
-            return bochner_decomposition(derived, ws=ws) + (bochner_k(derived, ws=ws),)
+                                          *pressure_derivatives(pf.P, grid, angular, ps))
+            return bochner_decomposition(derived) + (bochner_k(derived),)
 
         check_in_workspace(slab, nbytes)
-        assert same_results(slab(None), bochner_decomposition(pf) + (bochner_k(pf),))
+        assert same_results(slab(), bochner_decomposition(pf) + (bochner_k(pf),))
 
     @settings(max_examples=40, deadline=None)
     @given(fields(ANGULAR_REPS, positive=True))
@@ -465,8 +465,7 @@ class TestWorkspaceBitwise:
         grid = RadialGrid(1e-3, 1e3, count)
         lo = data.draw(st.integers(0, count - 1))
         hi = data.draw(st.integers(lo + 1, count))
-        check_in_workspace(lambda ws: verify.log_field_rows(table, grid, lo, hi, ws=ws),
-                           8 * size * count)
+        check_in_workspace(lambda: verify.log_field_rows(table, grid, lo, hi), 8 * size * count)
 
 
 class TestFieldOwnership:
@@ -604,8 +603,8 @@ class TestSlabsBitwise:
             height = 1 if j == 0 else 37
             for budget in (8 * angular_size * height, default_budget):
                 monkeypatch.setattr(verify, "SLAB_BYTES", budget)
-                slab_max = bochner_residual(table, g, angular, PS2,
-                                            verify.slab_workspace([g], angular))
+                with verify.slab_workspace([g], angular):
+                    slab_max = bochner_residual(table, g, angular, PS2)
                 assert np.float64(slab_max).tobytes() == np.float64(whole).tobytes()
 
     @pytest.mark.parametrize("levels", [2, 3, 4])
@@ -617,8 +616,8 @@ class TestSlabsBitwise:
         windows = []
         rows_of = verify.log_field_rows
 
-        def recording(table, grid, lo, hi, **kwargs):
-            rows = rows_of(table, grid, lo, hi, **kwargs)
+        def recording(table, grid, lo, hi):
+            rows = rows_of(table, grid, lo, hi)
             windows.append((lo, hi, rows.copy()))
             return rows
 
@@ -628,7 +627,8 @@ class TestSlabsBitwise:
             g = RadialGrid(1e-3, 1e3, n)
             whole = evaluate_log_field(coeffs, g, angular, PS2).values
             windows.clear()
-            bochner_residual(table, g, angular, PS2, verify.slab_workspace([g], angular))
+            with verify.slab_workspace([g], angular):
+                bochner_residual(table, g, angular, PS2)
             slabs = verify._slabs(verify.interior_rows(g), angular.size)
             assert len(windows) == len(slabs) > 1
             for (lo, hi, rows), slab in zip(windows, slabs):

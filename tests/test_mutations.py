@@ -63,13 +63,13 @@ def patch(monkeypatch, module, name, replacement) -> None:
 def second_order_d_dx(original):
     # the 2nd-order central difference in place of the 5-point interior stencil
     central = np.array([0.0, -0.5, 0.0, 0.5, 0.0])
-    return lambda values, h, ws=None: grids._apply_stencil_axis0(
-        values, central, grids._D1_EDGE0, grids._D1_EDGE1, h, 1, ws)
+    return lambda values, h: grids._apply_stencil_axis0(
+        values, central, grids._D1_EDGE0, grids._D1_EDGE1, h, 1)
 
 
 def bochner_square_term_off(original):
     # (L P)^2 / n in k[P] taken (1 + 1e-3) times
-    return lambda pf, ws=None: original(pf, ws=ws) - 1e-3 * pf.LP**2 / pf.params.n
+    return lambda pf: original(pf) - 1e-3 * pf.LP**2 / pf.params.n
 
 
 def obata_one_over_n_minus_1(original):
@@ -92,15 +92,15 @@ def residual_constant_off(original):
 
 def bochner_radial_inner_off(original):
     # the radial part alpha^2 P' (L P)' of <DP, D L P> in k[P] taken (1 + 1e-3) times
-    return lambda pf, ws=None: (original(pf, ws=ws)
-                                - 1e-3 * pf.params.alpha**2 * pf.dP * grids.d_ds(pf.LP, pf.grid))
+    return lambda pf: (original(pf)
+                       - 1e-3 * pf.params.alpha**2 * pf.dP * grids.d_ds(pf.LP, pf.grid))
 
 
 def decomposition_term_off(index):
     # one of (radial_hessian, mixed, sphere) taken (1 + 1e-3) times
     def mutation(original):
-        def terms(pf, ws=None):
-            out = list(original(pf, ws=ws))
+        def terms(pf):
+            out = list(original(pf))
             out[index] = (1.0 + 1e-3) * out[index]
             return tuple(out)
         return terms

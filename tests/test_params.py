@@ -108,6 +108,12 @@ class TestDeriveParams:
     def test_alpha_whose_square_is_normal_admitted(self):
         assert derive_params(-1e-153, 0.5, 2).alpha ** 2 >= sys.float_info.min
 
+    # n = d/(1+a-b) and p = 2d/(d-2+2(b-a)) overflow at d ~ 10^308 off the p = 2 edge
+    @pytest.mark.parametrize("a, b", [(0.0, 0.5), (0.0, 0.0), (-1.0, -0.5)])
+    def test_d_whose_n_or_p_overflows_refused(self, a, b):
+        with pytest.raises(AdmissibilityError, match="overflows a double: got d = 1000"):
+            derive_params(a, b, 10**308)
+
     def test_d2_near_the_p_infinity_edge(self):
         # b - a -> 0 with d = 2 sends p and n/(n-2) to infinity: 2n/(n-2) then
         # carries the rounding of n amplified by 2/(n-2), which is no inconsistency

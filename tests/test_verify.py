@@ -97,9 +97,9 @@ def test_identity_field_peak_is_slab_sized():
     table, grids, angular, ps, slab_array = identity_field()
     tracemalloc.start()
     try:
-        ws = verify.slab_workspace(grids, angular)
-        for g in grids:
-            verify.bochner_residual(table, g, angular, ps, ws)
+        with verify.slab_workspace(grids, angular):
+            for g in grids:
+                verify.bochner_residual(table, g, angular, ps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -110,15 +110,15 @@ def test_a_later_slab_allocates_no_slab_sized_array():
     # Once the workspace holds its buffers, every slab of every level writes
     # into them: what the slabs allocate besides is small.
     table, grids, angular, ps, slab_array = identity_field()
-    ws = verify.slab_workspace(grids, angular)
-    verify.bochner_residual(table, grids[-1], angular, ps, ws)
-    tracemalloc.start()
-    try:
-        for g in grids:
-            verify.bochner_residual(table, g, angular, ps, ws)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with verify.slab_workspace(grids, angular):
+        verify.bochner_residual(table, grids[-1], angular, ps)
+        tracemalloc.start()
+        try:
+            for g in grids:
+                verify.bochner_residual(table, g, angular, ps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     assert peak < slab_array
 
 
@@ -144,7 +144,8 @@ def test_bochner_residual_builds_no_field(monkeypatch):
     coeffs = verify.random_log_field_coeffs(np.random.default_rng(1))
     table = verify.log_field_table(coeffs, angular)
     built = count_fields(monkeypatch)
-    verify.bochner_residual(table, grid, angular, ps, verify.slab_workspace([grid], angular))
+    with verify.slab_workspace([grid], angular):
+        verify.bochner_residual(table, grid, angular, ps)
     assert len(verify._slabs(verify.interior_rows(grid), angular.size)) > 1
     assert built == []
 
