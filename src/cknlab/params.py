@@ -87,8 +87,8 @@ def derive_params(a: float, b: float, d: int, strict_subcritical: bool = False) 
     p = 2* (a = b, d >= 3) are rejected with AdmissibilityError; by default
     they are admissible-for-parameters and it is up to the caller to demand
     strictness where an operation needs p in the open range.  Off the p = 2
-    edge, an n or p that overflows a double is refused, as is an alpha whose
-    square is not a positive normal double.
+    edge, an n or p that overflows a double is refused, as is a p that rounds
+    to 2 and an alpha whose square is not a positive normal double.
     """
     a, b = float(a), float(b)  # numpy scalars would turn overflow into inf
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -131,6 +131,9 @@ def derive_params(a: float, b: float, d: int, strict_subcritical: bool = False) 
         p = 2.0 * d / (d - 2.0 + 2.0 * (b - a))
         if not (math.isfinite(n) and math.isfinite(p)):
             raise AdmissibilityError(f"n = {n!r} or p = {p!r} overflows a double: got d = {d}")
+        if p == 2.0:   # off the edge, so p - 2 = 4 (1+a-b) / (d-2+2(b-a)) rounded away
+            raise AdmissibilityError(
+                f"p - 2 is below double precision: got d = {d}, b - a = {b - a!r}")
         alpha = one_ab * kappa / (kappa + b)
         if not alpha**2 >= sys.float_info.min:   # alpha^2 divides the radial equation
             raise AdmissibilityError(

@@ -18,13 +18,12 @@ Dolbeault-Esteban-Loss)
 is checked row by row by `sphere_margins`.
 
 `pressure_of` builds a `PressureField`: P with P', P'', grad_theta P,
-Lap_theta P, L P and |DP|^2, each computed once and read-only.  The routines
-below read these arrays and never take those derivatives again.  The
-diagnostics return sample arrays; a `CylinderField` is built only where
-samples enter (P itself, whose construction checks that w^(-2/(n-2)) stayed
-finite) and where an integrand meets `integrate_mu`, through `pf.field`.
-`pressure_derivatives` computes these arrays from samples of P, and a
-`PressureDerivatives` holds them without P.
+Lap_theta P, L P and |DP|^2, each computed once and read-only by its base
+`PressureDerivatives`, which holds them without P.  The routines below read
+these arrays and never take those derivatives again.  The diagnostics return
+sample arrays; a `CylinderField` is built only where samples enter (P itself,
+whose construction checks that w^(-2/(n-2)) stayed finite) and where an
+integrand meets `integrate_mu`, through `pf.field`.
 
 Non-solution inputs are always accepted: every routine is a diagnostic, not
 a validator.  L, and the divergence in the same weighted radial form
@@ -50,9 +49,9 @@ from .params import ParamSet
 
 
 class PressureDerivatives:
-    """The derivatives of samples of a pressure P on ``grid``, in the order
-    `pressure_derivatives` returns them: all that k[P], its decomposition and
-    the weighted divergence read.
+    """The derivatives of samples ``P`` of a pressure on ``grid``, each computed
+    once: all that k[P], its decomposition and the weighted divergence read.
+    P itself is not kept.
 
     Every array is read-only; thetaP and lap_thetaP are None for Radial fields.
     """
@@ -60,18 +59,23 @@ class PressureDerivatives:
     __slots__ = ("grid", "angular", "params", "thetaP", "lap_thetaP", "dP", "d2P", "LP", "DP2",
                  "__weakref__")
 
-    def __init__(self, grid: RadialGrid, angular: AngularRep, params: ParamSet,
-                 thetaP: np.ndarray | None, lap_thetaP: np.ndarray | None, dP: np.ndarray,
-                 d2P: np.ndarray, LP: np.ndarray, DP2: np.ndarray):
+    def __init__(self, P: np.ndarray, grid: RadialGrid, angular: AngularRep, params: ParamSet):
         self.grid = grid
         self.angular = angular
         self.params = params
-        self.thetaP = thetaP            # grad_theta P
-        self.lap_thetaP = lap_thetaP    # Lap_theta P
-        self.dP = dP                    # P'
-        self.d2P = d2P                  # P''
-        self.LP = LP                    # L P
-        self.DP2 = DP2                  # |DP|^2 = alpha^2 P'^2 + |grad_theta P|^2 / r^2
+        s = grid.column(P)
+        thetaP, lap_thetaP = angular.theta_pair(P)
+        dP, d2P = radial_derivs(P, grid)
+        LP = L_kernel(dP, d2P, lap_thetaP, s, params, out=scratch(dP.shape))
+        DP2 = np.square(dP, out=scratch(dP.shape))
+        DP2 *= params.alpha**2
+        if thetaP is not None:
+            theta2 = np.square(thetaP, out=scratch(thetaP.shape))
+            theta2 /= s**2
+            DP2 += theta2
+        self.thetaP, self.lap_thetaP = thetaP, lap_thetaP   # grad_theta P, Lap_theta P
+        self.dP, self.d2P = dP, d2P                         # P', P''
+        self.LP, self.DP2 = LP, DP2   # L P, |DP|^2 = alpha^2 P'^2 + |grad_theta P|^2 / r^2
         for a in (thetaP, lap_thetaP, dP, d2P, LP, DP2):
             if a is not None:
                 a.flags.writeable = False
@@ -86,12 +90,12 @@ class PressureDerivatives:
 
 class PressureField(PressureDerivatives):
     """The pressure P = (n-1) w^(-2/(n-2)), read-only samples, with its
-    derivatives (the arguments of PressureDerivatives), as `pressure_of` builds it."""
+    PressureDerivatives, as `pressure_of` builds it."""
 
     __slots__ = ("P",)
 
-    def __init__(self, P: np.ndarray, *derivatives):
-        super().__init__(*derivatives)
+    def __init__(self, P: np.ndarray, grid: RadialGrid, angular: AngularRep, params: ParamSet):
+        super().__init__(P, grid, angular, params)
         self.P = P
         P.flags.writeable = False
 
@@ -103,27 +107,10 @@ def pressure_values(w: np.ndarray, n: float, *, out: np.ndarray | None = None) -
     return vals
 
 
-def pressure_derivatives(P: np.ndarray, grid: RadialGrid, angular: AngularRep,
-                         ps: ParamSet) -> tuple:
-    """(thetaP, lap_thetaP, dP, d2P, LP, DP2) of samples ``P``, in PressureDerivatives' order."""
-    s = grid.column(P)
-    thetaP, lap_thetaP = angular.theta_pair(P)
-    dP, d2P = radial_derivs(P, grid)
-    LP = L_kernel(dP, d2P, lap_thetaP, s, ps, out=scratch(dP.shape))
-    DP2 = np.square(dP, out=scratch(dP.shape))
-    DP2 *= ps.alpha**2
-    if thetaP is not None:
-        theta2 = np.square(thetaP, out=scratch(thetaP.shape))
-        theta2 /= s**2
-        DP2 += theta2
-    return thetaP, lap_thetaP, dP, d2P, LP, DP2
-
-
 def pressure_of(w: CylinderField) -> PressureField:
     w.require_positive("pressure_of")
     P = w.with_values(pressure_values(w.values, w.params.n)).values
-    return PressureField(P, w.grid, w.angular, w.params,
-                         *pressure_derivatives(P, w.grid, w.angular, w.params))
+    return PressureField(P, w.grid, w.angular, w.params)
 
 
 def pressure_weight(P: np.ndarray, n: float) -> np.ndarray:

@@ -265,7 +265,7 @@ class _Dop853:
         self.K_flat = K.reshape(-1)  # stage s stores K_flat[2s] and K_flat[2s + 1]
         self.stages = tuple((2 * s, 2 * s + 1, K[:s].T, a, c) for s, a, c in _STAGES)
         self.K_B, self.K_E = K[:12].T, K.T
-        self._e = np.empty(2)  # _norm's operand; per stepper, since the pool runs threads
+        self._e = np.empty(2)  # _norm's operand, reused by each of this shot's norms
         self.h_abs = self._initial_step()
 
     def _norm(self, x: float, y: float) -> float:

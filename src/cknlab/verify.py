@@ -33,7 +33,6 @@ from .pressure import (
     bochner_decomposition,
     bochner_k,
     divergence_form_residual,
-    pressure_derivatives,
     pressure_of,
     pressure_values,
     residual_eq_P,
@@ -279,9 +278,7 @@ def _slab_residual(table: np.ndarray, grid: RadialGrid, angular: PeriodicGrid,
     lo, hi = _window(slab, grid)
     P = log_field_rows(table, grid, lo, hi)
     pressure_values(source_of_pressure(P, ps.n, out=P), ps.n, out=P)
-    window = grid.rows(lo, hi)
-    pf = PressureDerivatives(window, angular, ps,
-                             *pressure_derivatives(P, window, angular, ps))
+    pf = PressureDerivatives(P, grid.rows(lo, hi), angular, ps)
     del P
     diff, mixed, sphere = bochner_decomposition(pf)
     diff += mixed

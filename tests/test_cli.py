@@ -331,6 +331,10 @@ class TestVerifyCommand:
       for argv in (["params", "--a", "0", "--b", "0.5", "--d", "1" + "0" * 308],
                    ["bubble", "--a", "0", "--b", "0.5", "--d", "1" + "0" * 308, "--grid", "4"],
                    ["shoot", "--a", "0", "--b", "0.5", "--d", "1" + "0" * 308, "--w0", "1"])),
+    # a d at which p rounds to 2 off the p = 2 edge, refused by derive_params
+    *((argv, "p - 2 is below double precision: got d = 100000000000000000000, b - a = 0.5")
+      for argv in (["params", "--a", "0", "--b", "0.5", "--d", "1" + "0" * 20],
+                   ["shoot", "--a", "0", "--b", "0.5", "--d", "1" + "0" * 20, "--w0", "1"])),
     # a negative seed is refused by argparse, by flag, before any suite runs
     *((["verify", "--suite", suite, "--seed", "-1"], "argument --seed: must be at least 0: got -1")
       for suite in ("identities", "estimates", "rigidity", "spectrum")),

@@ -31,7 +31,6 @@ from cknlab.pressure import (
     PressureDerivatives,
     bochner_decomposition,
     bochner_k,
-    pressure_derivatives,
     pressure_of,
     sphere_margins,
 )
@@ -373,6 +372,10 @@ def arrays_of(results):
     return [] if results is None else [results]
 
 
+def derivative_arrays(pd):
+    return pd.thetaP, pd.lap_thetaP, pd.dP, pd.d2P, pd.LP, pd.DP2
+
+
 def check_in_workspace(call, nbytes):
     """call() inside ``with ws:`` has the bits of call() outside any workspace, in
     leading views of NaN-filled buffers twice the size it needs, and again in the
@@ -428,7 +431,8 @@ class TestWorkspaceBitwise:
         grid, angular, ps, v = drawn
         nbytes = 2 * v.nbytes
         pf = pressure_of(CylinderField(grid, angular, v, ps))
-        check_in_workspace(lambda: pressure_derivatives(pf.P, grid, angular, ps), nbytes)
+        check_in_workspace(lambda: derivative_arrays(PressureDerivatives(pf.P, grid, angular, ps)),
+                           nbytes)
         check_in_workspace(lambda: bochner_k(pf), nbytes)
         check_in_workspace(lambda: bochner_decomposition(pf), nbytes)
         if pf.thetaP is not None:
@@ -436,8 +440,7 @@ class TestWorkspaceBitwise:
                                                           ps.alpha), nbytes)
 
         def slab():   # derivatives alone, all from the workspace, as a slab has them
-            derived = PressureDerivatives(grid, angular, ps,
-                                          *pressure_derivatives(pf.P, grid, angular, ps))
+            derived = PressureDerivatives(pf.P, grid, angular, ps)
             return bochner_decomposition(derived) + (bochner_k(derived),)
 
         check_in_workspace(slab, nbytes)
@@ -550,6 +553,20 @@ class TestPressureFieldArrays:
                 assert not a.flags.writeable
                 with pytest.raises(ValueError):
                     a *= 2.0
+
+    def test_the_derivatives_keep_no_pressure(self):
+        # what lets a slab's P buffer serve its Bochner terms: once P is dropped,
+        # the next array of P's size views P's buffer (told by id, since a
+        # reference would keep it busy)
+        for w in (self.periodic_field(), self.radial_field()):
+            with Workspace(2 * w.values.nbytes):   # room for a row spectrum
+                P = grids.scratch(w.values.shape)
+                P[...] = pressure.pressure_values(w.values, w.params.n)
+                buffer = id(P.base)
+                derived = PressureDerivatives(P, w.grid, w.angular, w.params)
+                del P           # derived stays alive: its arrays hold the other buffers
+                assert id(grids.scratch(w.values.shape).base) == buffer
+                del derived
 
     def test_identities_sphere_check_takes_no_radial_derivative(self, monkeypatch):
         # the suite's radial stencil passes all come before the sphere check,

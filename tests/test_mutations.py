@@ -44,12 +44,16 @@ def failures(suite: str) -> Counter:
 
 
 def patch(monkeypatch, module, name, replacement) -> None:
-    """Rebind ``module.name`` in every cknlab module that binds it by name.
+    """Rebind ``module.name`` in every cknlab module that binds it by name, or
+    on ``module`` itself where it is a class.
 
     Every lazy cknlab module is loaded first (``vars`` runs it): one loaded after
     the rebinding would import the replacement, out of the monkeypatch's reach.
     """
     original = getattr(module, name)
+    if isinstance(module, type):    # a method: every instance reads it from the class
+        monkeypatch.setattr(module, name, replacement)
+        return
     namespaces = [vars(mod) for modname, mod in list(sys.modules.items())
                   if modname.split(".")[0] == "cknlab"]
     for namespace in namespaces:
@@ -105,6 +109,25 @@ def decomposition_term_off(index):
             return tuple(out)
         return terms
     return mutation
+
+
+def derivative_off(attr):
+    # one of the six arrays of PressureDerivatives taken (1 + 1e-3) times
+    def mutation(original):
+        def init(self, P, grid, angular, params):
+            original(self, P, grid, angular, params)
+            if getattr(self, attr) is not None:
+                setattr(self, attr, (1.0 + 1e-3) * getattr(self, attr))
+        return init
+    return mutation
+
+
+def derivatives_alpha_up(original):
+    # alpha taken 1.001 times in the six derivative arrays alone
+    def init(self, P, grid, angular, params):
+        original(self, P, grid, angular, dataclasses.replace(params, alpha=1.001 * params.alpha))
+        self.params = params
+    return init
 
 
 def sphere_coefficient_d(original):
@@ -236,11 +259,12 @@ ONE_SIDED = "weak_energy checks only fitted exponent <= beta + 0.1, on slopes al
 ZERO_MINUS_ZERO = ("on the extremal P is exactly quadratic, so both sides of the "
                    "divergence identity vanish and its fitted order measures 0 - 0")
 
+ALL_BUT_THE_SPHERE = ("bochner_decomposition_vs_definition",
+                      "divergence_identity_bubble", "divergence_identity_bubble",
+                      "pressure_equation_bubble", "pressure_equation_bubble")
+
 MATRIX = [
-    pytest.param(grids, "d_dx", second_order_d_dx, "identities",
-                 ("bochner_decomposition_vs_definition",
-                  "divergence_identity_bubble", "divergence_identity_bubble",
-                  "pressure_equation_bubble", "pressure_equation_bubble"),
+    pytest.param(grids, "d_dx", second_order_d_dx, "identities", ALL_BUT_THE_SPHERE,
                  id="d_dx-second-order-interior"),
     pytest.param(pressure, "bochner_k", bochner_square_term_off, "identities",
                  ("bochner_decomposition_vs_definition",
@@ -259,6 +283,17 @@ MATRIX = [
                    ("bochner_decomposition_vs_definition",),
                    id=f"decomposition-{term}-1e-3")
       for i, term in enumerate(("radial-hessian", "mixed", "sphere"))),
+    *(pytest.param(pressure.PressureDerivatives, "__init__", derivative_off(attr),
+                   "identities", must_fail, id=f"derivatives-{attr}-1e-3")
+      for attr, must_fail in (
+          ("thetaP", ("bochner_decomposition_vs_definition",)),
+          ("lap_thetaP", ("bochner_decomposition_vs_definition",)),
+          ("dP", ("bochner_decomposition_vs_definition",) + ("divergence_identity_bubble",) * 2),
+          ("d2P", ("bochner_decomposition_vs_definition",)),
+          ("LP", ALL_BUT_THE_SPHERE),
+          ("DP2", ALL_BUT_THE_SPHERE))),
+    pytest.param(pressure.PressureDerivatives, "__init__", derivatives_alpha_up, "identities",
+                 ALL_BUT_THE_SPHERE, id="derivatives-alpha-1.001"),
     pytest.param(pressure, "obata_vector", obata_vector_off, "identities",
                  ("divergence_identity_bubble",),
                  id="obata-vector-1e-3", marks=survives(ZERO_MINUS_ZERO)),

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 import warnings
 
@@ -113,6 +114,14 @@ class TestDeriveParams:
     def test_d_whose_n_or_p_overflows_refused(self, a, b):
         with pytest.raises(AdmissibilityError, match="overflows a double: got d = 1000"):
             derive_params(a, b, 10**308)
+
+    # off the p = 2 edge, p - 2 = 4 (1+a-b) / (d-2+2(b-a)) can still round away:
+    # at a d far past 2, and where b - a is within an ulp of 1
+    @pytest.mark.parametrize("a, b, d", [(0.0, 0.5, 10**20), (0.0, math.nextafter(1.0, 0.0), 3)])
+    def test_p_that_rounds_to_2_refused(self, a, b, d):
+        with pytest.raises(AdmissibilityError, match=re.escape(
+                f"p - 2 is below double precision: got d = {d}, b - a = {b - a!r}")):
+            derive_params(a, b, d)
 
     def test_d2_near_the_p_infinity_edge(self):
         # b - a -> 0 with d = 2 sends p and n/(n-2) to infinity: 2n/(n-2) then
