@@ -95,19 +95,25 @@ def _spectrum(values: np.ndarray) -> np.ndarray:
     return np.fft.rfft(values, axis=1, out=scratch(shape, complex))
 
 
-def _theta_from_spectrum(spec: np.ndarray, m: int, order: int) -> np.ndarray:
-    """Inverse transform of the order-th derivative; multiplies ``spec`` in place."""
+def _theta_from_spectrum(spec: np.ndarray, m: int, order: int,
+                         out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse transform of the order-th derivative, into ``out`` or a new array;
+    multiplies ``spec`` in place."""
     k = np.arange(spec.shape[1], dtype=float)
     mult = (1j * k) ** order
     if order % 2 == 1 and m % 2 == 0:
         mult[-1] = 0.0  # odd derivative of the unpaired Nyquist mode
     spec *= mult
-    return np.fft.irfft(spec, n=m, axis=1, out=scratch((spec.shape[0], m)))
+    if out is None:
+        out = scratch((spec.shape[0], m))
+    return np.fft.irfft(spec, n=m, axis=1, out=out)
 
 
-def theta_derivative(values: np.ndarray, order: int) -> np.ndarray:
-    """Spectral angular derivative along axis 1 (periodic, d = 2)."""
-    return _theta_from_spectrum(_spectrum(values), values.shape[1], order)
+def theta_derivative(values: np.ndarray, order: int, *,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """Spectral angular derivative along axis 1 (periodic, d = 2), into ``out`` or a
+    new array; ``out`` may be ``values`` itself, which is transformed first."""
+    return _theta_from_spectrum(_spectrum(values), values.shape[1], order, out)
 
 
 def L_kernel(d1: np.ndarray, d2: np.ndarray, lap_theta: np.ndarray | None,
@@ -128,9 +134,16 @@ def L_kernel(d1: np.ndarray, d2: np.ndarray, lap_theta: np.ndarray | None,
 
 
 def L_of_values(values: np.ndarray, grid: RadialGrid, angular: AngularRep, ps: ParamSet):
-    """L applied to a sample array."""
+    """L applied to a sample array, with L_kernel's bits: the radial part first, in
+    the buffer of w', so w'' is gone before Lap_theta w is transformed."""
     d1, d2 = radial_derivs(values, grid)
-    return L_kernel(d1, d2, angular.lap_theta(values), grid.column(values), ps, out=d1)
+    s = grid.column(values)
+    out = L_kernel(d1, d2, None, s, ps, out=d1)
+    del d1, d2
+    lap_theta = angular.lap_theta(values)
+    if lap_theta is not None:
+        out += np.divide(lap_theta, s**2, out=lap_theta)
+    return out
 
 
 @dataclass(frozen=True)

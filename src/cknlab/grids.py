@@ -23,6 +23,7 @@ forms f e^(n x) and hands it the region in x.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 import threading
@@ -90,6 +91,16 @@ def scratch(shape: tuple, dtype=float) -> np.ndarray:
     """An uninitialized array from the thread's active workspace, or a new one outside any."""
     stack = getattr(_entered, "stack", ())
     return stack[-1].empty(shape, dtype) if stack else np.empty(shape, dtype)
+
+
+@contextlib.contextmanager
+def outside_workspaces():
+    """A block in which `scratch` returns new arrays, as on a thread that entered no workspace."""
+    stack, _entered.stack = getattr(_entered, "stack", ()), ()
+    try:
+        yield
+    finally:
+        _entered.stack = stack
 
 
 def sphere_area(d: int) -> float:

@@ -19,8 +19,9 @@ is checked row by row by `sphere_margins`.
 
 `pressure_of` builds a `PressureField`: P with P', P'', grad_theta P,
 Lap_theta P, L P and |DP|^2, each computed once and read-only by its base
-`PressureDerivatives`, which holds them without P.  The routines below read
-these arrays and never take those derivatives again.  The diagnostics return
+`PressureDerivatives`, which holds them without P; |DP|^2 is formed on its
+first read and then kept.  The routines below read these arrays and never
+take those derivatives again.  The diagnostics return
 sample arrays; a `CylinderField` is built only where samples enter (P itself,
 whose construction checks that w^(-2/(n-2)) stayed finite) and where an
 integrand meets `integrate_mu`, through `pf.field`.
@@ -33,6 +34,8 @@ angular representation, Radial (none) or PeriodicGrid (spectral on S^1).
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -51,34 +54,43 @@ from .params import ParamSet
 class PressureDerivatives:
     """The derivatives of samples ``P`` of a pressure on ``grid``, each computed
     once: all that k[P], its decomposition and the weighted divergence read.
-    P itself is not kept.
+    P itself is not kept, and |DP|^2 is formed on its first read.
 
     Every array is read-only; thetaP and lap_thetaP are None for Radial fields.
     """
 
-    __slots__ = ("grid", "angular", "params", "thetaP", "lap_thetaP", "dP", "d2P", "LP", "DP2",
+    __slots__ = ("grid", "angular", "params", "thetaP", "lap_thetaP", "dP", "d2P", "LP", "_DP2",
                  "__weakref__")
 
     def __init__(self, P: np.ndarray, grid: RadialGrid, angular: AngularRep, params: ParamSet):
         self.grid = grid
         self.angular = angular
         self.params = params
-        s = grid.column(P)
         thetaP, lap_thetaP = angular.theta_pair(P)
         dP, d2P = radial_derivs(P, grid)
-        LP = L_kernel(dP, d2P, lap_thetaP, s, params, out=scratch(dP.shape))
-        DP2 = np.square(dP, out=scratch(dP.shape))
-        DP2 *= params.alpha**2
-        if thetaP is not None:
-            theta2 = np.square(thetaP, out=scratch(thetaP.shape))
-            theta2 /= s**2
-            DP2 += theta2
+        LP = L_kernel(dP, d2P, lap_thetaP, grid.column(P), params, out=scratch(dP.shape))
         self.thetaP, self.lap_thetaP = thetaP, lap_thetaP   # grad_theta P, Lap_theta P
         self.dP, self.d2P = dP, d2P                         # P', P''
-        self.LP, self.DP2 = LP, DP2   # L P, |DP|^2 = alpha^2 P'^2 + |grad_theta P|^2 / r^2
-        for a in (thetaP, lap_thetaP, dP, d2P, LP, DP2):
+        self.LP = LP                                        # L P
+        self._DP2 = None
+        for a in (thetaP, lap_thetaP, dP, d2P, LP):
             if a is not None:
                 a.flags.writeable = False
+
+    @property
+    def DP2(self) -> np.ndarray:
+        """|DP|^2 = alpha^2 P'^2 + |grad_theta P|^2 / r^2, formed on the first read
+        and kept: k[P] reads it only after its decomposition's terms."""
+        if self._DP2 is None:
+            DP2 = np.square(self.dP, out=scratch(self.dP.shape))
+            DP2 *= self.params.alpha**2
+            if self.thetaP is not None:
+                theta2 = np.square(self.thetaP, out=scratch(self.thetaP.shape))
+                theta2 /= self.s**2
+                DP2 += theta2
+            DP2.flags.writeable = False
+            self._DP2 = DP2
+        return self._DP2
 
     @property
     def s(self):
@@ -159,10 +171,12 @@ def _sphere_k(g1: np.ndarray, g2: np.ndarray, n: float, alpha: float) -> np.ndar
     k_S = 1/2 Lap_theta |grad_theta P|^2 - grad_theta P . grad_theta Lap_theta P
           - (Lap_theta P)^2/(n-1) - (n-2) alpha^2 |grad_theta P|^2.
 
-    |grad_theta P|^2 is squared again for the last term rather than kept, so it
-    is not alive while grad_theta Lap_theta P is transformed.
+    Lap_theta |grad_theta P|^2 is transformed back into the buffer of the square,
+    and |grad_theta P|^2 is squared again for the last term rather than kept, so
+    it is not alive while grad_theta Lap_theta P is transformed.
     """
-    out = theta_derivative(np.square(g1, out=scratch(g1.shape)), 2)
+    out = np.square(g1, out=scratch(g1.shape))
+    theta_derivative(out, 2, out=out)
     out *= 0.5
     term = theta_derivative(g2, 1)
     term *= g1
@@ -176,37 +190,48 @@ def _sphere_k(g1: np.ndarray, g2: np.ndarray, n: float, alpha: float) -> np.ndar
     return out
 
 
-def bochner_decomposition(pf: PressureDerivatives) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def bochner_terms(pf: PressureDerivatives) -> Iterator[np.ndarray]:
     """The three summands (radial_hessian, mixed, sphere) whose sum reproduces k[P]
-    pointwise:
+    pointwise, one at a time:
 
     radial_hessian = (n-1)/n alpha^4 |P'' - P'/r - Lap_theta P/(alpha^2 (n-1) r^2)|^2
     mixed          = 2 alpha^2 r^-2 |grad_theta P' - grad_theta P / r|^2
     sphere         = r^-4 k_S[P]
+
+    Each term is dropped here before the next is formed, so a caller that adds
+    each into the first and drops it holds one sum and one term at a time.
     """
     ps = pf.params
     n = ps.n
     s = pf.s
-    t1 = np.divide(pf.dP, s, out=scratch(pf.dP.shape))
-    np.subtract(pf.d2P, t1, out=t1)      # the radial deficit
+    t = np.divide(pf.dP, s, out=scratch(pf.dP.shape))
+    np.subtract(pf.d2P, t, out=t)      # the radial deficit
     if pf.lap_thetaP is not None:
-        term = np.divide(pf.lap_thetaP, ps.alpha**2 * (n - 1.0) * s**2,
-                         out=scratch(t1.shape))
-        t1 -= term
-    np.square(t1, out=t1)
-    t1 *= (n - 1.0) / n * ps.alpha**4
-    if pf.thetaP is None:
-        t2, t3 = scratch(t1.shape), scratch(t1.shape)
-        t2[...] = t3[...] = 0.0
-    else:
-        t2 = d_ds(pf.thetaP, pf.grid)    # d/dr grad_theta P
-        t2 -= np.divide(pf.thetaP, s, out=term)
-        del term
-        np.square(t2, out=t2)
-        t2 *= 2.0 * ps.alpha**2 / s**2
-        t3 = _sphere_k(pf.thetaP, pf.lap_thetaP, n, ps.alpha)
-        t3 /= s**4
-    return t1, t2, t3
+        t -= np.divide(pf.lap_thetaP, ps.alpha**2 * (n - 1.0) * s**2, out=scratch(t.shape))
+    np.square(t, out=t)
+    t *= (n - 1.0) / n * ps.alpha**4
+    yield t
+    del t
+    if pf.thetaP is None:       # a Radial field has no angular terms
+        for _ in range(2):
+            zeros = scratch(pf.dP.shape)
+            zeros[...] = 0.0
+            yield zeros
+        return
+    t = d_ds(pf.thetaP, pf.grid)    # d/dr grad_theta P
+    t -= np.divide(pf.thetaP, s, out=scratch(t.shape))
+    np.square(t, out=t)
+    t *= 2.0 * ps.alpha**2 / s**2
+    yield t
+    del t
+    t = _sphere_k(pf.thetaP, pf.lap_thetaP, n, ps.alpha)
+    t /= s**4
+    yield t
+
+
+def bochner_decomposition(pf: PressureDerivatives) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three terms of `bochner_terms`, all at once."""
+    return tuple(bochner_terms(pf))
 
 
 def sphere_margins(P: np.ndarray, g1: np.ndarray, g2: np.ndarray, ps) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""CSV/JSON emission and the bounded worker pool.
+"""CSV/JSON emission and the bounded thread pool.
 
 Reports must be byte-identical for identical configurations: floats are
 printed with 17 significant digits, JSON keys are sorted, no timestamps or
@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 
 FLOAT_FMT = "{:.17g}"
 
@@ -58,12 +59,39 @@ def write_text(text: str, out_path: str | None) -> None:
 
 
 def ordered_map(fn, items) -> list:
-    """Map over items on min(8, CPU count) threads; results keep the input order."""
-    items = list(items)
-    max_workers = min(8, os.cpu_count() or 1)
-    if max_workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    from concurrent.futures import ThreadPoolExecutor   # only a call that pools loads it
+    """fn of each item on min(8, CPU count) threads, the caller one of them; the
+    results keep the input order.
 
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(fn, items))
+    Each thread runs one contiguous chunk of the items in order, so what a thread
+    keeps (the identities suite's workspace) serves all of its items.  The caller
+    runs the first chunk outside any workspace it entered, as a new thread would.
+    Once every chunk has ended, the exception of the first failing item in input
+    order is raised (a chunk stops at its first).
+    """
+    items = list(items)
+    if not items:
+        return []
+    count = min(8, os.cpu_count() or 1, len(items))
+    edges = [len(items) * i // count for i in range(count + 1)]
+    results, errors = [None] * count, [None] * count
+
+    def run(chunk: int) -> None:
+        try:
+            results[chunk] = [fn(it) for it in items[edges[chunk]:edges[chunk + 1]]]
+        except BaseException as exc:    # raised on the calling thread below
+            errors[chunk] = exc
+
+    # Loaded before any thread starts: a first read of a lazy module is not thread-safe.
+    from .grids import outside_workspaces
+
+    threads = [threading.Thread(target=run, args=(chunk,)) for chunk in range(1, count)]
+    for thread in threads:
+        thread.start()
+    with outside_workspaces():
+        run(0)
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return [r for chunk in results for r in chunk]

@@ -10,6 +10,7 @@ are emitted in input order.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,8 +31,8 @@ from .grids import RadialGrid, Workspace, scratch
 from .params import ParamSet, derive_params
 from .pressure import (
     PressureDerivatives,
-    bochner_decomposition,
     bochner_k,
+    bochner_terms,
     divergence_form_residual,
     pressure_of,
     pressure_values,
@@ -222,9 +223,12 @@ IDENTITY_BASE = 257      # radial nodes of the coarsest random-field grid
 # radial stencils (d/dr of L P, L of |DP|^2), each reaching 2 rows, so a
 # one-sided edge closure at a slab cut reaches no further than 4 rows in.
 SLAB_HALO = 4
-# Bytes of one float array over the reported rows of a slab: 128 rows at 256
-# angles.  Below that the per-slab Python work (which holds the GIL) shows.
-SLAB_BYTES = 256 * 1024
+# Bytes of one float array over the reported rows of a slab: 256 rows at 256
+# angles.  A slab's numpy calls must outlast the pool's turns on the GIL: at
+# 128 rows a subtract/multiply/add run took about 22 us and ran 0.70-0.82x as
+# fast on two threads as on one (an rfft+irfft pair, about 270 us, ran 1.8x).
+# Twice the rows halve the calls a field makes.
+SLAB_BYTES = 512 * 1024
 
 
 def _slabs(rows: range, angular_size: int) -> list[range]:
@@ -252,7 +256,7 @@ def slab_workspace(grids: list[RadialGrid], angular: PeriodicGrid) -> Workspace:
 def bochner_residual(table: np.ndarray, grid: RadialGrid, angular: PeriodicGrid,
                      ps: ParamSet) -> float:
     """interior_max(radial_hessian + mixed + sphere - bochner_k(pf), grid),
-    with the three terms of bochner_decomposition(pf), for the pressure field pf
+    with the three terms of bochner_terms(pf), for the pressure field pf
     whose samples are the log field with angular factors ``table`` on ``grid``,
     bit for bit, a slab at a time.
 
@@ -273,17 +277,22 @@ def _slab_residual(table: np.ndarray, grid: RadialGrid, angular: PeriodicGrid,
 
     The field's rows are taken to their source w and back, in place, so P is
     the pressure of a field as `pressure_of` would make it; only P's
-    derivatives are kept, so P's buffer serves the Bochner terms.
+    derivatives are kept, so P's buffer serves the Bochner terms.  Each term is
+    added as it arrives, (radial_hessian + mixed) + sphere, and dropped; then
+    P'' and Lap_theta P go, since k[P] reads neither: a slab holds at most 9
+    of its workspace's buffers at once.
     """
     lo, hi = _window(slab, grid)
     P = log_field_rows(table, grid, lo, hi)
     pressure_values(source_of_pressure(P, ps.n, out=P), ps.n, out=P)
     pf = PressureDerivatives(P, grid.rows(lo, hi), angular, ps)
     del P
-    diff, mixed, sphere = bochner_decomposition(pf)
-    diff += mixed
-    diff += sphere
-    del mixed, sphere   # only the sum stays alive while k[P] is computed
+    terms = bochner_terms(pf)
+    diff = next(terms)
+    for term in terms:
+        diff += term
+        del term
+    del pf.d2P, pf.lap_thetaP
     diff -= bochner_k(pf)
     rows = diff[slab.start - lo:slab.stop - lo]
     return np.max(np.abs(rows, out=rows))
@@ -308,16 +317,21 @@ def run_identities_suite(seed: int = DEFAULT_SEED, n_fields: int = IDENTITY_FIEL
     angular = PeriodicGrid(IDENTITY_ANGULAR)
 
     all_coeffs = [random_log_field_coeffs(rng) for _ in range(n_fields)]
+    workspaces = {}     # thread id -> the one slab_workspace of every field it runs
 
     def decomposition_orders(coeffs):
         # Each level evaluates the field slab by slab on its own grid, with the
-        # angular factors and one workspace, entered on this thread, shared by every level.
+        # angular factors shared by every level and the workspace of this thread.
+        thread = threading.get_ident()
+        if thread not in workspaces:
+            workspaces[thread] = slab_workspace(grids, angular)
         table = log_field_table(coeffs, angular)
-        with slab_workspace(grids, angular):
+        with workspaces[thread]:
             errs = [bochner_residual(table, g, angular, ps2) for g in grids]
         return errs, fit_loglog(h_values, errs)
 
     field_results = ordered_map(decomposition_orders, all_coeffs)
+    workspaces.clear()
     orders = [o for _, o in field_results]
     report.add({
         "identity": "bochner_decomposition_vs_definition",

@@ -494,34 +494,36 @@ print(json.dumps({
 """
 _BASE = ["cli", "errors", "params", "reporting"]
 _BUBBLE = _BASE + ["bubble", "cylfield", "grids"]
-#: command -> (argv, the cknlab modules it runs)
+_VERIFY = _BUBBLE + ["estimates", "fitting", "pressure", "radial_ode", "spectral", "verify"]
+#: command, or command-suite -> (argv after the command, the cknlab modules it runs)
 COMMAND_MODULES = {
     "params": (["--a", "-0.5", "--b", "0", "--d", "3"], _BASE),
     "scan": (["--d", "3", "--a-min", "-1", "--a-max", "0", "--a-step", "0.25"], _BASE),
     "bubble": (["--a", "-0.5", "--b", "0", "--d", "3", "--grid", "5"], _BUBBLE),
     "shoot": (["--a", "-0.5", "--b", "0", "--d", "3", "--w0", "2.5"], _BUBBLE + ["radial_ode"]),
     "spectrum": (["--d", "3", "--n", "6", "--grid", "200"], _BUBBLE + ["spectral"]),
-    "verify": (["--suite", "spectrum"],
-               _BUBBLE + ["estimates", "fitting", "pressure", "radial_ode", "spectral",
-                          "verify"]),
+    "verify": (["--suite", "spectrum"], _VERIFY),
+    "verify-identities": (["--suite", "identities"], _VERIFY),   # the one pooled command
 }
 
 
 @pytest.mark.parametrize("command", COMMAND_MODULES)
 def test_each_command_loads_only_its_modules(command):
     # fresh interpreter: the parser reads no numpy module, params and scan run
-    # on the standard library alone, and each command loads the table's modules
+    # on the standard library alone, each command loads the table's modules, and
+    # none loads concurrent.futures (the identities pool runs on plain threads)
     argv, modules = COMMAND_MODULES[command]
     src = str(Path(cknlab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", CLOSURE_PROBE, command, *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", CLOSURE_PROBE, command.split("-")[0], *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
     assert got["code"] == 0 and got["parser_numpy"] is False
     assert got["loaded"] == sorted(modules)
+    assert got["futures"] is False
     if command in ("params", "scan"):
-        assert got["numpy"] is False and got["futures"] is False
+        assert got["numpy"] is False
 
 
 def test_module_entry_point_runs_clean_under_warnings_as_errors():

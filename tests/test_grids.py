@@ -85,7 +85,8 @@ class TestWorkspace:
         with Workspace(800):
             results = reporting.ordered_map(lambda _: (threading.get_ident(), scratch((10,))),
                                             range(4))
-        assert all(thread != caller for thread, _ in results)
+        threads = [thread for thread, _ in results]
+        assert threads[:2] == [caller] * 2 and caller not in threads[2:]
         assert all(a.base is None and a.flags.owndata for _, a in results)
 
 

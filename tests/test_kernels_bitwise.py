@@ -661,8 +661,8 @@ class TestSlabsBitwise:
         assert all(a.stop == b.start for a, b in zip(slabs, slabs[1:]))
         monkeypatch.setattr(verify, "SLAB_BYTES", 8)
         assert [len(s) for s in verify._slabs(window, 16)] == [1] * 205
-        monkeypatch.undo()     # at most 128 rows at 256 angles: the 1025-node window
-        assert [len(s) for s in verify._slabs(range(103, 922), 256)] == [117] * 7
+        monkeypatch.undo()     # at most 256 rows at 256 angles: the 1025-node window
+        assert [len(s) for s in verify._slabs(range(103, 922), 256)] == [204, 205, 205, 205]
 
     def test_rows_keep_the_parent_node_bits(self):
         parent = RadialGrid(1e-3, 1e3, 1025)

@@ -101,18 +101,17 @@ def bochner_radial_inner_off(original):
 
 
 def decomposition_term_off(index):
-    # one of (radial_hessian, mixed, sphere) taken (1 + 1e-3) times
+    # one of (radial_hessian, mixed, sphere) taken (1 + 1e-3) times as it is yielded
     def mutation(original):
         def terms(pf):
-            out = list(original(pf))
-            out[index] = (1.0 + 1e-3) * out[index]
-            return tuple(out)
+            for i, term in enumerate(original(pf)):
+                yield (1.0 + 1e-3) * term if i == index else term
         return terms
     return mutation
 
 
 def derivative_off(attr):
-    # one of the six arrays of PressureDerivatives taken (1 + 1e-3) times
+    # one of the five arrays PressureDerivatives computes at once taken (1 + 1e-3) times
     def mutation(original):
         def init(self, P, grid, angular, params):
             original(self, P, grid, angular, params)
@@ -122,10 +121,17 @@ def derivative_off(attr):
     return mutation
 
 
+def dp2_off(original):
+    # |DP|^2, formed on its first read, taken (1 + 1e-3) times
+    return property(lambda self: (1.0 + 1e-3) * original.fget(self))
+
+
 def derivatives_alpha_up(original):
-    # alpha taken 1.001 times in the six derivative arrays alone
+    # alpha taken 1.001 times in the six derivative arrays alone (|DP|^2 is read
+    # before alpha is restored, so it is formed with the wrong one too)
     def init(self, P, grid, angular, params):
         original(self, P, grid, angular, dataclasses.replace(params, alpha=1.001 * params.alpha))
+        self.DP2
         self.params = params
     return init
 
@@ -279,7 +285,7 @@ MATRIX = [
     pytest.param(pressure, "bochner_k", bochner_radial_inner_off, "identities",
                  ("bochner_decomposition_vs_definition",),
                  id="bochner_k-radial-inner-1e-3"),
-    *(pytest.param(pressure, "bochner_decomposition", decomposition_term_off(i), "identities",
+    *(pytest.param(pressure, "bochner_terms", decomposition_term_off(i), "identities",
                    ("bochner_decomposition_vs_definition",),
                    id=f"decomposition-{term}-1e-3")
       for i, term in enumerate(("radial-hessian", "mixed", "sphere"))),
@@ -290,8 +296,9 @@ MATRIX = [
           ("lap_thetaP", ("bochner_decomposition_vs_definition",)),
           ("dP", ("bochner_decomposition_vs_definition",) + ("divergence_identity_bubble",) * 2),
           ("d2P", ("bochner_decomposition_vs_definition",)),
-          ("LP", ALL_BUT_THE_SPHERE),
-          ("DP2", ALL_BUT_THE_SPHERE))),
+          ("LP", ALL_BUT_THE_SPHERE))),
+    pytest.param(pressure.PressureDerivatives, "DP2", dp2_off, "identities",
+                 ALL_BUT_THE_SPHERE, id="derivatives-DP2-1e-3"),
     pytest.param(pressure.PressureDerivatives, "__init__", derivatives_alpha_up, "identities",
                  ALL_BUT_THE_SPHERE, id="derivatives-alpha-1.001"),
     pytest.param(pressure, "obata_vector", obata_vector_off, "identities",

@@ -1,10 +1,12 @@
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import cknlab
 from cknlab import verify
@@ -63,7 +65,7 @@ class TestSuites:
 
 def test_identities_suite_memory_is_bounded():
     # Each refinement level is computed in row slabs that evaluate their own
-    # rows of the field into one workspace (3 MiB); whole-level arrays took
+    # rows of the field into one workspace (4 MiB); whole-level arrays took
     # 29 MiB.  One field runs serially, so the peak is the same on every run.
     tracemalloc.start()
     try:
@@ -90,10 +92,11 @@ def identity_field():
 def test_identity_field_peak_is_slab_sized():
     # One field's Bochner check evaluates each refinement level slab by slab on
     # that level's grid, into one workspace, as the suite does.  Its traced peak
-    # is that workspace: 11 buffers of the finest level's tallest window, which
-    # is shorter than a slab-sized array.  Evaluating the finest level whole and
-    # slicing it peaked at 23.4 slab-sized arrays, and fresh arrays for every
-    # slab at 16.8.
+    # is that workspace: 9 buffers of the finest level's tallest window, which
+    # is shorter than a slab-sized array (7.9 slab-sized arrays in all; 11.3
+    # with the 11 buffers of a slab that held every Bochner term and |DP|^2 at
+    # once).  Evaluating the finest level whole and slicing it peaked at 23.4
+    # slab-sized arrays, and fresh arrays for every slab at 16.8.
     table, grids, angular, ps, slab_array = identity_field()
     tracemalloc.start()
     try:
@@ -103,7 +106,19 @@ def test_identity_field_peak_is_slab_sized():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12 * slab_array
+    assert peak < 9 * slab_array
+
+
+def test_a_slab_holds_at_most_nine_arrays():
+    # The workspace grows to the most buffers a slab holds at once.  Each Bochner
+    # term is dropped once added, |DP|^2 is formed only when k[P] reads it, and
+    # P'' and Lap_theta P go before it does: 11 buffers took every term at once.
+    table, grids, angular, ps, _ = identity_field()
+    ws = verify.slab_workspace(grids, angular)
+    with ws:
+        for g in grids:
+            verify.bochner_residual(table, g, angular, ps)
+    assert len(ws._buffers) <= 9
 
 
 def test_a_later_slab_allocates_no_slab_sized_array():
@@ -176,6 +191,37 @@ class TestDeterminism:
         items = list(range(64))
         out = ordered_map(lambda x: x * x, items)
         assert out == [x * x for x in items]
+
+    @pytest.mark.parametrize("failing, first", [({6}, 6), ({1, 5}, 1), ({5, 7}, 5)])
+    def test_ordered_map_raises_the_first_failing_item(self, failing, first, monkeypatch):
+        # 8 items on 2 threads: the caller runs items 0-3 and a worker 4-7, each
+        # up to its first failing item, and the first in input order is raised.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        ran = {}
+
+        def fn(x):
+            ran[x] = threading.get_ident()
+            if x in failing:
+                raise ValueError(x)
+            return x
+
+        with pytest.raises(ValueError) as raised:
+            ordered_map(fn, range(8))
+        assert raised.value.args == (first,)
+        caller = threading.get_ident()
+        for chunk, on_caller in ((range(4), True), (range(4, 8), False)):
+            stop = min((x for x in chunk if x in failing), default=chunk[-1])
+            assert sorted(x for x in ran if x in chunk) == list(range(chunk[0], stop + 1))
+            assert all((ran[x] == caller) == on_caller for x in ran if x in chunk)
+
+    def test_identities_report_is_the_same_at_every_pool_width(self, monkeypatch):
+        # 3 fields: chunks of 1 (the caller's) and 2 at width 2, one field a
+        # thread at widths 3 and 8
+        reports = set()
+        for width in (1, 2, 3, 8):
+            monkeypatch.setattr(os, "cpu_count", lambda width=width: width)
+            reports.add(json_text(run_identities_suite(seed=3, n_fields=3)))
+        assert len(reports) == 1
 
 
 POLYNOMIAL_PROBE = """
