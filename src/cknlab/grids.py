@@ -10,8 +10,8 @@ quadrature) serves every operation.  Stencil weights are generated with the
 standard divided-difference recursion rather than hardcoded tables.
 
 Every kernel takes its input-sized arrays from `scratch`: views of the
-buffers of the `Workspace` entered on the calling thread, or new arrays
-outside one.  The same ufuncs run either way, so the bits are the same.
+buffers the calling thread holds in the `Workspace` it entered, or new
+arrays outside one.  The same ufuncs run either way, so the bits are the same.
 
 The quadrature takes the complete cells of a region in one np.vecdot (numpy
 2) and adds them left to right with np.cumsum, with the bits of a per-cell
@@ -23,7 +23,6 @@ forms f e^(n x) and hands it the region in x.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import sys
 import threading
@@ -46,25 +45,32 @@ class Workspace:
     of a probe no view holds.  Arrays taken here therefore live and die as
     allocated ones would, and a computation that runs again at the same or a
     smaller size takes no new buffer after its first run.  Counts are read
-    unlocked, so one workspace serves one thread at a time.
+    unlocked, so each thread takes from buffers of its own, which go with the
+    thread or with the workspace, whichever goes first.
     """
 
     def __init__(self, nbytes: int):
         self.nbytes = nbytes
-        self._buffers = []
+        self._local = threading.local()
         self._free = _reference_counts([np.empty(1, np.uint8)])[0]   # a buffer no view holds
+
+    @property
+    def _buffers(self) -> list:
+        """The calling thread's buffers."""
+        return self._local.__dict__.setdefault("buffers", [])
 
     def empty(self, shape: tuple, dtype=float) -> np.ndarray:
         dtype = np.dtype(dtype)
         size = math.prod(shape) * dtype.itemsize
         if size > self.nbytes:
             raise ValueError(f"an array of {size} bytes exceeds the workspace's {self.nbytes}")
-        counts = _reference_counts(self._buffers)
+        buffers = self._buffers
+        counts = _reference_counts(buffers)
         if self._free in counts:
-            buf = self._buffers[counts.index(self._free)]
+            buf = buffers[counts.index(self._free)]
         else:
             buf = np.empty(self.nbytes, np.uint8)
-            self._buffers.append(buf)
+            buffers.append(buf)
         return buf[:size].view(dtype).reshape(shape)
 
     def __enter__(self) -> Workspace:
@@ -91,16 +97,6 @@ def scratch(shape: tuple, dtype=float) -> np.ndarray:
     """An uninitialized array from the thread's active workspace, or a new one outside any."""
     stack = getattr(_entered, "stack", ())
     return stack[-1].empty(shape, dtype) if stack else np.empty(shape, dtype)
-
-
-@contextlib.contextmanager
-def outside_workspaces():
-    """A block in which `scratch` returns new arrays, as on a thread that entered no workspace."""
-    stack, _entered.stack = getattr(_entered, "stack", ()), ()
-    try:
-        yield
-    finally:
-        _entered.stack = stack
 
 
 def sphere_area(d: int) -> float:

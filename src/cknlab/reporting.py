@@ -62,11 +62,9 @@ def ordered_map(fn, items) -> list:
     """fn of each item on min(8, CPU count) threads, the caller one of them; the
     results keep the input order.
 
-    Each thread runs one contiguous chunk of the items in order, so what a thread
-    keeps (the identities suite's workspace) serves all of its items.  The caller
-    runs the first chunk outside any workspace it entered, as a new thread would.
-    Once every chunk has ended, the exception of the first failing item in input
-    order is raised (a chunk stops at its first).
+    Each thread runs one contiguous chunk of the items in order, the caller the
+    first.  Once every chunk has ended, the exception of the first failing item
+    in input order is raised (a chunk stops at its first).
     """
     items = list(items)
     if not items:
@@ -81,14 +79,10 @@ def ordered_map(fn, items) -> list:
         except BaseException as exc:    # raised on the calling thread below
             errors[chunk] = exc
 
-    # Loaded before any thread starts: a first read of a lazy module is not thread-safe.
-    from .grids import outside_workspaces
-
     threads = [threading.Thread(target=run, args=(chunk,)) for chunk in range(1, count)]
     for thread in threads:
         thread.start()
-    with outside_workspaces():
-        run(0)
+    run(0)
     for thread in threads:
         thread.join()
     for exc in errors:

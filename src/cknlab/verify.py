@@ -5,12 +5,12 @@ Each suite runs a battery of numerical contracts (identity consistency at
 radial rigidity sweeps, threshold location) and returns a JSON-ready report
 with an overall pass flag and the first failing contract named.  Suites are
 deterministic: a fixed seed fixes every random field, and pooled work items
-are emitted in input order.
+are emitted in input order.  The identities suite's pool threads share one
+slab workspace, each taking buffers of its own.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -317,21 +317,18 @@ def run_identities_suite(seed: int = DEFAULT_SEED, n_fields: int = IDENTITY_FIEL
     angular = PeriodicGrid(IDENTITY_ANGULAR)
 
     all_coeffs = [random_log_field_coeffs(rng) for _ in range(n_fields)]
-    workspaces = {}     # thread id -> the one slab_workspace of every field it runs
+    ws = slab_workspace(grids, angular)
 
     def decomposition_orders(coeffs):
         # Each level evaluates the field slab by slab on its own grid, with the
-        # angular factors shared by every level and the workspace of this thread.
-        thread = threading.get_ident()
-        if thread not in workspaces:
-            workspaces[thread] = slab_workspace(grids, angular)
+        # angular factors shared by every level and this thread's buffers of ws.
         table = log_field_table(coeffs, angular)
-        with workspaces[thread]:
+        with ws:
             errs = [bochner_residual(table, g, angular, ps2) for g in grids]
         return errs, fit_loglog(h_values, errs)
 
     field_results = ordered_map(decomposition_orders, all_coeffs)
-    workspaces.clear()
+    del ws      # and with it the calling thread's buffers, before the bubble checks
     orders = [o for _, o in field_results]
     report.add({
         "identity": "bochner_decomposition_vs_definition",

@@ -82,12 +82,24 @@ class TestWorkspace:
     def test_pool_threads_do_not_see_the_callers_scope(self, monkeypatch):
         monkeypatch.setattr(reporting.os, "cpu_count", lambda: 2)
         caller = threading.get_ident()
-        with Workspace(800):
-            results = reporting.ordered_map(lambda _: (threading.get_ident(), scratch((10,))),
-                                            range(4))
-        threads = [thread for thread, _ in results]
+        threads = reporting.ordered_map(lambda _: threading.get_ident(), range(4))
         assert threads[:2] == [caller] * 2 and caller not in threads[2:]
-        assert all(a.base is None and a.flags.owndata for _, a in results)
+
+    def test_one_workspace_gives_each_thread_its_own_buffers(self):
+        # buffers are told apart by id: a reference to one would keep it busy
+        ws = Workspace(800)
+
+        def taken(out: list) -> None:
+            with ws:
+                out.append(id(scratch((10,)).base))     # taken and freed at once
+
+        here, there = [], []
+        taken(here)
+        thread = threading.Thread(target=taken, args=(there,))
+        thread.start()
+        thread.join()
+        taken(here)
+        assert here[0] == here[1] != there[0]
 
 
 def test_fd_weights_reproduce_central_stencils():

@@ -11,7 +11,7 @@ import pytest
 import cknlab
 from cknlab import verify
 from cknlab.cylfield import CylinderField, PeriodicGrid
-from cknlab.grids import RadialGrid
+from cknlab.grids import RadialGrid, Workspace
 from cknlab.params import derive_params
 from cknlab.reporting import csv_text, json_text, ordered_map
 from cknlab.verify import (
@@ -119,6 +119,30 @@ def test_a_slab_holds_at_most_nine_arrays():
         for g in grids:
             verify.bochner_residual(table, g, angular, ps)
     assert len(ws._buffers) <= 9
+
+
+@pytest.mark.parametrize("width", [2, 3])
+def test_the_pool_shares_one_workspace_of_at_most_nine_buffers_a_thread(monkeypatch, width):
+    # Every pool thread enters the suite's one slab_workspace and takes buffers
+    # of its own; each holds a slab's live set, whatever fields it runs.
+    monkeypatch.setattr(os, "cpu_count", lambda: width)
+    made, held = [], {}
+    make, empty = verify.slab_workspace, Workspace.empty
+
+    def counted(*args):
+        made.append(make(*args))
+        return made[-1]
+
+    def spied(ws, shape, dtype=float):
+        a = empty(ws, shape, dtype)
+        held[threading.get_ident()] = len(ws._buffers)
+        return a
+
+    monkeypatch.setattr(verify, "slab_workspace", counted)
+    monkeypatch.setattr(Workspace, "empty", spied)
+    run_identities_suite(n_fields=3)
+    assert len(made) == 1
+    assert len(held) == width and max(held.values()) <= 9
 
 
 def test_a_later_slab_allocates_no_slab_sized_array():
